@@ -20,10 +20,8 @@ from .fluctuation import (
     theoretical_covariance,
 )
 from .forward import (
-    EnvironmentDraw,
     LawFlow,
     PathEnsemble,
-    forward_error,
     solve_classical_system,
     solve_limit_forward,
     solve_sde_n,
@@ -32,17 +30,17 @@ from .harness import (
     ExperimentConfig,
     StudyReport,
     emit_report,
+    forward_errors,
     parse_config,
     run_clt_study,
     run_convergence_study,
 )
-from .model import ModelSpec, catalog_model, check_gradients, evaluate_mean_field
+from .model import ModelSpec, catalog_model, check_gradients, env_average
 from .noise import StreamKey, TimeGrid, brownian_increments, derive_key, standard_normals
 
 __all__ = [
     "BsdeSolution",
     "CovarianceMatrix",
-    "EnvironmentDraw",
     "ExperimentConfig",
     "FieldLattice",
     "LawFlow",
@@ -59,8 +57,8 @@ __all__ = [
     "derive_key",
     "emit_report",
     "empirical_fields",
-    "evaluate_mean_field",
-    "forward_error",
+    "env_average",
+    "forward_errors",
     "parse_config",
     "run_clt_study",
     "run_convergence_study",

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .forward import BlockSim, LawFlow, PathEnsemble, simulate_blocks
-from .model import ModelSpec
+from .model import ModelSpec, env_average
 from .noise import StreamKey, TimeGrid
 
 __all__ = [
@@ -210,20 +210,10 @@ def _self_average_driver(model: ModelSpec, x_nodes: np.ndarray):
     x_nodes is (B, P, n+1, d); the partner pool at node i is the block's own
     (X_i, y_i) columns, refreshed on every fixed-point sweep.
     """
-    ref = model.x0
-    z0 = np.zeros(model.dim)
 
     def driver(i, y, z):
         x = x_nodes[:, :, i, :]
-        if model.env_free("driver"):
-            return model.driver(x, y, z, x, y)
-        if model.separable:
-            shift = model.driver(ref, 0.0, z0, x, y).mean(axis=1, keepdims=True)
-            shift = shift - model.driver(ref, 0.0, z0, ref, 0.0)
-            return model.driver(x, y, z, ref, 0.0) + shift
-        return model.driver(
-            x[:, :, None, :], y[:, :, None], z[:, :, None, :], x[:, None, :, :], y[:, None, :]
-        ).mean(axis=2)
+        return env_average(model, "driver", x, x, y, y, z)
 
     return driver
 
@@ -251,7 +241,7 @@ def solve_mfbsde(
         squeeze = True
     else:
         squeeze = False
-    terminal = law_flow.terminal_mean(values[:, :, -1, :])
+    terminal = law_flow.average("terminal", values[:, :, -1, :], -1)
     driver = _self_average_driver(model, values)
     y, z, artifacts, prov = _backward_induction(
         grid, values, dw, terminal, driver, degree, fix_sweeps, z_cap
@@ -274,45 +264,6 @@ def solve_mfbsde(
 # N-environment solver
 
 
-def _block_env_terminal(model: ModelSpec, sim: BlockSim) -> np.ndarray:
-    x_T = sim.xn[:, :, -1, :]
-    if model.env_free("terminal"):
-        return model.terminal(x_T, x_T)
-    if model.separable:
-        return model.terminal(x_T, model.x0) + sim.terminal_curve[:, None]
-    env_T = sim.env_x[:, :, -1, :]  # (B, N, d)
-    return model.terminal(x_T[:, :, None, :], env_T[:, None, :, :]).mean(axis=2)
-
-
-def _block_env_driver(model: ModelSpec, sim: BlockSim):
-    ref = model.x0
-    z0 = np.zeros(model.dim)
-
-    def driver(i, y, z):
-        x = sim.xn[:, :, i, :]
-        if model.env_free("driver"):
-            return model.driver(x, y, z, x, y)
-        if sim.driver_curve is None and sim.env_y is None:
-            raise ValueError(
-                "driver averages over partner y values, but the blocks were "
-                "simulated from a law without them; attach y values to the "
-                "environment law first (see value_law)"
-            )
-        if model.separable:
-            return model.driver(x, y, z, ref, 0.0) + sim.driver_curve[:, i][:, None]
-        env_x = sim.env_x[:, :, i, :]
-        env_y = sim.env_y[:, :, i]
-        return model.driver(
-            x[:, :, None, :],
-            y[:, :, None],
-            z[:, :, None, :],
-            env_x[:, None, :, :],
-            env_y[:, None, :],
-        ).mean(axis=2)
-
-    return driver
-
-
 def solve_bsde_n(
     model: ModelSpec,
     N: int,
@@ -328,8 +279,15 @@ def solve_bsde_n(
     block's frozen N partner paths; regressions stay within blocks, where the
     value is a function of the state conditionally on the environment.
     """
-    terminal = _block_env_terminal(model, sim)
-    driver = _block_env_driver(model, sim)
+    terminal = env_average(
+        model, "terminal", sim.xn[:, :, -1, :], *sim.partners(-1), shift=sim.terminal_curve
+    )
+
+    def driver(i, y, z):
+        shift = None if sim.driver_curve is None else sim.driver_curve[:, i]
+        x = sim.xn[:, :, i, :]
+        return env_average(model, "driver", x, *sim.partners(i), y, z, shift=shift)
+
     y, z, artifacts, prov = _backward_induction(
         grid, sim.xn, sim.dw, terminal, driver, degree, fix_sweeps, z_cap
     )
@@ -453,26 +411,17 @@ def solve_linear_limit_bsde(
     (state, first-order state) and the regression conditions on both.  The
     terminal couples the field value with the gradient averages of the
     terminal coefficient; the driver adds the field curve plus gradient terms
-    against the fluctuation triple.
+    against the fluctuation triple.  Gradients take the other argument at
+    the reference state x0, which is exact when the partner enters every
+    coefficient additively, the only coupling `solve_limit_system` accepts.
     """
     B, P, n1, d = x.shape
     ref = model.x0
     x_T = x[:, :, -1, :]
     partners_T = x[:, 0, -1, :]  # designated member terminal states as the law pool
-    if model.separable:
-        a_phi_own = model.grad_terminal_x(x_T, ref)  # (B, P, d)
-        gte = model.grad_terminal_env(ref, partners_T)  # (B, d)
-        a_phi_env = float(np.mean(np.sum(gte * xbar[:, 0, -1, :], axis=-1)))
-    else:
-        a_phi_own = model.grad_terminal_x(
-            x_T[:, :, None, :], partners_T[None, None, :, :]
-        ).mean(axis=2)
-        gte = model.grad_terminal_env(
-            x_T[:, :, None, :], partners_T[None, None, :, :]
-        )  # (B, P, B, d)
-        a_phi_env = np.mean(
-            np.sum(gte * xbar[None, None, :, 0, -1, :], axis=-1), axis=2
-        )
+    a_phi_own = model.grad_terminal_x(x_T, ref)  # (B, P, d)
+    gte = model.grad_terminal_env(ref, partners_T)  # (B, d)
+    a_phi_env = float(np.mean(np.sum(gte * xbar[:, 0, -1, :], axis=-1)))
     terminal = (
         xi3[:, None]
         + np.sum(a_phi_own * xbar[:, :, -1, :], axis=-1)

@@ -2,9 +2,7 @@
 
 Subcommands: ``validate`` / ``convergence`` / ``clt`` run configuration-driven
 studies; ``forward`` and ``backward`` are direct single-run commands writing
-path CSVs.  All randomness flows from the explicit seed; ``--threads`` is
-accepted for compatibility but computation is vectorized single-process, so
-results never depend on it.
+path CSVs.  All randomness flows from the explicit seed.
 """
 
 from __future__ import annotations
@@ -157,8 +155,8 @@ def _invert_euler_increments(model, law, grid, values):
     dw = np.empty((R, grid.steps, d))
     for i in range(grid.steps):
         x = values[:, i, :]
-        resid = values[:, i + 1, :] - x - law.drift_mean(x, i) * grid.h
-        sig = law.diffusion_mean(x, i)
+        resid = values[:, i + 1, :] - x - law.average("drift", x, i) * grid.h
+        sig = law.average("diffusion", x, i)
         dw[:, i, :] = np.linalg.solve(sig, resid[..., None])[..., 0]
     return dw
 
@@ -222,7 +220,6 @@ def main(argv=None) -> int:
         prog="mfbsde",
         description="Mean-field forward-backward SDE approximation laboratory",
     )
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are thread-count independent")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a configuration file")

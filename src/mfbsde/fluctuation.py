@@ -7,9 +7,9 @@ a cloud of base-system paths, samples the limit Gaussian field (on a lattice
 or jointly along a path), integrates the linearized first-order system driven
 by that field, and runs the statistical comparisons between the two.
 
-For separable models (partner enters every coefficient additively) the field
-kernels do not depend on the probe point, so one kernel factorization serves
-every member path; non-separable models fall back to per-member lattices.
+When the partner enters every coefficient additively, the field kernels do
+not depend on the probe point, so one kernel factorization serves every
+member path; the path sampler and the limit system accept only that coupling.
 """
 
 from __future__ import annotations
@@ -172,21 +172,43 @@ class CovarianceMatrix:
         return idx
 
     def cholesky(self) -> np.ndarray:
+        """Lower factor of the entries with nonzero variance.
+
+        Zero-variance entries (fields that vanish identically, such as those
+        of partner-free coefficients) keep exactly zero rows, so no jitter
+        leaks noise into them.
+        """
         if self._chol is not None:
             return self._chol
-        top = float(np.max(np.diag(self.matrix)))
-        if top == 0.0:  # identically zero field
-            self._chol = np.zeros_like(self.matrix)
-            return self._chol
-        for lam in _JITTER_LADDER:
-            try:
-                chol = np.linalg.cholesky(self.matrix + lam * top * np.eye(self.size))
-            except np.linalg.LinAlgError:
-                continue
-            self.jitter = lam * top
-            self._chol = chol
-            return chol
-        raise ValueError("covariance not factorizable within the jitter ladder")
+        live = np.flatnonzero(np.diag(self.matrix) > 0.0)
+        chol = np.zeros_like(self.matrix)
+        if live.size:
+            sub = self.matrix[np.ix_(live, live)]
+            top = float(np.max(np.diag(sub)))
+            for lam in _JITTER_LADDER:
+                try:
+                    part = np.linalg.cholesky(sub + lam * top * np.eye(live.size))
+                except np.linalg.LinAlgError:
+                    continue
+                self.jitter = lam * top
+                break
+            else:
+                raise ValueError("covariance not factorizable within the jitter ladder")
+            chol[np.ix_(live, live)] = part
+        self._chol = chol
+        return chol
+
+
+def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
+    """Covariance of (M, L) samples: the mean-centred Gram matrix, symmetrised,
+    with the stderr of each entry."""
+    m = feats.shape[0]
+    centered = feats - feats.mean(axis=0)
+    cov = centered.T @ centered / (m - 1)
+    cov = 0.5 * (cov + cov.T)
+    diag = np.diag(cov)
+    stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
+    return CovarianceMatrix(cov, stderr, entries, cloud_size=m)
 
 
 def law_cloud(law: LawFlow, size: int, key: StreamKey):
@@ -242,13 +264,7 @@ def theoretical_covariance(
     m = x_cloud.shape[0]
     if m < 100:
         raise ValueError(f"kernel cloud too small ({m} < 100)")
-    feats, entries = _lattice_features(model, lattice, x_cloud, y_cloud)
-    centered = feats - feats.mean(axis=0)
-    cov = centered.T @ centered / (m - 1)
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov)
-    stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
-    return CovarianceMatrix(cov, stderr, entries, cloud_size=m)
+    return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +318,7 @@ class PathFieldSample:
     key: StreamKey
 
 
-def _separable_kernel(
+def _path_kernel(
     model: ModelSpec, grid: TimeGrid, x_cloud: np.ndarray, y_cloud
 ) -> CovarianceMatrix:
     """Probe-independent joint kernel of all four field components along the grid."""
@@ -316,14 +332,7 @@ def _separable_kernel(
         driver_probes=driver_probes,
         blocks=("drift", "diffusion", "terminal", "driver"),
     )
-    feats, entries = _lattice_features(model, lattice, x_cloud, y_cloud)
-    m = x_cloud.shape[0]
-    centered = feats - feats.mean(axis=0)
-    cov = centered.T @ centered / (m - 1)
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov)
-    stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
-    return CovarianceMatrix(cov, stderr, entries, cloud_size=m)
+    return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
 
 
 def _split_path_field(
@@ -366,6 +375,14 @@ def _split_path_field(
     return out
 
 
+def _require_additive_coupling(model: ModelSpec, what: str) -> None:
+    if not model.separable:
+        raise NotImplementedError(
+            f"{what} requires a separable partner coupling; non-separable "
+            "fields vary in space and need per-member lattices"
+        )
+
+
 def sample_field_along_path(
     model: ModelSpec,
     law: LawFlow,
@@ -375,57 +392,21 @@ def sample_field_along_path(
     kernel: Optional[CovarianceMatrix] = None,
     kernel_cloud: int = 4096,
     kernel_key: Optional[StreamKey] = None,
-    y_path: Optional[np.ndarray] = None,
-    z_path: Optional[np.ndarray] = None,
 ) -> PathFieldSample:
     """Joint sample of all four fields at the path's space-time points.
 
     The fields are independent of the driving noise, so conditionally on the
     path this is an exact Gaussian draw with the kernel restricted to the
-    path's points.  Separable models reuse one probe-independent kernel
-    (pass it via ``kernel`` to amortize the factorization); non-separable
-    models build a per-path lattice.
+    path's points.  With an additive partner coupling the kernel does not
+    depend on the path, so one kernel serves every path (pass it via
+    ``kernel`` to amortize the factorization).
     """
-    if model.separable:
-        if kernel is None:
-            x_cloud, y_cloud = law_cloud(law, kernel_cloud, kernel_key or key.child("kern", 0))
-            kernel = _separable_kernel(model, grid, x_cloud, y_cloud)
-        raw = sample_field_on_lattice(kernel, key, count=1).values
-        return _split_path_field(model, grid, kernel, raw)[0]
-    # general path: kernel on the path's own space-time points
-    n1 = grid.steps + 1
-    nodes = tuple(range(n1))
-    if y_path is None or z_path is None:
-        raise ValueError("non-separable path sampling needs y and z along the path")
-    lam = np.concatenate([x_path, y_path[:, None], z_path], axis=1)
-    lattice = FieldLattice(
-        grid,
-        nodes,
-        x_path,
-        driver_probes=lam,
-        blocks=("drift", "diffusion", "terminal", "driver"),
-    )
-    x_cloud, y_cloud = law_cloud(law, kernel_cloud, kernel_key or key.child("kern", 0))
-    feats, entries = _lattice_features(model, lattice, x_cloud, y_cloud)
-    # keep only matching (node == probe position) pairs along the path
-    keep = [
-        i
-        for i, e in enumerate(entries)
-        if e["block"] in ("terminal",) or e["probe"] == e["node"]
-    ]
-    feats = feats[:, keep]
-    entries = [entries[i] for i in keep]
-    m = feats.shape[0]
-    centered = feats - feats.mean(axis=0)
-    cov_m = centered.T @ centered / (m - 1)
-    cov = CovarianceMatrix(
-        0.5 * (cov_m + cov_m.T),
-        np.zeros_like(cov_m),
-        entries,
-        cloud_size=m,
-    )
-    raw = sample_field_on_lattice(cov, key, count=1).values
-    return _split_path_field(model, grid, cov, raw)[0]
+    _require_additive_coupling(model, "path field sampling")
+    if kernel is None:
+        x_cloud, y_cloud = law_cloud(law, kernel_cloud, kernel_key or key.child("kern", 0))
+        kernel = _path_kernel(model, grid, x_cloud, y_cloud)
+    raw = sample_field_on_lattice(kernel, key, count=1).values
+    return _split_path_field(model, grid, kernel, raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +479,6 @@ class LimitSystemResult:
     provenance: dict
 
 
-def _grad_drift_mean(model, law_cloud_x, x, node):
-    """E[grad_x drift(x, X_t)] evaluated at a batch of states."""
-    if model.separable:
-        return model.grad_drift_x(x, model.x0)
-    env = law_cloud_x[:, node]
-    return model.grad_drift_x(x[..., None, :], env).mean(axis=-3)
-
-
-def _grad_diffusion_mean(model, law_cloud_x, x, node):
-    if model.separable:
-        return model.grad_diffusion_x(x, model.x0)
-    env = law_cloud_x[:, node]
-    return model.grad_diffusion_x(x[..., None, :], env).mean(axis=-4)
-
-
 def solve_limit_system(
     model: ModelSpec,
     law: LawFlow,
@@ -535,11 +501,7 @@ def solve_limit_system(
     """
     if members < 100:
         raise ValueError("need at least 100 members for the cross-member averages")
-    if not model.separable:
-        raise NotImplementedError(
-            "limit-system integration requires a separable partner coupling; "
-            "non-separable fields vary in space and need per-member lattices"
-        )
+    _require_additive_coupling(model, "limit-system integration")
     d = model.dim
     n = grid.steps
     n1 = n + 1
@@ -551,7 +513,7 @@ def solve_limit_system(
     inner = max(inner, 10 * basis)
     vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=kernel_cloud, degree=degree)
     kx, ky = law_cloud(vlaw, kernel_cloud, key.child("kern", 0))
-    kernel = _separable_kernel(model, grid, kx, ky)
+    kernel = _path_kernel(model, grid, kx, ky)
 
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members).values
     fields = _split_path_field(model, grid, kernel, raw)
@@ -560,8 +522,8 @@ def solve_limit_system(
     xi3 = np.array([f.terminal for f in fields])      # (R,)
     eta4 = np.stack([f.driver for f in fields])       # (R, n+1)
 
-    drift_fn = lambda x, i: law.drift_mean(x, i)
-    diff_fn = lambda x, i: law.diffusion_mean(x, i)
+    drift_fn = lambda x, i: law.average("drift", x, i)
+    diff_fn = lambda x, i: law.average("diffusion", x, i)
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
@@ -573,8 +535,8 @@ def solve_limit_system(
     need_base = bool(np.any(gprobe != 0.0))
 
     def first_order_step(xb, x_now, dwi, i, env_b, env_s, eta1_i, eta2_i):
-        gbx = _grad_drift_mean(model, None, x_now, i)
-        gsx = _grad_diffusion_mean(model, None, x_now, i)
+        gbx = model.grad_drift_x(x_now, ref)
+        gsx = model.grad_diffusion_x(x_now, ref)
         drift_term = eta1_i + np.einsum("...jk,...k->...j", gbx, xb) + env_b
         diff_term = eta2_i + np.einsum("...jkl,...l->...jk", gsx, xb) + env_s
         return xb + drift_term * h + np.einsum("...jk,...k->...j", diff_term, dwi)

@@ -15,20 +15,17 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, env_average, env_shift
 from .noise import StreamKey, TimeGrid, generator
 
 __all__ = [
     "PathEnsemble",
     "LawFlow",
-    "EnvironmentDraw",
     "SdeNResult",
-    "ErrorEstimate",
     "BlockSim",
     "solve_limit_forward",
     "solve_sde_n",
     "solve_classical_system",
-    "forward_error",
     "simulate_blocks",
     "euler_paths",
     "keys_disjoint",
@@ -102,13 +99,6 @@ class LawFlow:
     def size(self) -> int:
         return 0 if self.use_closed_form else self.cloud.shape[0]
 
-    def with_y_values(self, y: np.ndarray) -> "LawFlow":
-        if self.use_closed_form:
-            raise ValueError("closed-form laws already carry exact y values")
-        if y.shape != self.cloud.shape[:2]:
-            raise ValueError("y values must match the cloud layout")
-        return LawFlow(self.grid, self.model, self.cloud, y, False)
-
     @property
     def has_y(self) -> bool:
         return self.use_closed_form and self.model.closed_form.y_path is not None or (
@@ -116,15 +106,6 @@ class LawFlow:
         )
 
     # -- samples ------------------------------------------------------------
-
-    def marginal(self, node: int, count: int = 0, key: Optional[StreamKey] = None):
-        """Samples of the state at a grid node."""
-        if not self.use_closed_form:
-            return self.cloud[:, node]
-        if key is None or count < 1:
-            raise ValueError("closed-form marginals need a key and a count")
-        x, _ = self.sample_env(key, count)
-        return x[:, node]
 
     def sample_env(self, key: StreamKey, count: int):
         """Draw `count` i.i.d. partner paths; returns (x, y) with y possibly None."""
@@ -162,96 +143,45 @@ class LawFlow:
             return out
         return self.cloud.var(axis=0)
 
-    # -- mean-field coefficient curves ---------------------------------------
-    #
-    # For a separable model g(x, e) = g description(x) + partner(e), the exact
-    # cloud average is g(x, ref) + mean_k[g(ref, e_k) - g(ref, ref)], costing
-    # O(batch + cloud) instead of O(batch * cloud).
+    # -- mean-field coefficient averages --------------------------------------
 
-    def _separable_curve(self, which: str) -> np.ndarray:
-        cache_key = f"curve_{which}"
-        if cache_key in self._curves:
-            return self._curves[cache_key]
-        model = self.model
-        ref = model.x0
-        env = self.cloud  # (M, n+1, d)
-        if which == "drift":
-            curve = model.drift(ref, env).mean(axis=0) - model.drift(ref, ref)
-        elif which == "diffusion":
-            curve = model.diffusion(ref, env).mean(axis=0) - model.diffusion(ref, ref)
-        else:
-            raise ValueError(which)
-        self._curves[cache_key] = curve
-        return curve
+    def average(self, which: str, x, node: int, y=None, z=None) -> np.ndarray:
+        """Mean of coefficient ``which`` over the law at grid node ``node``.
 
-    def drift_mean(self, x: np.ndarray, node: int) -> np.ndarray:
+        ``x`` is (..., d) own states; the driver also takes own ``y`` (...)
+        and ``z`` (..., d).  A closed-form law answers with its exact oracle;
+        a cloud law averages over the whole cloud, reducing it once per
+        coefficient (see `env_shift`).
+        """
         model = self.model
-        if model.env_free("drift"):
-            return model.drift(x, x)
         if self.use_closed_form:
-            return model.closed_form.drift_mean(x, float(self.grid.nodes[node]))
-        if model.separable:
-            return model.drift(x, model.x0) + self._separable_curve("drift")[node]
-        return model.drift(x[..., None, :], self.cloud[:, node]).mean(axis=-2)
+            cf = model.closed_form
+            t = float(self.grid.nodes[node])
+            if which == "terminal":
+                return cf.terminal_mean(x)
+            if which == "driver":
+                return cf.driver_mean(x, y, z, t)
+            return getattr(cf, f"{which}_mean")(x, t)
+        cloud_y = None if self.cloud_y is None else self.cloud_y[None]
+        if which not in self._curves:
+            self._curves[which] = env_shift(model, which, self.cloud[None], cloud_y)
+        shift = self._curves[which]
+        lead = np.shape(x)[:-1]
 
-    def diffusion_mean(self, x: np.ndarray, node: int) -> np.ndarray:
-        model = self.model
-        if model.env_free("diffusion"):
-            return model.diffusion(x, x)
-        if self.use_closed_form:
-            return model.closed_form.diffusion_mean(x, float(self.grid.nodes[node]))
-        if model.separable:
-            return model.diffusion(x, model.x0) + self._separable_curve("diffusion")[node]
-        return model.diffusion(x[..., None, :], self.cloud[:, node]).mean(axis=-2)
+        def own(a, tail):
+            return None if a is None else np.reshape(a, (1, -1) + tail)
 
-    def terminal_mean(self, x: np.ndarray) -> np.ndarray:
-        model = self.model
-        if model.env_free("terminal"):
-            return model.terminal(x, x)
-        if self.use_closed_form:
-            return model.closed_form.terminal_mean(x)
-        env_T = self.cloud[:, -1]
-        if model.separable:
-            ref = model.x0
-            shift = model.terminal(ref, env_T).mean(axis=0) - model.terminal(ref, ref)
-            return model.terminal(x, ref) + shift
-        return model.terminal(x[..., None, :], env_T).mean(axis=-1)
-
-    def driver_mean(self, x: np.ndarray, y, z, node: int) -> np.ndarray:
-        model = self.model
-        if model.env_free("driver"):
-            return model.driver(x, y, z, x, y)
-        if self.use_closed_form:
-            return model.closed_form.driver_mean(x, y, z, float(self.grid.nodes[node]))
-        if self.cloud_y is None:
-            raise ValueError("driver averaging needs partner y values on the law")
-        env_x = self.cloud[:, node]
-        env_y = self.cloud_y[:, node]
-        if model.separable:
-            ref = model.x0
-            shift = model.driver(ref, 0.0, np.zeros(model.dim), env_x, env_y).mean(
-                axis=0
-            ) - model.driver(ref, 0.0, np.zeros(model.dim), ref, 0.0)
-            return model.driver(x, y, z, ref, 0.0) + shift
-        return model.driver(
-            x[..., None, :], np.asarray(y)[..., None], z[..., None, :], env_x, env_y
-        ).mean(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# environment draws
-
-
-@dataclass(frozen=True)
-class EnvironmentDraw:
-    """N i.i.d. partner paths addressed by a key; regenerated on demand."""
-
-    key: StreamKey
-    count: int
-    law: LawFlow
-
-    def materialize(self):
-        return self.law.sample_env(self.key, self.count)
+        out = env_average(
+            model,
+            which,
+            own(x, (model.dim,)),
+            self.cloud[None, :, node],
+            None if cloud_y is None else cloud_y[:, :, node],
+            own(y, ()),
+            own(z, (model.dim,)),
+            shift=None if shift is None else shift[:, node],
+        )
+        return out.reshape(lead + out.shape[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -284,77 +214,24 @@ def euler_paths(model: ModelSpec, grid: TimeGrid, dw: np.ndarray, drift_fn, diff
     return out
 
 
-def _law_coefficients(model: ModelSpec, law: LawFlow):
+def _law_coefficients(law: LawFlow):
     return (
-        lambda x, i: law.drift_mean(x, i),
-        lambda x, i: law.diffusion_mean(x, i),
+        lambda x, i: law.average("drift", x, i),
+        lambda x, i: law.average("diffusion", x, i),
     )
 
 
-def _env_curve_coefficients(model: ModelSpec, drift_curve, diff_curve):
-    """Closures for per-replication separable environment averages.
+def _pool_coefficients(model: ModelSpec, env_x: np.ndarray):
+    """Euler coefficients averaged over per-block partner paths (B, K, n+1, d),
+    with each pool's shift curve computed once."""
 
-    drift_curve has shape (R, n+1, d) and diff_curve (R, n+1, d, d); states
-    are (R, ..., d) with the replication axis first.
-    """
-    ref = model.x0
+    def coefficient(which):
+        curve = env_shift(model, which, env_x)
+        return lambda x, i: env_average(
+            model, which, x, env_x[:, :, i], shift=None if curve is None else curve[:, i]
+        )
 
-    def drift_fn(x, i):
-        if model.env_free("drift"):
-            return model.drift(x, x)
-        corr = drift_curve[:, i]
-        if x.ndim > 2:  # (R, P, d) blocks
-            corr = corr[:, None, :]
-        return model.drift(x, ref) + corr
-
-    def diffusion_fn(x, i):
-        if model.env_free("diffusion"):
-            return model.diffusion(x, x)
-        corr = diff_curve[:, i]
-        if x.ndim > 2:
-            corr = corr[:, None, :, :]
-        return model.diffusion(x, ref) + corr
-
-    return drift_fn, diffusion_fn
-
-
-def _env_full_coefficients(model: ModelSpec, env_x: np.ndarray):
-    """Closures averaging over explicit environment paths (R, N, n+1, d)."""
-
-    def drift_fn(x, i):
-        if model.env_free("drift"):
-            return model.drift(x, x)
-        xe = x[:, None, :] if x.ndim == 2 else x[:, None, :, :]
-        env = env_x[:, :, i] if x.ndim == 2 else env_x[:, :, None, i]
-        return model.drift(xe, env).mean(axis=1)
-
-    def diffusion_fn(x, i):
-        if model.env_free("diffusion"):
-            return model.diffusion(x, x)
-        xe = x[:, None, :] if x.ndim == 2 else x[:, None, :, :]
-        env = env_x[:, :, i] if x.ndim == 2 else env_x[:, :, None, i]
-        return model.diffusion(xe, env).mean(axis=1)
-
-    return drift_fn, diffusion_fn
-
-
-def _env_curves(model: ModelSpec, env_x: np.ndarray):
-    """Separable environment-average corrections along the grid.
-
-    env_x is (R, N, n+1, d); returns drift (R, n+1, d) and diffusion
-    (R, n+1, d, d) corrections, zeros when the coefficient is partner-free.
-    """
-    R, N, n1, d = env_x.shape
-    ref = model.x0
-    if model.env_free("drift"):
-        drift_curve = np.zeros((R, n1, d))
-    else:
-        drift_curve = model.drift(ref, env_x).mean(axis=1) - model.drift(ref, ref)
-    if model.env_free("diffusion"):
-        diff_curve = np.zeros((R, n1, d, d))
-    else:
-        diff_curve = model.diffusion(ref, env_x).mean(axis=1) - model.diffusion(ref, ref)
-    return drift_curve, diff_curve
+    return coefficient("drift"), coefficient("diffusion")
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +267,12 @@ def solve_classical_system(
     dw = np.stack(
         [np.sqrt(grid.h) * generator(k).standard_normal((grid.steps, model.dim)) for k in keys]
     )
-    ref = model.x0
 
-    def drift_fn(x, i):
-        if model.env_free("drift"):
-            return model.drift(x, x)
-        if model.separable:
-            corr = model.drift(ref, x).mean(axis=0) - model.drift(ref, ref)
-            return model.drift(x, ref) + corr
-        return model.drift(x[:, None, :], x[None, :, :]).mean(axis=1)
+    def coefficient(which):
+        # the partner pool is the current state of all N particles
+        return lambda x, i: env_average(model, which, x[None], x[None])[0]
 
-    def diffusion_fn(x, i):
-        if model.env_free("diffusion"):
-            return model.diffusion(x, x)
-        if model.separable:
-            corr = model.diffusion(ref, x).mean(axis=0) - model.diffusion(ref, ref)
-            return model.diffusion(x, ref) + corr
-        return model.diffusion(x[:, None, :], x[None, :, :]).mean(axis=1)
-
-    values = euler_paths(model, grid, dw, drift_fn, diffusion_fn)
+    values = euler_paths(model, grid, dw, coefficient("drift"), coefficient("diffusion"))
     return PathEnsemble(grid, values, keys)
 
 
@@ -419,44 +283,9 @@ def solve_classical_system(
 @dataclass
 class SdeNResult:
     paths: PathEnsemble                 # the N-environment solution paths
-    envs: list[EnvironmentDraw]
     coupled_limit: PathEnsemble         # limit dynamics on the same W streams
     law: LawFlow                        # final law used for environment draws
     provenance: dict
-
-
-def _law_cloud_sweep(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
-    law: LawFlow,
-    cloud_size: int,
-    sweep_key: StreamKey,
-    chunk: int,
-) -> np.ndarray:
-    """One Picard sweep: a fresh cloud of system paths with environments from `law`."""
-    out = np.empty((cloud_size, grid.steps + 1, model.dim))
-    for lo in range(0, cloud_size, chunk):
-        hi = min(lo + chunk, cloud_size)
-        dw = np.stack(
-            [
-                np.sqrt(grid.h)
-                * generator(sweep_key.child("path", m)).standard_normal(
-                    (grid.steps, model.dim)
-                )
-                for m in range(lo, hi)
-            ]
-        )
-        env_x = np.stack(
-            [law.sample_env(sweep_key.child("env", m), N)[0] for m in range(lo, hi)]
-        )
-        if model.separable:
-            drift_curve, diff_curve = _env_curves(model, env_x)
-            fns = _env_curve_coefficients(model, drift_curve, diff_curve)
-        else:
-            fns = _env_full_coefficients(model, env_x)
-        out[lo:hi] = euler_paths(model, grid, dw, *fns)
-    return out
 
 
 def _law_distance(a_mean, a_var, b_mean, b_var) -> float:
@@ -503,7 +332,11 @@ def solve_sde_n(
         if converged:
             break
         sweep_key = env_key.child("sweep", j)
-        cloud = _law_cloud_sweep(model, N, grid, law, env_cloud, sweep_key, chunk)
+        # a fresh cloud of system paths with environments drawn from `law`
+        cloud = simulate_blocks(
+            model, N, grid, law, None, env_cloud, 1, sweep_key, sweep_key,
+            with_limit=False, chunk=chunk,
+        ).xn[:, 0]
         new_law = LawFlow(grid, model, cloud=cloud)
         mean_new, var_new = new_law.mean_curve(), new_law.var_curve()
         diff = _law_distance(law.mean_curve(), law.var_curve(), mean_new, var_new)
@@ -544,7 +377,7 @@ def solve_sde_n(
         "law_kind": law.kind,
         "non_convergence_warning": not converged,
     }
-    return SdeNResult(paths, sim.env_draws, coupled, law, provenance)
+    return SdeNResult(paths, coupled, law, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +387,36 @@ def solve_sde_n(
 @dataclass
 class BlockSim:
     """Coupled block bundle: per block one frozen environment draw, `inner`
-    paths of the N-system and of the limit dynamics on shared increments."""
+    paths of the N-system and of the limit dynamics on shared increments.
+
+    The blocks' partner pools are reduced to their terminal and driver
+    shifts (see `env_shift`); the pools themselves are kept only when the
+    model's averages need them.
+    """
 
     grid: TimeGrid
     dw: np.ndarray                 # (B, P, n, d)
     xn: np.ndarray                 # (B, P, n+1, d)
     xlim: Optional[np.ndarray]     # (B, P, n+1, d) limit dynamics, same dw
-    env_draws: list[EnvironmentDraw]
     keys: tuple[StreamKey, ...]
-    terminal_curve: Optional[np.ndarray] = None   # (B,) separable terminal shift
-    driver_curve: Optional[np.ndarray] = None     # (B, n+1) separable driver shift
+    terminal_curve: Optional[np.ndarray] = None   # (B,) terminal shift
+    driver_curve: Optional[np.ndarray] = None     # (B, n+1) driver shift
     env_x: Optional[np.ndarray] = None            # (B, N, n+1, d) when retained
     env_y: Optional[np.ndarray] = None            # (B, N, n+1) when retained
+
+    def partners(self, i: int):
+        """Retained partner states and values at node ``i`` (None when dropped)."""
+        return (
+            None if self.env_x is None else self.env_x[:, :, i],
+            None if self.env_y is None else self.env_y[:, :, i],
+        )
+
+
+def _joined(parts: list):
+    """Per-chunk arrays joined along the block axis; None if any chunk has none."""
+    if not parts or any(p is None for p in parts):
+        return None
+    return np.concatenate(parts)
 
 
 def simulate_blocks(
@@ -581,7 +432,6 @@ def simulate_blocks(
     block_offset: int = 0,
     with_limit: bool = True,
     chunk: int = 256,
-    keep_env: bool = False,
 ) -> BlockSim:
     """Simulate `n_blocks` blocks of `inner` coupled paths each.
 
@@ -596,24 +446,14 @@ def simulate_blocks(
     xn = np.empty((n_blocks, inner, n1, d))
     xlim = np.empty_like(xn) if with_limit else None
     dw_all = np.empty((n_blocks, inner, grid.steps, d))
-    term_curve = np.empty(n_blocks) if not model.env_free("terminal") else None
-    driver_curve = (
-        np.empty((n_blocks, n1)) if not model.env_free("driver") else None
-    )
-    keep_env = keep_env or not model.separable
-    env_x_all = np.empty((n_blocks, N, n1, d)) if keep_env else None
-    env_y_all = None
-    env_draws = []
     keys = []
-    ref = model.x0
-    need_env_y = not model.env_free("driver")
-    limit_fns = _law_coefficients(model, limit_law) if with_limit else None
+    terminal_parts, driver_parts, pool_x, pool_y = [], [], [], []
+    limit_fns = _law_coefficients(limit_law) if with_limit else None
 
     for lo in range(0, n_blocks, chunk):
         hi = min(lo + chunk, n_blocks)
-        size = hi - lo
-        dw = np.empty((size, inner, grid.steps, d))
-        env_x = np.empty((size, N, n1, d))
+        dw = dw_all[lo:hi]
+        env_x = np.empty((hi - lo, N, n1, d))
         env_y = None
         for m in range(lo, hi):
             b = block_offset + m
@@ -622,127 +462,36 @@ def simulate_blocks(
             dw[m - lo] = np.sqrt(grid.h) * generator(k_w).standard_normal(
                 (inner, grid.steps, d)
             )
-            draw = EnvironmentDraw(env_key.child("env", b), N, env_law)
-            env_draws.append(draw)
-            ex, ey = draw.materialize()
+            ex, ey = env_law.sample_env(env_key.child("env", b), N)
             env_x[m - lo] = ex
             if ey is not None:
                 if env_y is None:
-                    env_y = np.empty((size, N, n1))
+                    env_y = np.empty((hi - lo, N, n1))
                 env_y[m - lo] = ey
-        if need_env_y and env_y is None:
-            # forward-only use of a y-free law: leave the driver correction
-            # unset; the backward solver raises if it actually needs it
-            driver_curve = None
-        if model.separable:
-            d_curve, s_curve = _env_curves(model, env_x)
-            # broadcast the per-block curves across inner paths
-            fns = _env_curve_coefficients(model, d_curve, s_curve)
-            xn[lo:hi] = euler_paths(model, grid, dw, *fns)
-            if term_curve is not None:
-                term_curve[lo:hi] = model.terminal(ref, env_x[:, :, -1]).mean(
-                    axis=1
-                ) - model.terminal(ref, ref)
-            if driver_curve is not None:
-                z0 = np.zeros(d)
-                driver_curve[lo:hi] = model.driver(
-                    ref, 0.0, z0, env_x, env_y
-                ).mean(axis=1) - model.driver(ref, 0.0, z0, ref, 0.0)
-        else:
-            fns = _env_full_coefficients(model, env_x)
-            xn[lo:hi] = euler_paths(model, grid, dw, *fns)
+        xn[lo:hi] = euler_paths(model, grid, dw, *_pool_coefficients(model, env_x))
         if with_limit:
             xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
-        dw_all[lo:hi] = dw
-        if keep_env:
-            env_x_all[lo:hi] = env_x
-            if env_y is not None:
-                if env_y_all is None:
-                    env_y_all = np.empty((n_blocks, N, n1))
-                env_y_all[lo:hi] = env_y
+        terminal = env_shift(model, "terminal", env_x[:, :, -1])
+        # forward-only use of a y-free law leaves the driver shift unset; the
+        # backward solver raises if it actually needs it
+        driver = None if env_y is None else env_shift(model, "driver", env_x, env_y)
+        terminal_parts.append(terminal)
+        driver_parts.append(driver)
+        # a model without a shift averages over the pool itself
+        if (terminal is None and not model.env_free("terminal")) or (
+            driver is None and env_y is not None and not model.env_free("driver")
+        ):
+            pool_x.append(env_x)
+            pool_y.append(env_y)
 
     return BlockSim(
         grid=grid,
         dw=dw_all,
         xn=xn,
         xlim=xlim,
-        env_draws=env_draws,
         keys=tuple(keys),
-        terminal_curve=term_curve,
-        driver_curve=driver_curve,
-        env_x=env_x_all,
-        env_y=env_y_all,
+        terminal_curve=_joined(terminal_parts),
+        driver_curve=_joined(driver_parts),
+        env_x=_joined(pool_x),
+        env_y=_joined(pool_y),
     )
-
-
-# ---------------------------------------------------------------------------
-# forward error
-
-
-@dataclass
-class ErrorEstimate:
-    value: float
-    stderr: float
-    reps: int
-    per_rep: Optional[np.ndarray] = None
-
-
-def forward_error(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
-    reps: int,
-    w_key: StreamKey,
-    env_key: StreamKey,
-    init_law: Optional[LawFlow] = None,
-    reference: str = "euler",
-    picard_sweeps: int = 5,
-    picard_tol: float = 1e-3,
-    env_cloud: int = 4096,
-    chunk: int = 256,
-    keep_per_rep: bool = False,
-) -> ErrorEstimate:
-    """Monte Carlo estimate of E[sup_t |X^N_t - X_t|^2] with standard error.
-
-    The N-system path shares its Brownian stream with the reference path.
-    ``reference="euler"`` (default) compares against the limit dynamics
-    discretized with the same scheme and step, so the time-discretization
-    bias is common to both sides; ``reference="exact"`` compares against the
-    closed-form path map directly (includes an O(h) discretization offset).
-    """
-    if reps < 2:
-        raise ValueError("need at least 2 replications")
-    if model.closed_form is None and reference == "exact":
-        raise ValueError("exact reference needs a closed-form model")
-    if init_law is None:
-        init_law = solve_limit_forward(model, grid, env_cloud, env_key.child("limit", 0))
-    result = solve_sde_n(
-        model,
-        N,
-        grid,
-        init_law,
-        w_key,
-        env_key,
-        out_reps=reps,
-        picard_sweeps=picard_sweeps,
-        picard_tol=picard_tol,
-        env_cloud=env_cloud,
-        chunk=chunk,
-        with_limit=(reference == "euler"),
-    )
-    if reference == "euler":
-        ref_vals = result.coupled_limit.values
-    else:
-        nodes = grid.nodes
-        w = np.zeros_like(result.paths.values)
-        for r, key in enumerate(result.paths.keys):
-            dw = np.sqrt(grid.h) * generator(key).standard_normal(
-                (1, grid.steps, model.dim)
-            )
-            np.cumsum(dw[0], axis=0, out=w[r, 1:])
-        ref_vals = model.closed_form.path_map(nodes, w)
-    gap = result.paths.values - ref_vals
-    sup_sq = np.max(np.sum(gap**2, axis=2), axis=1)
-    value = float(sup_sq.mean())
-    stderr = float(sup_sq.std(ddof=1) / np.sqrt(reps))
-    return ErrorEstimate(value, stderr, reps, sup_sq if keep_per_rep else None)

@@ -41,6 +41,7 @@ __all__ = [
     "run_clt_study",
     "emit_report",
     "fit_loglog_slope",
+    "forward_errors",
 ]
 
 SCHEMA_VERSION = 1
@@ -305,7 +306,15 @@ def _sup_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.sum((a - b) ** 2, axis=-1), axis=-1)
 
 
-def _forward_errors(model, N, grid, law, reps, key, chunk):
+def forward_errors(model, N, grid, law, reps, key, chunk=256) -> np.ndarray:
+    """Per-replication sup_t |X^N_t - X_t|^2 of coupled forward paths.
+
+    Replication r draws its N partners from ``law`` under
+    ``key.child("e", 0).child("env", r)`` and shares its Brownian stream
+    ``key.child("w", 0).child("path", r)`` with a limit path that takes the
+    coefficient means of ``law``, so the time-discretization bias is common
+    to both sides.
+    """
     per_rep = np.empty(reps)
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
@@ -391,7 +400,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     for N in study["n_values"]:
         key_n = root.child("n", int(N))
         if "x" in metrics:
-            per_rep = _forward_errors(
+            per_rep = forward_errors(
                 model, int(N), grid, env_law, int(study["reps"]), key_n.child("fwd", 0),
                 int(study["chunk"]),
             )

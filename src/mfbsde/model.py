@@ -31,7 +31,8 @@ __all__ = [
     "catalog_model",
     "check_gradients",
     "check_lipschitz",
-    "evaluate_mean_field",
+    "env_average",
+    "env_shift",
     "random_probes",
     "CATALOG_NAMES",
 ]
@@ -448,44 +449,84 @@ def _reject_extra(name, params):
 
 
 # ---------------------------------------------------------------------------
-# mean-field coefficient averaging
+# the environment-average operator
+#
+# Every mean-field expectation E[g(x, X_t)] is replaced by the mean of g over a
+# pool of partner states.  `env_average` and `env_shift` are the only place
+# that decides how that mean is computed.
 
 
-def evaluate_mean_field(
-    model: ModelSpec,
-    which: str,
-    x_eval,
-    env,
-    y_eval: float | None = None,
-    z_eval=None,
-    env_y=None,
-):
-    """Average coefficient ``which`` over environment samples.
-
-    ``env`` is a (K, d) array of partner states; the driver additionally
-    needs ``y_eval``/``z_eval`` for its own argument and ``env_y`` (K,) for
-    the partners.  Returns the arithmetic mean over the K samples.
-    """
-    env = np.atleast_2d(np.asarray(env, dtype=float))
-    if env.shape[0] == 0:
-        raise ValueError("environment sample set is empty")
-    if env.shape[-1] != model.dim:
-        raise ValueError(f"environment samples must have {model.dim} coordinates")
-    x = np.asarray(x_eval, dtype=float).reshape(model.dim)
-    if which == "drift":
-        return model.drift(x, env).mean(axis=0)
-    if which == "diffusion":
-        return model.diffusion(x, env).mean(axis=0)
-    if which == "terminal":
-        return float(model.terminal(x, env).mean(axis=0))
+def _coefficient(model: ModelSpec, which: str):
+    """Coefficient ``which`` with the driver's signature g(x, y, z, x_env, y_env)."""
     if which == "driver":
-        if env_y is None:
-            raise ValueError("driver averaging needs env_y values")
-        y = 0.0 if y_eval is None else float(y_eval)
-        z = np.zeros(model.dim) if z_eval is None else np.asarray(z_eval, float)
-        env_y = np.asarray(env_y, dtype=float)
-        return float(model.driver(x, y, z, env, env_y).mean(axis=0))
-    raise ValueError(f"unknown coefficient selector {which!r}")
+        return model.driver
+    if which not in ("drift", "diffusion", "terminal"):
+        raise ValueError(f"unknown coefficient selector {which!r}")
+    g = getattr(model, which)
+    return lambda x, y, z, ex, ey: g(x, ex)
+
+
+def _check_pool(which: str, env_x, env_y) -> None:
+    if which == "driver" and env_y is None:
+        raise ValueError(
+            "driver averages over partner y values, but the pool carries none; "
+            "attach y values to the environment law first (see value_law)"
+        )
+    if np.shape(env_x)[1] == 0:
+        raise ValueError("partner pool is empty")
+
+
+def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
+    """What the separable average keeps of a partner pool.
+
+    ``env_x`` holds partner states on axis 1, (B, K, ..., d), and ``env_y``
+    their values (B, K, ...) for the driver; axes between the pool axis and
+    the coordinates (grid nodes, say) are kept.  Returns the shift
+    mean_k g(ref, e_k) - g(ref, ref), shaped (B, ...) plus the coefficient's
+    own axes, for a separable model; None when `env_average` needs no shift,
+    because the coefficient ignores its partner or the model is not separable.
+    """
+    if model.env_free(which) or not model.separable:
+        return None
+    _check_pool(which, env_x, env_y)
+    g = _coefficient(model, which)
+    ref = model.x0
+    z0 = np.zeros(model.dim)
+    return g(ref, 0.0, z0, env_x, env_y).mean(axis=1) - g(ref, 0.0, z0, ref, 0.0)
+
+
+def env_average(
+    model: ModelSpec, which: str, x, env_x=None, env_y=None, y=None, z=None, shift=None
+):
+    """Mean of coefficient ``which`` at own states over partner pools.
+
+    Own states ``x`` are (B, P, d) and the partner pool ``env_x`` is
+    (B, K, d), with B = 1 for one pool shared by every own state; the driver
+    also takes own ``y`` (B, P) and ``z`` (B, P, d) and partner values
+    ``env_y`` (B, K).  Returns (B, P) plus the coefficient's own axes.
+
+    In order: a coefficient that ignores its partner is g(x, x), which keeps
+    decoupled models bit-exact; a separable model costs O(B*P + B*K) as
+    g(x, ref) plus the pool's `env_shift`, which a caller that reuses or
+    drops a pool passes as ``shift`` (B, ...) in place of the pool; any other
+    model takes the O(B*P*K) mean.
+    """
+    g = _coefficient(model, which)
+    if model.env_free(which):
+        return g(x, y, z, x, y)
+    if model.separable:
+        if shift is None:
+            shift = env_shift(model, which, env_x, env_y)
+        return g(x, y, z, model.x0, 0.0) + shift[:, None]
+    _check_pool(which, env_x, env_y)
+
+    def expand(a, axis):
+        return None if a is None else np.expand_dims(a, axis)
+
+    # own states on axis 1, partners on axis 2
+    return g(
+        expand(x, 2), expand(y, 2), expand(z, 2), expand(env_x, 1), expand(env_y, 1)
+    ).mean(axis=2)
 
 
 # ---------------------------------------------------------------------------

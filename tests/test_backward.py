@@ -107,7 +107,11 @@ def test_terminal_values_are_exact_per_replication():
     )
     sol = solve_bsde_n(model, 8, sim, GRID)
     # terminal node reproduces the averaged terminal functional exactly
-    env_term = np.stack([d.materialize()[0][:, -1, :] for d in sim.env_draws])
+    # block b's partners are the draw addressed by env_key.child("env", b)
+    env_key = derive_key(ROOT, "terme", 0)
+    env_term = np.stack(
+        [law.sample_env(env_key.child("env", b), 8)[0][:, -1, :] for b in range(4)]
+    )
     expected = sim.xn[:, :, -1, 0] + env_term[:, :, 0].mean(axis=1)[:, None]
     got = sol.y_values.reshape(4, 64, -1)[:, :, -1]
     assert np.allclose(got, expected, atol=1e-12)

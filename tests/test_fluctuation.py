@@ -193,10 +193,10 @@ def test_field_along_path_variance_matches_kernel():
     x_path = law.sample_env(derive_key(ROOT, "path", 0), 1)[0][0]
     reps = 10_000
     vals = np.empty(reps)
-    from mfbsde.fluctuation import _separable_kernel, law_cloud
+    from mfbsde.fluctuation import _path_kernel, law_cloud
 
     kx, ky = law_cloud(law, 30000, derive_key(ROOT, "kern", 0))
-    kernel = _separable_kernel(model, GRID, kx, ky)
+    kernel = _path_kernel(model, GRID, kx, ky)
     node = GRID.node_at(0.75)
     for r in range(reps):
         f = sample_field_along_path(
@@ -211,10 +211,10 @@ def test_field_along_path_variance_matches_kernel():
 def test_field_along_path_independent_draws():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 12))
-    from mfbsde.fluctuation import _separable_kernel, law_cloud
+    from mfbsde.fluctuation import _path_kernel, law_cloud
 
     kx, ky = law_cloud(law, 8192, derive_key(ROOT, "kern", 1))
-    kernel = _separable_kernel(model, GRID, kx, ky)
+    kernel = _path_kernel(model, GRID, kx, ky)
     x_path = law.sample_env(derive_key(ROOT, "path", 1), 1)[0][0]
     n = 10_000
     a = np.empty(n)
@@ -227,6 +227,37 @@ def test_field_along_path_independent_draws():
             model, law, GRID, x_path, derive_key(ROOT, "ib", r), kernel=kernel
         ).drift[-1, 0]
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
+
+
+def test_ou_kernel_needs_no_jitter_and_keeps_vanishing_fields_zero():
+    # the ou diffusion and driver ignore the partner, so their kernel blocks
+    # are exactly zero; the factorization must leave those fields exactly 0
+    from mfbsde.fluctuation import _path_kernel, law_cloud
+
+    model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
+    grid = TimeGrid(1.0, 32)
+    law = solve_limit_forward(model, grid, 0, derive_key(ROOT, "law", 14))
+    kx, ky = law_cloud(law, 4096, derive_key(ROOT, "kern", 2))
+    kernel = _path_kernel(model, grid, kx, ky)
+    for r in range(20):
+        f = sample_field_along_path(
+            model, law, grid, kx[0], derive_key(ROOT, "zf", r), kernel=kernel
+        )
+        assert np.all(f.diffusion == 0.0)
+        assert np.all(f.driver == 0.0)
+        assert np.any(f.drift != 0.0)
+    assert kernel.jitter == 0.0
+
+
+def test_non_separable_models_are_rejected_before_sampling():
+    import dataclasses
+
+    model = dataclasses.replace(catalog_model("ou_mean_field"), separable=False)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
+    with pytest.raises(NotImplementedError):
+        sample_field_along_path(model, law, GRID, None, derive_key(ROOT, "ns", 0))
+    with pytest.raises(NotImplementedError):
+        solve_limit_system(model, law, GRID, members=100, key=derive_key(ROOT, "ns", 1))
 
 
 def test_limit_system_variance_and_mean():

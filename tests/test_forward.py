@@ -6,13 +6,13 @@ import pytest
 from mfbsde.forward import (
     LawFlow,
     euler_paths,
-    forward_error,
     keys_disjoint,
     simulate_blocks,
     solve_classical_system,
     solve_limit_forward,
     solve_sde_n,
 )
+from mfbsde.harness import forward_errors
 from mfbsde.model import catalog_model
 from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key
 
@@ -126,8 +126,9 @@ def test_classical_system_single_particle_matches_sde_n():
 
 def test_forward_error_zero_for_decoupled_model():
     model = catalog_model("constant", b0=0.2, s=1.0)
-    est = forward_error(model, 16, GRID, 50, W_KEY, ENV_KEY)
-    assert est.value == 0.0
+    law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 12))
+    per_rep = forward_errors(model, 16, GRID, law, 50, derive_key(ROOT, "fz", 0))
+    assert np.all(per_rep == 0.0)
 
 
 def test_forward_error_decays_with_environment_size():
@@ -135,16 +136,7 @@ def test_forward_error_decays_with_environment_size():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 7))
     errs = {}
     for N in (16, 64):
-        est = forward_error(
-            model,
-            N,
-            GRID,
-            reps=2000,
-            w_key=derive_key(ROOT, "fe", N),
-            env_key=derive_key(ROOT, "fee", N),
-            init_law=law,
-        )
-        errs[N] = est.value
+        errs[N] = forward_errors(model, N, GRID, law, 2000, derive_key(ROOT, "fe", N)).mean()
     ratio = errs[64] / errs[16]
     assert 0.125 <= ratio <= 0.5
 
@@ -152,22 +144,19 @@ def test_forward_error_decays_with_environment_size():
 def test_forward_error_monotone_in_n_spot_check():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
-    est1 = forward_error(
-        model, 1, GRID, 2000, derive_key(ROOT, "m1", 0), derive_key(ROOT, "m1e", 0), init_law=law
-    )
-    est4 = forward_error(
-        model, 4, GRID, 2000, derive_key(ROOT, "m4", 0), derive_key(ROOT, "m4e", 0), init_law=law
-    )
-    assert np.isfinite(est1.value) and np.isfinite(est4.value)
-    assert est4.value < est1.value
+    err1 = forward_errors(model, 1, GRID, law, 2000, derive_key(ROOT, "m1", 0)).mean()
+    err4 = forward_errors(model, 4, GRID, law, 2000, derive_key(ROOT, "m4", 0)).mean()
+    assert np.isfinite(err1) and np.isfinite(err4)
+    assert err4 < err1
 
 
 def test_env_keys_disjoint_from_w_keys():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 9))
     res = solve_sde_n(model, 4, GRID, law, W_KEY, ENV_KEY, out_reps=3)
-    for key, env in zip(res.paths.keys, res.envs):
-        assert keys_disjoint(key, env.key)
+    # replication r draws its partners under env_key.child("draws", 0).child("env", r)
+    for r, key in enumerate(res.paths.keys):
+        assert keys_disjoint(key, ENV_KEY.child("draws", 0).child("env", r))
     with pytest.raises(ValueError):
         solve_sde_n(model, 4, GRID, law, W_KEY, W_KEY, out_reps=1)
 
@@ -205,3 +194,26 @@ def test_nonseparable_env_average_matches_separable_path():
     a = simulate_blocks(model, 8, GRID, law, law, 3, 4, kw, ke)
     b = simulate_blocks(generic, 8, GRID, law, law, 3, 4, kw, ke)
     assert np.allclose(a.xn, b.xn, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded", "mf_bsde_linear"])
+def test_blocks_invariant_under_chunk_size(name):
+    # each block's environment, increments and partner shifts depend on its
+    # keys alone, so the chunking of blocks cannot change a single bit
+    from mfbsde.fluctuation import value_law
+
+    grid = TimeGrid(1.0, 16)
+    model = catalog_model(name, x0=1.0)
+    law = solve_limit_forward(model, grid, 512, derive_key(ROOT, "law", 13))
+    env_law = law
+    if not model.env_free("driver"):
+        env_law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 0), size=256)
+    sims = [
+        simulate_blocks(model, 8, grid, env_law, law, 20, 4, W_KEY, ENV_KEY, chunk=c)
+        for c in (1, 7, 256)
+    ]
+    assert (sims[0].driver_curve is not None) == (name == "tanh_bounded")
+    for sim in sims[1:]:
+        for attr in ("xn", "xlim", "terminal_curve", "driver_curve"):
+            a, b = getattr(sims[0], attr), getattr(sim, attr)
+            assert (a is None and b is None) or np.array_equal(a, b), attr

@@ -9,7 +9,7 @@ from mfbsde.model import (
     catalog_model,
     check_gradients,
     check_lipschitz,
-    evaluate_mean_field,
+    env_average,
     random_probes,
 )
 from mfbsde.noise import StreamKey, TimeGrid, brownian_path, derive_key
@@ -98,31 +98,71 @@ def test_gradients_vectorize_over_batches():
     assert model.diffusion(x, e).shape == (5, 3, 2, 2)
 
 
-def test_evaluate_mean_field_examples():
+def test_env_average_examples():
     const = catalog_model("constant", b0=0.0, s=1.0)
-    env = np.array([[0.7], [-1.2], [3.0]])
-    assert evaluate_mean_field(const, "diffusion", np.array([0.5]), env)[0, 0] == 1.0
+    env = np.array([[[0.7], [-1.2], [3.0]]])
+    assert env_average(const, "diffusion", np.array([[[0.5]]]), env)[0, 0, 0, 0] == 1.0
 
     ou = catalog_model("ou_mean_field", beta=1.0, s=1.0)
-    env = np.array([[0.0], [2.0], [4.0]])
-    assert evaluate_mean_field(ou, "drift", np.array([9.0]), env)[0] == pytest.approx(2.0)
+    env = np.array([[[0.0], [2.0], [4.0]]])
+    assert env_average(ou, "drift", np.array([[[9.0]]]), env)[0, 0, 0] == pytest.approx(2.0)
 
     lin = catalog_model("mf_bsde_linear")
-    env = np.array([[1.0], [3.0]])
-    assert evaluate_mean_field(lin, "terminal", np.array([1.0]), env) == pytest.approx(3.0)
+    env = np.array([[[1.0], [3.0]]])
+    assert env_average(lin, "terminal", np.array([[[1.0]]]), env)[0, 0] == pytest.approx(3.0)
 
     with pytest.raises(ValueError):
-        evaluate_mean_field(ou, "drift", np.array([0.0]), np.empty((0, 1)))
+        env_average(ou, "drift", np.array([[[0.0]]]), np.empty((1, 0, 1)))
 
 
-def test_evaluate_mean_field_driver_uses_partner_y():
+def test_env_average_driver_uses_partner_y():
     model = catalog_model("tanh_bounded", kappa=0.5)
-    env = np.array([[0.0], [0.0]])
-    env_y = np.array([0.4, -0.4])
-    val = evaluate_mean_field(
-        model, "driver", np.array([0.0]), env, y_eval=0.0, env_y=env_y
-    )
-    assert val == pytest.approx(0.0, abs=1e-15)
+    env = np.array([[[0.0], [0.0]]])
+    env_y = np.array([[0.4, -0.4]])
+    x = np.array([[[0.0]]])
+    val = env_average(model, "driver", x, env, env_y, y=np.zeros((1, 1)), z=np.zeros((1, 1, 1)))
+    assert val[0, 0] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError, match="partner y values"):
+        env_average(model, "driver", x, env, y=np.zeros((1, 1)), z=np.zeros((1, 1, 1)))
+
+
+def _brute_force_mean(model, which, x, env, y, z, env_y):
+    """Mean over the pool by one coefficient call per (own, partner) pair."""
+    B, P, _ = x.shape
+    out = []
+    for b in range(B):
+        for p in range(P):
+            vals = []
+            for k in range(env.shape[1]):
+                if which == "driver":
+                    vals.append(model.driver(x[b, p], y[b, p], z[b, p], env[b, k], env_y[b, k]))
+                else:
+                    vals.append(getattr(model, which)(x[b, p], env[b, k]))
+            out.append(np.mean(vals, axis=0))
+    return np.reshape(out, (B, P) + np.shape(out[0]))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("which", ["drift", "diffusion", "terminal", "driver"])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("separable", [True, False])
+def test_env_average_matches_brute_force_mean(name, which, blocks, separable):
+    # blocks == 1 is one pool shared by every own state; blocks == 3 gives each
+    # block its own pool.  separable=False forces the generic O(B*P*K) mean.
+    import dataclasses
+
+    model = dataclasses.replace(catalog_model(name, dim=2), separable=separable)
+    rng = np.random.default_rng(5)
+    P, K, d = 4, 6, model.dim
+    x = rng.standard_normal((blocks, P, d))
+    y = rng.standard_normal((blocks, P))
+    z = rng.standard_normal((blocks, P, d))
+    env = rng.standard_normal((blocks, K, d))
+    env_y = rng.standard_normal((blocks, K))
+    expected = _brute_force_mean(model, which, x, env, y, z, env_y)
+    got = env_average(model, which, x, env, env_y, y, z)
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["constant", "ou_mean_field", "mf_bsde_linear"])
