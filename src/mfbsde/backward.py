@@ -21,16 +21,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forward import BlockSim, LawFlow, PathEnsemble, simulate_blocks
+from .forward import BlockSim, LawFlow, PathEnsemble
 from .model import ModelSpec, env_average
-from .noise import StreamKey, TimeGrid
+from .noise import TimeGrid
 
 __all__ = [
     "BsdeSolution",
     "ComparisonResult",
     "solve_mfbsde",
     "solve_bsde_n",
-    "solve_bsde_n_picard",
     "solve_linear_limit_bsde",
     "solve_plain_bsde",
     "check_comparison",
@@ -302,88 +301,6 @@ def solve_bsde_n(
         prov,
         block_shape=(B, P),
     )
-
-
-def solve_bsde_n_picard(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
-    forward_law: LawFlow,
-    limit_law_with_y: LawFlow,
-    n_blocks: int,
-    inner: int,
-    w_key: StreamKey,
-    env_key: StreamKey,
-    degree: int = 2,
-    fix_sweeps: int = 2,
-    levels: int = 3,
-    tol: float = 1e-3,
-    law_blocks: int = 256,
-    law_inner: int = 64,
-    z_cap: float = Z_CAP_DEFAULT,
-) -> tuple[BlockSim, BsdeSolution]:
-    """N-environment solve with iterated environment value law.
-
-    When the driver reads partner y values, the joint environment law is
-    refined: each level solves a cloud of blocks whose designated (state, y)
-    paths form the next level's sampling law.  Models whose driver ignores
-    the partner skip the iteration entirely.
-    """
-    env_law = limit_law_with_y
-    levels_run = 0
-    converged = model.env_free("driver")
-    diffs: list[float] = []
-    for lvl in range(0 if converged else levels):
-        sim = simulate_blocks(
-            model,
-            N,
-            grid,
-            env_law,
-            forward_law,
-            n_blocks=law_blocks,
-            inner=law_inner,
-            w_key=env_key.child("ylaw_w", lvl),
-            env_key=env_key.child("ylaw_env", lvl),
-            with_limit=False,
-        )
-        sol = solve_bsde_n(model, N, sim, grid, degree, fix_sweeps, z_cap)
-        y_des, _ = sol.designated()
-        new_law = LawFlow(grid, model, cloud=sim.xn[:, 0], cloud_y=y_des)
-        levels_run += 1
-        prev_mean = (
-            env_law.mean_curve(),
-            env_law.var_curve(),
-        )
-        diff = float(
-            np.max(
-                np.abs(new_law.mean_curve() - prev_mean[0])
-                + np.abs(new_law.var_curve() - prev_mean[1])
-            )
-        )
-        diffs.append(diff)
-        se = 3.0 * float(
-            np.max(np.sqrt(new_law.var_curve() / law_blocks))
-        )
-        env_law = new_law
-        if diff <= tol + se:
-            converged = True
-            break
-    sim = simulate_blocks(
-        model,
-        N,
-        grid,
-        env_law,
-        forward_law,
-        n_blocks=n_blocks,
-        inner=inner,
-        w_key=w_key,
-        env_key=env_key.child("final", 0),
-    )
-    sol = solve_bsde_n(model, N, sim, grid, degree, fix_sweeps, z_cap)
-    sol.provenance["env_value_levels"] = levels_run
-    sol.provenance["env_value_converged"] = converged
-    sol.provenance["env_value_diffs"] = diffs
-    return sim, sol
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,11 @@ def _cmd_forward(args) -> int:
         model, args.n, grid, law,
         root.child("w", 0), root.child("envs", 0),
         out_reps=args.reps,
-        env_cloud=args.env_cloud,
     )
     _write_paths_csv(args.out, grid, result.paths.values)
-    conv = "converged" if result.provenance["converged"] else "NOT converged"
     print(
         f"wrote {args.out}: {args.reps} replications, N={args.n}, "
-        f"picard {result.provenance['picard_sweeps_run']} sweeps ({conv})"
+        f"environments from the {law.kind.replace('_', '-')} limit law"
     )
     return 0
 

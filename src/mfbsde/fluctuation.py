@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
 from .forward import LawFlow, euler_paths, simulate_blocks
@@ -439,27 +438,30 @@ def empirical_fields(
     values = np.zeros((reps, len(entries)))
     if not live:
         return FieldSample(lattice, values, env_key)
-    cx, cy = env_law.sample_env(center_key, center_size)
+    # draw partners only at the lattice nodes: every summand is pointwise in t
+    nodes = sorted({entries[j]["node"] for j in live})
+    col = {node: k for k, node in enumerate(nodes)}
+    cx, cy = env_law.sample_env(center_key, center_size, nodes)
     center = np.empty(len(entries))
     for j in live:
-        e = entries[j]
-        ys = cy[:, e["node"]] if cy is not None else None
-        center[j] = _entry_eval(model, e, lattice, cx[:, e["node"]], ys).mean()
+        k = col[entries[j]["node"]]
+        ys = cy[:, k] if cy is not None else None
+        center[j] = _entry_eval(model, entries[j], lattice, cx[:, k], ys).mean()
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
-        ex = np.empty((hi - lo, N, lattice.grid.steps + 1, model.dim))
+        ex = np.empty((hi - lo, N, len(nodes), model.dim))
         ey = None
         for r in range(lo, hi):
-            x, y = env_law.sample_env(env_key.child("env", r), N)
+            x, y = env_law.sample_env(env_key.child("env", r), N, nodes)
             ex[r - lo] = x
             if y is not None:
                 if ey is None:
-                    ey = np.empty((hi - lo, N, lattice.grid.steps + 1))
+                    ey = np.empty((hi - lo, N, len(nodes)))
                 ey[r - lo] = y
         for j in live:
-            e = entries[j]
-            ys = ey[:, :, e["node"]] if ey is not None else None
-            vals = _entry_eval(model, e, lattice, ex[:, :, e["node"]], ys)
+            k = col[entries[j]["node"]]
+            ys = ey[:, :, k] if ey is not None else None
+            vals = _entry_eval(model, entries[j], lattice, ex[:, :, k], ys)
             values[lo:hi, j] = np.sqrt(N) * (vals.mean(axis=1) - center[j])
     return FieldSample(lattice, values, env_key)
 
@@ -645,7 +647,9 @@ def _moment_row(samples: np.ndarray) -> dict:
 def _ks_row(a: np.ndarray, b: np.ndarray) -> dict:
     if np.allclose(a, a[0]) and np.allclose(b, b[0]) and np.isclose(a[0], b[0]):
         return {"statistic": 0.0, "p_value": 1.0, "degenerate": True}
-    res = sp_stats.ks_2samp(a, b)
+    from scipy import stats  # deferred: importing it costs about a second
+
+    res = stats.ks_2samp(a, b)
     return {"statistic": float(res.statistic), "p_value": float(res.pvalue)}
 
 

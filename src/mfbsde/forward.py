@@ -2,10 +2,12 @@
 the classical interacting particle system.
 
 The N-environment system replaces each mean-field expectation by the average
-over N frozen partner paths drawn from the current estimate of the state law;
-its law is computed by Picard iteration on laws (clouds of sample paths).
-Every output path is coupled to a limit path driven by the same Brownian
-stream, so differences isolate the environment-size effect.
+over N frozen partner paths drawn from the limit law.  (The paper draws them
+from the N-system's own law, which differs from the limit law by O(1/N); that
+moves squared errors by O(1/N^2) and sqrt(N)-scaled fluctuations by
+O(1/sqrt(N)), below every reported statistic.)  Every output path is coupled
+to a limit path driven by the same Brownian stream, so differences isolate
+the environment-size effect.
 """
 
 from __future__ import annotations
@@ -107,21 +109,37 @@ class LawFlow:
 
     # -- samples ------------------------------------------------------------
 
-    def sample_env(self, key: StreamKey, count: int):
-        """Draw `count` i.i.d. partner paths; returns (x, y) with y possibly None."""
+    def sample_env(self, key: StreamKey, count: int, nodes=None):
+        """Draw `count` i.i.d. partner paths; returns (x, y) with y possibly None.
+
+        With ``nodes`` (grid node indices) only those nodes are returned, as
+        (count, len(nodes), d) and (count, len(nodes)).  A closed-form law
+        then draws the Brownian path at those nodes alone, which is exact in
+        law because its path maps are pointwise in time; a cloud law returns
+        the full draw's entries at those nodes, bit for bit.
+        """
         grid = self.grid
         if self.use_closed_form:
             cf = self.model.closed_form
             rng = generator(key)
-            dw = np.sqrt(grid.h) * rng.standard_normal((count, grid.steps, self.model.dim))
-            w = np.zeros((count, grid.steps + 1, self.model.dim))
-            np.cumsum(dw, axis=1, out=w[:, 1:])
-            x = cf.path_map(grid.nodes, w)
-            y = cf.y_path(grid.nodes, w) if cf.y_path is not None else None
+            if nodes is None:
+                dw = np.sqrt(grid.h) * rng.standard_normal((count, grid.steps, self.model.dim))
+                w = np.zeros((count, grid.steps + 1, self.model.dim))
+                np.cumsum(dw, axis=1, out=w[:, 1:])
+                t = grid.nodes
+            else:
+                t = grid.nodes[nodes]
+                at, back = np.unique(t, return_inverse=True)
+                gaps = np.sqrt(np.diff(at, prepend=0.0))[:, None]
+                dw = gaps * rng.standard_normal((count, at.size, self.model.dim))
+                w = np.cumsum(dw, axis=1)[:, back]
+            x = cf.path_map(t, w)
+            y = cf.y_path(t, w) if cf.y_path is not None else None
             return x, y
         idx = generator(key).integers(0, self.cloud.shape[0], size=count)
-        y = self.cloud_y[idx] if self.cloud_y is not None else None
-        return self.cloud[idx], y
+        cols = slice(None) if nodes is None else np.asarray(nodes)
+        y = self.cloud_y[idx][:, cols] if self.cloud_y is not None else None
+        return self.cloud[idx][:, cols], y
 
     # -- summary curves -------------------------------------------------------
 
@@ -284,100 +302,38 @@ def solve_classical_system(
 class SdeNResult:
     paths: PathEnsemble                 # the N-environment solution paths
     coupled_limit: PathEnsemble         # limit dynamics on the same W streams
-    law: LawFlow                        # final law used for environment draws
-    provenance: dict
-
-
-def _law_distance(a_mean, a_var, b_mean, b_var) -> float:
-    return float(np.max(np.abs(a_mean - b_mean) + np.abs(a_var - b_var)))
 
 
 def solve_sde_n(
     model: ModelSpec,
     N: int,
     grid: TimeGrid,
-    init_law: LawFlow,
+    law: LawFlow,
     w_key: StreamKey,
     env_key: StreamKey,
     out_reps: int,
-    picard_sweeps: int = 5,
-    picard_tol: float = 1e-3,
-    env_cloud: int = 4096,
     chunk: int = 256,
-    with_limit: bool = True,
 ) -> SdeNResult:
-    """Solve the N-environment forward system.
+    """Coupled one-path simulation of the N-environment forward system.
 
-    Picard-iterates the path law starting from ``init_law`` (normally the
-    limit law), then produces ``out_reps`` output replications, each driven by
-    its own Brownian stream and its own environment draw from the final law.
-    Convergence is declared when the sweep-to-sweep change in mean and
-    variance curves is statistically indistinguishable at the tolerance; in
-    that case the pre-sweep law is kept, which preserves exact closed-form
-    sampling when available.
+    Replication r is driven by the Brownian stream ``w_key.child("path", r)``
+    and draws its own N partner paths from the limit law ``law`` under
+    ``env_key.child("draws", 0).child("env", r)``; its coupled limit path
+    takes the coefficient means of ``law`` on the same increments.
     """
-    if N < 1 or out_reps < 0 or picard_sweeps < 1:
-        raise ValueError("need N >= 1, out_reps >= 0, picard_sweeps >= 1")
+    if N < 1 or out_reps < 0:
+        raise ValueError("need N >= 1, out_reps >= 0")
     if not keys_disjoint(w_key, env_key):
         raise ValueError("w_key and env_key must address disjoint stream subtrees")
-
-    law = init_law
-    diffs: list[float] = []
-    converged = False
-    sweeps_run = 0
-    env_dynamic = not (model.env_free("drift") and model.env_free("diffusion"))
-    if not env_dynamic:
-        converged = True  # environments never enter the dynamics
-    for j in range(picard_sweeps):
-        if converged:
-            break
-        sweep_key = env_key.child("sweep", j)
-        # a fresh cloud of system paths with environments drawn from `law`
-        cloud = simulate_blocks(
-            model, N, grid, law, None, env_cloud, 1, sweep_key, sweep_key,
-            with_limit=False, chunk=chunk,
-        ).xn[:, 0]
-        new_law = LawFlow(grid, model, cloud=cloud)
-        mean_new, var_new = new_law.mean_curve(), new_law.var_curve()
-        diff = _law_distance(law.mean_curve(), law.var_curve(), mean_new, var_new)
-        diffs.append(diff)
-        sweeps_run += 1
-        # allow for Monte Carlo noise of the sweep cloud in the convergence test
-        se = 3.0 * float(
-            np.max(
-                np.sqrt(var_new / env_cloud) + var_new * np.sqrt(2.0 / env_cloud)
-            )
-        )
-        if diff <= picard_tol + se:
-            converged = True
-            break
-        law = new_law
-
     sim = simulate_blocks(
-        model,
-        N,
-        grid,
-        law,
-        init_law,
-        n_blocks=out_reps,
-        inner=1,
-        w_key=w_key,
-        env_key=env_key.child("draws", 0),
-        with_limit=with_limit,
-        chunk=chunk,
+        model, N, grid, law, law,
+        n_blocks=out_reps, inner=1,
+        w_key=w_key, env_key=env_key.child("draws", 0), chunk=chunk,
     )
-    paths = PathEnsemble(grid, sim.xn[:, 0], sim.keys)
-    coupled = (
-        PathEnsemble(grid, sim.xlim[:, 0], sim.keys) if with_limit else None
+    return SdeNResult(
+        PathEnsemble(grid, sim.xn[:, 0], sim.keys),
+        PathEnsemble(grid, sim.xlim[:, 0], sim.keys),
     )
-    provenance = {
-        "picard_sweeps_run": sweeps_run,
-        "converged": converged,
-        "law_diffs": diffs,
-        "law_kind": law.kind,
-        "non_convergence_warning": not converged,
-    }
-    return SdeNResult(paths, coupled, law, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +353,7 @@ class BlockSim:
     grid: TimeGrid
     dw: np.ndarray                 # (B, P, n, d)
     xn: np.ndarray                 # (B, P, n+1, d)
-    xlim: Optional[np.ndarray]     # (B, P, n+1, d) limit dynamics, same dw
+    xlim: np.ndarray               # (B, P, n+1, d) limit dynamics, same dw
     keys: tuple[StreamKey, ...]
     terminal_curve: Optional[np.ndarray] = None   # (B,) terminal shift
     driver_curve: Optional[np.ndarray] = None     # (B, n+1) driver shift
@@ -424,13 +380,12 @@ def simulate_blocks(
     N: int,
     grid: TimeGrid,
     env_law: LawFlow,
-    limit_law: Optional[LawFlow],
+    limit_law: LawFlow,
     n_blocks: int,
     inner: int,
     w_key: StreamKey,
     env_key: StreamKey,
     block_offset: int = 0,
-    with_limit: bool = True,
     chunk: int = 256,
 ) -> BlockSim:
     """Simulate `n_blocks` blocks of `inner` coupled paths each.
@@ -444,11 +399,11 @@ def simulate_blocks(
     n1 = grid.steps + 1
     d = model.dim
     xn = np.empty((n_blocks, inner, n1, d))
-    xlim = np.empty_like(xn) if with_limit else None
+    xlim = np.empty_like(xn)
     dw_all = np.empty((n_blocks, inner, grid.steps, d))
     keys = []
     terminal_parts, driver_parts, pool_x, pool_y = [], [], [], []
-    limit_fns = _law_coefficients(limit_law) if with_limit else None
+    limit_fns = _law_coefficients(limit_law)
 
     for lo in range(0, n_blocks, chunk):
         hi = min(lo + chunk, n_blocks)
@@ -469,8 +424,7 @@ def simulate_blocks(
                     env_y = np.empty((hi - lo, N, n1))
                 env_y[m - lo] = ey
         xn[lo:hi] = euler_paths(model, grid, dw, *_pool_coefficients(model, env_x))
-        if with_limit:
-            xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
+        xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
         terminal = env_shift(model, "terminal", env_x[:, :, -1])
         # forward-only use of a y-free law leaves the driver shift unset; the
         # backward solver raises if it actually needs it

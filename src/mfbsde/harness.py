@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .backward import solve_bsde_n, solve_mfbsde
+from .backward import _exponent_tuples, solve_bsde_n, solve_mfbsde
 from .fluctuation import (
     FieldLattice,
     clt_compare,
@@ -28,7 +28,7 @@ from .fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
+from .forward import simulate_blocks, solve_limit_forward
 from .model import CATALOG_NAMES, ModelSpec, catalog_model
 from .noise import StreamKey, TimeGrid
 
@@ -61,8 +61,6 @@ _STUDY_DEFAULTS = {
     "members": None,          # defaults to reps
     "inner_paths": 128,
     "degree": 2,
-    "picard_sweeps": 5,
-    "picard_tol": 1e-3,
     "env_cloud": 4096,
     "center_cloud": 8192,
     "kernel_cloud": 4096,
@@ -218,8 +216,39 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     cfg = ExperimentConfig(model_block, steps, study, out_dir)
-    cfg.build_model()  # surface model parameter errors now
+    model = cfg.build_model()  # surface model parameter errors now
+    violations = _study_violations(study, cfg.build_grid(), model.dim)
+    if violations:
+        raise ConfigError(violations)
     return cfg
+
+
+def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
+    """Violations a study would otherwise hit mid-run: probe times off the
+    grid, and too few inner paths for the regression basis."""
+    out = []
+    metrics = study["metrics"]
+    backward = "y" in metrics or "z" in metrics
+    if study["kind"] == "clt":
+        read = {"probe_times": "x" in metrics, "y_probe_times": backward, "lattice_times": True}
+        for key in (k for k, used in read.items() if used):
+            times = study[key]
+            if not isinstance(times, list):
+                out.append(f"study.{key} must be a list of grid times")
+                continue
+            for t in times:
+                try:
+                    grid.node_at(float(t))
+                except (TypeError, ValueError):
+                    out.append(f"study.{key} entry {t!r} is not a node of {grid}")
+    if backward:
+        need = 10 * len(_exponent_tuples(dim, int(study["degree"])))
+        if study["inner_paths"] < need:
+            out.append(
+                f"study.inner_paths must be at least 10 * basis size = {need} "
+                f"for y or z metrics, got {study['inner_paths']}"
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +388,22 @@ def _estimate(samples: np.ndarray) -> dict:
     }
 
 
+def _limit_laws(config: ExperimentConfig, model: ModelSpec, grid: TimeGrid, backward: bool):
+    """The limit law, and the law every environment is drawn from.
+
+    Environments come from the limit law; the N-system's own law differs
+    from it by O(1/N), below every reported statistic.  When the backward
+    side runs and the driver reads partner y, they come from the limit law
+    with values attached (`value_law`).
+    """
+    root = config.root_key()
+    law = solve_limit_forward(model, grid, config.study["env_cloud"], root.child("law", 0))
+    if not backward or model.env_free("driver"):
+        return law, law
+    degree = int(config.study["degree"])
+    return law, value_law(model, law, grid, root.child("vlaw", 0), degree=degree)
+
+
 def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     """Error-versus-environment-size study with log-log slope fits."""
     model = config.build_model()
@@ -367,9 +412,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     root = config.root_key()
     metrics = list(study["metrics"])
     need_backward = "y" in metrics or "z" in metrics
-    law = solve_limit_forward(model, grid, study["env_cloud"], root.child("law", 0))
-    env_law = law
-    picard_info = {}
+    law, env_law = _limit_laws(config, model, grid, need_backward)
     reference_note = "closed_form"
     if law.kind == "cloud":
         # self-reference mode: the limit reference is the cloud law itself,
@@ -377,23 +420,6 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
         reference_note = f"self_reference(cloud={law.size})"
         if law.size < 8 * max(study["n_values"]):
             reference_note += ":cloud_smaller_than_8x_max_N"
-    if not (model.env_free("drift") and model.env_free("diffusion")):
-        probe = solve_sde_n(
-            model,
-            int(study["n_values"][-1]),
-            grid,
-            law,
-            root.child("picard_w", 0),
-            root.child("picard_e", 0),
-            out_reps=0,
-            picard_sweeps=int(study["picard_sweeps"]),
-            picard_tol=float(study["picard_tol"]),
-            env_cloud=int(study["env_cloud"]),
-        )
-        env_law = probe.law
-        picard_info = probe.provenance
-    if need_backward and not model.env_free("driver"):
-        env_law = value_law(model, env_law, grid, root.child("vlaw", 0), degree=int(study["degree"]))
 
     rows = []
     per_metric: dict[str, dict[int, dict]] = {m: {} for m in metrics}
@@ -463,9 +489,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
         tables={"errors": rows},
         slopes=slopes,
         verdicts=verdicts,
-        provenance=_provenance(
-            config, {"picard": picard_info, "reference": reference_note}
-        ),
+        provenance=_provenance(config, {"reference": reference_note}),
     )
 
 
@@ -484,21 +508,9 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     metrics = list(study["metrics"])
     tol_var = float(study["variance_tolerance"])
     alpha = float(study["ks_alpha"])
-    law = solve_limit_forward(model, grid, study["env_cloud"], root.child("law", 0))
-    env_law = law
-    picard_info = {}
+    need_backward = "y" in metrics or "z" in metrics
+    law, env_law = _limit_laws(config, model, grid, need_backward)
     decoupled = model.env_free("drift") and model.env_free("diffusion")
-    if not decoupled:
-        probe = solve_sde_n(
-            model, N, grid, law,
-            root.child("picard_w", 0), root.child("picard_e", 0),
-            out_reps=0,
-            picard_sweeps=int(study["picard_sweeps"]),
-            picard_tol=float(study["picard_tol"]),
-            env_cloud=int(study["env_cloud"]),
-        )
-        env_law = probe.law
-        picard_info = probe.provenance
 
     # forward fluctuation samples
     forward_samples = {}
@@ -524,19 +536,14 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     # backward fluctuation samples and z functionals
     backward_samples = None
     z_functionals = None
-    if "y" in metrics or "z" in metrics:
-        bwd_env_law = env_law
-        if not model.env_free("driver"):
-            bwd_env_law = value_law(
-                model, env_law, grid, root.child("vlaw", 0), degree=int(study["degree"])
-            )
+    if need_backward:
         y_probe = {t: np.empty(reps) for t in study["y_probe_times"]}
         z_funcs = {"one": np.empty(reps), "t": np.empty(reps)}
         chunk = int(study["chunk"])
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
             sim = simulate_blocks(
-                model, N, grid, bwd_env_law, law,
+                model, N, grid, env_law, law,
                 n_blocks=hi - lo, inner=int(study["inner_paths"]),
                 w_key=root.child("bw", 0), env_key=root.child("be", 0),
                 block_offset=lo, chunk=chunk,
@@ -658,7 +665,6 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         provenance=_provenance(
             config,
             {
-                "picard": picard_info,
                 "limit_system": limit.provenance,
                 "kernel_jitter": limit.provenance.get("kernel_jitter", 0.0),
             },

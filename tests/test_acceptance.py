@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from mfbsde.backward import check_comparison, solve_bsde_n, solve_bsde_n_picard, solve_mfbsde
+from mfbsde.backward import check_comparison, solve_bsde_n, solve_mfbsde
 from mfbsde.fluctuation import (
     FieldLattice,
     empirical_fields,
@@ -20,7 +20,7 @@ from mfbsde.fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from mfbsde.forward import simulate_blocks, solve_limit_forward, solve_sde_n
+from mfbsde.forward import simulate_blocks, solve_limit_forward
 from mfbsde.harness import emit_report, parse_config, run_clt_study, run_convergence_study
 from mfbsde.model import CATALOG_NAMES, catalog_model, check_gradients, random_probes
 from mfbsde.noise import StreamKey, TimeGrid, derive_key
@@ -260,17 +260,12 @@ def test_criterion_07_z_boundedness():
     law_t = solve_limit_forward(model_t, GRID, 4096, derive_key(ROOT, "c7tl", 0))
     vlaw_t = value_law(model_t, law_t, GRID, derive_key(ROOT, "c7tv", 0))
     for N in N_GRID:
-        res = solve_sde_n(
-            model_t, N, GRID, law_t,
-            derive_key(ROOT, "c7tw", N), derive_key(ROOT, "c7te", N),
-            out_reps=0, picard_sweeps=2, env_cloud=2048,
-        )
-        _, sol = solve_bsde_n_picard(
-            model_t, N, GRID, res.law, vlaw_t,
+        sim = simulate_blocks(
+            model_t, N, GRID, vlaw_t, law_t,
             n_blocks=16, inner=256,
             w_key=derive_key(ROOT, "c7tbw", N), env_key=derive_key(ROOT, "c7tbe", N),
-            levels=2, law_blocks=128, law_inner=64,
         )
+        sol = solve_bsde_n(model_t, N, sim, GRID)
         worst = max(worst, sol.max_abs_z)
     _verdict("7 z boundedness", worst < 5.0, f"max |z| = {worst:.3f} < 5.0")
 

@@ -31,7 +31,6 @@ def _paths_and_increments(model, grid, count, key, law=None):
         inner=count,
         w_key=derive_key(key, "w", 0),
         env_key=derive_key(key, "e", 0),
-        with_limit=True,
     )
     return sim.xlim[0], sim.dw[0], law
 

@@ -26,8 +26,49 @@ def test_minimal_config_gets_documented_defaults():
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.steps == 64
     assert cfg.study["degree"] == 2
-    assert cfg.study["picard_sweeps"] == 5
+    assert cfg.study["env_cloud"] == 4096
     assert cfg.study["metrics"] == ["x", "y", "z"]
+    # environments always come from the limit law: there is no law iteration
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["study"]["picard_sweeps"] = 5
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == ["unknown study key 'picard_sweeps'"]
+
+
+def _clt_doc(**study):
+    return {
+        "model": {"name": "ou_mean_field", "beta": 1.0, "s": 0.5, "x0": 1.0},
+        "grid": {"steps": 32},
+        "study": {"kind": "clt", "n": 64, "seed": 5, **study},
+    }
+
+
+@pytest.mark.parametrize("key", ["probe_times", "y_probe_times", "lattice_times"])
+def test_off_grid_times_rejected_before_compute(key):
+    # 0.3 is not a node of the 32-step grid; the study would raise mid-run
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_clt_doc(**{key: [0.5, 0.3]})))
+    assert err.value.violations == [f"study.{key} entry 0.3 is not a node of TimeGrid(T=1.0, n=32)"]
+    parse_config(json.dumps(_clt_doc(**{key: [0.5, 0.25]})))
+
+
+def test_unread_probe_times_are_not_checked():
+    # a forward-only study never reads y_probe_times
+    parse_config(json.dumps(_clt_doc(metrics=["x"], y_probe_times=[0.3])))
+
+
+def test_too_few_inner_paths_rejected_before_compute():
+    # degree 2 in one dimension has 3 basis functions: at least 30 inner paths
+    for kind in ({"kind": "convergence", "n_values": [4, 8, 16]}, {"kind": "clt", "n": 64}):
+        doc = _clt_doc(inner_paths=29, **kind)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.violations == [
+            "study.inner_paths must be at least 10 * basis size = 30 for y or z metrics, got 29"
+        ]
+        parse_config(json.dumps(_clt_doc(inner_paths=30, **kind)))
+        parse_config(json.dumps(_clt_doc(inner_paths=29, metrics=["x"], **kind)))
 
 
 def test_missing_seed_is_reported_by_name():
@@ -223,6 +264,29 @@ def test_clt_study_smoke(tmp_path):
     assert str(tmp_path / "covariance.csv") in written
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["kind"] == "clt"
+
+
+def test_clt_forward_fluctuations_centred_at_canonical_seed():
+    # at this seed a law iteration once swapped the exact law for a sampled
+    # cloud, whose sqrt(N)-scaled sampling error biased x@1 by about 20 SE
+    cfg = parse_config(
+        json.dumps(
+            {
+                "model": {"name": "ou_mean_field", "beta": 1.0, "s": 0.5, "x0": 1.0},
+                "grid": {"steps": 32},
+                "study": {
+                    "kind": "clt",
+                    "n": 256,
+                    "reps": 500,
+                    "metrics": ["x"],
+                    "field_reps": 1000,
+                    "seed": 20260808,
+                },
+            }
+        )
+    )
+    row = run_clt_study(cfg).comparison["probes"]["x@1.0"]["approx"]
+    assert abs(row["mean"]) <= 4 * row["mean_se"], row
 
 
 def test_cli_validate_and_forward(tmp_path):
