@@ -16,10 +16,10 @@ import numpy as np
 
 from .backward import solve_bsde_n, solve_mfbsde
 from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
-from .fluctuation import value_law
 from .harness import (
     ConfigError,
     emit_report,
+    limit_laws,
     parse_config,
     run_clt_study,
     run_convergence_study,
@@ -163,7 +163,6 @@ def _cmd_backward(args) -> int:
     model = _build_model(_load_model_block(args.model))
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
-    law = solve_limit_forward(model, grid, args.env_cloud, root.child("law", 0))
     limit_mode = args.n == "limit"
     if args.paths != "fresh" and not limit_mode:
         print(
@@ -172,6 +171,7 @@ def _cmd_backward(args) -> int:
             file=sys.stderr,
         )
         return 1
+    law, env_law = limit_laws(model, grid, args.env_cloud, args.degree, root, not limit_mode)
     if limit_mode:
         if args.paths != "fresh":
             nodes, values = _read_paths_csv(args.paths, model.dim)
@@ -191,9 +191,6 @@ def _cmd_backward(args) -> int:
         y, z = sol.y_values, sol.z_values
     else:
         N = int(args.n)
-        env_law = law
-        if not model.env_free("driver"):
-            env_law = value_law(model, law, grid, root.child("vlaw", 0), degree=args.degree)
         sim = simulate_blocks(
             model, N, grid, env_law, law,
             n_blocks=args.reps, inner=args.inner,

@@ -388,19 +388,20 @@ def _estimate(samples: np.ndarray) -> dict:
     }
 
 
-def _limit_laws(config: ExperimentConfig, model: ModelSpec, grid: TimeGrid, backward: bool):
-    """The limit law, and the law every environment is drawn from.
+def limit_laws(
+    model: ModelSpec, grid: TimeGrid, env_cloud: int, degree: int, root: StreamKey, backward: bool
+):
+    """The limit law, and the law the N-systems draw environments from.
 
     Environments come from the limit law; the N-system's own law differs
     from it by O(1/N), below every reported statistic.  When the backward
     side runs and the driver reads partner y, they come from the limit law
-    with values attached (`value_law`).
+    with values attached (`value_law`), a fresh cloud of its own.  ``backward``
+    says whether an N-system's backward side runs.
     """
-    root = config.root_key()
-    law = solve_limit_forward(model, grid, config.study["env_cloud"], root.child("law", 0))
+    law = solve_limit_forward(model, grid, env_cloud, root.child("law", 0))
     if not backward or model.env_free("driver"):
         return law, law
-    degree = int(config.study["degree"])
     return law, value_law(model, law, grid, root.child("vlaw", 0), degree=degree)
 
 
@@ -412,7 +413,9 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     root = config.root_key()
     metrics = list(study["metrics"])
     need_backward = "y" in metrics or "z" in metrics
-    law, env_law = _limit_laws(config, model, grid, need_backward)
+    law, env_law = limit_laws(
+        model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward
+    )
     reference_note = "closed_form"
     if law.kind == "cloud":
         # self-reference mode: the limit reference is the cloud law itself,
@@ -509,8 +512,14 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     tol_var = float(study["variance_tolerance"])
     alpha = float(study["ks_alpha"])
     need_backward = "y" in metrics or "z" in metrics
-    law, env_law = _limit_laws(config, model, grid, need_backward)
+    law, env_law = limit_laws(
+        model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward
+    )
     decoupled = model.env_free("drift") and model.env_free("diffusion")
+
+    # Each block takes its limit paths from the law its partners are drawn
+    # from: the sampling error of a second cloud would enter the sqrt(N)-scaled
+    # gaps as a bias.
 
     # forward fluctuation samples
     forward_samples = {}
@@ -521,7 +530,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
             sim = simulate_blocks(
-                model, N, grid, env_law, law,
+                model, N, grid, law, law,
                 n_blocks=hi - lo, inner=1,
                 w_key=root.child("fw", 0), env_key=root.child("fe", 0),
                 block_offset=lo, chunk=chunk,
@@ -543,14 +552,14 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         for lo in range(0, reps, chunk):
             hi = min(lo + chunk, reps)
             sim = simulate_blocks(
-                model, N, grid, env_law, law,
+                model, N, grid, env_law, env_law,
                 n_blocks=hi - lo, inner=int(study["inner_paths"]),
                 w_key=root.child("bw", 0), env_key=root.child("be", 0),
                 block_offset=lo, chunk=chunk,
             )
             sol_n = solve_bsde_n(model, N, sim, grid, degree=int(study["degree"]))
             sol_l = solve_mfbsde(
-                model, law, sim.xlim, sim.dw, grid, degree=int(study["degree"])
+                model, env_law, sim.xlim, sim.dw, grid, degree=int(study["degree"])
             )
             yn, zn = sol_n.designated()
             yl, zl = sol_l.designated()
@@ -586,12 +595,12 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         blocks=("drift",),
     )
     cov = theoretical_covariance(
-        model, env_law, lattice,
+        model, law, lattice,
         cloud_size=int(study["kernel_cloud"]) * 4,
         key=root.child("cov", 0),
     )
     emp_sample = empirical_fields(
-        model, N, lattice, int(study["field_reps"]), env_law,
+        model, N, lattice, int(study["field_reps"]), law,
         root.child("field_env", 0), root.child("field_ctr", 0),
         center_size=int(study["center_cloud"]),
     )

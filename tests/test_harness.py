@@ -289,6 +289,37 @@ def test_clt_forward_fluctuations_centred_at_canonical_seed():
     assert abs(row["mean"]) <= 4 * row["mean_se"], row
 
 
+def test_clt_fluctuations_centred_on_a_value_law_model():
+    # tanh_bounded reads partner y, so its backward blocks draw partners from
+    # a value-law cloud; a limit path driven by a different cloud would pick
+    # up the clouds' sampling gap, scaled by sqrt(N) (about 13 SE here)
+    cfg = parse_config(
+        json.dumps(
+            {
+                "model": {"name": "tanh_bounded", "s": 1.0, "rho": 0.4, "kappa": 0.25},
+                "grid": {"steps": 16},
+                "study": {
+                    "kind": "clt",
+                    "n": 1024,
+                    "reps": 500,
+                    "members": 256,
+                    "inner_paths": 32,
+                    "kernel_cloud": 512,
+                    "center_cloud": 512,
+                    "field_reps": 100,
+                    "metrics": ["x", "y"],
+                    "lattice_times": [1.0],
+                    "seed": 5,
+                },
+            }
+        )
+    )
+    probes = run_clt_study(cfg).comparison["probes"]
+    for probe in ("x@1.0", "y@0.5"):
+        row = probes[probe]["approx"]
+        assert abs(row["mean"]) <= 4 * row["mean_se"], (probe, row)
+
+
 def test_cli_validate_and_forward(tmp_path):
     from mfbsde.cli import main
 
