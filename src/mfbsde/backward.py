@@ -74,23 +74,28 @@ def _features(states: np.ndarray, degree: int) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _batched_fit(feats: np.ndarray, target: np.ndarray, ridge: float = 1e-10):
-    """Least squares per block; returns (fitted, coefficients, resid_rms).
+def _gram(feats: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
+    """Ridged Gram matrix per block, (B, K, K), shared by every target.
 
     The tiny ridge keeps dropped (zero) columns harmless; the intercept is
     never penalized, so constant targets are reproduced exactly.
     """
     B, P, K = feats.shape
-    gram = np.einsum("bpi,bpj->bij", feats, feats)
+    gram = np.matmul(feats.transpose(0, 2, 1), feats)
     penalty = ridge * P * np.eye(K)
     penalty[0, 0] = 0.0  # first feature is the intercept by construction
     gram += penalty
-    rhs = np.einsum("bpi,bp->bi", feats, target)
-    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    fitted = np.einsum("bpi,bi->bp", feats, coef)
-    resid = target - fitted
-    rms = np.sqrt(np.mean(resid**2, axis=1))
-    return fitted, coef, rms
+    return gram
+
+
+def _batched_fit(feats: np.ndarray, gram: np.ndarray, targets: np.ndarray):
+    """Least squares per block of each target column; returns (fitted, coefficients).
+
+    ``targets`` is (B, P, m); the m fits share the block's Gram matrix.
+    """
+    rhs = np.matmul(feats.transpose(0, 2, 1), targets)
+    coef = np.linalg.solve(gram, rhs)
+    return np.matmul(feats, coef), coef
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +169,13 @@ def _backward_induction(
     contraction_flag = False
     for i in range(n - 1, -1, -1):
         feats = _features(cond_states[:, :, i, :], degree)
-        cond, coef, rms = _batched_fit(feats, y[:, :, i + 1])
-        coeffs[i] = coef
-        resid_rms[i] = rms
+        gram = _gram(feats)
+        cond, coef = _batched_fit(feats, gram, y[:, :, i + 1, None])
+        cond = cond[..., 0]
+        coeffs[i] = coef[..., 0]
         centered = y[:, :, i + 1] - cond
-        for j in range(d):
-            zfit, _, _ = _batched_fit(feats, centered * dw[:, :, i, j] / h)
-            z[:, :, i, j] = zfit
+        resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
+        z[:, :, i], _ = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
         if driver_fn is None:
             y[:, :, i] = cond
         else:

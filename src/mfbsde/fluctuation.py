@@ -22,7 +22,7 @@ import numpy as np
 from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
 from .forward import LawFlow, euler_paths, simulate_blocks
 from .model import ModelSpec
-from .noise import StreamKey, TimeGrid, generator
+from .noise import StreamKey, TimeGrid, generator, key_streams
 
 __all__ = [
     "FieldLattice",
@@ -210,11 +210,12 @@ def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
     return CovarianceMatrix(cov, stderr, entries, cloud_size=m)
 
 
-def law_cloud(law: LawFlow, size: int, key: StreamKey):
+def law_cloud(law: LawFlow, size: int, key: StreamKey, with_y: bool = True):
     """A (paths, y) cloud drawn from the law; reuses cloud laws directly."""
     if law.use_closed_form:
-        return law.sample_env(key, size)
-    return law.cloud, law.cloud_y
+        x, y = law.sample_env([key], size, with_y=with_y)
+        return x[0], None if y is None else y[0]
+    return law.cloud, law.cloud_y if with_y else None
 
 
 def value_law(
@@ -254,12 +255,9 @@ def theoretical_covariance(
     needs_y = "driver" in lattice.blocks
     if needs_y and not law.has_y:
         raise ValueError("driver block needs a law carrying y values")
-    if law.use_closed_form:
-        if key is None:
-            raise ValueError("closed-form laws need a key to draw the kernel cloud")
-        x_cloud, y_cloud = law.sample_env(key, cloud_size)
-    else:
-        x_cloud, y_cloud = law.cloud, law.cloud_y
+    if law.use_closed_form and key is None:
+        raise ValueError("closed-form laws need a key to draw the kernel cloud")
+    x_cloud, y_cloud = law_cloud(law, cloud_size, key, with_y=needs_y)
     m = x_cloud.shape[0]
     if m < 100:
         raise ValueError(f"kernel cloud too small ({m} < 100)")
@@ -441,23 +439,17 @@ def empirical_fields(
     # draw partners only at the lattice nodes: every summand is pointwise in t
     nodes = sorted({entries[j]["node"] for j in live})
     col = {node: k for k, node in enumerate(nodes)}
-    cx, cy = env_law.sample_env(center_key, center_size, nodes)
+    cx, cy = env_law.sample_env([center_key], center_size, nodes, with_y=needs_y)
     center = np.empty(len(entries))
     for j in live:
         k = col[entries[j]["node"]]
-        ys = cy[:, k] if cy is not None else None
-        center[j] = _entry_eval(model, entries[j], lattice, cx[:, k], ys).mean()
+        ys = cy[0, :, k] if cy is not None else None
+        center[j] = _entry_eval(model, entries[j], lattice, cx[0, :, k], ys).mean()
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
-        ex = np.empty((hi - lo, N, len(nodes), model.dim))
-        ey = None
-        for r in range(lo, hi):
-            x, y = env_law.sample_env(env_key.child("env", r), N, nodes)
-            ex[r - lo] = x
-            if y is not None:
-                if ey is None:
-                    ey = np.empty((hi - lo, N, len(nodes)))
-                ey[r - lo] = y
+        ex, ey = env_law.sample_env(
+            [env_key.child("env", r) for r in range(lo, hi)], N, nodes, with_y=needs_y
+        )
         for j in live:
             k = col[entries[j]["node"]]
             ys = ey[:, :, k] if ey is not None else None
@@ -546,11 +538,9 @@ def solve_limit_system(
     # pass 1: designated paths only, fixing the cross-member average curves;
     # the designated increments are the first rows of each member's block
     dw_des = np.empty((members, n, d))
-    for m in range(members):
-        dw_des[m] = (
-            np.sqrt(h)
-            * generator(key.child("path", m)).standard_normal((1, n, d))[0]
-        )
+    for row, rng in zip(dw_des, key_streams(key.child("path", m) for m in range(members))):
+        rng.standard_normal(out=row)
+    dw_des *= np.sqrt(h)
     x_des = euler_paths(model, grid, dw_des, drift_fn, diff_fn)
     xbar_des = np.zeros((members, n1, d))
     drift_env_curve = np.zeros((n, d))
@@ -577,11 +567,9 @@ def solve_limit_system(
         hi = min(lo + chunk, members)
         size = hi - lo
         dw = np.empty((size, inner, n, d))
-        for m in range(lo, hi):
-            dw[m - lo] = (
-                np.sqrt(h)
-                * generator(key.child("path", m)).standard_normal((inner, n, d))
-            )
+        for row, rng in zip(dw, key_streams(key.child("path", m) for m in range(lo, hi))):
+            rng.standard_normal(out=row)
+        dw *= np.sqrt(h)
         x_in = euler_paths(model, grid, dw, drift_fn, diff_fn)
         xbar_in = np.zeros((size, inner, n1, d))
         for i in range(n):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelSpec, env_average, env_shift
-from .noise import StreamKey, TimeGrid, generator
+from .noise import StreamKey, TimeGrid, key_streams
 
 __all__ = [
     "PathEnsemble",
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 DIVERGENCE_CAP = 1e8
+# elements of Brownian draws that `LawFlow.sample_env` holds at a time
+_SUB_BATCH = 1 << 18
 
 
 @dataclass
@@ -109,37 +111,58 @@ class LawFlow:
 
     # -- samples ------------------------------------------------------------
 
-    def sample_env(self, key: StreamKey, count: int, nodes=None):
-        """Draw `count` i.i.d. partner paths; returns (x, y) with y possibly None.
+    def sample_env(self, keys, count: int, nodes=None, with_y: bool = True):
+        """Draw `count` i.i.d. partner paths per key; returns (x, y).
 
-        With ``nodes`` (grid node indices) only those nodes are returned, as
-        (count, len(nodes), d) and (count, len(nodes)).  A closed-form law
-        then draws the Brownian path at those nodes alone, which is exact in
-        law because its path maps are pointwise in time; a cloud law returns
-        the full draw's entries at those nodes, bit for bit.
+        ``x`` is (len(keys), count, n+1, d) and ``y`` (len(keys), count, n+1),
+        or None when the law carries no values or ``with_y`` is false.  Each
+        key's draws equal what that key alone would give.  With ``nodes``
+        (grid node indices) only those nodes are returned, in their order.  A
+        closed-form law then draws the Brownian path at those nodes alone,
+        which is exact in law because its path maps are pointwise in time; a
+        cloud law returns the full draw's entries at those nodes, bit for bit.
         """
+        keys = list(keys)
+        with_y = with_y and self.has_y
+        if not self.use_closed_form:
+            idx = np.empty((len(keys), count), dtype=np.int64)
+            for row, rng in zip(idx, key_streams(keys)):
+                row[:] = rng.integers(0, self.cloud.shape[0], size=count)
+            at = idx if nodes is None else (idx[..., None], np.asarray(nodes))
+            return self.cloud[at], self.cloud_y[at] if with_y else None
         grid = self.grid
-        if self.use_closed_form:
-            cf = self.model.closed_form
-            rng = generator(key)
+        cf = self.model.closed_form
+        d = self.model.dim
+        if nodes is None:
+            t = grid.nodes
+            scale = np.sqrt(grid.h)
+            draws = grid.steps
+        else:
+            t = grid.nodes[nodes]
+            at, back = np.unique(t, return_inverse=True)
+            scale = np.sqrt(np.diff(at, prepend=0.0))[:, None]
+            draws = at.size
+        x = np.empty((len(keys), count, t.size, d))
+        y = np.empty((len(keys), count, t.size)) if with_y else None
+        # keys go in sub-batches, so the temporaries stay small beside x
+        per = max(1, _SUB_BATCH // (count * draws * d))
+        streams = key_streams(keys)
+        for lo in range(0, len(keys), per):
+            hi = min(lo + per, len(keys))
+            dw = np.empty((hi - lo, count, draws, d))
+            # zip takes a row before a stream, so no key is skipped between sub-batches
+            for row, rng in zip(dw, streams):
+                rng.standard_normal(out=row)
+            dw *= scale
             if nodes is None:
-                dw = np.sqrt(grid.h) * rng.standard_normal((count, grid.steps, self.model.dim))
-                w = np.zeros((count, grid.steps + 1, self.model.dim))
-                np.cumsum(dw, axis=1, out=w[:, 1:])
-                t = grid.nodes
+                w = np.zeros((hi - lo, count, draws + 1, d))
+                np.cumsum(dw, axis=2, out=w[:, :, 1:])
             else:
-                t = grid.nodes[nodes]
-                at, back = np.unique(t, return_inverse=True)
-                gaps = np.sqrt(np.diff(at, prepend=0.0))[:, None]
-                dw = gaps * rng.standard_normal((count, at.size, self.model.dim))
-                w = np.cumsum(dw, axis=1)[:, back]
-            x = cf.path_map(t, w)
-            y = cf.y_path(t, w) if cf.y_path is not None else None
-            return x, y
-        idx = generator(key).integers(0, self.cloud.shape[0], size=count)
-        cols = slice(None) if nodes is None else np.asarray(nodes)
-        y = self.cloud_y[idx][:, cols] if self.cloud_y is not None else None
-        return self.cloud[idx][:, cols], y
+                w = np.cumsum(dw, axis=2)[:, :, back]
+            x[lo:hi] = cf.path_map(t, w)
+            if with_y:
+                y[lo:hi] = cf.y_path(t, w)
+        return x, y
 
     # -- summary curves -------------------------------------------------------
 
@@ -282,9 +305,10 @@ def solve_classical_system(
     if N < 1:
         raise ValueError("N must be >= 1")
     keys = tuple(key.child("path", i) for i in range(N))
-    dw = np.stack(
-        [np.sqrt(grid.h) * generator(k).standard_normal((grid.steps, model.dim)) for k in keys]
-    )
+    dw = np.empty((N, grid.steps, model.dim))
+    for row, rng in zip(dw, key_streams(keys)):
+        rng.standard_normal(out=row)
+    dw *= np.sqrt(grid.h)
 
     def coefficient(which):
         # the partner pool is the current state of all N particles
@@ -405,24 +429,20 @@ def simulate_blocks(
     terminal_parts, driver_parts, pool_x, pool_y = [], [], [], []
     limit_fns = _law_coefficients(limit_law)
 
+    # partner values enter only through the driver
+    with_y = not model.env_free("driver")
     for lo in range(0, n_blocks, chunk):
         hi = min(lo + chunk, n_blocks)
+        blocks = range(block_offset + lo, block_offset + hi)
+        w_keys = [w_key.child("path", b) for b in blocks]
+        keys.extend(w_keys)
         dw = dw_all[lo:hi]
-        env_x = np.empty((hi - lo, N, n1, d))
-        env_y = None
-        for m in range(lo, hi):
-            b = block_offset + m
-            k_w = w_key.child("path", b)
-            keys.append(k_w)
-            dw[m - lo] = np.sqrt(grid.h) * generator(k_w).standard_normal(
-                (inner, grid.steps, d)
-            )
-            ex, ey = env_law.sample_env(env_key.child("env", b), N)
-            env_x[m - lo] = ex
-            if ey is not None:
-                if env_y is None:
-                    env_y = np.empty((hi - lo, N, n1))
-                env_y[m - lo] = ey
+        for row, rng in zip(dw, key_streams(w_keys)):
+            rng.standard_normal(out=row)
+        dw *= np.sqrt(grid.h)
+        env_x, env_y = env_law.sample_env(
+            [env_key.child("env", b) for b in blocks], N, with_y=with_y
+        )
         xn[lo:hi] = euler_paths(model, grid, dw, *_pool_coefficients(model, env_x))
         xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
         terminal = env_shift(model, "terminal", env_x[:, :, -1])

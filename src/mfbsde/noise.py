@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "TimeGrid",
     "derive_key",
     "generator",
+    "key_streams",
     "standard_normals",
     "brownian_increments",
     "brownian_path",
@@ -68,6 +71,24 @@ def generator(key: StreamKey) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_words(key)))
 
 
+def key_streams(keys: Iterable[StreamKey]) -> Iterator[np.random.Generator]:
+    """For each key in turn, a generator whose draws equal ``generator(key)``'s.
+
+    One Philox is re-keyed in place through its public state setter, which
+    also resets the counter and the 64- and 32-bit output buffers; this costs
+    a fraction of constructing a generator per key.  The same Generator object
+    is yielded for every key: draw from it before advancing the iteration, as
+    a reference kept past that point reads the next key's stream.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    fresh = bitgen.state  # zero counter, empty buffers
+    rng = np.random.Generator(bitgen)
+    for key in keys:
+        fresh["state"]["key"] = _philox_words(key)
+        bitgen.state = fresh
+        yield rng
+
+
 def standard_normals(key: StreamKey, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -93,9 +114,12 @@ class TimeGrid:
     def h(self) -> float:
         return self.horizon / self.steps
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        """The grid nodes, built once per grid and read-only."""
+        nodes = np.linspace(0.0, self.horizon, self.steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     def node_at(self, t: float, tol: float = 1e-9) -> int:
         """Index of the grid node equal to t (raises if t is off-grid)."""

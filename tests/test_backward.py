@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mfbsde.backward import (
+    _batched_fit,
+    _features,
+    _gram,
     check_comparison,
     solve_bsde_n,
     solve_linear_limit_bsde,
@@ -33,6 +36,27 @@ def _paths_and_increments(model, grid, count, key, law=None):
         env_key=derive_key(key, "e", 0),
     )
     return sim.xlim[0], sim.dw[0], law
+
+
+def test_shared_gram_fit_matches_per_target_reference():
+    # random blocks whose second state column has zero spread (a dropped
+    # feature); every target must match its own einsum Gram + solve fit
+    rng = generator(derive_key(ROOT, "gram", 0))
+    B, P, ridge = 6, 200, 1e-10
+    states = rng.standard_normal((B, P, 3))
+    states[:, :, 1] = 0.5
+    feats = _features(states, 2)
+    assert np.sum(np.all(feats == 0.0, axis=(0, 1))) == 4  # x1, x0 x1, x1^2, x1 x2
+    targets = rng.standard_normal((B, P, 4)) + feats[..., 1:5] ** 2
+    fitted, coef = _batched_fit(feats, _gram(feats, ridge), targets)
+    K = feats.shape[-1]
+    for j in range(targets.shape[-1]):
+        gram = np.einsum("bpi,bpj->bij", feats, feats) + ridge * P * np.diag([0.0] + [1.0] * (K - 1))
+        rhs = np.einsum("bpi,bp->bi", feats, targets[..., j])
+        ref_coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        ref_fit = np.einsum("bpi,bi->bp", feats, ref_coef)
+        assert np.max(np.abs(fitted[..., j] - ref_fit)) <= 1e-12 * np.max(np.abs(ref_fit))
+        assert np.max(np.abs(coef[..., j] - ref_coef)) <= 1e-12 * np.max(np.abs(ref_coef))
 
 
 def test_constant_terminal_no_driver_gives_flat_solution():
@@ -108,9 +132,7 @@ def test_terminal_values_are_exact_per_replication():
     # terminal node reproduces the averaged terminal functional exactly
     # block b's partners are the draw addressed by env_key.child("env", b)
     env_key = derive_key(ROOT, "terme", 0)
-    env_term = np.stack(
-        [law.sample_env(env_key.child("env", b), 8)[0][:, -1, :] for b in range(4)]
-    )
+    env_term = law.sample_env([env_key.child("env", b) for b in range(4)], 8)[0][:, :, -1]
     expected = sim.xn[:, :, -1, 0] + env_term[:, :, 0].mean(axis=1)[:, None]
     got = sol.y_values.reshape(4, 64, -1)[:, :, -1]
     assert np.allclose(got, expected, atol=1e-12)

@@ -190,7 +190,7 @@ def test_field_along_path_variance_matches_kernel():
     # conditional variance beta^2 s^2 t regardless of the path
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 11))
-    x_path = law.sample_env(derive_key(ROOT, "path", 0), 1)[0][0]
+    x_path = law.sample_env([derive_key(ROOT, "path", 0)], 1)[0][0, 0]
     reps = 10_000
     vals = np.empty(reps)
     from mfbsde.fluctuation import _path_kernel, law_cloud
@@ -215,7 +215,7 @@ def test_field_along_path_independent_draws():
 
     kx, ky = law_cloud(law, 8192, derive_key(ROOT, "kern", 1))
     kernel = _path_kernel(model, GRID, kx, ky)
-    x_path = law.sample_env(derive_key(ROOT, "path", 1), 1)[0][0]
+    x_path = law.sample_env([derive_key(ROOT, "path", 1)], 1)[0][0, 0]
     n = 10_000
     a = np.empty(n)
     b = np.empty(n)
@@ -277,6 +277,16 @@ def test_limit_system_variance_and_mean():
     means = res.xbar[:, :, 0].mean(axis=0)
     ses = res.xbar[:, :, 0].std(axis=0, ddof=1) / math.sqrt(4000)
     assert np.all(np.abs(means) <= 4 * np.maximum(ses, 1e-12))
+
+
+def test_limit_system_fits_the_ou_z_exactly():
+    # on ou_mean_field the first-order value is linear in (x, xbar), so the
+    # z regression fits its target exactly and zbar is zero up to round-off;
+    # an explicit inverse of the Gram matrix leaks about 1e-7 into it
+    model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 17))
+    res = solve_limit_system(model, law, GRID, members=100, key=derive_key(ROOT, "ls", 2))
+    assert np.max(np.abs(res.zbar)) < 1e-10
 
 
 def test_limit_system_decoupled_is_identically_zero():

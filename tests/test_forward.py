@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mfbsde import forward
 from mfbsde.forward import (
     LawFlow,
     euler_paths,
@@ -14,7 +15,7 @@ from mfbsde.forward import (
 )
 from mfbsde.harness import forward_errors
 from mfbsde.model import catalog_model
-from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key
+from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
 ROOT = StreamKey(seed=7001)
 W_KEY = derive_key(ROOT, "w", 0)
@@ -33,7 +34,7 @@ def test_limit_forward_brownian_variance():
     model = catalog_model("constant", b0=0.0, s=1.0, x0=0.0)
     law = solve_limit_forward(model, GRID, 4096, derive_key(ROOT, "law", 0))
     assert law.kind == "closed_form"
-    x, _ = law.sample_env(derive_key(ROOT, "sample", 0), 4096)
+    x = law.sample_env([derive_key(ROOT, "sample", 0)], 4096)[0][0]
     v = x[:, -1, 0].var()
     assert abs(v - 1.0) <= 3 * math.sqrt(2.0 / 4096)
 
@@ -44,10 +45,10 @@ def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2)
     nodes = [0, 16, 40, 64]
     key = derive_key(ROOT, "sub", 0)
-    x, y = law.sample_env(key, 500, nodes)
-    x_full, y_full = law.sample_env(key, 500)
-    assert x.shape == (500, 4, 1) and y.shape == (500, 4)
-    assert np.array_equal(x, x_full[:, nodes]) and np.array_equal(y, y_full[:, nodes])
+    x, y = law.sample_env([key], 500, nodes)
+    x_full, y_full = law.sample_env([key], 500)
+    assert x.shape == (1, 500, 4, 1) and y.shape == (1, 500, 4)
+    assert np.array_equal(x, x_full[:, :, nodes]) and np.array_equal(y, y_full[:, :, nodes])
 
 
 @pytest.mark.parametrize("name", ["ou_mean_field", "mf_bsde_linear"])
@@ -58,8 +59,9 @@ def test_sample_env_at_nodes_matches_the_closed_form_law(name):
     model = catalog_model(name, beta=beta, s=s, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 14))
     nodes = [48, 0, 16, 64]  # unsorted on purpose
-    x, y = law.sample_env(derive_key(ROOT, "sub", 1), count, nodes)
-    assert x.shape == (count, 4, 1) and y.shape == (count, 4)
+    x, y = law.sample_env([derive_key(ROOT, "sub", 1)], count, nodes)
+    assert x.shape == (1, count, 4, 1) and y.shape == (1, count, 4)
+    x, y = x[0], y[0]
     t = GRID.nodes[nodes]
     mean = model.closed_form.mean(t)[:, 0]
     var = s**2 * t
@@ -75,6 +77,63 @@ def test_sample_env_at_nodes_matches_the_closed_form_law(name):
     inc_a = x[:, 2, 0] - x[:, 1, 0]
     inc_b = x[:, 0, 0] - x[:, 2, 0]
     assert abs(np.corrcoef(inc_a, inc_b)[0, 1]) <= 4 / math.sqrt(count)
+
+
+def _one_key_env(law, key, count, nodes=None):
+    """One key's partner draw, written out from ``generator(key)``."""
+    rng = generator(key)
+    cols = slice(None) if nodes is None else np.asarray(nodes)
+    if not law.use_closed_form:
+        idx = rng.integers(0, law.cloud.shape[0], size=count)
+        y = None if law.cloud_y is None else law.cloud_y[idx][:, cols]
+        return law.cloud[idx][:, cols], y
+    grid, cf, d = law.grid, law.model.closed_form, law.model.dim
+    if nodes is None:
+        t = grid.nodes
+        dw = np.sqrt(grid.h) * rng.standard_normal((count, grid.steps, d))
+        w = np.concatenate([np.zeros((count, 1, d)), np.cumsum(dw, axis=1)], axis=1)
+    else:
+        t = grid.nodes[nodes]
+        at, back = np.unique(t, return_inverse=True)
+        gaps = np.sqrt(np.diff(at, prepend=0.0))[:, None]
+        w = np.cumsum(gaps * rng.standard_normal((count, at.size, d)), axis=1)[:, back]
+    return cf.path_map(t, w), cf.y_path(t, w)
+
+
+def _assert_stacked_single_key_draws(law, keys, count, nodes=None):
+    x, y = law.sample_env(keys, count, nodes)
+    singles = [_one_key_env(law, k, count, nodes) for k in keys]
+    assert np.array_equal(x, np.stack([sx for sx, _ in singles]))
+    if singles[0][1] is None:
+        assert y is None
+    else:
+        assert np.array_equal(y, np.stack([sy for _, sy in singles]))
+    x_only, no_y = law.sample_env(keys, count, nodes, with_y=False)
+    assert no_y is None and np.array_equal(x_only, x)
+
+
+@pytest.mark.parametrize("keys_per_batch", [1, 3, 5])
+@pytest.mark.parametrize("nodes", [None, [48, 0, 16, 48, 64, 0]])
+def test_batched_sample_env_equals_single_key_draws_closed_form(monkeypatch, keys_per_batch, nodes):
+    # unsorted, repeated nodes; the five keys go in sub-batches of 1, 3 or 5
+    count = 40
+    draws = GRID.steps if nodes is None else len(set(nodes))
+    monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * count * draws)
+    model = catalog_model("mf_bsde_linear", beta=0.8, s=0.6, x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
+    keys = [derive_key(ROOT, "batch", i) for i in range(5)]
+    _assert_stacked_single_key_draws(law, keys, count, nodes)
+
+
+@pytest.mark.parametrize("with_values", [True, False])
+@pytest.mark.parametrize("nodes", [None, [40, 0, 16, 40]])
+def test_batched_sample_env_equals_single_key_draws_cloud(with_values, nodes):
+    # an odd count leaves a half-used 32-bit buffer after every key's draw
+    model = catalog_model("tanh_bounded")
+    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 1)).values
+    law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2 if with_values else None)
+    keys = [derive_key(ROOT, "cbatch", i) for i in range(5)]
+    _assert_stacked_single_key_draws(law, keys, 33, nodes)
 
 
 def test_limit_forward_cloud_mode_ou_mean():

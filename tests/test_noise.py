@@ -8,6 +8,7 @@ from mfbsde.noise import (
     brownian_path,
     derive_key,
     generator,
+    key_streams,
     standard_normals,
 )
 
@@ -108,3 +109,43 @@ def test_generator_independent_of_call_order():
     _ = generator(derive_key(ROOT, "order", 8)).standard_normal(1000)
     second = generator(k).standard_normal(10)
     assert np.array_equal(first, second)
+
+
+def test_key_streams_reproduce_fresh_generators_bit_for_bit():
+    keys = [derive_key(ROOT, "ks", i) for i in range(6)]
+    for key, rng in zip(keys, key_streams(keys)):
+        assert np.array_equal(rng.standard_normal((3, 5)), generator(key).standard_normal((3, 5)))
+
+
+def test_key_streams_reset_a_half_used_32_bit_buffer():
+    # an odd count of small-range integers leaves half of a 64-bit output in
+    # the bit generator's 32-bit buffer; the next key must not start from it
+    keys = [derive_key(ROOT, "half", i) for i in range(4)]
+    streams = key_streams(keys)
+    first = next(streams)
+    first.integers(0, 1000, size=3)
+    assert first.bit_generator.state["has_uint32"] == 1
+    for key, rng in zip(keys[1:], streams):
+        fresh = generator(key)
+        assert np.array_equal(rng.integers(0, 1000, size=5), fresh.integers(0, 1000, size=5))
+        assert np.array_equal(rng.integers(0, 1000, size=2), fresh.integers(0, 1000, size=2))
+
+
+def test_key_streams_yield_one_generator_rekeyed_per_key():
+    # the documented contract: one Generator object serves every key, so a
+    # reference kept past the next key reads that key's stream
+    keys = [derive_key(ROOT, "alias", i) for i in range(3)]
+    streams = key_streams(keys)
+    kept = next(streams)
+    assert next(streams) is kept
+    assert np.array_equal(kept.standard_normal(4), generator(keys[1]).standard_normal(4))
+
+
+def test_grid_nodes_are_cached_and_read_only():
+    grid = TimeGrid(horizon=2.5, steps=10)
+    nodes = grid.nodes
+    assert grid.nodes is nodes
+    assert np.array_equal(nodes, np.linspace(0.0, 2.5, 11))
+    with pytest.raises(ValueError):
+        nodes[3] = 0.0
+    assert grid == TimeGrid(horizon=2.5, steps=10)
