@@ -37,6 +37,8 @@ __all__ = [
 
 Z_CAP_DEFAULT = 5.0
 _FIXPOINT_TOL = 1e-10
+# relative spread below which a regression variable counts as constant
+_SPREAD_ROUNDOFF = 16 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +60,15 @@ def _features(states: np.ndarray, degree: int) -> np.ndarray:
 
     Each variable is centered and scaled per block; zero-spread variables
     collapse to zero columns, which the ridge term silently drops (this is
-    the degree-0 fallback when every state column is constant).
+    the degree-0 fallback when every state column is constant).  A spread
+    within round-off of the mean counts as zero: a constant the mean does not
+    reproduce exactly (0.7, say) has a std of about 1e-16, and scaling by it
+    would turn the column into a copy of the intercept.
     """
     mean = states.mean(axis=1, keepdims=True)
     std = states.std(axis=1, keepdims=True)
-    scaled = np.where(std > 0, (states - mean) / np.where(std > 0, std, 1.0), 0.0)
+    live = std > _SPREAD_ROUNDOFF * np.abs(mean)
+    scaled = np.where(live, (states - mean) / np.where(live, std, 1.0), 0.0)
     exps = _exponent_tuples(states.shape[-1], degree)
     cols = []
     for e in exps:
@@ -331,50 +337,29 @@ def solve_linear_limit_bsde(
     Each block freezes one realization of the driving Gaussian field; inner
     paths share it, so within a block the value is a function of the pair
     (state, first-order state) and the regression conditions on both.  The
-    terminal couples the field value with the gradient averages of the
-    terminal coefficient; the driver adds the field curve plus gradient terms
-    against the fluctuation triple.  Gradients take the other argument at
-    the reference state x0, which is exact when the partner enters every
-    coefficient additively, the only coupling `solve_limit_system` accepts.
+    terminal is the field value plus the own-state gradient of the terminal
+    coefficient against the first-order state; the driver adds the field
+    curve to the own-triple gradient terms against the fluctuation triple.
+    Partner-gradient terms are absent: their averages vanish in the limit
+    (see `solve_limit_system`).  Gradients take the partner at the reference
+    state x0, which is exact when the partner enters every coefficient
+    additively, the only coupling `solve_limit_system` accepts.
     """
     B, P, n1, d = x.shape
     ref = model.x0
-    x_T = x[:, :, -1, :]
-    partners_T = x[:, 0, -1, :]  # designated member terminal states as the law pool
-    a_phi_own = model.grad_terminal_x(x_T, ref)  # (B, P, d)
-    gte = model.grad_terminal_env(ref, partners_T)  # (B, d)
-    a_phi_env = float(np.mean(np.sum(gte * xbar[:, 0, -1, :], axis=-1)))
-    terminal = (
-        xi3[:, None]
-        + np.sum(a_phi_own * xbar[:, :, -1, :], axis=-1)
-        + a_phi_env
-    )
+    a_phi = model.grad_terminal_x(x[:, :, -1, :], ref)  # (B, P, d)
+    terminal = xi3[:, None] + np.sum(a_phi * xbar[:, :, -1, :], axis=-1)
     y0 = base_y if base_y is not None else np.zeros((B, P, n1))
     z0 = base_z if base_z is not None else np.zeros((B, P, n1, d))
-    zeros_d = np.zeros(d)
 
     def driver(i, ybar, zbar):
-        xi = x[:, :, i, :]
-        out = np.zeros((B, P))
-        if eta4 is not None:
-            out = out + eta4[:, i][:, None]
-        own = model.grad_driver_own(xi, y0[:, :, i], z0[:, :, i, :], ref, 0.0)
-        out = out + (
+        own = model.grad_driver_own(x[:, :, i, :], y0[:, :, i], z0[:, :, i, :], ref, 0.0)
+        out = (
             np.sum(own[..., :d] * xbar[:, :, i, :], axis=-1)
             + own[..., d] * ybar
             + np.sum(own[..., d + 1 :] * zbar, axis=-1)
         )
-        # member-ensemble average of grad_driver_env . (xbar, ybar); scope is
-        # the members passed in this call (callers chunk members, which only
-        # matters for models whose driver gradients are nonzero)
-        genv = model.grad_driver_env(
-            ref, 0.0, zeros_d, x[:, 0, i, :], y0[:, 0, i]
-        )  # (B, d+1)
-        env_term = np.mean(
-            np.sum(genv[:, :d] * xbar[:, 0, i, :], axis=-1)
-            + genv[:, d] * ybar[:, 0]
-        )
-        return out + env_term
+        return out if eta4 is None else eta4[:, i][:, None] + out
 
     states = np.concatenate([x, xbar], axis=-1)
     y, z, artifacts, prov = _backward_induction(

@@ -97,6 +97,7 @@ def _cmd_clt(args) -> int:
     if args.reps is not None:
         cfg.study["reps"] = int(args.reps)
         cfg.study["members"] = int(args.reps)
+    cfg.validate()
     report = run_clt_study(cfg)
     written = emit_report(report, cfg.out_dir)
     for v in report.verdicts:

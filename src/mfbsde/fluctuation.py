@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _BLOCK_ORDER = ("drift", "diffusion", "terminal", "driver")
+# fewest samples per side that `clt_compare` accepts
+CLT_MIN_SAMPLES = 200
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
@@ -332,44 +334,17 @@ def _path_kernel(
     return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
 
 
-def _split_path_field(
-    model: ModelSpec, grid: TimeGrid, cov: CovarianceMatrix, raw: np.ndarray
-) -> list[PathFieldSample]:
+def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
+    """Split (R, L) draws of the path kernel into drift (R, n+1, d), diffusion
+    (R, n+1, d, d), terminal (R,) and driver (R, n+1) arrays.
+
+    The kernel's single-probe lattice lays its entries out block by block,
+    node-major within a block (see `FieldLattice.entries`).
+    """
     d = model.dim
     n1 = grid.steps + 1
-    out = []
-    cache = getattr(cov, "_path_split_idx", None)
-    if cache is None:
-        by_key = {}
-        for i, e in enumerate(cov.entries):
-            by_key[(e["block"], e["node"], e["comp"])] = i
-        idx_drift = np.array(
-            [by_key[("drift", i, (j,))] for i in range(n1) for j in range(d)]
-        )
-        idx_diff = np.array(
-            [
-                by_key[("diffusion", i, (j, k))]
-                for i in range(n1)
-                for j in range(d)
-                for k in range(d)
-            ]
-        )
-        idx_term = by_key[("terminal", grid.steps, ())]
-        idx_driver = np.array([by_key[("driver", i, ())] for i in range(n1)])
-        cache = (idx_drift, idx_diff, idx_term, idx_driver)
-        cov._path_split_idx = cache
-    idx_drift, idx_diff, idx_term, idx_driver = cache
-    for r in range(raw.shape[0]):
-        out.append(
-            PathFieldSample(
-                drift=raw[r, idx_drift].reshape(n1, d),
-                diffusion=raw[r, idx_diff].reshape(n1, d, d),
-                terminal=float(raw[r, idx_term]),
-                driver=raw[r, idx_driver],
-                key=None,
-            )
-        )
-    return out
+    drift, diffusion, terminal, driver = np.split(raw, np.cumsum([n1 * d, n1 * d * d, 1]), axis=1)
+    return drift.reshape(-1, n1, d), diffusion.reshape(-1, n1, d, d), terminal[:, 0], driver
 
 
 def _require_additive_coupling(model: ModelSpec, what: str) -> None:
@@ -403,7 +378,8 @@ def sample_field_along_path(
         x_cloud, y_cloud = law_cloud(law, kernel_cloud, kernel_key or key.child("kern", 0))
         kernel = _path_kernel(model, grid, x_cloud, y_cloud)
     raw = sample_field_on_lattice(kernel, key, count=1).values
-    return _split_path_field(model, grid, kernel, raw)[0]
+    drift, diffusion, terminal, driver = _split_path_field(model, grid, raw)
+    return PathFieldSample(drift[0], diffusion[0], float(terminal[0]), driver[0], key)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +445,6 @@ class LimitSystemResult:
     xbar: np.ndarray     # (R, n+1, d) first-order forward component
     ybar: np.ndarray     # (R, n+1)
     zbar: np.ndarray     # (R, n+1, d)
-    fields: list[PathFieldSample]
     provenance: dict
 
 
@@ -489,12 +464,16 @@ def solve_limit_system(
 
     Each member couples one Brownian stream with one draw of the Gaussian
     field along its base path.  The first-order forward component integrates
-    the field plus gradient terms, with the partner-gradient averages taken
-    across the member ensemble at every node.  The backward component is
-    solved per member on inner blocks that share the member's frozen field.
+    the field plus the member's own-state gradient terms; the backward
+    component is solved on an inner block that shares the member's frozen
+    field, and the block's first inner path is the designated member path.
+
+    Partner-gradient terms are absent: in the limit every partner average
+    E'[g(X') xbar'] and E'[g(X') ybar'] is zero, since the field is centred
+    and independent of the partner's own noise, and the first-order
+    components are linear in it.  Members therefore do not interact, and
+    ``chunk`` only bounds memory: the output does not depend on it.
     """
-    if members < 100:
-        raise ValueError("need at least 100 members for the cross-member averages")
     _require_additive_coupling(model, "limit-system integration")
     d = model.dim
     n = grid.steps
@@ -508,13 +487,8 @@ def solve_limit_system(
     vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=kernel_cloud, degree=degree)
     kx, ky = law_cloud(vlaw, kernel_cloud, key.child("kern", 0))
     kernel = _path_kernel(model, grid, kx, ky)
-
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members).values
-    fields = _split_path_field(model, grid, kernel, raw)
-    eta1 = np.stack([f.drift for f in fields])        # (R, n+1, d)
-    eta2 = np.stack([f.diffusion for f in fields])    # (R, n+1, d, d)
-    xi3 = np.array([f.terminal for f in fields])      # (R,)
-    eta4 = np.stack([f.driver for f in fields])       # (R, n+1)
+    eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
 
     drift_fn = lambda x, i: law.average("drift", x, i)
     diff_fn = lambda x, i: law.average("diffusion", x, i)
@@ -528,38 +502,8 @@ def solve_limit_system(
     )
     need_base = bool(np.any(gprobe != 0.0))
 
-    def first_order_step(xb, x_now, dwi, i, env_b, env_s, eta1_i, eta2_i):
-        gbx = model.grad_drift_x(x_now, ref)
-        gsx = model.grad_diffusion_x(x_now, ref)
-        drift_term = eta1_i + np.einsum("...jk,...k->...j", gbx, xb) + env_b
-        diff_term = eta2_i + np.einsum("...jkl,...l->...jk", gsx, xb) + env_s
-        return xb + drift_term * h + np.einsum("...jk,...k->...j", diff_term, dwi)
-
-    # pass 1: designated paths only, fixing the cross-member average curves;
-    # the designated increments are the first rows of each member's block
-    dw_des = np.empty((members, n, d))
-    for row, rng in zip(dw_des, key_streams(key.child("path", m) for m in range(members))):
-        rng.standard_normal(out=row)
-    dw_des *= np.sqrt(h)
-    x_des = euler_paths(model, grid, dw_des, drift_fn, diff_fn)
-    xbar_des = np.zeros((members, n1, d))
-    drift_env_curve = np.zeros((n, d))
-    diff_env_curve = np.zeros((n, d, d))
-    for i in range(n):
-        xb = xbar_des[:, i, :]
-        xd = x_des[:, i, :]
-        gbe = model.grad_drift_env(ref, xd)                      # (R, d, d)
-        drift_env_curve[i] = np.einsum("rjk,rk->j", gbe, xb) / members
-        gse = model.grad_diffusion_env(ref, xd)                  # (R, d, d, d)
-        diff_env_curve[i] = np.einsum("rjkl,rl->jk", gse, xb) / members
-        xbar_des[:, i + 1, :] = first_order_step(
-            xb, xd, dw_des[:, i, :], i,
-            drift_env_curve[i], diff_env_curve[i],
-            eta1[:, i, :], eta2[:, i, :, :],
-        )
-
-    # pass 2: inner blocks per member with the frozen curves, then the
-    # backward solve; chunked to bound memory
+    x = np.empty((members, n1, d))
+    xbar = np.empty((members, n1, d))
     ybar = np.empty((members, n1))
     zbar = np.empty((members, n1, d))
     fix_flag = False
@@ -573,10 +517,13 @@ def solve_limit_system(
         x_in = euler_paths(model, grid, dw, drift_fn, diff_fn)
         xbar_in = np.zeros((size, inner, n1, d))
         for i in range(n):
-            xbar_in[:, :, i + 1, :] = first_order_step(
-                xbar_in[:, :, i, :], x_in[:, :, i, :], dw[:, :, i, :], i,
-                drift_env_curve[i], diff_env_curve[i],
-                eta1[lo:hi, None, i, :], eta2[lo:hi, None, i, :, :],
+            xb = xbar_in[:, :, i, :]
+            gbx = model.grad_drift_x(x_in[:, :, i, :], ref)
+            gsx = model.grad_diffusion_x(x_in[:, :, i, :], ref)
+            drift_term = eta1[lo:hi, None, i, :] + np.einsum("...jk,...k->...j", gbx, xb)
+            diff_term = eta2[lo:hi, None, i, :, :] + np.einsum("...jkl,...l->...jk", gsx, xb)
+            xbar_in[:, :, i + 1, :] = (
+                xb + drift_term * h + np.einsum("...jk,...k->...j", diff_term, dw[:, :, i, :])
             )
         base_y = base_z = None
         if need_base:
@@ -596,17 +543,16 @@ def solve_limit_system(
             degree=degree,
             fix_sweeps=fix_sweeps,
         )
-        y_des, z_des = sol.designated()
-        ybar[lo:hi] = y_des
-        zbar[lo:hi] = z_des
+        x[lo:hi] = x_in[:, 0]
+        xbar[lo:hi] = xbar_in[:, 0]
+        ybar[lo:hi], zbar[lo:hi] = sol.designated()
         fix_flag = fix_flag or sol.provenance["fixpoint_not_contracted"]
     return LimitSystemResult(
         grid=grid,
-        x=x_des,
-        xbar=xbar_des,
+        x=x,
+        xbar=xbar,
         ybar=ybar,
         zbar=zbar,
-        fields=fields,
         provenance={
             "members": members,
             "inner": inner,
@@ -649,7 +595,7 @@ def clt_compare(
     backward_samples: Optional[dict[float, np.ndarray]],
     z_functionals: Optional[dict[str, np.ndarray]],
     limit: LimitSystemResult,
-    min_samples: int = 200,
+    min_samples: int = CLT_MIN_SAMPLES,
 ) -> dict:
     """Compare scaled approximation fluctuations against the limit ensemble.
 
@@ -663,7 +609,7 @@ def clt_compare(
         node = grid.node_at(t)
         lim = limit.xbar[:, node, 0]
         if len(samples) < min_samples or len(lim) < min_samples:
-            raise ValueError("need at least 200 samples per side")
+            raise ValueError(f"need at least {min_samples} samples per side")
         report["probes"][f"x@{t}"] = {
             "approx": _moment_row(samples),
             "limit": _moment_row(lim),
@@ -674,7 +620,7 @@ def clt_compare(
             node = grid.node_at(t)
             lim = limit.ybar[:, node]
             if len(samples) < min_samples or len(lim) < min_samples:
-                raise ValueError("need at least 200 samples per side")
+                raise ValueError(f"need at least {min_samples} samples per side")
             report["probes"][f"y@{t}"] = {
                 "approx": _moment_row(samples),
                 "limit": _moment_row(lim),

@@ -21,6 +21,7 @@ import scipy
 from . import __version__
 from .backward import _exponent_tuples, solve_bsde_n, solve_mfbsde
 from .fluctuation import (
+    CLT_MIN_SAMPLES,
     FieldLattice,
     clt_compare,
     empirical_fields,
@@ -117,6 +118,13 @@ class ExperimentConfig:
             "output": {"dir": self.out_dir},
         }
 
+    def validate(self) -> None:
+        """Raise ConfigError for what the study would hit mid-run (model
+        parameters included); run again after overriding study keys."""
+        violations = _study_violations(self.study, self.build_grid(), self.build_model().dim)
+        if violations:
+            raise ConfigError(violations)
+
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -197,12 +205,12 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append("study.n must be a positive integer for clt studies")
         if study["metrics"] is None:
             study["metrics"] = ["x", "y", "z"]
-    for size_key in ("reps", "inner_paths", "env_cloud", "center_cloud", "kernel_cloud", "field_reps"):
+    if study["members"] is None:
+        study["members"] = study["reps"]
+    for size_key in ("reps", "members", "inner_paths", "env_cloud", "center_cloud", "kernel_cloud", "field_reps"):
         v = study[size_key]
         if not isinstance(v, int) or v < 1:
             violations.append(f"study.{size_key} must be a positive integer")
-    if study["members"] is None:
-        study["members"] = study["reps"]
 
     out_block = doc.get("output", {})
     if not isinstance(out_block, dict):
@@ -216,20 +224,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     cfg = ExperimentConfig(model_block, steps, study, out_dir)
-    model = cfg.build_model()  # surface model parameter errors now
-    violations = _study_violations(study, cfg.build_grid(), model.dim)
-    if violations:
-        raise ConfigError(violations)
+    cfg.validate()
     return cfg
 
 
 def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
     """Violations a study would otherwise hit mid-run: probe times off the
-    grid, and too few inner paths for the regression basis."""
+    grid, too few inner paths for the regression basis, and clt ensembles
+    too small to compare."""
     out = []
     metrics = study["metrics"]
     backward = "y" in metrics or "z" in metrics
     if study["kind"] == "clt":
+        for key in ("reps", "members"):
+            if study[key] < CLT_MIN_SAMPLES:
+                out.append(
+                    f"study.{key} must be at least {CLT_MIN_SAMPLES} for clt studies, "
+                    f"got {study[key]}"
+                )
         read = {"probe_times": "x" in metrics, "y_probe_times": backward, "lattice_times": True}
         for key in (k for k, used in read.items() if used):
             times = study[key]

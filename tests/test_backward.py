@@ -59,6 +59,16 @@ def test_shared_gram_fit_matches_per_target_reference():
         assert np.max(np.abs(coef[..., j] - ref_coef)) <= 1e-12 * np.max(np.abs(ref_coef))
 
 
+def test_round_off_spread_gives_zero_feature_columns():
+    # the mean of 128 copies of 0.7 is not 0.7 exactly, so their std is about
+    # 1e-16; scaling by it would make a +-1 copy of the intercept
+    states = np.full((1, 128, 1), 0.7)
+    assert states.std() > 0.0
+    feats = _features(states, 2)
+    assert np.all(feats[..., 0] == 1.0)
+    assert np.all(feats[..., 1:] == 0.0)
+
+
 def test_constant_terminal_no_driver_gives_flat_solution():
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=1.0, f0=0.0)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "flat", 0))

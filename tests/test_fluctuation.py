@@ -289,6 +289,38 @@ def test_limit_system_fits_the_ou_z_exactly():
     assert np.max(np.abs(res.zbar)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear"])
+def test_limit_system_invariant_under_chunk_size(name):
+    # members do not interact, so chunk only bounds memory
+    model = catalog_model(name)
+    grid = TimeGrid(1.0, 16)
+    law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 19))
+    runs = [
+        solve_limit_system(
+            model, law, grid, members=100, key=derive_key(ROOT, "chunk", 0),
+            kernel_cloud=1024, chunk=chunk,
+        )
+        for chunk in (1, 7, 512)
+    ]
+    for f in ("x", "xbar", "ybar", "zbar"):
+        for res in runs[1:]:
+            assert np.array_equal(getattr(res, f), getattr(runs[0], f)), f
+
+
+def test_limit_system_means_vanish_on_a_nonlinear_model():
+    # the limit system is linear in a centred field that is independent of
+    # each member's own noise, so xbar and ybar have mean zero
+    model = catalog_model("tanh_bounded")
+    grid = TimeGrid(1.0, 16)
+    law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 20))
+    res = solve_limit_system(
+        model, law, grid, members=2000, key=derive_key(ROOT, "ls", 3), kernel_cloud=1024
+    )
+    for probe, v in (("xbar@1", res.xbar[:, -1, 0]), ("ybar@0.5", res.ybar[:, grid.node_at(0.5)])):
+        se = v.std(ddof=1) / math.sqrt(len(v))
+        assert abs(v.mean()) <= 4 * se, (probe, v.mean(), se)
+
+
 def test_limit_system_decoupled_is_identically_zero():
     model = catalog_model("constant", b0=0.1, s=1.0, phi0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 14))

@@ -71,6 +71,25 @@ def test_too_few_inner_paths_rejected_before_compute():
         parse_config(json.dumps(_clt_doc(inner_paths=29, metrics=["x"], **kind)))
 
 
+def test_undersized_clt_ensembles_rejected_before_compute(tmp_path):
+    # clt_compare needs 200 samples per side; the study would raise after
+    # running every block and the limit system
+    for key in ("reps", "members"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(_clt_doc(**{"reps": 500, "members": 500, key: 199})))
+        assert err.value.violations == [f"study.{key} must be at least 200 for clt studies, got 199"]
+    parse_config(json.dumps(_clt_doc(reps=200, members=200)))
+    # the --reps flag overrides both after parsing
+    from mfbsde.cli import main
+
+    cfg_path = tmp_path / "clt.json"
+    cfg_path.write_text(json.dumps(_clt_doc(metrics=["x"])))
+    with pytest.raises(ConfigError) as err:
+        main(["clt", "--config", str(cfg_path), "--reps", "50", "--out", str(tmp_path / "out")])
+    assert len(err.value.violations) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_seed_is_reported_by_name():
     doc = {"model": {"name": "constant"}, "study": {"kind": "convergence", "n_values": [8, 16, 32]}}
     with pytest.raises(ConfigError) as err:
