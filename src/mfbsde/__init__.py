@@ -29,8 +29,8 @@ from .forward import (
 from .harness import (
     ExperimentConfig,
     StudyReport,
+    coupled_gaps,
     emit_report,
-    forward_errors,
     parse_config,
     run_clt_study,
     run_convergence_study,
@@ -54,11 +54,11 @@ __all__ = [
     "check_comparison",
     "check_gradients",
     "clt_compare",
+    "coupled_gaps",
     "derive_key",
     "emit_report",
     "empirical_fields",
     "env_average",
-    "forward_errors",
     "parse_config",
     "run_clt_study",
     "run_convergence_study",

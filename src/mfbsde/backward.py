@@ -4,8 +4,8 @@ All solvers share one backward-induction core: least-squares projection of
 the next-node value on polynomials of the conditioning state, a
 martingale-increment regression for the z component (centered by the fitted
 conditional mean, which leaves the conditional expectation unchanged but
-removes the dominant variance term), and a short fixed-point loop for the
-implicit driver step.
+removes the dominant variance term), and a fixed-point loop for the implicit
+driver step, iterated to tolerance.
 
 Conditioning on the state alone is only valid once the mean-field inputs are
 frozen.  The N-environment solver therefore works on blocks: every block
@@ -35,8 +35,11 @@ __all__ = [
     "check_comparison",
 ]
 
-Z_CAP_DEFAULT = 5.0
+# |z| above which a solve reports `z_cap_exceeded`
+_Z_CAP = 5.0
 _FIXPOINT_TOL = 1e-10
+# sweeps after which an unconverged driver step reports `fixpoint_not_contracted`
+_FIXPOINT_CAP = 50
 # relative spread below which a regression variable counts as constant
 _SPREAD_ROUNDOFF = 16 * np.finfo(float).eps
 
@@ -155,8 +158,6 @@ def _backward_induction(
     terminal: np.ndarray,      # (B, P)
     driver_fn: Optional[Callable],  # driver_fn(i, y, z) -> (B, P); None = no driver
     degree: int,
-    fix_sweeps: int,
-    z_cap: float = Z_CAP_DEFAULT,
 ):
     B, P, n1, _ = cond_states.shape
     n = grid.steps
@@ -173,6 +174,7 @@ def _backward_induction(
     coeffs = np.empty((n, B, k_basis))
     resid_rms = np.empty((n, B))
     contraction_flag = False
+    sweeps_run = 0
     for i in range(n - 1, -1, -1):
         feats = _features(cond_states[:, :, i, :], degree)
         gram = _gram(feats)
@@ -185,14 +187,21 @@ def _backward_induction(
         if driver_fn is None:
             y[:, :, i] = cond
         else:
+            # each block stops at its own tolerance, so a block's values do
+            # not depend on which blocks share its batch
             cur = cond
-            delta = 0.0
-            for _ in range(max(1, fix_sweeps)):
+            tol = _FIXPOINT_TOL * (1.0 + np.max(np.abs(cond), axis=1))
+            live = np.ones(B, dtype=bool)
+            for sweep in range(1, _FIXPOINT_CAP + 1):
                 nxt = cond + h * driver_fn(i, cur, z[:, :, i])
-                delta = float(np.max(np.abs(nxt - cur)))
-                cur = nxt
-            if delta > _FIXPOINT_TOL * (1.0 + float(np.max(np.abs(cur)))):
+                delta = np.max(np.abs(nxt - cur), axis=1)
+                cur = nxt if live.all() else np.where(live[:, None], nxt, cur)
+                live &= delta > tol
+                if not live.any():
+                    break
+            else:
                 contraction_flag = True
+            sweeps_run = max(sweeps_run, sweep)
             y[:, :, i] = cur
     z[:, :, n] = z[:, :, n - 1]
     artifacts = {
@@ -202,10 +211,9 @@ def _backward_induction(
         "basis_size": k_basis,
     }
     provenance = {
-        "fix_sweeps": int(max(1, fix_sweeps)) if driver_fn is not None else 0,
+        "fixpoint_sweeps": sweeps_run,
         "fixpoint_not_contracted": contraction_flag,
-        "z_cap": z_cap,
-        "z_cap_exceeded": bool(np.max(np.abs(z)) > z_cap),
+        "z_cap_exceeded": bool(np.max(np.abs(z)) > _Z_CAP),
     }
     return y, z, artifacts, provenance
 
@@ -218,7 +226,9 @@ def _self_average_driver(model: ModelSpec, x_nodes: np.ndarray):
     """Driver averaging over the ensemble's own (state, y) values.
 
     x_nodes is (B, P, n+1, d); the partner pool at node i is the block's own
-    (X_i, y_i) columns, refreshed on every fixed-point sweep.
+    (X_i, y_i) columns, refreshed on every fixed-point sweep.  This defines
+    the value law's fixed point (see `fluctuation.value_law`); a law that
+    already carries y answers the driver mean itself.
     """
 
     def driver(i, y, z):
@@ -235,14 +245,14 @@ def solve_mfbsde(
     dw: np.ndarray,
     grid: TimeGrid,
     degree: int = 2,
-    fix_sweeps: int = 2,
-    z_cap: float = Z_CAP_DEFAULT,
 ) -> BsdeSolution:
     """Backward solution of the mean-field limit equation on given paths.
 
     The terminal condition averages the terminal coefficient over the law
-    flow; the driver averages over the ensemble's own (state, y) values.
-    Regression conditions on the state at each node.
+    flow.  The driver does too when the law carries y values; otherwise it
+    averages over the ensemble's own (state, y) values, which is how
+    `value_law` finds the law's values in the first place.  Regression
+    conditions on the state at each node.
     """
     values = x_paths.values if isinstance(x_paths, PathEnsemble) else np.asarray(x_paths)
     if values.ndim == 3:
@@ -252,10 +262,12 @@ def solve_mfbsde(
     else:
         squeeze = False
     terminal = law_flow.average("terminal", values[:, :, -1, :], -1)
-    driver = _self_average_driver(model, values)
-    y, z, artifacts, prov = _backward_induction(
-        grid, values, dw, terminal, driver, degree, fix_sweeps, z_cap
-    )
+    if law_flow.has_y:
+        def driver(i, y, z):
+            return law_flow.average("driver", values[:, :, i, :], i, y, z)
+    else:
+        driver = _self_average_driver(model, values)
+    y, z, artifacts, prov = _backward_induction(grid, values, dw, terminal, driver, degree)
     prov["solver"] = "mf_limit"
     if squeeze:
         return BsdeSolution(grid, y[0], z[0], artifacts, prov)
@@ -280,8 +292,6 @@ def solve_bsde_n(
     sim: BlockSim,
     grid: TimeGrid,
     degree: int = 2,
-    fix_sweeps: int = 2,
-    z_cap: float = Z_CAP_DEFAULT,
 ) -> BsdeSolution:
     """Backward solution of the N-environment system on simulated blocks.
 
@@ -298,9 +308,7 @@ def solve_bsde_n(
         x = sim.xn[:, :, i, :]
         return env_average(model, "driver", x, *sim.partners(i), y, z, shift=shift)
 
-    y, z, artifacts, prov = _backward_induction(
-        grid, sim.xn, sim.dw, terminal, driver, degree, fix_sweeps, z_cap
-    )
+    y, z, artifacts, prov = _backward_induction(grid, sim.xn, sim.dw, terminal, driver, degree)
     B, P = sim.xn.shape[:2]
     prov["solver"] = "bsde_n"
     prov["environment_size"] = N
@@ -329,8 +337,6 @@ def solve_linear_limit_bsde(
     base_y: Optional[np.ndarray] = None,  # (B, P, n+1) base solution, for driver grads
     base_z: Optional[np.ndarray] = None,  # (B, P, n+1, d)
     degree: int = 2,
-    fix_sweeps: int = 2,
-    z_cap: float = Z_CAP_DEFAULT,
 ) -> BsdeSolution:
     """Backward solve of the linear fluctuation equation on member blocks.
 
@@ -362,9 +368,7 @@ def solve_linear_limit_bsde(
         return out if eta4 is None else eta4[:, i][:, None] + out
 
     states = np.concatenate([x, xbar], axis=-1)
-    y, z, artifacts, prov = _backward_induction(
-        grid, states, dw, terminal, driver, degree, fix_sweeps, z_cap
-    )
+    y, z, artifacts, prov = _backward_induction(grid, states, dw, terminal, driver, degree)
     prov["solver"] = "linear_limit"
     return BsdeSolution(
         grid,
@@ -387,7 +391,6 @@ def solve_plain_bsde(
     terminal_fn: Callable[[np.ndarray], np.ndarray],
     driver_fn: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     degree: int = 2,
-    fix_sweeps: int = 2,
 ) -> BsdeSolution:
     """Standard BSDE without mean-field terms: driver g(t, x, y, z)."""
     terminal = terminal_fn(x_paths[:, -1, :])[None]
@@ -397,7 +400,7 @@ def solve_plain_bsde(
         return driver_fn(t, x_paths[:, i, :], y[0], z[0])[None]
 
     y, z, artifacts, prov = _backward_induction(
-        grid, x_paths[None], dw[None], terminal, driver, degree, fix_sweeps
+        grid, x_paths[None], dw[None], terminal, driver, degree
     )
     prov["solver"] = "plain"
     return BsdeSolution(grid, y[0], z[0], artifacts, prov)

@@ -19,10 +19,10 @@ from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
 from .harness import (
     ConfigError,
     emit_report,
-    limit_laws,
     parse_config,
     run_clt_study,
     run_convergence_study,
+    study_law,
 )
 from .model import catalog_model
 from .noise import StreamKey, TimeGrid
@@ -42,13 +42,7 @@ def _build_model(block: dict):
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(Path(args.config).read_text())
-    except ConfigError as exc:
-        print("invalid configuration:")
-        for v in exc.violations:
-            print(f"  - {v}")
-        return 1
+    cfg = parse_config(Path(args.config).read_text())
     print(f"ok: {cfg.digest()} ({cfg.study['kind']} study, seed {cfg.study['seed']})")
     return 0
 
@@ -172,7 +166,7 @@ def _cmd_backward(args) -> int:
             file=sys.stderr,
         )
         return 1
-    law, env_law = limit_laws(model, grid, args.env_cloud, args.degree, root, not limit_mode)
+    law = study_law(model, grid, args.env_cloud, args.degree, root, not limit_mode)
     if limit_mode:
         if args.paths != "fresh":
             nodes, values = _read_paths_csv(args.paths, model.dim)
@@ -183,7 +177,7 @@ def _cmd_backward(args) -> int:
             dw = _invert_euler_increments(model, law, grid, values)
         else:
             sim = simulate_blocks(
-                model, 1, grid, law, law,
+                model, 1, grid, law,
                 n_blocks=1, inner=args.reps,
                 w_key=root.child("w", 0), env_key=root.child("envs", 0),
             )
@@ -193,7 +187,7 @@ def _cmd_backward(args) -> int:
     else:
         N = int(args.n)
         sim = simulate_blocks(
-            model, N, grid, env_law, law,
+            model, N, grid, law,
             n_blocks=args.reps, inner=args.inner,
             w_key=root.child("w", 0), env_key=root.child("envs", 0),
         )
@@ -262,7 +256,14 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_backward)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        # a study config fails before compute starts, so nothing was written
+        print("invalid configuration:")
+        for v in exc.violations:
+            print(f"  - {v}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -228,12 +228,13 @@ def value_law(
     size: int = 4096,
     degree: int = 2,
 ) -> LawFlow:
-    """Law carrying backward values: closed forms already do; clouds get a
-    fresh coupled simulation plus a backward solve attached."""
-    if law.use_closed_form and law.has_y:
+    """Law carrying backward values: a law that has them is returned as is;
+    otherwise a fresh cloud of ``size`` limit paths of ``law`` gets a backward
+    solve attached, its driver averaged over the cloud's own values."""
+    if law.has_y:
         return law
     sim = simulate_blocks(
-        model, 1, grid, law, law,
+        model, 1, grid, law,
         n_blocks=1, inner=size,
         w_key=key.child("vw", 0), env_key=key.child("ve", 0),
     )
@@ -456,7 +457,6 @@ def solve_limit_system(
     key: StreamKey,
     inner: int = 64,
     degree: int = 2,
-    fix_sweeps: int = 2,
     kernel_cloud: int = 4096,
     chunk: int = 512,
 ) -> LimitSystemResult:
@@ -472,7 +472,9 @@ def solve_limit_system(
     E'[g(X') xbar'] and E'[g(X') ybar'] is zero, since the field is centred
     and independent of the partner's own noise, and the first-order
     components are linear in it.  Members therefore do not interact, and
-    ``chunk`` only bounds memory: the output does not depend on it.
+    ``chunk`` only bounds memory: the output does not depend on it.  The
+    field kernel comes from ``law`` when it carries y values, else from a
+    value law of ``kernel_cloud`` paths built on it.
     """
     _require_additive_coupling(model, "limit-system integration")
     d = model.dim
@@ -541,7 +543,6 @@ def solve_limit_system(
             base_y=base_y,
             base_z=base_z,
             degree=degree,
-            fix_sweeps=fix_sweeps,
         )
         x[lo:hi] = x_in[:, 0]
         xbar[lo:hi] = xbar_in[:, 0]

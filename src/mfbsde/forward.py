@@ -350,7 +350,7 @@ def solve_sde_n(
     if not keys_disjoint(w_key, env_key):
         raise ValueError("w_key and env_key must address disjoint stream subtrees")
     sim = simulate_blocks(
-        model, N, grid, law, law,
+        model, N, grid, law,
         n_blocks=out_reps, inner=1,
         w_key=w_key, env_key=env_key.child("draws", 0), chunk=chunk,
     )
@@ -403,8 +403,7 @@ def simulate_blocks(
     model: ModelSpec,
     N: int,
     grid: TimeGrid,
-    env_law: LawFlow,
-    limit_law: LawFlow,
+    law: LawFlow,
     n_blocks: int,
     inner: int,
     w_key: StreamKey,
@@ -414,11 +413,12 @@ def simulate_blocks(
 ) -> BlockSim:
     """Simulate `n_blocks` blocks of `inner` coupled paths each.
 
-    Block b draws one environment of N partner paths from ``env_law`` under
+    Block b draws one environment of N partner paths from ``law`` under
     ``env_key.child("env", block_offset + b)`` and one (inner, steps, d)
     increment array under ``w_key.child("path", block_offset + b)``.  All
     inner paths of a block share the frozen environment; the limit paths use
-    ``limit_law`` coefficient means on the same increments.
+    the coefficient means of the same ``law`` on the same increments, so no
+    second law's sampling error enters the gap between the two.
     """
     n1 = grid.steps + 1
     d = model.dim
@@ -427,7 +427,7 @@ def simulate_blocks(
     dw_all = np.empty((n_blocks, inner, grid.steps, d))
     keys = []
     terminal_parts, driver_parts, pool_x, pool_y = [], [], [], []
-    limit_fns = _law_coefficients(limit_law)
+    limit_fns = _law_coefficients(law)
 
     # partner values enter only through the driver
     with_y = not model.env_free("driver")
@@ -440,7 +440,7 @@ def simulate_blocks(
         for row, rng in zip(dw, key_streams(w_keys)):
             rng.standard_normal(out=row)
         dw *= np.sqrt(grid.h)
-        env_x, env_y = env_law.sample_env(
+        env_x, env_y = law.sample_env(
             [env_key.child("env", b) for b in blocks], N, with_y=with_y
         )
         xn[lo:hi] = euler_paths(model, grid, dw, *_pool_coefficients(model, env_x))

@@ -29,7 +29,7 @@ from .fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from .forward import simulate_blocks, solve_limit_forward
+from .forward import LawFlow, simulate_blocks, solve_limit_forward
 from .model import CATALOG_NAMES, ModelSpec, catalog_model
 from .noise import StreamKey, TimeGrid
 
@@ -42,7 +42,8 @@ __all__ = [
     "run_clt_study",
     "emit_report",
     "fit_loglog_slope",
-    "forward_errors",
+    "coupled_gaps",
+    "study_law",
 ]
 
 SCHEMA_VERSION = 1
@@ -342,53 +343,36 @@ def _provenance(config: ExperimentConfig, extra: dict) -> dict:
 # convergence study
 
 
-def _sup_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-replication sup over nodes of the squared Euclidean gap."""
-    return np.max(np.sum((a - b) ** 2, axis=-1), axis=-1)
+def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, chunk, degree=None):
+    """Designated-path gaps, N-system minus limit, of ``blocks`` coupled blocks.
 
-
-def forward_errors(model, N, grid, law, reps, key, chunk=256) -> np.ndarray:
-    """Per-replication sup_t |X^N_t - X_t|^2 of coupled forward paths.
-
-    Replication r draws its N partners from ``law`` under
-    ``key.child("e", 0).child("env", r)`` and shares its Brownian stream
-    ``key.child("w", 0).child("path", r)`` with a limit path that takes the
-    coefficient means of ``law``, so the time-discretization bias is common
-    to both sides.
+    Block b draws its N partners from ``law`` under ``env_key.child("env", b)``
+    and its ``inner`` paths' increments under ``w_key.child("path", b)``; the
+    limit paths and the limit backward solve take their means from the same
+    law, so the time-discretization bias and the regression noise are common
+    to both sides.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
+    given, the y (B, n+1) and z (B, n+1, d) gaps of the backward solves at
+    that regression degree (else None).  Blocks run ``chunk`` at a time; the
+    gaps do not depend on ``chunk``.
     """
-    per_rep = np.empty(reps)
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        sim = simulate_blocks(
-            model, N, grid, law, law,
-            n_blocks=hi - lo, inner=1,
-            w_key=key.child("w", 0), env_key=key.child("e", 0),
-            block_offset=lo, chunk=chunk,
-        )
-        per_rep[lo:hi] = _sup_sq(sim.xn[:, 0], sim.xlim[:, 0])
-    return per_rep
-
-
-def _backward_errors(model, N, grid, env_law, limit_law, blocks, inner, degree, key, chunk):
-    """Per-block coupled errors: (sup-squared y gap, integrated z gap)."""
-    y_err = np.empty(blocks)
-    z_err = np.empty(blocks)
+    n1 = grid.steps + 1
+    x = np.empty((blocks, n1, model.dim))
+    y = z = None
+    if degree is not None:
+        y = np.empty((blocks, n1))
+        z = np.empty((blocks, n1, model.dim))
     for lo in range(0, blocks, chunk):
         hi = min(lo + chunk, blocks)
         sim = simulate_blocks(
-            model, N, grid, env_law, limit_law,
-            n_blocks=hi - lo, inner=inner,
-            w_key=key.child("w", 0), env_key=key.child("e", 0),
-            block_offset=lo, chunk=chunk,
+            model, N, grid, law, hi - lo, inner, w_key, env_key, block_offset=lo, chunk=chunk
         )
-        sol_n = solve_bsde_n(model, N, sim, grid, degree=degree)
-        sol_l = solve_mfbsde(model, limit_law, sim.xlim, sim.dw, grid, degree=degree)
-        yn, zn = sol_n.designated()
-        yl, zl = sol_l.designated()
-        y_err[lo:hi] = np.max((yn - yl) ** 2, axis=-1)
-        z_gap = np.sum((zn[:, :-1] - zl[:, :-1]) ** 2, axis=-1)
-        z_err[lo:hi] = grid.h * np.sum(z_gap, axis=-1)
-    return y_err, z_err
+        x[lo:hi] = sim.xn[:, 0] - sim.xlim[:, 0]
+        if degree is not None:
+            yn, zn = solve_bsde_n(model, N, sim, grid, degree=degree).designated()
+            yl, zl = solve_mfbsde(model, law, sim.xlim, sim.dw, grid, degree=degree).designated()
+            y[lo:hi] = yn - yl
+            z[lo:hi] = zn - zl
+    return x, y, z
 
 
 def _estimate(samples: np.ndarray) -> dict:
@@ -400,21 +384,20 @@ def _estimate(samples: np.ndarray) -> dict:
     }
 
 
-def limit_laws(
+def study_law(
     model: ModelSpec, grid: TimeGrid, env_cloud: int, degree: int, root: StreamKey, backward: bool
-):
-    """The limit law, and the law the N-systems draw environments from.
+) -> LawFlow:
+    """The one law a study reads: every environment and every limit-side mean.
 
-    Environments come from the limit law; the N-system's own law differs
-    from it by O(1/N), below every reported statistic.  When the backward
-    side runs and the driver reads partner y, they come from the limit law
-    with values attached (`value_law`), a fresh cloud of its own.  ``backward``
-    says whether an N-system's backward side runs.
+    It is the limit law; the N-system's own law differs from it by O(1/N),
+    below every reported statistic.  When the backward side runs
+    (``backward``) and the driver reads partner y, it is the limit law with
+    values attached (`value_law`), a cloud of ``env_cloud`` paths.
     """
     law = solve_limit_forward(model, grid, env_cloud, root.child("law", 0))
     if not backward or model.env_free("driver"):
-        return law, law
-    return law, value_law(model, law, grid, root.child("vlaw", 0), degree=degree)
+        return law
+    return value_law(model, law, grid, root.child("vlaw", 0), size=env_cloud, degree=degree)
 
 
 def run_convergence_study(config: ExperimentConfig) -> StudyReport:
@@ -425,9 +408,9 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     root = config.root_key()
     metrics = list(study["metrics"])
     need_backward = "y" in metrics or "z" in metrics
-    law, env_law = limit_laws(
-        model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward
-    )
+    law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward)
+    reps = int(study["reps"])
+    chunk = int(study["chunk"])
     reference_note = "closed_form"
     if law.kind == "cloud":
         # self-reference mode: the limit reference is the cloud law itself,
@@ -440,28 +423,26 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     per_metric: dict[str, dict[int, dict]] = {m: {} for m in metrics}
     for N in study["n_values"]:
         key_n = root.child("n", int(N))
+        errors = {}
         if "x" in metrics:
-            per_rep = forward_errors(
-                model, int(N), grid, env_law, int(study["reps"]), key_n.child("fwd", 0),
-                int(study["chunk"]),
+            fwd = key_n.child("fwd", 0)
+            x, _, _ = coupled_gaps(
+                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0), chunk
             )
-            est = _estimate(per_rep)
-            per_metric["x"][N] = est
-            rows.append({"N": int(N), "metric": "x_sup2", **est})
+            errors["x"] = np.max(np.sum(x**2, axis=-1), axis=-1)
         if need_backward:
-            y_err, z_err = _backward_errors(
-                model, int(N), grid, env_law, law,
-                int(study["reps"]), int(study["inner_paths"]), int(study["degree"]),
-                key_n.child("bwd", 0), int(study["chunk"]),
+            bwd = key_n.child("bwd", 0)
+            _, y, z = coupled_gaps(
+                model, int(N), grid, law, reps, int(study["inner_paths"]),
+                bwd.child("w", 0), bwd.child("e", 0), chunk, degree=int(study["degree"]),
             )
-            if "y" in metrics:
-                est = _estimate(y_err)
-                per_metric["y"][N] = est
-                rows.append({"N": int(N), "metric": "y_sup2", **est})
-            if "z" in metrics:
-                est = _estimate(z_err)
-                per_metric["z"][N] = est
-                rows.append({"N": int(N), "metric": "z_quad", **est})
+            errors["y"] = np.max(y**2, axis=-1)
+            errors["z"] = grid.h * np.sum(np.sum(z[:, :-1] ** 2, axis=-1), axis=-1)
+        for m, name in (("x", "x_sup2"), ("y", "y_sup2"), ("z", "z_quad")):
+            if m in metrics:
+                est = _estimate(errors[m])
+                per_metric[m][N] = est
+                rows.append({"N": int(N), "metric": name, **est})
 
     slopes = {}
     verdicts = []
@@ -524,68 +505,38 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     tol_var = float(study["variance_tolerance"])
     alpha = float(study["ks_alpha"])
     need_backward = "y" in metrics or "z" in metrics
-    law, env_law = limit_laws(
-        model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward
-    )
+    law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward)
     decoupled = model.env_free("drift") and model.env_free("diffusion")
-
-    # Each block takes its limit paths from the law its partners are drawn
-    # from: the sampling error of a second cloud would enter the sqrt(N)-scaled
-    # gaps as a bias.
+    chunk = int(study["chunk"])
+    scale = np.sqrt(N)
 
     # forward fluctuation samples
     forward_samples = {}
     x_fluct = None
     if "x" in metrics:
-        per_probe = {t: np.empty(reps) for t in study["probe_times"]}
-        chunk = int(study["chunk"])
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            sim = simulate_blocks(
-                model, N, grid, law, law,
-                n_blocks=hi - lo, inner=1,
-                w_key=root.child("fw", 0), env_key=root.child("fe", 0),
-                block_offset=lo, chunk=chunk,
-            )
-            gap = np.sqrt(N) * (sim.xn[:, 0] - sim.xlim[:, 0])
-            for t in study["probe_times"]:
-                per_probe[t][lo:hi] = gap[:, grid.node_at(t), 0]
-            if lo == 0:
-                x_fluct = gap
-        forward_samples = per_probe
+        x, _, _ = coupled_gaps(
+            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0), chunk
+        )
+        x_fluct = scale * x
+        forward_samples = {t: x_fluct[:, grid.node_at(t), 0] for t in study["probe_times"]}
 
     # backward fluctuation samples and z functionals
     backward_samples = None
     z_functionals = None
     if need_backward:
-        y_probe = {t: np.empty(reps) for t in study["y_probe_times"]}
-        z_funcs = {"one": np.empty(reps), "t": np.empty(reps)}
-        chunk = int(study["chunk"])
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            sim = simulate_blocks(
-                model, N, grid, env_law, env_law,
-                n_blocks=hi - lo, inner=int(study["inner_paths"]),
-                w_key=root.child("bw", 0), env_key=root.child("be", 0),
-                block_offset=lo, chunk=chunk,
-            )
-            sol_n = solve_bsde_n(model, N, sim, grid, degree=int(study["degree"]))
-            sol_l = solve_mfbsde(
-                model, env_law, sim.xlim, sim.dw, grid, degree=int(study["degree"])
-            )
-            yn, zn = sol_n.designated()
-            yl, zl = sol_l.designated()
-            y_gap = np.sqrt(N) * (yn - yl)
-            z_gap = np.sqrt(N) * (zn - zl)
-            for t in study["y_probe_times"]:
-                y_probe[t][lo:hi] = y_gap[:, grid.node_at(t)]
-            nodes = grid.nodes[:-1]
-            z_funcs["one"][lo:hi] = grid.h * np.sum(z_gap[:, :-1, 0], axis=1)
-            z_funcs["t"][lo:hi] = grid.h * np.einsum("i,ri->r", nodes, z_gap[:, :-1, 0])
+        _, y, z = coupled_gaps(
+            model, N, grid, law, reps, int(study["inner_paths"]),
+            root.child("bw", 0), root.child("be", 0), chunk, degree=int(study["degree"]),
+        )
+        y_gap = scale * y
+        z_gap = (scale * z)[:, :-1, 0]
         if "y" in metrics:
-            backward_samples = y_probe
+            backward_samples = {t: y_gap[:, grid.node_at(t)] for t in study["y_probe_times"]}
         if "z" in metrics:
-            z_functionals = z_funcs
+            z_functionals = {
+                "one": grid.h * np.sum(z_gap, axis=1),
+                "t": grid.h * np.einsum("i,ri->r", grid.nodes[:-1], z_gap),
+            }
 
     limit = solve_limit_system(
         model, law, grid,

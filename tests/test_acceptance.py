@@ -21,7 +21,13 @@ from mfbsde.fluctuation import (
     value_law,
 )
 from mfbsde.forward import simulate_blocks, solve_limit_forward
-from mfbsde.harness import emit_report, parse_config, run_clt_study, run_convergence_study
+from mfbsde.harness import (
+    coupled_gaps,
+    emit_report,
+    parse_config,
+    run_clt_study,
+    run_convergence_study,
+)
 from mfbsde.model import CATALOG_NAMES, catalog_model, check_gradients, random_probes
 from mfbsde.noise import StreamKey, TimeGrid, derive_key
 
@@ -102,6 +108,42 @@ def test_criterion_02_backward_rate():
     )
 
 
+# -- criterion 2b: backward rate of a driver that reads partner y ------------
+
+
+def test_criterion_02b_value_law_backward_rate():
+    # tanh_bounded's driver averages partner y, so both sides of every block
+    # read the value law; N runs to 32 times the inner paths, where a limit
+    # driver averaged over a block's own paths would leave an N-independent
+    # floor and flatten N * err
+    n_values = [64, 128, 256, 512, 1024]
+    cfg = parse_config(
+        json.dumps(
+            {
+                "model": {"name": "tanh_bounded"},
+                "grid": {"steps": 16},
+                "study": {
+                    "kind": "convergence",
+                    "n_values": n_values,
+                    "reps": 512,
+                    "inner_paths": 32,
+                    "metrics": ["y"],
+                    "seed": SEED,
+                },
+            }
+        )
+    )
+    report = run_convergence_study(cfg)
+    slope = report.slopes["y"]["slope"]
+    err = {row["N"]: row["value"] for row in report.tables["errors"]}
+    ratio = (n_values[-1] * err[n_values[-1]]) / (n_values[0] * err[n_values[0]])
+    _verdict(
+        "2b value-law backward rate",
+        -1.3 <= slope <= -0.7 and ratio <= 1.35,
+        f"y slope {slope:.4f} in [-1.3, -0.7]; N*err(1024) / N*err(64) = {ratio:.3f} <= 1.35",
+    )
+
+
 # -- criterion 3: exactness on decoupling ------------------------------------
 
 
@@ -111,7 +153,7 @@ def test_criterion_03_decoupled_exactness():
     ok = True
     for N in (8, 64, 256):
         sim = simulate_blocks(
-            model, N, GRID, law, law,
+            model, N, GRID, law,
             n_blocks=1, inner=512,
             w_key=derive_key(ROOT, "c3w", N), env_key=derive_key(ROOT, "c3e", N),
         )
@@ -130,18 +172,10 @@ def test_criterion_03_decoupled_exactness():
 def ou_clt_data():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c4law", 0))
-    reps = 4000
-    samples = np.empty(reps)
-    chunk = 500
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        sim = simulate_blocks(
-            model, 256, GRID, law, law,
-            n_blocks=hi - lo, inner=1,
-            w_key=derive_key(ROOT, "c4w", 0), env_key=derive_key(ROOT, "c4e", 0),
-            block_offset=lo,
-        )
-        samples[lo:hi] = 16.0 * (sim.xn[:, 0, -1, 0] - sim.xlim[:, 0, -1, 0])
+    x, _, _ = coupled_gaps(
+        model, 256, GRID, law, 4000, 1, derive_key(ROOT, "c4w", 0), derive_key(ROOT, "c4e", 0), 500
+    )
+    samples = 16.0 * x[:, -1, 0]
     limit = solve_limit_system(
         model, law, GRID, members=4000, key=derive_key(ROOT, "c4ls", 0), inner=64
     )
@@ -166,23 +200,12 @@ def test_criterion_04_clt_variance(ou_clt_data):
 def mf_y_fluct_data():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c5law", 0))
-    reps = 4000
     node = GRID.node_at(0.5)
-    samples = np.empty(reps)
-    chunk = 250
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        sim = simulate_blocks(
-            model, 256, GRID, law, law,
-            n_blocks=hi - lo, inner=128,
-            w_key=derive_key(ROOT, "c5w", 0), env_key=derive_key(ROOT, "c5e", 0),
-            block_offset=lo,
-        )
-        sol_n = solve_bsde_n(model, 256, sim, GRID)
-        sol_l = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
-        yn, _ = sol_n.designated()
-        yl, _ = sol_l.designated()
-        samples[lo:hi] = 16.0 * (yn[:, node] - yl[:, node])
+    _, y, _ = coupled_gaps(
+        model, 256, GRID, law, 4000, 128,
+        derive_key(ROOT, "c5w", 0), derive_key(ROOT, "c5e", 0), 250, degree=2,
+    )
+    samples = 16.0 * y[:, node]
     limit = solve_limit_system(
         model, law, GRID, members=4000, key=derive_key(ROOT, "c5ls", 0), inner=64
     )
@@ -249,7 +272,7 @@ def test_criterion_07_z_boundedness():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c7law", 0))
     for N in N_GRID:
         sim = simulate_blocks(
-            model, N, GRID, law, law,
+            model, N, GRID, law,
             n_blocks=16, inner=256,
             w_key=derive_key(ROOT, "c7w", N), env_key=derive_key(ROOT, "c7e", N),
         )
@@ -261,7 +284,7 @@ def test_criterion_07_z_boundedness():
     vlaw_t = value_law(model_t, law_t, GRID, derive_key(ROOT, "c7tv", 0))
     for N in N_GRID:
         sim = simulate_blocks(
-            model_t, N, GRID, vlaw_t, law_t,
+            model_t, N, GRID, vlaw_t,
             n_blocks=16, inner=256,
             w_key=derive_key(ROOT, "c7tbw", N), env_key=derive_key(ROOT, "c7tbe", N),
         )
@@ -277,7 +300,7 @@ def test_criterion_08_comparison_property():
     model = catalog_model("constant", b0=0.0, s=1.0, x0=0.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "c8law", 0))
     sim = simulate_blocks(
-        model, 1, GRID, law, law, 1, 256,
+        model, 1, GRID, law, 1, 256,
         derive_key(ROOT, "c8w", 0), derive_key(ROOT, "c8e", 0),
     )
     x, dw = sim.xlim[0], sim.dw[0]
@@ -319,7 +342,7 @@ def test_criterion_09_hoelder_in_time():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c9law", 0))
     sim = simulate_blocks(
-        model, 64, GRID, law, law,
+        model, 64, GRID, law,
         n_blocks=64, inner=128,
         w_key=derive_key(ROOT, "c9w", 0), env_key=derive_key(ROOT, "c9e", 0),
     )

@@ -29,7 +29,6 @@ def _paths_and_increments(model, grid, count, key, law=None):
         1,
         grid,
         law,
-        law,
         n_blocks=1,
         inner=count,
         w_key=derive_key(key, "w", 0),
@@ -69,6 +68,18 @@ def test_round_off_spread_gives_zero_feature_columns():
     assert np.all(feats[..., 1:] == 0.0)
 
 
+def test_value_law_fixed_point_reaches_its_tolerance():
+    # the value law's own solve averages tanh_bounded's driver over the
+    # cloud's y, so each driver step is implicit and must converge
+    grid = TimeGrid(1.0, 16)
+    model = catalog_model("tanh_bounded")
+    law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "vlaw", 0))
+    x, dw, _ = _paths_and_increments(model, grid, 1024, derive_key(ROOT, "vlp", 0), law)
+    sol = solve_mfbsde(model, law, x, dw, grid)
+    assert not sol.provenance["fixpoint_not_contracted"]
+    assert 2 < sol.provenance["fixpoint_sweeps"] < 50
+
+
 def test_constant_terminal_no_driver_gives_flat_solution():
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=1.0, f0=0.0)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "flat", 0))
@@ -91,7 +102,7 @@ def test_mf_linear_limit_solution_matches_closed_form():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=1.0, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 1))
     sim = simulate_blocks(
-        model, 1, GRID, law, law,
+        model, 1, GRID, law,
         n_blocks=1, inner=4096,
         w_key=derive_key(ROOT, "mfw", 0), env_key=derive_key(ROOT, "mfe", 0),
     )
@@ -107,7 +118,7 @@ def test_decoupled_bsde_n_equals_limit_solution_bit_exactly():
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 2))
     for N in (1, 16):
         sim = simulate_blocks(
-            model, N, GRID, law, law,
+            model, N, GRID, law,
             n_blocks=1, inner=128,
             w_key=derive_key(ROOT, "dw", N), env_key=derive_key(ROOT, "de", N),
         )
@@ -123,7 +134,7 @@ def test_trivial_terminal_for_every_environment_size():
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 3))
     for N in (1, 8):
         sim = simulate_blocks(
-            model, N, GRID, law, law, 1, 64,
+            model, N, GRID, law, 1, 64,
             derive_key(ROOT, "tw", N), derive_key(ROOT, "te", N),
         )
         sol = solve_bsde_n(model, N, sim, GRID)
@@ -135,7 +146,7 @@ def test_terminal_values_are_exact_per_replication():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
     sim = simulate_blocks(
-        model, 8, GRID, law, law, 4, 64,
+        model, 8, GRID, law, 4, 64,
         derive_key(ROOT, "term", 0), derive_key(ROOT, "terme", 0),
     )
     sol = solve_bsde_n(model, 8, sim, GRID)
@@ -152,7 +163,7 @@ def test_martingale_property_without_driver():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 5))
     sim = simulate_blocks(
-        model, 1, GRID, law, law, 1, 4096,
+        model, 1, GRID, law, 1, 4096,
         derive_key(ROOT, "mart", 0), derive_key(ROOT, "marte", 0),
     )
     sol = solve_mfbsde(model, law, sim.xlim[0], sim.dw[0], GRID)
@@ -168,7 +179,7 @@ def test_mf_bsde_linear_error_ratio_between_environment_sizes():
     errors = {}
     for N in (16, 64):
         sim = simulate_blocks(
-            model, N, GRID, law, law,
+            model, N, GRID, law,
             n_blocks=600, inner=128,
             w_key=derive_key(ROOT, "rw", N), env_key=derive_key(ROOT, "re", N),
         )
@@ -185,7 +196,7 @@ def test_z_values_stay_bounded_on_benchmarks():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 7))
     sim = simulate_blocks(
-        model, 32, GRID, law, law, 16, 256,
+        model, 32, GRID, law, 16, 256,
         derive_key(ROOT, "zb", 0), derive_key(ROOT, "zbe", 0),
     )
     sol = solve_bsde_n(model, 32, sim, GRID)
@@ -268,7 +279,7 @@ def test_hoelder_in_time_scaling_of_y():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
     sim = simulate_blocks(
-        model, 64, GRID, law, law, 64, 128,
+        model, 64, GRID, law, 64, 128,
         derive_key(ROOT, "hw", 0), derive_key(ROOT, "he", 0),
     )
     sol = solve_bsde_n(model, 64, sim, GRID)
@@ -286,7 +297,7 @@ def test_linear_limit_bsde_zero_forcing_gives_zero():
     model = catalog_model("constant", b0=0.1, s=1.0, phi0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 9))
     sim = simulate_blocks(
-        model, 1, GRID, law, law, 8, 64,
+        model, 1, GRID, law, 8, 64,
         derive_key(ROOT, "llw", 0), derive_key(ROOT, "lle", 0),
     )
     xbar = np.zeros_like(sim.xlim)
@@ -303,7 +314,7 @@ def test_linear_limit_bsde_terminal_mean_near_zero():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 10))
     B = 64
     sim = simulate_blocks(
-        model, 1, GRID, law, law, B, 64,
+        model, 1, GRID, law, B, 64,
         derive_key(ROOT, "lmw", 0), derive_key(ROOT, "lme", 0),
     )
     rng = generator(derive_key(ROOT, "llf", 0))

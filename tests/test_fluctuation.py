@@ -345,7 +345,7 @@ def test_residual_field_variance_decays():
         for lo in range(0, n_pairs, chunk):
             hi = min(lo + chunk, n_pairs)
             sim = simulate_blocks(
-                model, N, GRID, law, law,
+                model, N, GRID, law,
                 n_blocks=hi - lo, inner=1,
                 w_key=key.child("w", 0), env_key=key.child("e", 0),
                 block_offset=lo,

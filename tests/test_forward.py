@@ -13,7 +13,7 @@ from mfbsde.forward import (
     solve_limit_forward,
     solve_sde_n,
 )
-from mfbsde.harness import forward_errors
+from mfbsde.harness import coupled_gaps
 from mfbsde.model import catalog_model
 from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
@@ -211,10 +211,16 @@ def test_classical_system_single_particle_matches_sde_n():
     assert np.array_equal(res.paths.values[0], classical.values[0])
 
 
+def _x_sup2(model, N, grid, law, reps, key):
+    """Per-replication sup_t |X^N_t - X_t|^2 of the coupled route's one-path blocks."""
+    x, _, _ = coupled_gaps(model, N, grid, law, reps, 1, key.child("w", 0), key.child("e", 0), 256)
+    return np.max(np.sum(x**2, axis=-1), axis=-1)
+
+
 def test_forward_error_zero_for_decoupled_model():
     model = catalog_model("constant", b0=0.2, s=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 12))
-    per_rep = forward_errors(model, 16, GRID, law, 50, derive_key(ROOT, "fz", 0))
+    per_rep = _x_sup2(model, 16, GRID, law, 50, derive_key(ROOT, "fz", 0))
     assert np.all(per_rep == 0.0)
 
 
@@ -223,7 +229,7 @@ def test_forward_error_decays_with_environment_size():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 7))
     errs = {}
     for N in (16, 64):
-        errs[N] = forward_errors(model, N, GRID, law, 2000, derive_key(ROOT, "fe", N)).mean()
+        errs[N] = _x_sup2(model, N, GRID, law, 2000, derive_key(ROOT, "fe", N)).mean()
     ratio = errs[64] / errs[16]
     assert 0.125 <= ratio <= 0.5
 
@@ -231,8 +237,8 @@ def test_forward_error_decays_with_environment_size():
 def test_forward_error_monotone_in_n_spot_check():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
-    err1 = forward_errors(model, 1, GRID, law, 2000, derive_key(ROOT, "m1", 0)).mean()
-    err4 = forward_errors(model, 4, GRID, law, 2000, derive_key(ROOT, "m4", 0)).mean()
+    err1 = _x_sup2(model, 1, GRID, law, 2000, derive_key(ROOT, "m1", 0)).mean()
+    err4 = _x_sup2(model, 4, GRID, law, 2000, derive_key(ROOT, "m4", 0)).mean()
     assert np.isfinite(err1) and np.isfinite(err4)
     assert err4 < err1
 
@@ -252,7 +258,7 @@ def test_blocks_share_environment_and_increments():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 10))
     sim = simulate_blocks(
-        model, 8, GRID, law, law, n_blocks=4, inner=16, w_key=W_KEY, env_key=ENV_KEY
+        model, 8, GRID, law, n_blocks=4, inner=16, w_key=W_KEY, env_key=ENV_KEY
     )
     assert sim.xn.shape == (4, 16, 65, 1)
     assert sim.xlim.shape == (4, 16, 65, 1)
@@ -278,8 +284,8 @@ def test_nonseparable_env_average_matches_separable_path():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 11))
     kw = derive_key(ROOT, "cmp", 0)
     ke = derive_key(ROOT, "cmpe", 0)
-    a = simulate_blocks(model, 8, GRID, law, law, 3, 4, kw, ke)
-    b = simulate_blocks(generic, 8, GRID, law, law, 3, 4, kw, ke)
+    a = simulate_blocks(model, 8, GRID, law, 3, 4, kw, ke)
+    b = simulate_blocks(generic, 8, GRID, law, 3, 4, kw, ke)
     assert np.allclose(a.xn, b.xn, atol=1e-10)
 
 
@@ -292,11 +298,10 @@ def test_blocks_invariant_under_chunk_size(name):
     grid = TimeGrid(1.0, 16)
     model = catalog_model(name, x0=1.0)
     law = solve_limit_forward(model, grid, 512, derive_key(ROOT, "law", 13))
-    env_law = law
     if not model.env_free("driver"):
-        env_law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 0), size=256)
+        law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 0), size=256)
     sims = [
-        simulate_blocks(model, 8, grid, env_law, law, 20, 4, W_KEY, ENV_KEY, chunk=c)
+        simulate_blocks(model, 8, grid, law, 20, 4, W_KEY, ENV_KEY, chunk=c)
         for c in (1, 7, 256)
     ]
     assert (sims[0].driver_curve is not None) == (name == "tanh_bounded")

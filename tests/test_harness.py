@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,14 +7,17 @@ import pytest
 
 from mfbsde.harness import (
     ConfigError,
+    coupled_gaps,
     emit_report,
     fit_loglog_slope,
     parse_config,
     run_clt_study,
     run_convergence_study,
+    study_law,
     StudyReport,
 )
-from mfbsde.noise import StreamKey, generator
+from mfbsde.model import catalog_model
+from mfbsde.noise import StreamKey, TimeGrid, generator
 
 
 MINIMAL = {
@@ -71,7 +75,7 @@ def test_too_few_inner_paths_rejected_before_compute():
         parse_config(json.dumps(_clt_doc(inner_paths=29, metrics=["x"], **kind)))
 
 
-def test_undersized_clt_ensembles_rejected_before_compute(tmp_path):
+def test_undersized_clt_ensembles_rejected_before_compute(tmp_path, capsys):
     # clt_compare needs 200 samples per side; the study would raise after
     # running every block and the limit system
     for key in ("reps", "members"):
@@ -84,9 +88,10 @@ def test_undersized_clt_ensembles_rejected_before_compute(tmp_path):
 
     cfg_path = tmp_path / "clt.json"
     cfg_path.write_text(json.dumps(_clt_doc(metrics=["x"])))
-    with pytest.raises(ConfigError) as err:
-        main(["clt", "--config", str(cfg_path), "--reps", "50", "--out", str(tmp_path / "out")])
-    assert len(err.value.violations) == 2
+    capsys.readouterr()
+    assert main(["clt", "--config", str(cfg_path), "--reps", "50", "--out", str(tmp_path / "out")]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "invalid configuration:" and len(printed) == 3
     assert not (tmp_path / "out").exists()
 
 
@@ -337,6 +342,34 @@ def test_clt_fluctuations_centred_on_a_value_law_model():
     for probe in ("x@1.0", "y@0.5"):
         row = probes[probe]["approx"]
         assert abs(row["mean"]) <= 4 * row["mean_se"], (probe, row)
+
+
+def _own_y_tanh():
+    """tanh_bounded plus an own-y driver term: every driver step is implicit,
+    and blocks reach the fixed-point tolerance after different sweep counts."""
+    model = catalog_model("tanh_bounded", x0=1.0)
+    base = model.driver
+    return dataclasses.replace(
+        model, driver=lambda x, y, z, ex, ey: base(x, y, z, ex, ey) + 0.5 * np.sin(y)
+    )
+
+
+@pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear", "own_y_tanh"])
+def test_coupled_gaps_invariant_under_chunk_size(name):
+    # every block's draws, forward paths and backward solves depend on its
+    # keys alone, so the chunking of blocks cannot change a single bit
+    grid = TimeGrid(1.0, 16)
+    model = _own_y_tanh() if name == "own_y_tanh" else catalog_model(name, x0=1.0)
+    root = StreamKey(seed=9301)
+    law = study_law(model, grid, 256, 2, root, backward=True)
+    assert law.has_y
+    w_key, env_key = root.child("w", 0), root.child("e", 0)
+    runs = [coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, c, degree=2) for c in (1, 7, 256)]
+    assert [g.shape for g in runs[0]] == [(20, 17, 1), (20, 17), (20, 17, 1)]
+    assert np.any(runs[0][1] != 0.0)
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
 
 
 def test_cli_validate_and_forward(tmp_path):
