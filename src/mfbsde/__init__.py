@@ -14,7 +14,6 @@ from .fluctuation import (
     FieldLattice,
     clt_compare,
     empirical_fields,
-    sample_field_along_path,
     sample_field_on_lattice,
     solve_limit_system,
     theoretical_covariance,
@@ -62,7 +61,6 @@ __all__ = [
     "parse_config",
     "run_clt_study",
     "run_convergence_study",
-    "sample_field_along_path",
     "sample_field_on_lattice",
     "solve_bsde_n",
     "solve_classical_system",

@@ -82,7 +82,7 @@ def _cmd_clt(args) -> int:
         if args.lattice is not None:
             lat = json.loads(Path(args.lattice).read_text())
             doc["study"]["lattice_times"] = lat.get("times", [0.25, 0.5, 1.0])
-            doc["study"]["lattice_probes"] = lat.get("probes", [[0.0]])
+            doc["study"]["lattice_probes"] = lat.get("probes")
         cfg = parse_config(json.dumps(doc))
         if args.out is not None:
             cfg.out_dir = args.out

@@ -3,13 +3,13 @@
 The normalized environment averages of each coefficient, centered at their
 expectations, form random fields indexed by (time, probe point).  This module
 estimates those fields empirically, builds the limit covariance kernels from
-a cloud of base-system paths, samples the limit Gaussian field (on a lattice
-or jointly along a path), integrates the linearized first-order system driven
-by that field, and runs the statistical comparisons between the two.
+a cloud of base-system paths, samples the limit Gaussian field, integrates
+the linearized first-order system driven by that field, and runs the
+statistical comparisons between the two.
 
 When the partner enters every coefficient additively, the field kernels do
 not depend on the probe point, so one kernel factorization serves every
-member path; the path sampler and the limit system accept only that coupling.
+member path; the limit system accepts only that coupling.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ __all__ = [
     "FieldLattice",
     "CovarianceMatrix",
     "FieldSample",
-    "PathFieldSample",
     "LimitSystemResult",
     "empirical_fields",
     "theoretical_covariance",
     "sample_field_on_lattice",
-    "sample_field_along_path",
     "solve_limit_system",
     "clt_compare",
     "value_law",
@@ -154,7 +152,6 @@ class CovarianceMatrix:
     entries: list
     cloud_size: int
     jitter: float = 0.0
-    symmetrized: bool = True
     _chol: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
@@ -213,7 +210,9 @@ def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
 
 
 def law_cloud(law: LawFlow, size: int, key: StreamKey, with_y: bool = True):
-    """A (paths, y) cloud drawn from the law; reuses cloud laws directly."""
+    """A (paths, y) cloud of the law: a closed-form law draws ``size`` paths
+    under ``key``; a cloud law returns its own whole cloud, whatever ``size``
+    says."""
     if law.use_closed_form:
         x, y = law.sample_env([key], size, with_y=with_y)
         return x[0], None if y is None else y[0]
@@ -277,21 +276,6 @@ class FieldSample:
     values: np.ndarray  # (reps, L)
     key: StreamKey
 
-    def column(self, cov_or_entries, **query) -> np.ndarray:
-        entries = (
-            cov_or_entries.entries
-            if isinstance(cov_or_entries, CovarianceMatrix)
-            else cov_or_entries
-        )
-        idx = [
-            i
-            for i, e in enumerate(entries)
-            if all(e.get(k) == v for k, v in query.items())
-        ]
-        if len(idx) != 1:
-            raise KeyError(f"query {query} matched {len(idx)} entries")
-        return self.values[:, idx[0]]
-
 
 def sample_field_on_lattice(
     cov: CovarianceMatrix, key: StreamKey, count: int = 1
@@ -304,18 +288,6 @@ def sample_field_on_lattice(
 
 # ---------------------------------------------------------------------------
 # fields along paths
-
-
-@dataclass
-class PathFieldSample:
-    """Joint field values along one path: drift (n+1, d), diffusion
-    (n+1, d, d), terminal scalar, driver curve (n+1,)."""
-
-    drift: np.ndarray
-    diffusion: np.ndarray
-    terminal: float
-    driver: np.ndarray
-    key: StreamKey
 
 
 def _path_kernel(
@@ -346,41 +318,6 @@ def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
     n1 = grid.steps + 1
     drift, diffusion, terminal, driver = np.split(raw, np.cumsum([n1 * d, n1 * d * d, 1]), axis=1)
     return drift.reshape(-1, n1, d), diffusion.reshape(-1, n1, d, d), terminal[:, 0], driver
-
-
-def _require_additive_coupling(model: ModelSpec, what: str) -> None:
-    if not model.separable:
-        raise NotImplementedError(
-            f"{what} requires a separable partner coupling; non-separable "
-            "fields vary in space and need per-member lattices"
-        )
-
-
-def sample_field_along_path(
-    model: ModelSpec,
-    law: LawFlow,
-    grid: TimeGrid,
-    x_path: np.ndarray,
-    key: StreamKey,
-    kernel: Optional[CovarianceMatrix] = None,
-    kernel_cloud: int = 4096,
-    kernel_key: Optional[StreamKey] = None,
-) -> PathFieldSample:
-    """Joint sample of all four fields at the path's space-time points.
-
-    The fields are independent of the driving noise, so conditionally on the
-    path this is an exact Gaussian draw with the kernel restricted to the
-    path's points.  With an additive partner coupling the kernel does not
-    depend on the path, so one kernel serves every path (pass it via
-    ``kernel`` to amortize the factorization).
-    """
-    _require_additive_coupling(model, "path field sampling")
-    if kernel is None:
-        x_cloud, y_cloud = law_cloud(law, kernel_cloud, kernel_key or key.child("kern", 0))
-        kernel = _path_kernel(model, grid, x_cloud, y_cloud)
-    raw = sample_field_on_lattice(kernel, key, count=1).values
-    drift, diffusion, terminal, driver = _split_path_field(model, grid, raw)
-    return PathFieldSample(drift[0], diffusion[0], float(terminal[0]), driver[0], key)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +394,7 @@ def solve_limit_system(
     key: StreamKey,
     inner: int = 64,
     degree: int = 2,
-    kernel_cloud: int = 4096,
+    cloud_size: int = 4096,
     chunk: int = 512,
 ) -> LimitSystemResult:
     """Ensemble of the linearized limit system.
@@ -474,9 +411,15 @@ def solve_limit_system(
     components are linear in it.  Members therefore do not interact, and
     ``chunk`` only bounds memory: the output does not depend on it.  The
     field kernel comes from ``law`` when it carries y values, else from a
-    value law of ``kernel_cloud`` paths built on it.
+    value law of ``cloud_size`` paths built on it; either way a cloud law
+    gives its whole cloud and a closed-form law ``cloud_size`` draws (see
+    `law_cloud`).
     """
-    _require_additive_coupling(model, "limit-system integration")
+    if not model.separable:
+        raise NotImplementedError(
+            "limit-system integration requires a separable partner coupling; "
+            "non-separable fields vary in space and need per-member lattices"
+        )
     d = model.dim
     n = grid.steps
     n1 = n + 1
@@ -486,8 +429,8 @@ def solve_limit_system(
     # inner ensemble comfortably above ten times the basis size
     basis = len(_exponent_tuples(2 * d, degree))
     inner = max(inner, 10 * basis)
-    vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=kernel_cloud, degree=degree)
-    kx, ky = law_cloud(vlaw, kernel_cloud, key.child("kern", 0))
+    vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=cloud_size, degree=degree)
+    kx, ky = law_cloud(vlaw, cloud_size, key.child("kern", 0))
     kernel = _path_kernel(model, grid, kx, ky)
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members).values
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)

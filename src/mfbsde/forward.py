@@ -52,14 +52,6 @@ class PathEnsemble:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("path ensemble contains non-finite values")
 
-    @property
-    def reps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
 
 def keys_disjoint(a: StreamKey, b: StreamKey) -> bool:
     """True when neither key addresses a sub-stream of the other."""
@@ -163,26 +155,6 @@ class LawFlow:
             if with_y:
                 y[lo:hi] = cf.y_path(t, w)
         return x, y
-
-    # -- summary curves -------------------------------------------------------
-
-    def mean_curve(self) -> np.ndarray:
-        if self.use_closed_form:
-            return self.model.closed_form.mean(self.grid.nodes)
-        return self.cloud.mean(axis=0)
-
-    def var_curve(self) -> np.ndarray:
-        if self.use_closed_form:
-            cf = self.model.closed_form
-            nodes = self.grid.nodes
-            # diffusion_mean is state-independent for closed-form catalog laws
-            out = np.empty((nodes.size, self.model.dim))
-            x_ref = self.model.x0
-            for i, t in enumerate(nodes):
-                sig = cf.diffusion_mean(x_ref, float(t))
-                out[i] = np.diag(sig @ sig.T) * t
-            return out
-        return self.cloud.var(axis=0)
 
     # -- mean-field coefficient averages --------------------------------------
 

@@ -63,24 +63,27 @@ _STUDY_DEFAULTS = {
     "members": None,          # defaults to reps
     "inner_paths": 128,
     "degree": 2,
-    "env_cloud": 4096,
-    "center_cloud": 8192,
-    "kernel_cloud": 4096,
+    "env_cloud": 4096,        # sizes every cloud a study draws
     "field_reps": 10_000,
-    "metrics": None,          # defaults by kind
+    "metrics": None,          # defaults to x, y and z
     "probe_times": [1.0],
     "y_probe_times": [0.5],
     "lattice_times": [0.25, 0.5, 1.0],
-    "lattice_probes": [[0.0]],
-    "variance_tolerance": 0.15,
-    "ks_alpha": 0.01,
-    "slope_band_x": [-1.25, -0.75],
-    "slope_band_y": [-1.3, -0.7],
-    "slope_band_z": [-1.3, -0.7],
-    "exact_tol": 1e-20,
+    "lattice_probes": None,   # defaults to the origin of the state space
     "seed": None,
-    "chunk": 256,
 }
+_METRICS = ("x", "y", "z")
+
+# verdict thresholds
+_SLOPE_BANDS = {"x": [-1.25, -0.75], "y": [-1.3, -0.7], "z": [-1.3, -0.7]}
+_VARIANCE_TOLERANCE = 0.15
+_KS_ALPHA = 0.01
+# below this, an error series is roundoff of an identically-zero quantity
+# (statistical error scales here are > 1e-10), not a rate to fit
+_EXACT_TOL = 1e-20
+# blocks simulated at a time; every route is chunk-invariant, so it only
+# bounds memory
+_CHUNK = 256
 
 
 class ConfigError(ValueError):
@@ -106,7 +109,7 @@ class ExperimentConfig:
         return catalog_model(name, **block)
 
     def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.study.get("horizon", self.model_block.get("T", 1.0)), self.steps)
+        return TimeGrid(self.model_block.get("T", 1.0), self.steps)
 
     def root_key(self) -> StreamKey:
         return StreamKey(seed=int(self.study["seed"]))
@@ -199,16 +202,13 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append("study.n_values must be positive integers")
         elif any(b <= a for a, b in zip(nv, nv[1:])):
             violations.append("study.n_values must be strictly increasing")
-        if study["metrics"] is None:
-            study["metrics"] = ["x", "y", "z"]
-    if kind == "clt":
-        if not isinstance(study["n"], int) or study["n"] < 1:
-            violations.append("study.n must be a positive integer for clt studies")
-        if study["metrics"] is None:
-            study["metrics"] = ["x", "y", "z"]
+    if kind == "clt" and (not isinstance(study["n"], int) or study["n"] < 1):
+        violations.append("study.n must be a positive integer for clt studies")
+    if study["metrics"] is None:
+        study["metrics"] = list(_METRICS)
     if study["members"] is None:
         study["members"] = study["reps"]
-    for size_key in ("reps", "members", "inner_paths", "env_cloud", "center_cloud", "kernel_cloud", "field_reps"):
+    for size_key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
         v = study[size_key]
         if not isinstance(v, int) or v < 1:
             violations.append(f"study.{size_key} must be a positive integer")
@@ -225,16 +225,30 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     cfg = ExperimentConfig(model_block, steps, study, out_dir)
+    if study["lattice_probes"] is None:
+        study["lattice_probes"] = [[0.0] * cfg.build_model().dim]
     cfg.validate()
     return cfg
 
 
 def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
-    """Violations a study would otherwise hit mid-run: probe times off the
-    grid, too few inner paths for the regression basis, and clt ensembles
-    too small to compare."""
+    """Violations a study would otherwise hit mid-run, or that would make it
+    compute nothing: bad metrics, degree or lattice probes, probe times off
+    the grid, too few inner paths for the regression basis, and clt
+    ensembles too small to compare."""
     out = []
     metrics = study["metrics"]
+    if (
+        not isinstance(metrics, list)
+        or not metrics
+        or any(m not in _METRICS for m in metrics)
+        or len(set(metrics)) != len(metrics)
+    ):
+        out.append(
+            f"study.metrics must be a non-empty list of distinct entries of {list(_METRICS)}, "
+            f"got {metrics!r}"
+        )
+        metrics = []
     backward = "y" in metrics or "z" in metrics
     if study["kind"] == "clt":
         for key in ("reps", "members"):
@@ -254,8 +268,20 @@ def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
                     grid.node_at(float(t))
                 except (TypeError, ValueError):
                     out.append(f"study.{key} entry {t!r} is not a node of {grid}")
-    if backward:
-        need = 10 * len(_exponent_tuples(dim, int(study["degree"])))
+        raw = study["lattice_probes"]
+        try:
+            probes = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            probes = np.empty(0)
+        if probes.ndim != 2 or probes.shape[1] != dim or not np.all(np.isfinite(probes)):
+            out.append(f"study.lattice_probes must be a list of finite {dim}-vectors, got {raw!r}")
+        elif len(set(map(tuple, probes.tolist()))) < len(probes):
+            out.append(f"study.lattice_probes must be distinct, got {raw!r}")
+    degree = study["degree"]
+    if not isinstance(degree, int) or degree < 0:
+        out.append(f"study.degree must be an integer >= 0, got {degree!r}")
+    elif backward:
+        need = 10 * len(_exponent_tuples(dim, degree))
         if study["inner_paths"] < need:
             out.append(
                 f"study.inner_paths must be at least 10 * basis size = {need} "
@@ -410,7 +436,6 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     need_backward = "y" in metrics or "z" in metrics
     law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward)
     reps = int(study["reps"])
-    chunk = int(study["chunk"])
     reference_note = "closed_form"
     if law.kind == "cloud":
         # self-reference mode: the limit reference is the cloud law itself,
@@ -427,14 +452,14 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
         if "x" in metrics:
             fwd = key_n.child("fwd", 0)
             x, _, _ = coupled_gaps(
-                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0), chunk
+                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0), _CHUNK
             )
             errors["x"] = np.max(np.sum(x**2, axis=-1), axis=-1)
         if need_backward:
             bwd = key_n.child("bwd", 0)
             _, y, z = coupled_gaps(
                 model, int(N), grid, law, reps, int(study["inner_paths"]),
-                bwd.child("w", 0), bwd.child("e", 0), chunk, degree=int(study["degree"]),
+                bwd.child("w", 0), bwd.child("e", 0), _CHUNK, degree=int(study["degree"]),
             )
             errors["y"] = np.max(y**2, axis=-1)
             errors["z"] = grid.h * np.sum(np.sum(z[:, :-1] ** 2, axis=-1), axis=-1)
@@ -446,15 +471,12 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
 
     slopes = {}
     verdicts = []
-    # below this, an error series is roundoff of an identically-zero quantity
-    # (statistical error scales here are > 1e-10), not a rate to fit
-    exact_tol = float(study.get("exact_tol", 1e-20))
     for m in metrics:
         table = per_metric[m]
         ns = sorted(table)
         values = [table[N]["value"] for N in ns]
         errs = [table[N]["stderr"] for N in ns]
-        if all(v <= exact_tol for v in values):
+        if all(v <= _EXACT_TOL for v in values):
             slopes[m] = {"slope": None, "verdict": "exact", "points": 0}
             verdicts.append(
                 {
@@ -466,7 +488,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
             continue
         fit = fit_loglog_slope(ns, values, errs)
         slopes[m] = fit
-        band = study[f"slope_band_{m}"]
+        band = _SLOPE_BANDS[m]
         if fit.get("slope") is None:
             verdicts.append(
                 {"criterion": f"{m}_slope", "passed": False, "details": "degraded: too few points"}
@@ -502,12 +524,10 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     N = int(study["n"])
     reps = int(study["reps"])
     metrics = list(study["metrics"])
-    tol_var = float(study["variance_tolerance"])
-    alpha = float(study["ks_alpha"])
+    env_cloud = int(study["env_cloud"])
     need_backward = "y" in metrics or "z" in metrics
-    law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward)
+    law = study_law(model, grid, env_cloud, int(study["degree"]), root, need_backward)
     decoupled = model.env_free("drift") and model.env_free("diffusion")
-    chunk = int(study["chunk"])
     scale = np.sqrt(N)
 
     # forward fluctuation samples
@@ -515,7 +535,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     x_fluct = None
     if "x" in metrics:
         x, _, _ = coupled_gaps(
-            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0), chunk
+            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0), _CHUNK
         )
         x_fluct = scale * x
         forward_samples = {t: x_fluct[:, grid.node_at(t), 0] for t in study["probe_times"]}
@@ -526,7 +546,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     if need_backward:
         _, y, z = coupled_gaps(
             model, N, grid, law, reps, int(study["inner_paths"]),
-            root.child("bw", 0), root.child("be", 0), chunk, degree=int(study["degree"]),
+            root.child("bw", 0), root.child("be", 0), _CHUNK, degree=int(study["degree"]),
         )
         y_gap = scale * y
         z_gap = (scale * z)[:, :-1, 0]
@@ -544,7 +564,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         key=root.child("limit", 0),
         inner=max(64, int(study["inner_paths"]) // 2),
         degree=int(study["degree"]),
-        kernel_cloud=int(study["kernel_cloud"]),
+        cloud_size=env_cloud,
     )
     comparison = clt_compare(
         model, N, grid, forward_samples, backward_samples, z_functionals, limit
@@ -559,13 +579,13 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     )
     cov = theoretical_covariance(
         model, law, lattice,
-        cloud_size=int(study["kernel_cloud"]) * 4,
+        cloud_size=4 * env_cloud,
         key=root.child("cov", 0),
     )
     emp_sample = empirical_fields(
         model, N, lattice, int(study["field_reps"]), law,
         root.child("field_env", 0), root.child("field_ctr", 0),
-        center_size=int(study["center_cloud"]),
+        center_size=2 * env_cloud,
     )
     emp_cov = np.atleast_2d(np.cov(emp_sample.values.T))
     m = emp_sample.values.shape[0]
@@ -607,14 +627,14 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
             verdicts.append(
                 {
                     "criterion": f"variance_match:{probe}",
-                    "passed": bool(rel <= tol_var + 3 * (approx["var_se"] + lim_row["var_se"]) / lim_row["var"]),
+                    "passed": bool(rel <= _VARIANCE_TOLERANCE + 3 * (approx["var_se"] + lim_row["var_se"]) / lim_row["var"]),
                     "details": {"approx_var": approx["var"], "limit_var": lim_row["var"]},
                 }
             )
         verdicts.append(
             {
                 "criterion": f"ks:{probe}",
-                "passed": bool(row["ks"]["p_value"] > alpha),
+                "passed": bool(row["ks"]["p_value"] > _KS_ALPHA),
                 "details": row["ks"],
             }
         )

@@ -5,9 +5,11 @@ import pytest
 
 from mfbsde.fluctuation import (
     FieldLattice,
+    _path_kernel,
+    _split_path_field,
+    law_cloud,
     clt_compare,
     empirical_fields,
-    sample_field_along_path,
     sample_field_on_lattice,
     solve_limit_system,
     theoretical_covariance,
@@ -185,24 +187,25 @@ def test_field_scale_linearity():
     assert np.allclose(cov_scaled.matrix, 4.0 * cov_base.matrix, rtol=1e-12)
 
 
+def _path_field(model, grid, kernel, key):
+    """One draw of the path kernel, split into its four field components."""
+    raw = sample_field_on_lattice(kernel, key, count=1).values
+    drift, diffusion, terminal, driver = _split_path_field(model, grid, raw)
+    return drift[0], diffusion[0], terminal[0], driver[0]
+
+
 def test_field_along_path_variance_matches_kernel():
     # for the linear-drift family the along-path field at time t has
-    # conditional variance beta^2 s^2 t regardless of the path
+    # variance beta^2 s^2 t regardless of the path
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 11))
-    x_path = law.sample_env([derive_key(ROOT, "path", 0)], 1)[0][0, 0]
     reps = 10_000
     vals = np.empty(reps)
-    from mfbsde.fluctuation import _path_kernel, law_cloud
-
     kx, ky = law_cloud(law, 30000, derive_key(ROOT, "kern", 0))
     kernel = _path_kernel(model, GRID, kx, ky)
     node = GRID.node_at(0.75)
     for r in range(reps):
-        f = sample_field_along_path(
-            model, law, GRID, x_path, derive_key(ROOT, "fs", r), kernel=kernel
-        )
-        vals[r] = f.drift[node, 0]
+        vals[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "fs", r))[0][node, 0]
     target = 1.0 * 0.25 * 0.75  # beta^2 s^2 t
     se = target * math.sqrt(2.0 / reps)
     assert abs(vals.var(ddof=1) - target) <= 4 * se + 0.02 * target
@@ -211,41 +214,30 @@ def test_field_along_path_variance_matches_kernel():
 def test_field_along_path_independent_draws():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 12))
-    from mfbsde.fluctuation import _path_kernel, law_cloud
-
     kx, ky = law_cloud(law, 8192, derive_key(ROOT, "kern", 1))
     kernel = _path_kernel(model, GRID, kx, ky)
-    x_path = law.sample_env([derive_key(ROOT, "path", 1)], 1)[0][0, 0]
     n = 10_000
     a = np.empty(n)
     b = np.empty(n)
     for r in range(n):
-        a[r] = sample_field_along_path(
-            model, law, GRID, x_path, derive_key(ROOT, "ia", r), kernel=kernel
-        ).drift[-1, 0]
-        b[r] = sample_field_along_path(
-            model, law, GRID, x_path, derive_key(ROOT, "ib", r), kernel=kernel
-        ).drift[-1, 0]
+        a[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "ia", r))[0][-1, 0]
+        b[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "ib", r))[0][-1, 0]
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
 
 def test_ou_kernel_needs_no_jitter_and_keeps_vanishing_fields_zero():
     # the ou diffusion and driver ignore the partner, so their kernel blocks
     # are exactly zero; the factorization must leave those fields exactly 0
-    from mfbsde.fluctuation import _path_kernel, law_cloud
-
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     grid = TimeGrid(1.0, 32)
     law = solve_limit_forward(model, grid, 0, derive_key(ROOT, "law", 14))
     kx, ky = law_cloud(law, 4096, derive_key(ROOT, "kern", 2))
     kernel = _path_kernel(model, grid, kx, ky)
     for r in range(20):
-        f = sample_field_along_path(
-            model, law, grid, kx[0], derive_key(ROOT, "zf", r), kernel=kernel
-        )
-        assert np.all(f.diffusion == 0.0)
-        assert np.all(f.driver == 0.0)
-        assert np.any(f.drift != 0.0)
+        drift, diffusion, _, driver = _path_field(model, grid, kernel, derive_key(ROOT, "zf", r))
+        assert np.all(diffusion == 0.0)
+        assert np.all(driver == 0.0)
+        assert np.any(drift != 0.0)
     assert kernel.jitter == 0.0
 
 
@@ -254,8 +246,6 @@ def test_non_separable_models_are_rejected_before_sampling():
 
     model = dataclasses.replace(catalog_model("ou_mean_field"), separable=False)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
-    with pytest.raises(NotImplementedError):
-        sample_field_along_path(model, law, GRID, None, derive_key(ROOT, "ns", 0))
     with pytest.raises(NotImplementedError):
         solve_limit_system(model, law, GRID, members=100, key=derive_key(ROOT, "ns", 1))
 
@@ -298,7 +288,7 @@ def test_limit_system_invariant_under_chunk_size(name):
     runs = [
         solve_limit_system(
             model, law, grid, members=100, key=derive_key(ROOT, "chunk", 0),
-            kernel_cloud=1024, chunk=chunk,
+            cloud_size=1024, chunk=chunk,
         )
         for chunk in (1, 7, 512)
     ]
@@ -314,7 +304,7 @@ def test_limit_system_means_vanish_on_a_nonlinear_model():
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 20))
     res = solve_limit_system(
-        model, law, grid, members=2000, key=derive_key(ROOT, "ls", 3), kernel_cloud=1024
+        model, law, grid, members=2000, key=derive_key(ROOT, "ls", 3), cloud_size=1024
     )
     for probe, v in (("xbar@1", res.xbar[:, -1, 0]), ("ybar@0.5", res.ybar[:, grid.node_at(0.5)])):
         se = v.std(ddof=1) / math.sqrt(len(v))

@@ -26,18 +26,45 @@ MINIMAL = {
 }
 
 
-def test_minimal_config_gets_documented_defaults():
+# env_cloud sizes every cloud; verdict thresholds and the block batch are
+# module constants
+REMOVED_STUDY_KEYS = {
+    "kernel_cloud": 4096,
+    "center_cloud": 8192,
+    "slope_band_x": [-1.25, -0.75],
+    "slope_band_y": [-1.3, -0.7],
+    "slope_band_z": [-1.3, -0.7],
+    "variance_tolerance": 0.15,
+    "ks_alpha": 0.01,
+    "exact_tol": 1e-20,
+    "chunk": 256,
+}
+
+
+def test_minimal_config_gets_documented_defaults(tmp_path, capsys):
     cfg = parse_config(json.dumps(MINIMAL))
     assert cfg.steps == 64
     assert cfg.study["degree"] == 2
     assert cfg.study["env_cloud"] == 4096
     assert cfg.study["metrics"] == ["x", "y", "z"]
-    # environments always come from the limit law: there is no law iteration
-    doc = json.loads(json.dumps(MINIMAL))
-    doc["study"]["picard_sweeps"] = 5
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
-    assert err.value.violations == ["unknown study key 'picard_sweeps'"]
+    assert len(cfg.study) == 15
+    from mfbsde.cli import main
+
+    # environments always come from the limit law, so there is no law
+    # iteration and no picard_sweeps
+    for key in ("picard_sweeps", *REMOVED_STUDY_KEYS):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["study"][key] = REMOVED_STUDY_KEYS.get(key, 5)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.violations == [f"unknown study key {key!r}"]
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "invalid configuration:", f"  - unknown study key {key!r}"
+        ]
 
 
 def _clt_doc(**study):
@@ -93,6 +120,58 @@ def test_undersized_clt_ensembles_rejected_before_compute(tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "invalid configuration:" and len(printed) == 3
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("metrics", [["X"], [], ["x", "x"], "x"])
+def test_bad_metrics_rejected(metrics, tmp_path, capsys):
+    # ["X"] would compute nothing and pass an "exact" X_slope verdict; []
+    # would pass with no verdicts at all
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["study"]["metrics"] = metrics
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == [
+        f"study.metrics must be a non-empty list of distinct entries of ['x', 'y', 'z'], got {metrics!r}"
+    ]
+    from mfbsde.cli import main
+
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "probes, problem",
+    [
+        ([[0.0], [0.5], [0.0]], "must be distinct"),
+        ([[0.0, 1.0]], "must be a list of finite 1-vectors"),
+        ([[0.0], [1e999]], "must be a list of finite 1-vectors"),
+        ([0.0], "must be a list of finite 1-vectors"),
+        ([], "must be a list of finite 1-vectors"),
+    ],
+)
+def test_bad_lattice_probes_rejected_before_compute(probes, problem):
+    # FieldLattice would reject duplicates only after the coupled blocks and
+    # the limit system have run; a 2-vector probe does not fit a 1-d model
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(_clt_doc(lattice_probes=probes)))
+    assert err.value.violations == [f"study.lattice_probes {problem}, got {probes!r}"]
+    parse_config(json.dumps(_clt_doc(lattice_probes=[[0.0], [0.5]])))
+    # the default probe is the origin of the model's state space
+    plane = {**_clt_doc(), "model": {"name": "ou_mean_field", "dim": 2}}
+    assert parse_config(json.dumps(plane)).study["lattice_probes"] == [[0.0, 0.0]]
+    # a convergence study reads no lattice
+    parse_config(json.dumps({**MINIMAL, "study": {**MINIMAL["study"], "lattice_probes": probes}}))
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5, "2", None])
+def test_bad_degree_rejected(degree):
+    for doc in (_clt_doc(degree=degree), {**MINIMAL, "study": {**MINIMAL["study"], "degree": degree}}):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.violations == [f"study.degree must be an integer >= 0, got {degree!r}"]
+    parse_config(json.dumps(_clt_doc(degree=0)))
 
 
 def test_missing_seed_is_reported_by_name():
@@ -270,8 +349,6 @@ def test_clt_study_smoke(tmp_path):
                     "members": 256,
                     "inner_paths": 32,
                     "env_cloud": 512,
-                    "kernel_cloud": 2048,
-                    "center_cloud": 2048,
                     "field_reps": 500,
                     "metrics": ["x"],
                     "lattice_times": [0.5, 1.0],
@@ -328,8 +405,6 @@ def test_clt_fluctuations_centred_on_a_value_law_model():
                     "reps": 500,
                     "members": 256,
                     "inner_paths": 32,
-                    "kernel_cloud": 512,
-                    "center_cloud": 512,
                     "field_reps": 100,
                     "metrics": ["x", "y"],
                     "lattice_times": [1.0],
