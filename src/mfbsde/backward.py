@@ -97,14 +97,13 @@ def _gram(feats: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
     return gram
 
 
-def _batched_fit(feats: np.ndarray, gram: np.ndarray, targets: np.ndarray):
-    """Least squares per block of each target column; returns (fitted, coefficients).
+def _batched_fit(feats: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Fitted values of the least squares per block of each target column.
 
     ``targets`` is (B, P, m); the m fits share the block's Gram matrix.
     """
     rhs = np.matmul(feats.transpose(0, 2, 1), targets)
-    coef = np.linalg.solve(gram, rhs)
-    return np.matmul(feats, coef), coef
+    return np.matmul(feats, np.linalg.solve(gram, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +170,16 @@ def _backward_induction(
     y = np.empty((B, P, n1))
     z = np.empty((B, P, n1, d))
     y[:, :, n] = terminal
-    coeffs = np.empty((n, B, k_basis))
     resid_rms = np.empty((n, B))
     contraction_flag = False
     sweeps_run = 0
     for i in range(n - 1, -1, -1):
         feats = _features(cond_states[:, :, i, :], degree)
         gram = _gram(feats)
-        cond, coef = _batched_fit(feats, gram, y[:, :, i + 1, None])
-        cond = cond[..., 0]
-        coeffs[i] = coef[..., 0]
+        cond = _batched_fit(feats, gram, y[:, :, i + 1, None])[..., 0]
         centered = y[:, :, i + 1] - cond
         resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
-        z[:, :, i], _ = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
+        z[:, :, i] = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
         if driver_fn is None:
             y[:, :, i] = cond
         else:
@@ -204,12 +200,7 @@ def _backward_induction(
             sweeps_run = max(sweeps_run, sweep)
             y[:, :, i] = cur
     z[:, :, n] = z[:, :, n - 1]
-    artifacts = {
-        "degree": degree,
-        "coefficients": coeffs,
-        "residual_rms": resid_rms,
-        "basis_size": k_basis,
-    }
+    artifacts = {"residual_rms": resid_rms}
     provenance = {
         "fixpoint_sweeps": sweeps_run,
         "fixpoint_not_contracted": contraction_flag,
@@ -296,17 +287,15 @@ def solve_bsde_n(
     """Backward solution of the N-environment system on simulated blocks.
 
     Terminal and driver replace mean-field expectations by averages over the
-    block's frozen N partner paths; regressions stay within blocks, where the
-    value is a function of the state conditionally on the environment.
+    block's frozen N partner paths, which ``sim`` carries as shift curves;
+    regressions stay within blocks, where the value is a function of the
+    state conditionally on the environment.
     """
-    terminal = env_average(
-        model, "terminal", sim.xn[:, :, -1, :], *sim.partners(-1), shift=sim.terminal_curve
-    )
+    terminal = env_average(model, "terminal", sim.xn[:, :, -1, :], shift=sim.terminal_curve)
 
     def driver(i, y, z):
         shift = None if sim.driver_curve is None else sim.driver_curve[:, i]
-        x = sim.xn[:, :, i, :]
-        return env_average(model, "driver", x, *sim.partners(i), y, z, shift=shift)
+        return env_average(model, "driver", sim.xn[:, :, i, :], y=y, z=z, shift=shift)
 
     y, z, artifacts, prov = _backward_induction(grid, sim.xn, sim.dw, terminal, driver, degree)
     B, P = sim.xn.shape[:2]
@@ -348,8 +337,8 @@ def solve_linear_limit_bsde(
     curve to the own-triple gradient terms against the fluctuation triple.
     Partner-gradient terms are absent: their averages vanish in the limit
     (see `solve_limit_system`).  Gradients take the partner at the reference
-    state x0, which is exact when the partner enters every coefficient
-    additively, the only coupling `solve_limit_system` accepts.
+    state x0, which is exact under the additive coupling of every model (see
+    `ModelSpec`): an own-state gradient does not depend on the partner.
     """
     B, P, n1, d = x.shape
     ref = model.x0

@@ -81,8 +81,13 @@ def _cmd_clt(args) -> int:
         }
         if args.lattice is not None:
             lat = json.loads(Path(args.lattice).read_text())
-            doc["study"]["lattice_times"] = lat.get("times", [0.25, 0.5, 1.0])
-            doc["study"]["lattice_probes"] = lat.get("probes")
+            if not isinstance(lat, dict):
+                raise ConfigError(['the lattice file must be an object {"times": [...]}'])
+            unknown = [f"unknown lattice key {key!r}" for key in lat if key != "times"]
+            if unknown:
+                raise ConfigError(unknown)
+            if "times" in lat:
+                doc["study"]["lattice_times"] = lat["times"]
         cfg = parse_config(json.dumps(doc))
         if args.out is not None:
             cfg.out_dir = args.out
@@ -225,7 +230,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("clt", help="run a fluctuation study (config file or direct flags)")
     p.add_argument("--config", default=None)
     p.add_argument("--model", default=None, help="JSON model block (direct mode)")
-    p.add_argument("--lattice", default=None, help='JSON file {"times": [...], "probes": [[...]]}')
+    p.add_argument("--lattice", default=None, help='JSON file {"times": [...]}')
     p.add_argument("--n", type=int, default=None, help="environment size")
     p.add_argument("--reps", type=int, default=None, help="replications / members")
     p.add_argument("--seed", type=int, default=None)

@@ -1,15 +1,16 @@
 """Fluctuation fields of the N-environment approximation and their Gaussian limit.
 
 The normalized environment averages of each coefficient, centered at their
-expectations, form random fields indexed by (time, probe point).  This module
-estimates those fields empirically, builds the limit covariance kernels from
-a cloud of base-system paths, samples the limit Gaussian field, integrates
-the linearized first-order system driven by that field, and runs the
+expectations, form random fields indexed by time.  This module estimates
+those fields empirically, builds the limit covariance kernels from a cloud
+of base-system paths, samples the limit Gaussian field, integrates the
+linearized first-order system driven by that field, and runs the
 statistical comparisons between the two.
 
-When the partner enters every coefficient additively, the field kernels do
-not depend on the probe point, so one kernel factorization serves every
-member path; the limit system accepts only that coupling.
+Every coefficient couples to its partner additively (see `ModelSpec`), so a
+field entry is b(X) - E b(X) whatever the own state: entries are evaluated
+at the reference state x0, and one kernel factorization serves every member
+path.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from typing import Optional
 import numpy as np
 
 from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
-from .forward import LawFlow, euler_paths, simulate_blocks
+from .forward import LawFlow, _law_coefficients, euler_paths, simulate_blocks
 from .model import ModelSpec
 from .noise import StreamKey, TimeGrid, generator, key_streams
 
 __all__ = [
     "FieldLattice",
     "CovarianceMatrix",
-    "FieldSample",
     "LimitSystemResult",
     "empirical_fields",
     "theoretical_covariance",
@@ -50,31 +50,21 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 @dataclass(frozen=True)
 class FieldLattice:
-    """Evaluation points (time nodes x probes) for the fluctuation fields.
+    """Evaluation points (time nodes) for the fluctuation fields.
 
-    ``x_probes`` feeds the drift/diffusion/terminal blocks; ``driver_probes``
-    holds (x, y, z) triples for the driver block.  The terminal block is
-    always evaluated at the final node.
+    Each entry evaluates its coefficient at the reference state x0, the
+    driver at (x0, 0, 0).  The terminal block is always evaluated at the
+    final node.
     """
 
     grid: TimeGrid
     time_nodes: tuple[int, ...]
-    x_probes: np.ndarray
-    driver_probes: Optional[np.ndarray] = None
     blocks: tuple[str, ...] = ("drift",)
 
     def __post_init__(self) -> None:
-        probes = np.atleast_2d(self.x_probes)
-        object.__setattr__(self, "x_probes", probes)
-        if not np.all(np.isfinite(probes)):
-            raise ValueError("probes must be finite")
-        if len(set(map(tuple, probes))) != len(probes):
-            raise ValueError("probes must be distinct")
         for b in self.blocks:
             if b not in _BLOCK_ORDER:
                 raise ValueError(f"unknown block {b!r}")
-        if "driver" in self.blocks and self.driver_probes is None:
-            raise ValueError("driver block needs driver_probes")
         for t in self.time_nodes:
             if not 0 <= t <= self.grid.steps:
                 raise ValueError(f"node {t} outside the grid")
@@ -86,12 +76,10 @@ class FieldLattice:
             if block not in self.blocks:
                 continue
             if block == "terminal":
-                for q in range(len(self.x_probes)):
-                    out.append({"block": block, "node": self.grid.steps, "probe": q, "comp": ()})
+                out.append({"block": block, "node": self.grid.steps, "comp": ()})
             elif block == "driver":
                 for ti in self.time_nodes:
-                    for q in range(len(self.driver_probes)):
-                        out.append({"block": block, "node": ti, "probe": q, "comp": ()})
+                    out.append({"block": block, "node": ti, "comp": ()})
             else:
                 comps = (
                     [(i,) for i in range(dim)]
@@ -99,28 +87,25 @@ class FieldLattice:
                     else [(i, j) for i in range(dim) for j in range(dim)]
                 )
                 for ti in self.time_nodes:
-                    for q in range(len(self.x_probes)):
-                        for comp in comps:
-                            out.append({"block": block, "node": ti, "probe": q, "comp": comp})
+                    for comp in comps:
+                        out.append({"block": block, "node": ti, "comp": comp})
         return out
 
 
-def _entry_eval(model: ModelSpec, entry: dict, lattice: FieldLattice, x_states, y_states):
+def _entry_eval(model: ModelSpec, entry: dict, x_states, y_states):
     """Evaluate one lattice entry's coefficient on partner states (..., d)."""
     block = entry["block"]
+    ref = model.x0
     if block == "driver":
-        lam = lattice.driver_probes[entry["probe"]]
-        d = model.dim
         if y_states is None:
             raise ValueError("driver block needs partner y values")
-        return model.driver(lam[:d], float(lam[d]), lam[d + 1 :], x_states, y_states)
-    probe = lattice.x_probes[entry["probe"]]
+        return model.driver(ref, 0.0, np.zeros(model.dim), x_states, y_states)
     if block == "drift":
-        return model.drift(probe, x_states)[..., entry["comp"][0]]
+        return model.drift(ref, x_states)[..., entry["comp"][0]]
     if block == "diffusion":
         i, j = entry["comp"]
-        return model.diffusion(probe, x_states)[..., i, j]
-    return model.terminal(probe, x_states)
+        return model.diffusion(ref, x_states)[..., i, j]
+    return model.terminal(ref, x_states)
 
 
 def _lattice_features(model, lattice, x_cloud, y_cloud):
@@ -137,7 +122,7 @@ def _lattice_features(model, lattice, x_cloud, y_cloud):
             continue
         xs = x_cloud[:, e["node"]]
         ys = y_cloud[:, e["node"]] if y_cloud is not None else None
-        cols.append(_entry_eval(model, e, lattice, xs, ys))
+        cols.append(_entry_eval(model, e, xs, ys))
     return np.stack(cols, axis=-1), entries
 
 
@@ -150,24 +135,12 @@ class CovarianceMatrix:
     matrix: np.ndarray
     stderr: np.ndarray
     entries: list
-    cloud_size: int
     jitter: float = 0.0
     _chol: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def lookup(self, **query) -> list[int]:
-        """Indices of entries matching all given fields (block, node, probe, comp)."""
-        idx = []
-        for i, e in enumerate(self.entries):
-            if all(e.get(k) == v for k, v in query.items()):
-                idx.append(i)
-        return idx
 
     def cholesky(self) -> np.ndarray:
         """Lower factor of the entries with nonzero variance.
@@ -206,7 +179,7 @@ def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
-    return CovarianceMatrix(cov, stderr, entries, cloud_size=m)
+    return CovarianceMatrix(cov, stderr, entries)
 
 
 def law_cloud(law: LawFlow, size: int, key: StreamKey, with_y: bool = True):
@@ -270,20 +243,11 @@ def theoretical_covariance(
 # field samples
 
 
-@dataclass
-class FieldSample:
-    lattice: FieldLattice
-    values: np.ndarray  # (reps, L)
-    key: StreamKey
-
-
-def sample_field_on_lattice(
-    cov: CovarianceMatrix, key: StreamKey, count: int = 1
-) -> FieldSample:
-    """Zero-mean Gaussian draws with the given covariance (symmetric factorization)."""
+def sample_field_on_lattice(cov: CovarianceMatrix, key: StreamKey, count: int = 1) -> np.ndarray:
+    """(count, L) zero-mean Gaussian draws with the given covariance."""
     chol = cov.cholesky()
     z = generator(key).standard_normal((count, cov.size))
-    return FieldSample(lattice=None, values=z @ chol.T, key=key)
+    return z @ chol.T
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +257,9 @@ def sample_field_on_lattice(
 def _path_kernel(
     model: ModelSpec, grid: TimeGrid, x_cloud: np.ndarray, y_cloud
 ) -> CovarianceMatrix:
-    """Probe-independent joint kernel of all four field components along the grid."""
-    nodes = tuple(range(grid.steps + 1))
-    probes = model.x0[None, :]
-    driver_probes = np.concatenate([model.x0, [0.0], np.zeros(model.dim)])[None, :]
+    """Joint kernel of all four field components along the grid."""
     lattice = FieldLattice(
-        grid,
-        nodes,
-        probes,
-        driver_probes=driver_probes,
-        blocks=("drift", "diffusion", "terminal", "driver"),
+        grid, tuple(range(grid.steps + 1)), blocks=("drift", "diffusion", "terminal", "driver")
     )
     return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
 
@@ -311,8 +268,8 @@ def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
     """Split (R, L) draws of the path kernel into drift (R, n+1, d), diffusion
     (R, n+1, d, d), terminal (R,) and driver (R, n+1) arrays.
 
-    The kernel's single-probe lattice lays its entries out block by block,
-    node-major within a block (see `FieldLattice.entries`).
+    The kernel's lattice lays its entries out block by block, node-major
+    within a block (see `FieldLattice.entries`).
     """
     d = model.dim
     n1 = grid.steps + 1
@@ -334,8 +291,8 @@ def empirical_fields(
     center_key: StreamKey,
     center_size: int = 8192,
     chunk: int = 256,
-) -> FieldSample:
-    """Replicated empirical fluctuation fields on the lattice.
+) -> np.ndarray:
+    """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
     Per replication: sqrt(N) times the environment average of each centered
     coefficient, with the centering expectation estimated once from a
@@ -349,7 +306,7 @@ def empirical_fields(
     live = [j for j, e in enumerate(entries) if not model.env_free(e["block"])]
     values = np.zeros((reps, len(entries)))
     if not live:
-        return FieldSample(lattice, values, env_key)
+        return values
     # draw partners only at the lattice nodes: every summand is pointwise in t
     nodes = sorted({entries[j]["node"] for j in live})
     col = {node: k for k, node in enumerate(nodes)}
@@ -358,7 +315,7 @@ def empirical_fields(
     for j in live:
         k = col[entries[j]["node"]]
         ys = cy[0, :, k] if cy is not None else None
-        center[j] = _entry_eval(model, entries[j], lattice, cx[0, :, k], ys).mean()
+        center[j] = _entry_eval(model, entries[j], cx[0, :, k], ys).mean()
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
         ex, ey = env_law.sample_env(
@@ -367,9 +324,9 @@ def empirical_fields(
         for j in live:
             k = col[entries[j]["node"]]
             ys = ey[:, :, k] if ey is not None else None
-            vals = _entry_eval(model, entries[j], lattice, ex[:, :, k], ys)
+            vals = _entry_eval(model, entries[j], ex[:, :, k], ys)
             values[lo:hi, j] = np.sqrt(N) * (vals.mean(axis=1) - center[j])
-    return FieldSample(lattice, values, env_key)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +372,6 @@ def solve_limit_system(
     gives its whole cloud and a closed-form law ``cloud_size`` draws (see
     `law_cloud`).
     """
-    if not model.separable:
-        raise NotImplementedError(
-            "limit-system integration requires a separable partner coupling; "
-            "non-separable fields vary in space and need per-member lattices"
-        )
     d = model.dim
     n = grid.steps
     n1 = n + 1
@@ -432,11 +384,9 @@ def solve_limit_system(
     vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=cloud_size, degree=degree)
     kx, ky = law_cloud(vlaw, cloud_size, key.child("kern", 0))
     kernel = _path_kernel(model, grid, kx, ky)
-    raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members).values
+    raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
-
-    drift_fn = lambda x, i: law.average("drift", x, i)
-    diff_fn = lambda x, i: law.average("diffusion", x, i)
+    limit_fns = _law_coefficients(law)
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
@@ -459,7 +409,7 @@ def solve_limit_system(
         for row, rng in zip(dw, key_streams(key.child("path", m) for m in range(lo, hi))):
             rng.standard_normal(out=row)
         dw *= np.sqrt(h)
-        x_in = euler_paths(model, grid, dw, drift_fn, diff_fn)
+        x_in = euler_paths(model, grid, dw, *limit_fns)
         xbar_in = np.zeros((size, inner, n1, d))
         for i in range(n):
             xb = xbar_in[:, :, i, :]

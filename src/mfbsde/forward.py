@@ -163,8 +163,8 @@ class LawFlow:
 
         ``x`` is (..., d) own states; the driver also takes own ``y`` (...)
         and ``z`` (..., d).  A closed-form law answers with its exact oracle;
-        a cloud law averages over the whole cloud, reducing it once per
-        coefficient (see `env_shift`).
+        a cloud law averages over the whole cloud, reduced once per
+        coefficient to its shift curve (see `env_shift`).
         """
         model = self.model
         if self.use_closed_form:
@@ -175,8 +175,8 @@ class LawFlow:
             if which == "driver":
                 return cf.driver_mean(x, y, z, t)
             return getattr(cf, f"{which}_mean")(x, t)
-        cloud_y = None if self.cloud_y is None else self.cloud_y[None]
         if which not in self._curves:
+            cloud_y = None if self.cloud_y is None else self.cloud_y[None]
             self._curves[which] = env_shift(model, which, self.cloud[None], cloud_y)
         shift = self._curves[which]
         lead = np.shape(x)[:-1]
@@ -188,10 +188,8 @@ class LawFlow:
             model,
             which,
             own(x, (model.dim,)),
-            self.cloud[None, :, node],
-            None if cloud_y is None else cloud_y[:, :, node],
-            own(y, ()),
-            own(z, (model.dim,)),
+            y=own(y, ()),
+            z=own(z, (model.dim,)),
             shift=None if shift is None else shift[:, node],
         )
         return out.reshape(lead + out.shape[2:])
@@ -241,7 +239,7 @@ def _pool_coefficients(model: ModelSpec, env_x: np.ndarray):
     def coefficient(which):
         curve = env_shift(model, which, env_x)
         return lambda x, i: env_average(
-            model, which, x, env_x[:, :, i], shift=None if curve is None else curve[:, i]
+            model, which, x, shift=None if curve is None else curve[:, i]
         )
 
     return coefficient("drift"), coefficient("diffusion")
@@ -342,8 +340,8 @@ class BlockSim:
     paths of the N-system and of the limit dynamics on shared increments.
 
     The blocks' partner pools are reduced to their terminal and driver
-    shifts (see `env_shift`); the pools themselves are kept only when the
-    model's averages need them.
+    shifts (see `env_shift`) and then dropped.  ``env_x`` and ``env_y`` are
+    always None; they stay for readers that total the bundle's arrays.
     """
 
     grid: TimeGrid
@@ -353,15 +351,8 @@ class BlockSim:
     keys: tuple[StreamKey, ...]
     terminal_curve: Optional[np.ndarray] = None   # (B,) terminal shift
     driver_curve: Optional[np.ndarray] = None     # (B, n+1) driver shift
-    env_x: Optional[np.ndarray] = None            # (B, N, n+1, d) when retained
-    env_y: Optional[np.ndarray] = None            # (B, N, n+1) when retained
-
-    def partners(self, i: int):
-        """Retained partner states and values at node ``i`` (None when dropped)."""
-        return (
-            None if self.env_x is None else self.env_x[:, :, i],
-            None if self.env_y is None else self.env_y[:, :, i],
-        )
+    env_x: Optional[np.ndarray] = None            # always None: pools are dropped
+    env_y: Optional[np.ndarray] = None            # always None
 
 
 def _joined(parts: list):
@@ -398,7 +389,7 @@ def simulate_blocks(
     xlim = np.empty_like(xn)
     dw_all = np.empty((n_blocks, inner, grid.steps, d))
     keys = []
-    terminal_parts, driver_parts, pool_x, pool_y = [], [], [], []
+    terminal_parts, driver_parts = [], []
     limit_fns = _law_coefficients(law)
 
     # partner values enter only through the driver
@@ -423,12 +414,6 @@ def simulate_blocks(
         driver = None if env_y is None else env_shift(model, "driver", env_x, env_y)
         terminal_parts.append(terminal)
         driver_parts.append(driver)
-        # a model without a shift averages over the pool itself
-        if (terminal is None and not model.env_free("terminal")) or (
-            driver is None and env_y is not None and not model.env_free("driver")
-        ):
-            pool_x.append(env_x)
-            pool_y.append(env_y)
 
     return BlockSim(
         grid=grid,
@@ -438,6 +423,4 @@ def simulate_blocks(
         keys=tuple(keys),
         terminal_curve=_joined(terminal_parts),
         driver_curve=_joined(driver_parts),
-        env_x=_joined(pool_x),
-        env_y=_joined(pool_y),
     )

@@ -69,7 +69,6 @@ _STUDY_DEFAULTS = {
     "probe_times": [1.0],
     "y_probe_times": [0.5],
     "lattice_times": [0.25, 0.5, 1.0],
-    "lattice_probes": None,   # defaults to the origin of the state space
     "seed": None,
 }
 _METRICS = ("x", "y", "z")
@@ -225,17 +224,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     cfg = ExperimentConfig(model_block, steps, study, out_dir)
-    if study["lattice_probes"] is None:
-        study["lattice_probes"] = [[0.0] * cfg.build_model().dim]
     cfg.validate()
     return cfg
 
 
 def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
-    compute nothing: bad metrics, degree or lattice probes, probe times off
-    the grid, too few inner paths for the regression basis, and clt
-    ensembles too small to compare."""
+    compute nothing: bad metrics or degree, probe times off the grid, too few
+    inner paths for the regression basis, and clt ensembles too small to
+    compare."""
     out = []
     metrics = study["metrics"]
     if (
@@ -268,15 +265,6 @@ def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
                     grid.node_at(float(t))
                 except (TypeError, ValueError):
                     out.append(f"study.{key} entry {t!r} is not a node of {grid}")
-        raw = study["lattice_probes"]
-        try:
-            probes = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            probes = np.empty(0)
-        if probes.ndim != 2 or probes.shape[1] != dim or not np.all(np.isfinite(probes)):
-            out.append(f"study.lattice_probes must be a list of finite {dim}-vectors, got {raw!r}")
-        elif len(set(map(tuple, probes.tolist()))) < len(probes):
-            out.append(f"study.lattice_probes must be distinct, got {raw!r}")
     degree = study["degree"]
     if not isinstance(degree, int) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
@@ -571,24 +559,19 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     )
 
     # field covariance comparison on the configured lattice
-    lattice = FieldLattice(
-        grid,
-        tuple(grid.node_at(t) for t in study["lattice_times"]),
-        np.asarray(study["lattice_probes"], dtype=float),
-        blocks=("drift",),
-    )
+    lattice = FieldLattice(grid, tuple(grid.node_at(t) for t in study["lattice_times"]))
     cov = theoretical_covariance(
         model, law, lattice,
         cloud_size=4 * env_cloud,
         key=root.child("cov", 0),
     )
-    emp_sample = empirical_fields(
+    emp = empirical_fields(
         model, N, lattice, int(study["field_reps"]), law,
         root.child("field_env", 0), root.child("field_ctr", 0),
         center_size=2 * env_cloud,
     )
-    emp_cov = np.atleast_2d(np.cov(emp_sample.values.T))
-    m = emp_sample.values.shape[0]
+    emp_cov = np.atleast_2d(np.cov(emp.T))
+    m = emp.shape[0]
     cov_rows = []
     cov_ok = True
     for i in range(cov.size):

@@ -7,8 +7,10 @@ A model is a quadruple of coefficient functions
 
 together with their first-order gradients.  The second ("environment")
 argument is the partner variable that mean-field expectations average over.
-The driver signature deliberately has no z_env parameter: partner z values
-never enter the driver.
+Every coefficient couples to its partner additively (see `ModelSpec`), so a
+mean over partners is the coefficient at the reference partner plus one
+shift per pool.  The driver signature deliberately has no z_env parameter:
+partner z values never enter the driver.
 
 All callables are numpy-vectorized over leading axes; coordinates live on the
 trailing axis.
@@ -65,7 +67,13 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Immutable coefficient bundle; all evaluations are pure functions."""
+    """Immutable coefficient bundle; all evaluations are pure functions.
+
+    The coupling contract: each coefficient is a(x) + b(x_env), and the
+    driver is a(x, y, z) + b(x_env, y_env).  A mean over partner pools is then
+    g(x, x0) plus the pool's shift (see `env_average`), and every fluctuation
+    field is b(X) - E b(X), the same at every own state.
+    """
 
     name: str
     dim: int
@@ -85,7 +93,6 @@ class ModelSpec:
     grad_driver_own: Callable[..., Array]                # (..., 2d+1)
     grad_driver_env: Callable[..., Array]                # (..., d+1)
     env_dependence: frozenset[str] = frozenset()
-    separable: bool = True
     unbounded: bool = False
     closed_form: Optional[ClosedForm] = None
     params: dict = field(default_factory=dict)
@@ -222,7 +229,6 @@ def _build_constant(dim, x0, horizon, params):
         grad_driver_own=g_own,
         grad_driver_env=g_env,
         env_dependence=frozenset(),
-        separable=True,
         unbounded=False,
         closed_form=closed,
         params={"b0": b0, "s": s, "phi0": phi0, "f0": f0},
@@ -333,7 +339,6 @@ def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
         grad_driver_own=g_own,
         grad_driver_env=g_env,
         env_dependence=env_dep,
-        separable=True,
         unbounded=True,
         closed_form=_ou_like_closed_form(
             dim, x0, horizon, beta, s, linear_terminal=linear_terminal
@@ -436,7 +441,6 @@ def _build_tanh(dim, x0, horizon, params):
         grad_driver_own=grad_driver_own,
         grad_driver_env=grad_driver_env,
         env_dependence=frozenset({"drift", "diffusion", "driver", "terminal"}),
-        separable=True,
         unbounded=False,
         closed_form=None,
         params={"s": s, "rho": rho, "kappa": kappa},
@@ -469,24 +473,27 @@ def _coefficient(model: ModelSpec, which: str):
 def _check_pool(which: str, env_x, env_y) -> None:
     if which == "driver" and env_y is None:
         raise ValueError(
-            "driver averages over partner y values, but the pool carries none; "
-            "attach y values to the environment law first (see value_law)"
+            "driver averages over partner y values, but neither a pool nor a shift "
+            "carries them; attach y values to the environment law first (see value_law)"
+        )
+    if env_x is None:
+        raise ValueError(
+            f"{which} averages over partners, but the call passes neither a pool nor a shift"
         )
     if np.shape(env_x)[1] == 0:
         raise ValueError("partner pool is empty")
 
 
 def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
-    """What the separable average keeps of a partner pool.
+    """What the average keeps of a partner pool.
 
     ``env_x`` holds partner states on axis 1, (B, K, ..., d), and ``env_y``
     their values (B, K, ...) for the driver; axes between the pool axis and
     the coordinates (grid nodes, say) are kept.  Returns the shift
     mean_k g(ref, e_k) - g(ref, ref), shaped (B, ...) plus the coefficient's
-    own axes, for a separable model; None when `env_average` needs no shift,
-    because the coefficient ignores its partner or the model is not separable.
+    own axes, or None for a coefficient that ignores its partner.
     """
-    if model.env_free(which) or not model.separable:
+    if model.env_free(which):
         return None
     _check_pool(which, env_x, env_y)
     g = _coefficient(model, which)
@@ -505,28 +512,17 @@ def env_average(
     also takes own ``y`` (B, P) and ``z`` (B, P, d) and partner values
     ``env_y`` (B, K).  Returns (B, P) plus the coefficient's own axes.
 
-    In order: a coefficient that ignores its partner is g(x, x), which keeps
-    decoupled models bit-exact; a separable model costs O(B*P + B*K) as
-    g(x, ref) plus the pool's `env_shift`, which a caller that reuses or
-    drops a pool passes as ``shift`` (B, ...) in place of the pool; any other
-    model takes the O(B*P*K) mean.
+    A coefficient that ignores its partner is g(x, x), which keeps decoupled
+    models bit-exact; any other costs O(B*P + B*K) as g(x, ref) plus the
+    pool's `env_shift`, which a caller that reuses or drops a pool passes as
+    ``shift`` (B, ...) in place of the pool.
     """
     g = _coefficient(model, which)
     if model.env_free(which):
         return g(x, y, z, x, y)
-    if model.separable:
-        if shift is None:
-            shift = env_shift(model, which, env_x, env_y)
-        return g(x, y, z, model.x0, 0.0) + shift[:, None]
-    _check_pool(which, env_x, env_y)
-
-    def expand(a, axis):
-        return None if a is None else np.expand_dims(a, axis)
-
-    # own states on axis 1, partners on axis 2
-    return g(
-        expand(x, 2), expand(y, 2), expand(z, 2), expand(env_x, 1), expand(env_y, 1)
-    ).mean(axis=2)
+    if shift is None:
+        shift = env_shift(model, which, env_x, env_y)
+    return g(x, y, z, model.x0, 0.0) + shift[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,7 @@ def test_criterion_06_field_covariance():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c6law", 0))
     times = (0.25, 0.5, 1.0)
-    lattice = FieldLattice(
-        GRID, tuple(GRID.node_at(t) for t in times), np.array([[1.0]]), blocks=("drift",)
-    )
+    lattice = FieldLattice(GRID, tuple(GRID.node_at(t) for t in times))
     cov = theoretical_covariance(
         model, law, lattice, cloud_size=60000, key=derive_key(ROOT, "c6k", 0)
     )
@@ -248,7 +246,7 @@ def test_criterion_06_field_covariance():
         derive_key(ROOT, "c6env", 0), derive_key(ROOT, "c6ctr", 0),
         center_size=32768,
     )
-    emp = np.cov(sample.values.T)
+    emp = np.cov(sample.T)
     emp_ok = True
     for i in range(3):
         for j in range(3):
@@ -401,16 +399,13 @@ def test_criterion_10b_determinism(tmp_path):
 def test_criterion_10c_field_sampler_covariance():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c10law", 0))
-    lattice = FieldLattice(
-        GRID, (GRID.node_at(0.25), GRID.node_at(0.5), GRID.node_at(1.0)),
-        np.array([[1.0]]), blocks=("drift",),
-    )
+    lattice = FieldLattice(GRID, (GRID.node_at(0.25), GRID.node_at(0.5), GRID.node_at(1.0)))
     cov = theoretical_covariance(
         model, law, lattice, cloud_size=8192, key=derive_key(ROOT, "c10k", 0)
     )
     n = 10_000
     sample = sample_field_on_lattice(cov, derive_key(ROOT, "c10s", 0), count=n)
-    emp = np.cov(sample.values.T)
+    emp = np.cov(sample.T)
     ok = True
     for i in range(3):
         for j in range(3):

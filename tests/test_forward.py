@@ -275,20 +275,6 @@ def test_divergence_guard_reports_step():
         solve_classical_system(model, 2, GRID, derive_key(ROOT, "div", 0))
 
 
-def test_nonseparable_env_average_matches_separable_path():
-    # force the generic averaging branch and compare against the separable one
-    import dataclasses
-
-    model = catalog_model("ou_mean_field", beta=0.8, s=0.6, x0=1.0)
-    generic = dataclasses.replace(model, separable=False)
-    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 11))
-    kw = derive_key(ROOT, "cmp", 0)
-    ke = derive_key(ROOT, "cmpe", 0)
-    a = simulate_blocks(model, 8, GRID, law, 3, 4, kw, ke)
-    b = simulate_blocks(generic, 8, GRID, law, 3, 4, kw, ke)
-    assert np.allclose(a.xn, b.xn, atol=1e-10)
-
-
 @pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded", "mf_bsde_linear"])
 def test_blocks_invariant_under_chunk_size(name):
     # each block's environment, increments and partner shifts depend on its

@@ -27,7 +27,7 @@ MINIMAL = {
 
 
 # env_cloud sizes every cloud; verdict thresholds and the block batch are
-# module constants
+# module constants; every lattice entry is evaluated at the reference state
 REMOVED_STUDY_KEYS = {
     "kernel_cloud": 4096,
     "center_cloud": 8192,
@@ -38,6 +38,7 @@ REMOVED_STUDY_KEYS = {
     "ks_alpha": 0.01,
     "exact_tol": 1e-20,
     "chunk": 256,
+    "lattice_probes": [[0.0]],
 }
 
 
@@ -47,7 +48,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path, capsys):
     assert cfg.study["degree"] == 2
     assert cfg.study["env_cloud"] == 4096
     assert cfg.study["metrics"] == ["x", "y", "z"]
-    assert len(cfg.study) == 15
+    assert len(cfg.study) == 14
     from mfbsde.cli import main
 
     # environments always come from the limit law, so there is no law
@@ -142,27 +143,34 @@ def test_bad_metrics_rejected(metrics, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "probes, problem",
+    "study, lattice",
     [
-        ([[0.0], [0.5], [0.0]], "must be distinct"),
-        ([[0.0, 1.0]], "must be a list of finite 1-vectors"),
-        ([[0.0], [1e999]], "must be a list of finite 1-vectors"),
-        ([0.0], "must be a list of finite 1-vectors"),
-        ([], "must be a list of finite 1-vectors"),
+        ({"lattice_probes": [[0.0]]}, None),
+        ({}, {"times": [0.5], "probes": [[0.0]]}),
+        ({}, [0.5]),
     ],
 )
-def test_bad_lattice_probes_rejected_before_compute(probes, problem):
-    # FieldLattice would reject duplicates only after the coupled blocks and
-    # the limit system have run; a 2-vector probe does not fit a 1-d model
-    with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(_clt_doc(lattice_probes=probes)))
-    assert err.value.violations == [f"study.lattice_probes {problem}, got {probes!r}"]
-    parse_config(json.dumps(_clt_doc(lattice_probes=[[0.0], [0.5]])))
-    # the default probe is the origin of the model's state space
-    plane = {**_clt_doc(), "model": {"name": "ou_mean_field", "dim": 2}}
-    assert parse_config(json.dumps(plane)).study["lattice_probes"] == [[0.0, 0.0]]
-    # a convergence study reads no lattice
-    parse_config(json.dumps({**MINIMAL, "study": {**MINIMAL["study"], "lattice_probes": probes}}))
+def test_lattice_probes_rejected_before_compute(study, lattice, tmp_path, capsys):
+    # every field entry is evaluated at the reference state: there is no
+    # probe to choose, in a study config or in a clt --lattice file
+    from mfbsde.cli import main
+
+    doc = _clt_doc(**study)
+    if lattice is None:
+        (tmp_path / "clt.json").write_text(json.dumps(doc))
+        argv = ["clt", "--config", str(tmp_path / "clt.json")]
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(doc["model"]))
+        (tmp_path / "lattice.json").write_text(json.dumps(lattice))
+        argv = [
+            "clt", "--model", str(tmp_path / "model.json"),
+            "--lattice", str(tmp_path / "lattice.json"), "--n", "64", "--seed", "5",
+        ]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "invalid configuration:" and len(printed) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("degree", [-1, 1.5, "2", None])

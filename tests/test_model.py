@@ -10,6 +10,7 @@ from mfbsde.model import (
     check_gradients,
     check_lipschitz,
     env_average,
+    env_shift,
     random_probes,
 )
 from mfbsde.noise import StreamKey, TimeGrid, brownian_path, derive_key
@@ -126,6 +127,20 @@ def test_env_average_driver_uses_partner_y():
         env_average(model, "driver", x, env, y=np.zeros((1, 1)), z=np.zeros((1, 1, 1)))
 
 
+def test_env_average_without_pool_or_shift_names_what_is_missing():
+    ou = catalog_model("ou_mean_field")
+    x = np.zeros((1, 1, 1))
+    with pytest.raises(ValueError, match="drift averages over partners, but the call passes neither"):
+        env_average(ou, "drift", x)
+    tanh = catalog_model("tanh_bounded")
+    with pytest.raises(ValueError, match="terminal averages over partners"):
+        env_average(tanh, "terminal", x)
+    with pytest.raises(ValueError, match="driver averages over partner y values, but neither"):
+        env_average(tanh, "driver", x, y=np.zeros((1, 1)), z=x)
+    # a coefficient that ignores its partner needs neither
+    assert env_average(ou, "diffusion", x)[0, 0, 0, 0] == 1.0
+
+
 def _brute_force_mean(model, which, x, env, y, z, env_y):
     """Mean over the pool by one coefficient call per (own, partner) pair."""
     B, P, _ = x.shape
@@ -145,13 +160,13 @@ def _brute_force_mean(model, which, x, env, y, z, env_y):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 @pytest.mark.parametrize("which", ["drift", "diffusion", "terminal", "driver"])
 @pytest.mark.parametrize("blocks", [1, 3])
-@pytest.mark.parametrize("separable", [True, False])
-def test_env_average_matches_brute_force_mean(name, which, blocks, separable):
-    # blocks == 1 is one pool shared by every own state; blocks == 3 gives each
-    # block its own pool.  separable=False forces the generic O(B*P*K) mean.
-    import dataclasses
-
-    model = dataclasses.replace(catalog_model(name, dim=2), separable=separable)
+@pytest.mark.parametrize("pooled", [True, False])
+def test_env_average_matches_brute_force_mean(name, which, blocks, pooled):
+    # The guard of the additive coupling contract.  blocks == 1 is one pool
+    # shared by every own state; blocks == 3 gives each block its own pool.
+    # pooled=False passes the pool's env_shift in place of the pool, as the
+    # callers that drop their pools do.
+    model = catalog_model(name, dim=2)
     rng = np.random.default_rng(5)
     P, K, d = 4, 6, model.dim
     x = rng.standard_normal((blocks, P, d))
@@ -160,7 +175,10 @@ def test_env_average_matches_brute_force_mean(name, which, blocks, separable):
     env = rng.standard_normal((blocks, K, d))
     env_y = rng.standard_normal((blocks, K))
     expected = _brute_force_mean(model, which, x, env, y, z, env_y)
-    got = env_average(model, which, x, env, env_y, y, z)
+    if pooled:
+        got = env_average(model, which, x, env, env_y, y, z)
+    else:
+        got = env_average(model, which, x, y=y, z=z, shift=env_shift(model, which, env, env_y))
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
