@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forward import BlockSim, LawFlow, PathEnsemble
+from .forward import BlockSim, LawFlow
 from .model import ModelSpec, env_average
 from .noise import TimeGrid
 
@@ -210,59 +210,36 @@ def _backward_induction(
 
 
 # ---------------------------------------------------------------------------
-# mean-field limit solver
+# mean-field limit and N-environment solvers
 
 
-def _self_average_driver(model: ModelSpec, x_nodes: np.ndarray):
-    """Driver averaging over the ensemble's own (state, y) values.
+def _block_solve(
+    model: ModelSpec,
+    grid: TimeGrid,
+    x: np.ndarray,             # (B, P, n+1, d)
+    dw: np.ndarray,            # (B, P, n, d)
+    terminal_shift,            # (B,) or (1,); None for a partner-free terminal
+    driver_shift,              # (B, n+1) or (1, n+1); None for a partner-free driver
+    degree: int,
+    self_average: bool = False,
+) -> BsdeSolution:
+    """Backward solve on blocks whose partner means are g(x, x0) plus a shift.
 
-    x_nodes is (B, P, n+1, d); the partner pool at node i is the block's own
-    (X_i, y_i) columns, refreshed on every fixed-point sweep.  This defines
-    the value law's fixed point (see `fluctuation.value_law`); a law that
-    already carries y answers the driver mean itself.
+    With ``self_average`` the driver instead averages over the block's own
+    (state, y) columns, refreshed on every fixed-point sweep: this defines
+    the value law's fixed point (see `fluctuation.value_law`).
     """
+    terminal = env_average(model, "terminal", x[:, :, -1, :], shift=terminal_shift)
 
     def driver(i, y, z):
-        x = x_nodes[:, :, i, :]
-        return env_average(model, "driver", x, x, y, y, z)
+        xi = x[:, :, i, :]
+        if self_average:
+            return env_average(model, "driver", xi, xi, y, y, z)
+        shift = None if driver_shift is None else driver_shift[:, i]
+        return env_average(model, "driver", xi, y=y, z=z, shift=shift)
 
-    return driver
-
-
-def solve_mfbsde(
-    model: ModelSpec,
-    law_flow: LawFlow,
-    x_paths,
-    dw: np.ndarray,
-    grid: TimeGrid,
-    degree: int = 2,
-) -> BsdeSolution:
-    """Backward solution of the mean-field limit equation on given paths.
-
-    The terminal condition averages the terminal coefficient over the law
-    flow.  The driver does too when the law carries y values; otherwise it
-    averages over the ensemble's own (state, y) values, which is how
-    `value_law` finds the law's values in the first place.  Regression
-    conditions on the state at each node.
-    """
-    values = x_paths.values if isinstance(x_paths, PathEnsemble) else np.asarray(x_paths)
-    if values.ndim == 3:
-        values = values[None]
-        dw = dw[None]
-        squeeze = True
-    else:
-        squeeze = False
-    terminal = law_flow.average("terminal", values[:, :, -1, :], -1)
-    if law_flow.has_y:
-        def driver(i, y, z):
-            return law_flow.average("driver", values[:, :, i, :], i, y, z)
-    else:
-        driver = _self_average_driver(model, values)
-    y, z, artifacts, prov = _backward_induction(grid, values, dw, terminal, driver, degree)
-    prov["solver"] = "mf_limit"
-    if squeeze:
-        return BsdeSolution(grid, y[0], z[0], artifacts, prov)
-    B, P = values.shape[:2]
+    y, z, artifacts, prov = _backward_induction(grid, x, dw, terminal, driver, degree)
+    B, P = x.shape[:2]
     return BsdeSolution(
         grid,
         y.reshape(B * P, -1),
@@ -273,8 +250,39 @@ def solve_mfbsde(
     )
 
 
-# ---------------------------------------------------------------------------
-# N-environment solver
+def solve_mfbsde(
+    model: ModelSpec,
+    law_flow: LawFlow,
+    x_paths: np.ndarray,
+    dw: np.ndarray,
+    grid: TimeGrid,
+    degree: int = 2,
+) -> BsdeSolution:
+    """Backward solution of the mean-field limit equation on given paths.
+
+    ``x_paths`` is (B, P, n+1, d) blocks, or (P, n+1, d) paths solved as one
+    block with no designated path.  Terminal and driver means come from the
+    law's shift curves (`LawFlow.shift`).  A law without y values has no
+    driver curve: the driver then averages over the ensemble's own
+    (state, y) values, which is how `value_law` finds the law's values in the
+    first place.  Regression conditions on the state at each node.
+    """
+    values = np.asarray(x_paths)
+    single = values.ndim == 3
+    if single:
+        values, dw = values[None], dw[None]
+    self_average = not law_flow.has_y
+    sol = _block_solve(
+        model, grid, values, dw,
+        law_flow.shift("terminal"),
+        None if self_average else law_flow.shift("driver"),
+        degree,
+        self_average=self_average,
+    )
+    sol.provenance["solver"] = "mf_limit"
+    if single:
+        sol.block_shape = None
+    return sol
 
 
 def solve_bsde_n(
@@ -291,24 +299,12 @@ def solve_bsde_n(
     regressions stay within blocks, where the value is a function of the
     state conditionally on the environment.
     """
-    terminal = env_average(model, "terminal", sim.xn[:, :, -1, :], shift=sim.terminal_curve)
-
-    def driver(i, y, z):
-        shift = None if sim.driver_curve is None else sim.driver_curve[:, i]
-        return env_average(model, "driver", sim.xn[:, :, i, :], y=y, z=z, shift=shift)
-
-    y, z, artifacts, prov = _backward_induction(grid, sim.xn, sim.dw, terminal, driver, degree)
-    B, P = sim.xn.shape[:2]
-    prov["solver"] = "bsde_n"
-    prov["environment_size"] = N
-    return BsdeSolution(
-        grid,
-        y.reshape(B * P, -1),
-        z.reshape(B * P, grid.steps + 1, -1),
-        artifacts,
-        prov,
-        block_shape=(B, P),
+    sol = _block_solve(
+        model, grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree
     )
+    sol.provenance["solver"] = "bsde_n"
+    sol.provenance["environment_size"] = N
+    return sol
 
 
 # ---------------------------------------------------------------------------

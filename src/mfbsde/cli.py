@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backward import solve_bsde_n, solve_mfbsde
-from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
+from .forward import _euler_coefficients, simulate_blocks, solve_limit_forward, solve_sde_n
 from .harness import (
     ConfigError,
     emit_report,
@@ -150,12 +150,12 @@ def _invert_euler_increments(model, law, grid, values):
     """Recover Brownian increments from limit-dynamics paths (needs a
     nonsingular diffusion mean)."""
     R, n1, d = values.shape
+    drift, diffusion = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
     dw = np.empty((R, grid.steps, d))
     for i in range(grid.steps):
-        x = values[:, i, :]
-        resid = values[:, i + 1, :] - x - law.average("drift", x, i) * grid.h
-        sig = law.average("diffusion", x, i)
-        dw[:, i, :] = np.linalg.solve(sig, resid[..., None])[..., 0]
+        x = values[None, :, i, :]
+        resid = values[None, :, i + 1, :] - x - drift(x, i) * grid.h
+        dw[:, i, :] = np.linalg.solve(diffusion(x, i), resid[..., None])[0, ..., 0]
     return dw
 
 

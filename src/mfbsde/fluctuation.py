@@ -10,7 +10,9 @@ statistical comparisons between the two.
 Every coefficient couples to its partner additively (see `ModelSpec`), so a
 field entry is b(X) - E b(X) whatever the own state: entries are evaluated
 at the reference state x0, and one kernel factorization serves every member
-path.
+path.  `_field_values` lays out every entry's summand from one
+`model.partner_values` call per block; the kernel cloud and the empirical
+draws both go through it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
-from .forward import LawFlow, _law_coefficients, euler_paths, simulate_blocks
-from .model import ModelSpec
+from .forward import LawFlow, _euler_coefficients, euler_paths, simulate_blocks
+from .model import ModelSpec, partner_values
 from .noise import StreamKey, TimeGrid, generator, key_streams
 
 __all__ = [
@@ -54,7 +56,7 @@ class FieldLattice:
 
     Each entry evaluates its coefficient at the reference state x0, the
     driver at (x0, 0, 0).  The terminal block is always evaluated at the
-    final node.
+    final node.  `_field_values` fixes the order of the entries.
     """
 
     grid: TimeGrid
@@ -69,61 +71,38 @@ class FieldLattice:
             if not 0 <= t <= self.grid.steps:
                 raise ValueError(f"node {t} outside the grid")
 
-    def entries(self, dim: int) -> list[dict]:
-        """Flat index map; one entry per scalar field coordinate."""
-        out = []
-        for block in _BLOCK_ORDER:
-            if block not in self.blocks:
-                continue
-            if block == "terminal":
-                out.append({"block": block, "node": self.grid.steps, "comp": ()})
-            elif block == "driver":
-                for ti in self.time_nodes:
-                    out.append({"block": block, "node": ti, "comp": ()})
-            else:
-                comps = (
-                    [(i,) for i in range(dim)]
-                    if block == "drift"
-                    else [(i, j) for i in range(dim) for j in range(dim)]
-                )
-                for ti in self.time_nodes:
-                    for comp in comps:
-                        out.append({"block": block, "node": ti, "comp": comp})
-        return out
 
+def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
+    """Summands of every lattice entry's field: the coefficient at x0 against
+    partner states (see `partner_values`), and each entry's block name.
 
-def _entry_eval(model: ModelSpec, entry: dict, x_states, y_states):
-    """Evaluate one lattice entry's coefficient on partner states (..., d)."""
-    block = entry["block"]
-    ref = model.x0
-    if block == "driver":
-        if y_states is None:
-            raise ValueError("driver block needs partner y values")
-        return model.driver(ref, 0.0, np.zeros(model.dim), x_states, y_states)
-    if block == "drift":
-        return model.drift(ref, x_states)[..., entry["comp"][0]]
-    if block == "diffusion":
-        i, j = entry["comp"]
-        return model.diffusion(ref, x_states)[..., i, j]
-    return model.terminal(ref, x_states)
-
-
-def _lattice_features(model, lattice, x_cloud, y_cloud):
-    """(M, L) coefficient evaluations of the cloud at every lattice entry.
-
-    Partner-free coefficients contribute exactly zero columns: their field
-    vanishes identically, and a constant column would differ only by rounding.
+    ``x`` is (..., k, d) partner states and ``y`` (..., k) their values (read
+    by the driver block only), at the grid nodes ``nodes`` in order.  Returns
+    (..., L): columns run block by block, node-major within a block, then
+    over the coefficient's own axes.  The terminal block sits at the final
+    node.  A partner-free block gives exact zeros: its field vanishes
+    identically, and a constant column would differ only by rounding.
     """
-    entries = lattice.entries(model.dim)
-    cols = []
-    for e in entries:
-        if model.env_free(e["block"]):
-            cols.append(np.zeros(x_cloud.shape[0]))
+    col = {node: k for k, node in enumerate(nodes)}
+    lead = np.shape(x)[:-2]
+    parts, blocks = [], []
+    for block in _BLOCK_ORDER:
+        if block not in lattice.blocks:
             continue
-        xs = x_cloud[:, e["node"]]
-        ys = y_cloud[:, e["node"]] if y_cloud is not None else None
-        cols.append(_entry_eval(model, e, xs, ys))
-    return np.stack(cols, axis=-1), entries
+        at = [lattice.grid.steps] if block == "terminal" else list(lattice.time_nodes)
+        width = len(at) * {"drift": model.dim, "diffusion": model.dim**2}.get(block, 1)
+        if model.env_free(block):
+            parts.append(np.zeros(lead + (width,)))
+        else:
+            idx = [col[t] for t in at]
+            if idx == list(range(idx[0], idx[0] + len(idx))):
+                idx = slice(idx[0], idx[0] + len(idx))  # a view of x, not a copy
+            ys = y[..., idx] if block == "driver" else None
+            parts.append(partner_values(model, block, x[..., idx, :], ys).reshape(lead + (width,)))
+        blocks.extend([block] * width)
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    # C order: the covariance's BLAS products round by memory layout
+    return np.ascontiguousarray(values), tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +113,7 @@ def _lattice_features(model, lattice, x_cloud, y_cloud):
 class CovarianceMatrix:
     matrix: np.ndarray
     stderr: np.ndarray
-    entries: list
+    blocks: tuple[str, ...]        # block name of each entry
     jitter: float = 0.0
     _chol: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
@@ -170,7 +149,7 @@ class CovarianceMatrix:
         return chol
 
 
-def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
+def _sample_covariance(feats: np.ndarray, blocks: tuple[str, ...]) -> CovarianceMatrix:
     """Covariance of (M, L) samples: the mean-centred Gram matrix, symmetrised,
     with the stderr of each entry."""
     m = feats.shape[0]
@@ -179,7 +158,7 @@ def _sample_covariance(feats: np.ndarray, entries: list) -> CovarianceMatrix:
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
-    return CovarianceMatrix(cov, stderr, entries)
+    return CovarianceMatrix(cov, stderr, blocks)
 
 
 def law_cloud(law: LawFlow, size: int, key: StreamKey, with_y: bool = True):
@@ -236,7 +215,8 @@ def theoretical_covariance(
     m = x_cloud.shape[0]
     if m < 100:
         raise ValueError(f"kernel cloud too small ({m} < 100)")
-    return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
+    nodes = range(lattice.grid.steps + 1)
+    return _sample_covariance(*_field_values(model, lattice, x_cloud, y_cloud, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +238,9 @@ def _path_kernel(
     model: ModelSpec, grid: TimeGrid, x_cloud: np.ndarray, y_cloud
 ) -> CovarianceMatrix:
     """Joint kernel of all four field components along the grid."""
-    lattice = FieldLattice(
-        grid, tuple(range(grid.steps + 1)), blocks=("drift", "diffusion", "terminal", "driver")
-    )
-    return _sample_covariance(*_lattice_features(model, lattice, x_cloud, y_cloud))
+    nodes = tuple(range(grid.steps + 1))
+    lattice = FieldLattice(grid, nodes, blocks=_BLOCK_ORDER)
+    return _sample_covariance(*_field_values(model, lattice, x_cloud, y_cloud, nodes))
 
 
 def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
@@ -269,7 +248,7 @@ def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
     (R, n+1, d, d), terminal (R,) and driver (R, n+1) arrays.
 
     The kernel's lattice lays its entries out block by block, node-major
-    within a block (see `FieldLattice.entries`).
+    within a block (see `_field_values`).
     """
     d = model.dim
     n1 = grid.steps + 1
@@ -301,31 +280,27 @@ def empirical_fields(
     needs_y = "driver" in lattice.blocks
     if needs_y and not env_law.has_y:
         raise ValueError("driver block needs an environment law carrying y values")
-    entries = lattice.entries(model.dim)
     # partner-free coefficients have identically vanishing summands
-    live = [j for j, e in enumerate(entries) if not model.env_free(e["block"])]
-    values = np.zeros((reps, len(entries)))
+    live = [b for b in lattice.blocks if not model.env_free(b)]
     if not live:
-        return values
-    # draw partners only at the lattice nodes: every summand is pointwise in t
-    nodes = sorted({entries[j]["node"] for j in live})
-    col = {node: k for k, node in enumerate(nodes)}
-    cx, cy = env_law.sample_env([center_key], center_size, nodes, with_y=needs_y)
-    center = np.empty(len(entries))
-    for j in live:
-        k = col[entries[j]["node"]]
-        ys = cy[0, :, k] if cy is not None else None
-        center[j] = _entry_eval(model, entries[j], cx[0, :, k], ys).mean()
+        return _field_values(model, lattice, np.empty((reps, 0, model.dim)), None, ())[0]
+    # draw partners only at the live lattice nodes: every summand is pointwise in t
+    final = (lattice.grid.steps,)
+    nodes = sorted({t for b in live for t in (final if b == "terminal" else lattice.time_nodes)})
+
+    def partner_mean(x, y):
+        vals = _field_values(model, lattice, x, y, nodes)[0]
+        # column by column, so that each mean is a pairwise sum over partners
+        return np.stack([vals[..., j].mean(axis=1) for j in range(vals.shape[-1])], axis=-1)
+
+    center = partner_mean(*env_law.sample_env([center_key], center_size, nodes, with_y=needs_y))
+    values = np.empty((reps, center.shape[1]))
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
         ex, ey = env_law.sample_env(
             [env_key.child("env", r) for r in range(lo, hi)], N, nodes, with_y=needs_y
         )
-        for j in live:
-            k = col[entries[j]["node"]]
-            ys = ey[:, :, k] if ey is not None else None
-            vals = _entry_eval(model, entries[j], ex[:, :, k], ys)
-            values[lo:hi, j] = np.sqrt(N) * (vals.mean(axis=1) - center[j])
+        values[lo:hi] = np.sqrt(N) * (partner_mean(ex, ey) - center)
     return values
 
 
@@ -386,7 +361,7 @@ def solve_limit_system(
     kernel = _path_kernel(model, grid, kx, ky)
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
-    limit_fns = _law_coefficients(law)
+    limit_fns = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec, env_average, env_shift
+from .model import ModelSpec, env_average, env_shift, partner_values
 from .noise import StreamKey, TimeGrid, key_streams
 
 __all__ = [
@@ -69,7 +69,9 @@ class LawFlow:
     Cloud mode stores M independent paths (optionally with partner y-values
     once a backward solve has been attached).  Closed-form mode synthesizes
     exact draws on demand from the model's path map, so environment sampling
-    never pays a cloud-size bias.
+    never pays a cloud-size bias.  Either way a limit-side mean of a
+    coefficient is g(x, x0) plus the law's `shift` curve, the same form as a
+    block's mean over its N partners.
     """
 
     grid: TimeGrid
@@ -156,43 +158,37 @@ class LawFlow:
                 y[lo:hi] = cf.y_path(t, w)
         return x, y
 
-    # -- mean-field coefficient averages --------------------------------------
+    # -- mean-field coefficient shifts ----------------------------------------
 
-    def average(self, which: str, x, node: int, y=None, z=None) -> np.ndarray:
-        """Mean of coefficient ``which`` over the law at grid node ``node``.
+    def shift(self, which: str) -> Optional[np.ndarray]:
+        """The law's shift curve of coefficient ``which``, in `BlockSim`'s
+        layout: (1,) for the terminal, else (1, n+1) plus the coefficient's own
+        axes; None for a coefficient that ignores its partner.
 
-        ``x`` is (..., d) own states; the driver also takes own ``y`` (...)
-        and ``z`` (..., d).  A closed-form law answers with its exact oracle;
-        a cloud law averages over the whole cloud, reduced once per
-        coefficient to its shift curve (see `env_shift`).
+        With it, `env_average` gives the law's mean of the coefficient at any
+        own state.  A closed-form law takes its exact mean at x0 minus
+        g(x0, x0); a cloud law is one pool holding the whole cloud (see
+        `env_shift`), its terminal shift the last node of the path curve.
         """
         model = self.model
-        if self.use_closed_form:
-            cf = model.closed_form
-            t = float(self.grid.nodes[node])
-            if which == "terminal":
-                return cf.terminal_mean(x)
-            if which == "driver":
-                return cf.driver_mean(x, y, z, t)
-            return getattr(cf, f"{which}_mean")(x, t)
+        if model.env_free(which):
+            return None
         if which not in self._curves:
-            cloud_y = None if self.cloud_y is None else self.cloud_y[None]
-            self._curves[which] = env_shift(model, which, self.cloud[None], cloud_y)
-        shift = self._curves[which]
-        lead = np.shape(x)[:-1]
-
-        def own(a, tail):
-            return None if a is None else np.reshape(a, (1, -1) + tail)
-
-        out = env_average(
-            model,
-            which,
-            own(x, (model.dim,)),
-            y=own(y, ()),
-            z=own(z, (model.dim,)),
-            shift=None if shift is None else shift[:, node],
-        )
-        return out.reshape(lead + out.shape[2:])
+            if not self.use_closed_form:
+                cloud_y = None if self.cloud_y is None else self.cloud_y[None]
+                curve = env_shift(model, which, self.cloud[None], cloud_y)
+                self._curves[which] = curve[:, -1] if which == "terminal" else curve
+            elif which == "driver":
+                raise ValueError("a closed form carries no mean of a partner-dependent driver")
+            else:
+                cf, ref = model.closed_form, model.x0
+                if which == "terminal":
+                    mean = np.reshape(cf.terminal_mean(ref), (1,))
+                else:
+                    oracle = getattr(cf, f"{which}_mean")
+                    mean = np.stack([oracle(ref, float(t)) for t in self.grid.nodes])[None]
+                self._curves[which] = mean - partner_values(model, which, ref)
+        return self._curves[which]
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +221,17 @@ def euler_paths(model: ModelSpec, grid: TimeGrid, dw: np.ndarray, drift_fn, diff
     return out
 
 
-def _law_coefficients(law: LawFlow):
-    return (
-        lambda x, i: law.average("drift", x, i),
-        lambda x, i: law.average("diffusion", x, i),
-    )
+def _euler_coefficients(model: ModelSpec, drift_curve, diffusion_curve):
+    """Euler drift and diffusion: g(x, x0) plus a shift curve (B, n+1, ...)
+    at the step's node (see `env_average`); a None curve is a coefficient
+    that ignores its partner."""
 
-
-def _pool_coefficients(model: ModelSpec, env_x: np.ndarray):
-    """Euler coefficients averaged over per-block partner paths (B, K, n+1, d),
-    with each pool's shift curve computed once."""
-
-    def coefficient(which):
-        curve = env_shift(model, which, env_x)
+    def coefficient(which, curve):
         return lambda x, i: env_average(
             model, which, x, shift=None if curve is None else curve[:, i]
         )
 
-    return coefficient("drift"), coefficient("diffusion")
+    return coefficient("drift", drift_curve), coefficient("diffusion", diffusion_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,7 @@ def simulate_blocks(
     dw_all = np.empty((n_blocks, inner, grid.steps, d))
     keys = []
     terminal_parts, driver_parts = [], []
-    limit_fns = _law_coefficients(law)
+    limit_fns = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
 
     # partner values enter only through the driver
     with_y = not model.env_free("driver")
@@ -406,7 +395,10 @@ def simulate_blocks(
         env_x, env_y = law.sample_env(
             [env_key.child("env", b) for b in blocks], N, with_y=with_y
         )
-        xn[lo:hi] = euler_paths(model, grid, dw, *_pool_coefficients(model, env_x))
+        pool_fns = _euler_coefficients(
+            model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
+        )
+        xn[lo:hi] = euler_paths(model, grid, dw, *pool_fns)
         xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
         terminal = env_shift(model, "terminal", env_x[:, :, -1])
         # forward-only use of a y-free law leaves the driver shift unset; the

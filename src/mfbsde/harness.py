@@ -23,6 +23,7 @@ from .backward import _exponent_tuples, solve_bsde_n, solve_mfbsde
 from .fluctuation import (
     CLT_MIN_SAMPLES,
     FieldLattice,
+    _sample_covariance,
     clt_compare,
     empirical_fields,
     solve_limit_system,
@@ -124,7 +125,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for what the study would hit mid-run (model
         parameters included); run again after overriding study keys."""
-        violations = _study_violations(self.study, self.build_grid(), self.build_model().dim)
+        try:
+            dim = self.build_model().dim
+            grid = self.build_grid()
+        except ValueError as exc:
+            raise ConfigError([f"invalid model block: {exc}"]) from None
+        violations = _study_violations(self.study, grid, dim)
         if violations:
             raise ConfigError(violations)
 
@@ -174,7 +180,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key != "steps":
             violations.append(f"unknown grid key {key!r}")
     steps = grid_block.get("steps", 64)
-    if not (isinstance(steps, int) and steps >= 1):
+    if not (_is_int(steps) and steps >= 1):
         violations.append("grid.steps must be a positive integer")
         steps = 64
 
@@ -190,6 +196,8 @@ def parse_config(text: str) -> ExperimentConfig:
             study[key] = value
     if study["seed"] is None:
         violations.append("study.seed is required (no wall-clock seeding)")
+    elif not _is_int(study["seed"]):
+        violations.append(f"study.seed must be an integer, got {study['seed']!r}")
     kind = study["kind"]
     if kind not in ("convergence", "clt"):
         violations.append(f"study.kind must be 'convergence' or 'clt', got {kind!r}")
@@ -197,11 +205,11 @@ def parse_config(text: str) -> ExperimentConfig:
         nv = study["n_values"]
         if not isinstance(nv, list) or len(nv) < 3:
             violations.append("study.n_values needs at least 3 entries for slope fits")
-        elif any(not isinstance(v, int) or v < 1 for v in nv):
+        elif any(not _is_int(v) or v < 1 for v in nv):
             violations.append("study.n_values must be positive integers")
         elif any(b <= a for a, b in zip(nv, nv[1:])):
             violations.append("study.n_values must be strictly increasing")
-    if kind == "clt" and (not isinstance(study["n"], int) or study["n"] < 1):
+    if kind == "clt" and (not _is_int(study["n"]) or study["n"] < 1):
         violations.append("study.n must be a positive integer for clt studies")
     if study["metrics"] is None:
         study["metrics"] = list(_METRICS)
@@ -209,7 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
         study["members"] = study["reps"]
     for size_key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
         v = study[size_key]
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             violations.append(f"study.{size_key} must be a positive integer")
 
     out_block = doc.get("output", {})
@@ -226,6 +234,11 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(model_block, steps, study, out_dir)
     cfg.validate()
     return cfg
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
@@ -266,7 +279,7 @@ def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
                 except (TypeError, ValueError):
                     out.append(f"study.{key} entry {t!r} is not a node of {grid}")
     degree = study["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
     elif backward:
         need = 10 * len(_exponent_tuples(dim, degree))
@@ -570,15 +583,13 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         root.child("field_env", 0), root.child("field_ctr", 0),
         center_size=2 * env_cloud,
     )
-    emp_cov = np.atleast_2d(np.cov(emp.T))
-    m = emp.shape[0]
+    emp_cov = _sample_covariance(emp, cov.blocks)
     cov_rows = []
     cov_ok = True
     for i in range(cov.size):
         for j in range(cov.size):
-            se_emp = np.sqrt((emp_cov[i, i] * emp_cov[j, j] + emp_cov[i, j] ** 2) / m)
-            combined = float(np.sqrt(se_emp**2 + cov.stderr[i, j] ** 2))
-            gap = float(abs(emp_cov[i, j] - cov.matrix[i, j]))
+            combined = float(np.sqrt(emp_cov.stderr[i, j] ** 2 + cov.stderr[i, j] ** 2))
+            gap = float(abs(emp_cov.matrix[i, j] - cov.matrix[i, j]))
             degenerate = cov.matrix[i, i] == 0.0 and cov.matrix[j, j] == 0.0
             ok = gap == 0.0 if degenerate else gap <= 4 * combined
             cov_ok = cov_ok and ok
@@ -586,10 +597,10 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
                 {
                     "i": i,
                     "j": j,
-                    "block": cov.entries[i]["block"],
+                    "block": cov.blocks[i],
                     "value": float(cov.matrix[i, j]),
                     "stderr": combined,
-                    "empirical": float(emp_cov[i, j]),
+                    "empirical": float(emp_cov.matrix[i, j]),
                     "ok": bool(ok),
                 }
             )

@@ -18,7 +18,7 @@ trailing axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "check_lipschitz",
     "env_average",
     "env_shift",
+    "partner_values",
     "random_probes",
     "CATALOG_NAMES",
 ]
@@ -51,8 +52,9 @@ class ClosedForm:
     ``path_map`` (and ``y_path``/``z_path``) turn a Brownian path sampled on
     grid nodes into the exact state (and value/martingale-integrand) path, so
     fresh exact draws from the state law cost one Brownian path each.
-    ``drift_mean``/``diffusion_mean``/``terminal_mean``/``driver_mean`` are
-    the exact environment-averaged coefficients.
+    ``drift_mean``/``diffusion_mean``/``terminal_mean`` are the exact
+    environment-averaged coefficients (no closed-form model has a driver that
+    reads its partners).
     """
 
     mean: Callable[[Array], Array]                 # t (k,) -> (k, d)
@@ -60,7 +62,6 @@ class ClosedForm:
     drift_mean: Callable[[Array, float], Array]    # x (..., d), t -> (..., d)
     diffusion_mean: Callable[[Array, float], Array]  # -> (..., d, d)
     terminal_mean: Callable[[Array], Array]        # x (..., d) -> (...)
-    driver_mean: Callable[[Array, Array, Array, float], Array]  # x, y, z, t -> (...)
     y_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k)
     z_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k, d)
 
@@ -93,9 +94,7 @@ class ModelSpec:
     grad_driver_own: Callable[..., Array]                # (..., 2d+1)
     grad_driver_env: Callable[..., Array]                # (..., d+1)
     env_dependence: frozenset[str] = frozenset()
-    unbounded: bool = False
     closed_form: Optional[ClosedForm] = None
-    params: dict = field(default_factory=dict)
 
     def env_free(self, which: str) -> bool:
         """True when the named coefficient ignores its environment argument."""
@@ -137,20 +136,24 @@ def catalog_model(name: str, **params) -> ModelSpec:
     """
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {CATALOG_NAMES}")
-    dim = int(params.pop("dim", 1))
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    x0 = np.atleast_1d(np.asarray(params.pop("x0", 0.0), dtype=float))
+    dim = params.pop("dim", 1)
+    if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = int(dim)
+    x0 = params.pop("x0", 0.0)
+    if not all(map(_is_number, np.ravel(x0).tolist())):
+        raise ValueError(f"x0 must be a finite number or a list of them, got {x0!r}")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size == 1 and dim > 1:
         x0 = np.full(dim, float(x0[0]))
     if x0.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},)")
-    horizon = float(params.pop("T", 1.0))
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise ValueError("T must be positive and finite")
     for key, value in params.items():
-        if not np.isfinite(value):
-            raise ValueError(f"parameter {key}={value} is not finite")
+        if not _is_number(value):
+            raise ValueError(f"parameter {key}={value!r} is not a finite number")
+    horizon = float(params.pop("T", 1.0))
+    if horizon <= 0:
+        raise ValueError("T must be positive and finite")
     builder = {
         "constant": _build_constant,
         "ou_mean_field": _build_ou,
@@ -204,7 +207,6 @@ def _build_constant(dim, x0, horizon, params):
         drift_mean=lambda x, t: np.broadcast_to(b0, np.shape(x)).copy(),
         diffusion_mean=lambda x, t: _diag(np.broadcast_to(s, np.shape(x))),
         terminal_mean=lambda x: np.broadcast_to(phi0, np.shape(x)[:-1]).copy(),
-        driver_mean=lambda x, y, z, t: np.broadcast_to(f0, np.shape(x)[:-1]).copy(),
         y_path=lambda nodes, w: np.broadcast_to(
             phi0 + f0 * (horizon - np.asarray(nodes)), w.shape[:-1]
         ).copy(),
@@ -229,9 +231,7 @@ def _build_constant(dim, x0, horizon, params):
         grad_driver_own=g_own,
         grad_driver_env=g_env,
         env_dependence=frozenset(),
-        unbounded=False,
         closed_form=closed,
-        params={"b0": b0, "s": s, "phi0": phi0, "f0": f0},
     )
 
 
@@ -277,7 +277,6 @@ def _ou_like_closed_form(dim, x0, horizon, beta, s, *, linear_terminal):
         drift_mean=drift_mean,
         diffusion_mean=diffusion_mean,
         terminal_mean=terminal_mean,
-        driver_mean=lambda x, y, z, t: np.zeros(np.shape(x)[:-1]),
         y_path=y_path,
         z_path=z_path,
     )
@@ -339,11 +338,9 @@ def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
         grad_driver_own=g_own,
         grad_driver_env=g_env,
         env_dependence=env_dep,
-        unbounded=True,
         closed_form=_ou_like_closed_form(
             dim, x0, horizon, beta, s, linear_terminal=linear_terminal
         ),
-        params={"beta": beta, "s": s},
     )
 
 
@@ -441,9 +438,16 @@ def _build_tanh(dim, x0, horizon, params):
         grad_driver_own=grad_driver_own,
         grad_driver_env=grad_driver_env,
         env_dependence=frozenset({"drift", "diffusion", "driver", "terminal"}),
-        unbounded=False,
         closed_form=None,
-        params={"s": s, "rho": rho, "kappa": kappa},
+    )
+
+
+def _is_number(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
     )
 
 
@@ -456,8 +460,9 @@ def _reject_extra(name, params):
 # the environment-average operator
 #
 # Every mean-field expectation E[g(x, X_t)] is replaced by the mean of g over a
-# pool of partner states.  `env_average` and `env_shift` are the only place
-# that decides how that mean is computed.
+# pool of partner states.  `partner_values` is the only code that evaluates a
+# coefficient against partner states, and `env_average` and `env_shift` are
+# the only place that decides how a mean over them is computed.
 
 
 def _coefficient(model: ModelSpec, which: str):
@@ -484,6 +489,18 @@ def _check_pool(which: str, env_x, env_y) -> None:
         raise ValueError("partner pool is empty")
 
 
+def partner_values(model: ModelSpec, which: str, env_x, env_y=None):
+    """Coefficient ``which`` at the reference state x0 against partner states.
+
+    ``env_x`` is (..., d) and ``env_y`` (...) for the driver, which is taken
+    at own (x0, 0, 0).  Returns (...) plus the coefficient's own axes.  Under
+    the additive contract this is every partner-dependent term there is: the
+    shift of a pool mean and each fluctuation field's summand.
+    """
+    g = _coefficient(model, which)
+    return g(model.x0, 0.0, np.zeros(model.dim), env_x, env_y)
+
+
 def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
     """What the average keeps of a partner pool.
 
@@ -496,10 +513,8 @@ def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
     if model.env_free(which):
         return None
     _check_pool(which, env_x, env_y)
-    g = _coefficient(model, which)
-    ref = model.x0
-    z0 = np.zeros(model.dim)
-    return g(ref, 0.0, z0, env_x, env_y).mean(axis=1) - g(ref, 0.0, z0, ref, 0.0)
+    pool = partner_values(model, which, env_x, env_y).mean(axis=1)
+    return pool - partner_values(model, which, model.x0, 0.0)
 
 
 def env_average(

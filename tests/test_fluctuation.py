@@ -5,6 +5,7 @@ import pytest
 
 from mfbsde.fluctuation import (
     FieldLattice,
+    _field_values,
     _path_kernel,
     _split_path_field,
     law_cloud,
@@ -13,6 +14,7 @@ from mfbsde.fluctuation import (
     sample_field_on_lattice,
     solve_limit_system,
     theoretical_covariance,
+    value_law,
 )
 from mfbsde.forward import solve_limit_forward
 from mfbsde.model import catalog_model
@@ -27,11 +29,27 @@ def _lattice(grid, times, blocks=("drift",)):
 
 
 def test_lattice_index_map_is_bijective():
+    # columns run block by block, node-major, then over the coefficient's axes
+    model = catalog_model("tanh_bounded", dim=2)
     lat = FieldLattice(GRID, (16, 32), blocks=("drift", "diffusion", "terminal", "driver"))
-    entries = lat.entries(2)
-    keys = [(e["block"], e["node"], e["comp"]) for e in entries]
-    assert len(keys) == len(set(keys))
-    assert len(keys) == 2 * 2 + 2 * 4 + 1 + 2
+    nodes = (16, 32, 64)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 3, 2))
+    y = rng.standard_normal((5, 3))
+    vals, blocks = _field_values(model, lat, x, y, nodes)
+    assert vals.shape == (5, 15) and vals.flags.c_contiguous
+    assert blocks == ("drift",) * 4 + ("diffusion",) * 8 + ("terminal",) + ("driver",) * 2
+    ref, z0 = model.x0, np.zeros(2)
+    expected = np.concatenate(
+        [
+            model.drift(ref, x[:, :2]).reshape(5, 4),
+            model.diffusion(ref, x[:, :2]).reshape(5, 8),
+            model.terminal(ref, x[:, 2])[:, None],
+            model.driver(ref, 0.0, z0, x[:, :2], y[:, :2]),
+        ],
+        axis=1,
+    )
+    assert np.array_equal(vals, expected)
 
 
 def test_theoretical_covariance_ou_is_min_kernel():
@@ -53,7 +71,7 @@ def test_theoretical_covariance_constant_diffusion_block_zero():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 1))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "diffusion"))
     cov = theoretical_covariance(model, law, lat, cloud_size=2000, key=derive_key(ROOT, "k", 1))
-    idx = [i for i, e in enumerate(cov.entries) if e["block"] == "diffusion"]
+    idx = [i for i, block in enumerate(cov.blocks) if block == "diffusion"]
     assert len(idx) == 2
     assert np.all(cov.matrix[np.ix_(idx, idx)] == 0.0)
 
@@ -121,6 +139,32 @@ def test_empirical_fields_zero_for_decoupled_model():
         center_size=512,
     )
     assert np.all(sample == 0.0)
+
+
+@pytest.mark.parametrize("name", ["tanh_bounded", "ou_mean_field"])
+def test_empirical_fields_invariant_under_chunk_size(name):
+    # every replication draws its own partners under its own key, so chunk
+    # only bounds memory; tanh_bounded reads all four blocks off a value law
+    grid = TimeGrid(1.0, 16)
+    model = catalog_model(name)
+    law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "law", 20))
+    blocks = ("drift",)
+    if name == "tanh_bounded":
+        law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 20), size=256)
+        blocks = ("drift", "diffusion", "terminal", "driver")
+    lat = FieldLattice(grid, (4, 8, 16), blocks=blocks)
+    samples = [
+        empirical_fields(
+            model, 16, lat, 30, law, derive_key(ROOT, "emp", 20), derive_key(ROOT, "ctr", 20),
+            center_size=512, chunk=chunk,
+        )
+        for chunk in (1, 7, 256)
+    ]
+    # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
+    assert samples[0].shape == (30, {"tanh_bounded": 10, "ou_mean_field": 3}[name])
+    assert np.any(samples[0] != 0.0)
+    for other in samples[1:]:
+        assert np.array_equal(other, samples[0])
 
 
 def test_empirical_field_mean_and_variance():

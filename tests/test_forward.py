@@ -14,7 +14,7 @@ from mfbsde.forward import (
     solve_sde_n,
 )
 from mfbsde.harness import coupled_gaps
-from mfbsde.model import catalog_model
+from mfbsde.model import catalog_model, env_average, env_shift
 from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
 ROOT = StreamKey(seed=7001)
@@ -134,6 +134,51 @@ def test_batched_sample_env_equals_single_key_draws_cloud(with_values, nodes):
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2 if with_values else None)
     keys = [derive_key(ROOT, "cbatch", i) for i in range(5)]
     _assert_stacked_single_key_draws(law, keys, 33, nodes)
+
+
+@pytest.mark.parametrize(
+    "name, params, dependent",
+    [
+        ("constant", {"b0": 0.3}, []),
+        ("ou_mean_field", {"beta": 0.8}, ["drift"]),
+        ("mf_bsde_linear", {"beta": 0.8}, ["drift", "terminal"]),
+    ],
+)
+def test_closed_form_shift_reproduces_the_oracle_means(name, params, dependent):
+    # g(x, x0) plus the law's shift is the exact mean at every own state and node
+    model = catalog_model(name, dim=2, x0=[1.0, -0.5], **params)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 16))
+    cf = model.closed_form
+    x = generator(derive_key(ROOT, "own", 0)).standard_normal((3, 5, 2))
+    assert [w for w in ("drift", "diffusion", "terminal", "driver") if not model.env_free(w)] == dependent
+    for which in dependent:
+        shift = law.shift(which)
+        if which == "terminal":
+            assert shift.shape == (1,)
+            got = env_average(model, which, x, shift=shift)
+            assert np.allclose(got, cf.terminal_mean(x), rtol=1e-13, atol=1e-13)
+            continue
+        assert shift.shape[:2] == (1, GRID.steps + 1)
+        for i, t in enumerate(GRID.nodes):
+            got = env_average(model, which, x, shift=shift[:, i])
+            want = getattr(cf, f"{which}_mean")(x, float(t))
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    for which in ("drift", "diffusion", "terminal", "driver"):
+        if model.env_free(which):
+            assert law.shift(which) is None
+
+
+def test_cloud_law_shift_is_env_shift_over_the_cloud():
+    model = catalog_model("tanh_bounded")
+    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 2)).values
+    cloud_y = np.tanh(cloud[..., 0])
+    law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud_y)
+    for which in ("drift", "diffusion", "driver"):
+        want = env_shift(model, which, cloud[None], cloud_y[None])
+        assert np.array_equal(law.shift(which), want)
+    want = env_shift(model, "terminal", cloud[None])[:, -1]
+    assert law.shift("terminal").shape == (1,)
+    assert np.array_equal(law.shift("terminal"), want)
 
 
 def test_limit_forward_cloud_mode_ou_mean():

@@ -182,6 +182,66 @@ def test_bad_degree_rejected(degree):
     parse_config(json.dumps(_clt_doc(degree=0)))
 
 
+@pytest.mark.parametrize(
+    "model, violation",
+    [
+        ({"beta": "1"}, "parameter beta='1' is not a finite number"),
+        ({"x0": [1, 2]}, "x0 must have shape (1,)"),
+        ({"name": "tanh_bounded", "rho": 1.5}, "need |rho| < 1 to keep the diffusion positive"),
+        ({"T": -1}, "T must be positive and finite"),
+    ],
+)
+def test_bad_model_block_is_an_invalid_configuration(model, violation, tmp_path, capsys):
+    # the model builder's own checks become violations, not tracebacks
+    from mfbsde.cli import main
+
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"] = {"name": "tanh_bounded"} if "rho" in model else doc["model"]
+    doc["model"].update(model)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == [f"invalid model block: {violation}"]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:", f"  - invalid model block: {violation}"
+    ]
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value, violations",
+    [
+        ("study", "seed", "abc", ["study.seed must be an integer, got 'abc'"]),
+        ("study", "seed", 1.5, ["study.seed must be an integer, got 1.5"]),
+        ("study", "seed", True, ["study.seed must be an integer, got True"]),
+        ("grid", "steps", True, ["grid.steps must be a positive integer"]),
+        ("study", "n_values", [True, 8, 16], ["study.n_values must be positive integers"]),
+        (
+            "study", "reps", True,
+            ["study.reps must be a positive integer", "study.members must be a positive integer"],
+        ),
+        ("study", "degree", True, ["study.degree must be an integer >= 0, got True"]),
+    ],
+)
+def test_integer_keys_reject_non_integers_and_booleans(block, key, value, violations, tmp_path):
+    # JSON true is not the integer 1, and a seed must be an integer
+    from mfbsde.cli import main
+
+    doc = json.loads(json.dumps(MINIMAL))
+    doc.setdefault(block, {})[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == violations
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_seed_is_reported_by_name():
     doc = {"model": {"name": "constant"}, "study": {"kind": "convergence", "n_values": [8, 16, 32]}}
     with pytest.raises(ConfigError) as err:

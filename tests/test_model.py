@@ -212,9 +212,3 @@ def test_lipschitz_bound_holds_on_sampled_pairs():
         model = catalog_model(name)
         observed = check_lipschitz(model, 200, derive_key(KEY, "lip", 0))
         assert observed <= model.lipschitz_bound + 1e-9
-
-
-def test_unbounded_flag_marks_linear_families():
-    assert catalog_model("ou_mean_field").unbounded
-    assert catalog_model("mf_bsde_linear").unbounded
-    assert not catalog_model("tanh_bounded").unbounded
