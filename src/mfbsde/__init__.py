@@ -35,7 +35,7 @@ from .harness import (
     run_convergence_study,
 )
 from .model import ModelSpec, catalog_model, check_gradients, env_average
-from .noise import StreamKey, TimeGrid, brownian_increments, derive_key, standard_normals
+from .noise import StreamKey, TimeGrid, brownian_increments, derive_key
 
 __all__ = [
     "BsdeSolution",
@@ -69,7 +69,6 @@ __all__ = [
     "solve_linear_limit_bsde",
     "solve_mfbsde",
     "solve_sde_n",
-    "standard_normals",
     "theoretical_covariance",
     "__version__",
 ]

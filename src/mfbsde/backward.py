@@ -112,13 +112,13 @@ def _batched_fit(feats: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np
 
 @dataclass
 class BsdeSolution:
-    """Pathwise backward solution on the grid.
+    """Pathwise backward solution on the grid, solved in blocks.
 
     ``y_values`` is (R, n+1); ``z_values`` is (R, n+1, d) with the terminal
     row copied from the last interior node (no increment spans the terminal
-    node).  For block solves R = blocks * inner and ``block_shape`` records
-    the layout; the first inner path of each block is its designated
-    replication.
+    node).  R = blocks * inner, and ``block_shape`` records that layout; the
+    first inner path of each block is its designated replication.  A plain
+    BSDE solve is one block.
     """
 
     grid: TimeGrid
@@ -126,7 +126,7 @@ class BsdeSolution:
     z_values: np.ndarray
     artifacts: dict
     provenance: dict
-    block_shape: Optional[tuple[int, int]] = None
+    block_shape: tuple[int, int]
 
     def __post_init__(self) -> None:
         if not (np.all(np.isfinite(self.y_values)) and np.all(np.isfinite(self.z_values))):
@@ -134,8 +134,6 @@ class BsdeSolution:
 
     def designated(self) -> tuple[np.ndarray, np.ndarray]:
         """(y, z) of the designated replication of each block."""
-        if self.block_shape is None:
-            return self.y_values, self.z_values
         B, P = self.block_shape
         y = self.y_values.reshape(B, P, -1)[:, 0]
         z = self.z_values.reshape(B, P, self.grid.steps + 1, -1)[:, 0]
@@ -155,9 +153,10 @@ def _backward_induction(
     cond_states: np.ndarray,   # (B, P, n+1, m) regression conditioning states
     dw: np.ndarray,            # (B, P, n, d)
     terminal: np.ndarray,      # (B, P)
-    driver_fn: Optional[Callable],  # driver_fn(i, y, z) -> (B, P); None = no driver
+    driver_fn: Callable,       # driver_fn(i, y, z) -> (B, P)
     degree: int,
-):
+    solver: str,               # the result's provenance["solver"] label
+) -> BsdeSolution:
     B, P, n1, _ = cond_states.shape
     n = grid.steps
     h = grid.h
@@ -180,33 +179,37 @@ def _backward_induction(
         centered = y[:, :, i + 1] - cond
         resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
         z[:, :, i] = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
-        if driver_fn is None:
-            y[:, :, i] = cond
+        # each block stops at its own tolerance, so a block's values do not
+        # depend on which blocks share its batch
+        cur = cond
+        tol = _FIXPOINT_TOL * (1.0 + np.max(np.abs(cond), axis=1))
+        live = np.ones(B, dtype=bool)
+        for sweep in range(1, _FIXPOINT_CAP + 1):
+            nxt = cond + h * driver_fn(i, cur, z[:, :, i])
+            delta = np.max(np.abs(nxt - cur), axis=1)
+            cur = nxt if live.all() else np.where(live[:, None], nxt, cur)
+            live &= delta > tol
+            if not live.any():
+                break
         else:
-            # each block stops at its own tolerance, so a block's values do
-            # not depend on which blocks share its batch
-            cur = cond
-            tol = _FIXPOINT_TOL * (1.0 + np.max(np.abs(cond), axis=1))
-            live = np.ones(B, dtype=bool)
-            for sweep in range(1, _FIXPOINT_CAP + 1):
-                nxt = cond + h * driver_fn(i, cur, z[:, :, i])
-                delta = np.max(np.abs(nxt - cur), axis=1)
-                cur = nxt if live.all() else np.where(live[:, None], nxt, cur)
-                live &= delta > tol
-                if not live.any():
-                    break
-            else:
-                contraction_flag = True
-            sweeps_run = max(sweeps_run, sweep)
-            y[:, :, i] = cur
+            contraction_flag = True
+        sweeps_run = max(sweeps_run, sweep)
+        y[:, :, i] = cur
     z[:, :, n] = z[:, :, n - 1]
-    artifacts = {"residual_rms": resid_rms}
     provenance = {
         "fixpoint_sweeps": sweeps_run,
         "fixpoint_not_contracted": contraction_flag,
         "z_cap_exceeded": bool(np.max(np.abs(z)) > _Z_CAP),
+        "solver": solver,
     }
-    return y, z, artifacts, provenance
+    return BsdeSolution(
+        grid,
+        y.reshape(B * P, n1),
+        z.reshape(B * P, n1, d),
+        {"residual_rms": resid_rms},
+        provenance,
+        block_shape=(B, P),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,7 @@ def _block_solve(
     terminal_shift,            # (B,) or (1,); None for a partner-free terminal
     driver_shift,              # (B, n+1) or (1, n+1); None for a partner-free driver
     degree: int,
+    solver: str,
     self_average: bool = False,
 ) -> BsdeSolution:
     """Backward solve on blocks whose partner means are g(x, x0) plus a shift.
@@ -238,16 +242,7 @@ def _block_solve(
         shift = None if driver_shift is None else driver_shift[:, i]
         return env_average(model, "driver", xi, y=y, z=z, shift=shift)
 
-    y, z, artifacts, prov = _backward_induction(grid, x, dw, terminal, driver, degree)
-    B, P = x.shape[:2]
-    return BsdeSolution(
-        grid,
-        y.reshape(B * P, -1),
-        z.reshape(B * P, grid.steps + 1, -1),
-        artifacts,
-        prov,
-        block_shape=(B, P),
-    )
+    return _backward_induction(grid, x, dw, terminal, driver, degree, solver)
 
 
 def solve_mfbsde(
@@ -260,29 +255,23 @@ def solve_mfbsde(
 ) -> BsdeSolution:
     """Backward solution of the mean-field limit equation on given paths.
 
-    ``x_paths`` is (B, P, n+1, d) blocks, or (P, n+1, d) paths solved as one
-    block with no designated path.  Terminal and driver means come from the
-    law's shift curves (`LawFlow.shift`).  A law without y values has no
-    driver curve: the driver then averages over the ensemble's own
-    (state, y) values, which is how `value_law` finds the law's values in the
-    first place.  Regression conditions on the state at each node.
+    ``x_paths`` is (B, P, n+1, d) blocks and ``dw`` (B, P, n, d) their
+    increments; a lone ensemble of P paths is one block, (1, P, ...).
+    Terminal and driver means come from the law's shift curves
+    (`LawFlow.shift`).  A law without y values has no driver curve: the
+    driver then averages over each block's own (state, y) values, which is
+    how `value_law` finds the law's values in the first place.  Regression
+    conditions on the state at each node.
     """
-    values = np.asarray(x_paths)
-    single = values.ndim == 3
-    if single:
-        values, dw = values[None], dw[None]
     self_average = not law_flow.has_y
-    sol = _block_solve(
-        model, grid, values, dw,
+    return _block_solve(
+        model, grid, x_paths, dw,
         law_flow.shift("terminal"),
         None if self_average else law_flow.shift("driver"),
         degree,
+        "mf_limit",
         self_average=self_average,
     )
-    sol.provenance["solver"] = "mf_limit"
-    if single:
-        sol.block_shape = None
-    return sol
 
 
 def solve_bsde_n(
@@ -300,9 +289,8 @@ def solve_bsde_n(
     state conditionally on the environment.
     """
     sol = _block_solve(
-        model, grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree
+        model, grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree, "bsde_n"
     )
-    sol.provenance["solver"] = "bsde_n"
     sol.provenance["environment_size"] = N
     return sol
 
@@ -353,16 +341,7 @@ def solve_linear_limit_bsde(
         return out if eta4 is None else eta4[:, i][:, None] + out
 
     states = np.concatenate([x, xbar], axis=-1)
-    y, z, artifacts, prov = _backward_induction(grid, states, dw, terminal, driver, degree)
-    prov["solver"] = "linear_limit"
-    return BsdeSolution(
-        grid,
-        y.reshape(B * P, -1),
-        z.reshape(B * P, n1, -1),
-        artifacts,
-        prov,
-        block_shape=(B, P),
-    )
+    return _backward_induction(grid, states, dw, terminal, driver, degree, "linear_limit")
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +356,15 @@ def solve_plain_bsde(
     driver_fn: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     degree: int = 2,
 ) -> BsdeSolution:
-    """Standard BSDE without mean-field terms: driver g(t, x, y, z)."""
+    """Standard BSDE without mean-field terms: driver g(t, x, y, z), solved
+    as one block of the P paths."""
     terminal = terminal_fn(x_paths[:, -1, :])[None]
 
     def driver(i, y, z):
         t = float(grid.nodes[i])
         return driver_fn(t, x_paths[:, i, :], y[0], z[0])[None]
 
-    y, z, artifacts, prov = _backward_induction(
-        grid, x_paths[None], dw[None], terminal, driver, degree
-    )
-    prov["solver"] = "plain"
-    return BsdeSolution(grid, y[0], z[0], artifacts, prov)
+    return _backward_induction(grid, x_paths[None], dw[None], terminal, driver, degree, "plain")
 
 
 @dataclass

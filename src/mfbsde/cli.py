@@ -19,26 +19,24 @@ from .forward import _euler_coefficients, simulate_blocks, solve_limit_forward, 
 from .harness import (
     ConfigError,
     emit_report,
+    model_from_block,
     parse_config,
     run_clt_study,
     run_convergence_study,
     study_law,
 )
-from .model import catalog_model
-from .noise import StreamKey, TimeGrid
+from .noise import StreamKey, TimeGrid, brownian_increments
 
 
-def _load_model_block(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if "model" in doc and isinstance(doc["model"], dict):
+def _load_model_block(path: str):
+    """The model block of a JSON file: its "model" object, else the whole document."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"invalid model block: not valid JSON: {exc}"]) from None
+    if isinstance(doc, dict) and isinstance(doc.get("model"), dict):
         return doc["model"]
     return doc
-
-
-def _build_model(block: dict):
-    block = dict(block)
-    name = block.pop("name")
-    return catalog_model(name, **block)
 
 
 def _cmd_validate(args) -> int:
@@ -116,7 +114,7 @@ def _write_paths_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
 
 
 def _cmd_forward(args) -> int:
-    model = _build_model(_load_model_block(args.model))
+    model = model_from_block(_load_model_block(args.model))
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     law = solve_limit_forward(model, grid, args.env_cloud, root.child("law", 0))
@@ -160,7 +158,7 @@ def _invert_euler_increments(model, law, grid, values):
 
 
 def _cmd_backward(args) -> int:
-    model = _build_model(_load_model_block(args.model))
+    model = model_from_block(_load_model_block(args.model))
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     limit_mode = args.n == "limit"
@@ -178,15 +176,13 @@ def _cmd_backward(args) -> int:
             if len(nodes) != grid.steps + 1:
                 print(f"path file has {len(nodes) - 1} steps, expected {grid.steps}", file=sys.stderr)
                 return 1
-            x_paths = values
-            dw = _invert_euler_increments(model, law, grid, values)
+            x_paths = values[None]
+            dw = _invert_euler_increments(model, law, grid, values)[None]
         else:
-            sim = simulate_blocks(
-                model, 1, grid, law,
-                n_blocks=1, inner=args.reps,
-                w_key=root.child("w", 0), env_key=root.child("envs", 0),
-            )
-            x_paths, dw = sim.xlim[0], sim.dw[0]
+            # one block of limit paths on the stream the N-mode's block 0 uses
+            w_key = root.child("w", 0).child("path", 0)
+            dw = brownian_increments([w_key], (args.reps, grid.steps, model.dim), grid.h)
+            x_paths = law.euler(dw)
         sol = solve_mfbsde(model, law, x_paths, dw, grid, degree=args.degree)
         y, z = sol.y_values, sol.z_values
     else:

@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
-from .forward import LawFlow, _euler_coefficients, euler_paths, simulate_blocks
+from .forward import LawFlow
 from .model import ModelSpec, partner_values
-from .noise import StreamKey, TimeGrid, generator, key_streams
+from .noise import StreamKey, TimeGrid, brownian_increments, generator
 
 __all__ = [
     "FieldLattice",
@@ -180,17 +180,17 @@ def value_law(
     degree: int = 2,
 ) -> LawFlow:
     """Law carrying backward values: a law that has them is returned as is;
-    otherwise a fresh cloud of ``size`` limit paths of ``law`` gets a backward
-    solve attached, its driver averaged over the cloud's own values."""
+    otherwise a fresh cloud of ``size`` limit paths of ``law``, one block
+    driven by the stream ``key.child("vw", 0).child("path", 0)``, gets a
+    backward solve attached, its driver averaged over the cloud's own
+    values."""
     if law.has_y:
         return law
-    sim = simulate_blocks(
-        model, 1, grid, law,
-        n_blocks=1, inner=size,
-        w_key=key.child("vw", 0), env_key=key.child("ve", 0),
-    )
-    sol = solve_mfbsde(model, law, sim.xlim[0], sim.dw[0], grid, degree=degree)
-    return LawFlow(grid, model, cloud=sim.xlim[0], cloud_y=sol.y_values)
+    w_key = key.child("vw", 0).child("path", 0)
+    dw = brownian_increments([w_key], (size, grid.steps, model.dim), grid.h)
+    x = law.euler(dw)
+    sol = solve_mfbsde(model, law, x, dw, grid, degree=degree)
+    return LawFlow(grid, model, cloud=x[0], cloud_y=sol.y_values)
 
 
 def theoretical_covariance(
@@ -361,7 +361,6 @@ def solve_limit_system(
     kernel = _path_kernel(model, grid, kx, ky)
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
-    limit_fns = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
@@ -380,11 +379,8 @@ def solve_limit_system(
     for lo in range(0, members, chunk):
         hi = min(lo + chunk, members)
         size = hi - lo
-        dw = np.empty((size, inner, n, d))
-        for row, rng in zip(dw, key_streams(key.child("path", m) for m in range(lo, hi))):
-            rng.standard_normal(out=row)
-        dw *= np.sqrt(h)
-        x_in = euler_paths(model, grid, dw, *limit_fns)
+        dw = brownian_increments([key.child("path", m) for m in range(lo, hi)], (inner, n, d), h)
+        x_in = law.euler(dw)
         xbar_in = np.zeros((size, inner, n1, d))
         for i in range(n):
             xb = xbar_in[:, :, i, :]
@@ -456,56 +452,51 @@ def _ks_row(a: np.ndarray, b: np.ndarray) -> dict:
     return {"statistic": float(res.statistic), "p_value": float(res.pvalue)}
 
 
+def _clt_statistics(grid: TimeGrid, x, y, z, probe_times, y_probe_times) -> dict:
+    """The compared statistics of an (x, y, z) ensemble, keyed by report
+    section and row: x at each probe time, y at each y probe time, and the z
+    functionals h * sum_i phi(t_i) z_i for phi = 1 and phi = t.  A None
+    component gives no rows."""
+    out = {}
+    if x is not None:
+        for t in probe_times:
+            out["probes", f"x@{t}"] = x[:, grid.node_at(t), 0]
+    if y is not None:
+        for t in y_probe_times:
+            out["probes", f"y@{t}"] = y[:, grid.node_at(t)]
+    if z is not None:
+        nodes = grid.nodes[:-1]
+        for name, phi in (("one", np.ones_like(nodes)), ("t", nodes)):
+            out["z", name] = grid.h * np.einsum("i,ri->r", phi, z[:, :-1, 0])
+    return out
+
+
 def clt_compare(
-    model: ModelSpec,
     N: int,
     grid: TimeGrid,
-    forward_samples: dict[float, np.ndarray],
-    backward_samples: Optional[dict[float, np.ndarray]],
-    z_functionals: Optional[dict[str, np.ndarray]],
+    gaps: tuple,
     limit: LimitSystemResult,
-    min_samples: int = CLT_MIN_SAMPLES,
+    probe_times,
+    y_probe_times,
 ) -> dict:
     """Compare scaled approximation fluctuations against the limit ensemble.
 
-    ``forward_samples``/``backward_samples`` map probe times to arrays of
-    sqrt(N)-scaled coupled differences; ``z_functionals`` maps test-function
-    names to time-integrated scaled z differences.  Returns per-probe moment
-    tables and two-sample KS results against the limit marginals.
+    ``gaps`` is the (x, y, z) ensemble of sqrt(N)-scaled coupled differences,
+    (R, n+1, d), (R, n+1) and (R, n+1, d), with None for a component not
+    measured.  Each of its statistics (see `_clt_statistics`) is compared with
+    the same statistic of the limit's (xbar, ybar, zbar): a moment table and
+    a two-sample KS test per row, each side at least ``CLT_MIN_SAMPLES``
+    samples.
     """
+    lim = _clt_statistics(grid, limit.xbar, limit.ybar, limit.zbar, probe_times, y_probe_times)
     report: dict = {"N": N, "probes": {}, "z": {}}
-    for t, samples in forward_samples.items():
-        node = grid.node_at(t)
-        lim = limit.xbar[:, node, 0]
-        if len(samples) < min_samples or len(lim) < min_samples:
-            raise ValueError(f"need at least {min_samples} samples per side")
-        report["probes"][f"x@{t}"] = {
+    for (section, name), samples in _clt_statistics(grid, *gaps, probe_times, y_probe_times).items():
+        other = lim[section, name]
+        if min(len(samples), len(other)) < CLT_MIN_SAMPLES:
+            raise ValueError(f"need at least {CLT_MIN_SAMPLES} samples per side")
+        report[section][name] = {
             "approx": _moment_row(samples),
-            "limit": _moment_row(lim),
-            "ks": _ks_row(samples, lim),
+            "limit": _moment_row(other),
+            "ks": _ks_row(samples, other),
         }
-    if backward_samples:
-        for t, samples in backward_samples.items():
-            node = grid.node_at(t)
-            lim = limit.ybar[:, node]
-            if len(samples) < min_samples or len(lim) < min_samples:
-                raise ValueError(f"need at least {min_samples} samples per side")
-            report["probes"][f"y@{t}"] = {
-                "approx": _moment_row(samples),
-                "limit": _moment_row(lim),
-                "ks": _ks_row(samples, lim),
-            }
-    if z_functionals:
-        nodes = grid.nodes[:-1]
-        test_fns = {"one": np.ones_like(nodes), "t": nodes}
-        for name, samples in z_functionals.items():
-            phi = test_fns[name]
-            lim_vals = grid.h * np.einsum(
-                "i,rij->rj", phi, limit.zbar[:, :-1, :]
-            )[:, 0]
-            report["z"][name] = {
-                "approx": _moment_row(samples),
-                "limit": _moment_row(lim_vals),
-                "ks": _ks_row(samples, lim_vals),
-            }
     return report

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelSpec, env_average, env_shift, partner_values
-from .noise import StreamKey, TimeGrid, key_streams
+from .noise import StreamKey, TimeGrid, brownian_increments, key_streams
 
 __all__ = [
     "PathEnsemble",
@@ -71,7 +71,8 @@ class LawFlow:
     exact draws on demand from the model's path map, so environment sampling
     never pays a cloud-size bias.  Either way a limit-side mean of a
     coefficient is g(x, x0) plus the law's `shift` curve, the same form as a
-    block's mean over its N partners.
+    block's mean over its N partners, and `euler` steps the limit dynamics
+    with those means.
     """
 
     grid: TimeGrid
@@ -129,25 +130,20 @@ class LawFlow:
         d = self.model.dim
         if nodes is None:
             t = grid.nodes
-            scale = np.sqrt(grid.h)
+            step = grid.h
             draws = grid.steps
         else:
             t = grid.nodes[nodes]
             at, back = np.unique(t, return_inverse=True)
-            scale = np.sqrt(np.diff(at, prepend=0.0))[:, None]
+            step = np.diff(at, prepend=0.0)[:, None]
             draws = at.size
         x = np.empty((len(keys), count, t.size, d))
         y = np.empty((len(keys), count, t.size)) if with_y else None
         # keys go in sub-batches, so the temporaries stay small beside x
         per = max(1, _SUB_BATCH // (count * draws * d))
-        streams = key_streams(keys)
         for lo in range(0, len(keys), per):
             hi = min(lo + per, len(keys))
-            dw = np.empty((hi - lo, count, draws, d))
-            # zip takes a row before a stream, so no key is skipped between sub-batches
-            for row, rng in zip(dw, streams):
-                rng.standard_normal(out=row)
-            dw *= scale
+            dw = brownian_increments(keys[lo:hi], (count, draws, d), step)
             if nodes is None:
                 w = np.zeros((hi - lo, count, draws + 1, d))
                 np.cumsum(dw, axis=2, out=w[:, :, 1:])
@@ -189,6 +185,12 @@ class LawFlow:
                     mean = np.stack([oracle(ref, float(t)) for t in self.grid.nodes])[None]
                 self._curves[which] = mean - partner_values(model, which, ref)
         return self._curves[which]
+
+    def euler(self, dw: np.ndarray) -> np.ndarray:
+        """Limit-dynamics paths (..., n+1, d) on increments ``dw`` (..., n, d):
+        Euler steps whose drift and diffusion means are this law's."""
+        fns = _euler_coefficients(self.model, self.shift("drift"), self.shift("diffusion"))
+        return euler_paths(self.model, self.grid, dw, *fns)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +266,7 @@ def solve_classical_system(
     if N < 1:
         raise ValueError("N must be >= 1")
     keys = tuple(key.child("path", i) for i in range(N))
-    dw = np.empty((N, grid.steps, model.dim))
-    for row, rng in zip(dw, key_streams(keys)):
-        rng.standard_normal(out=row)
-    dw *= np.sqrt(grid.h)
+    dw = brownian_increments(keys, (grid.steps, model.dim), grid.h)
 
     def coefficient(which):
         # the partner pool is the current state of all N particles
@@ -372,26 +371,18 @@ def simulate_blocks(
     the coefficient means of the same ``law`` on the same increments, so no
     second law's sampling error enters the gap between the two.
     """
-    n1 = grid.steps + 1
-    d = model.dim
-    xn = np.empty((n_blocks, inner, n1, d))
+    keys = tuple(w_key.child("path", block_offset + b) for b in range(n_blocks))
+    dw_all = brownian_increments(keys, (inner, grid.steps, model.dim), grid.h)
+    xn = np.empty((n_blocks, inner, grid.steps + 1, model.dim))
     xlim = np.empty_like(xn)
-    dw_all = np.empty((n_blocks, inner, grid.steps, d))
-    keys = []
     terminal_parts, driver_parts = [], []
-    limit_fns = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
 
     # partner values enter only through the driver
     with_y = not model.env_free("driver")
     for lo in range(0, n_blocks, chunk):
         hi = min(lo + chunk, n_blocks)
         blocks = range(block_offset + lo, block_offset + hi)
-        w_keys = [w_key.child("path", b) for b in blocks]
-        keys.extend(w_keys)
         dw = dw_all[lo:hi]
-        for row, rng in zip(dw, key_streams(w_keys)):
-            rng.standard_normal(out=row)
-        dw *= np.sqrt(grid.h)
         env_x, env_y = law.sample_env(
             [env_key.child("env", b) for b in blocks], N, with_y=with_y
         )
@@ -399,7 +390,7 @@ def simulate_blocks(
             model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
         )
         xn[lo:hi] = euler_paths(model, grid, dw, *pool_fns)
-        xlim[lo:hi] = euler_paths(model, grid, dw, *limit_fns)
+        xlim[lo:hi] = law.euler(dw)
         terminal = env_shift(model, "terminal", env_x[:, :, -1])
         # forward-only use of a y-free law leaves the driver shift unset; the
         # backward solver raises if it actually needs it
@@ -412,7 +403,7 @@ def simulate_blocks(
         dw=dw_all,
         xn=xn,
         xlim=xlim,
-        keys=tuple(keys),
+        keys=keys,
         terminal_curve=_joined(terminal_parts),
         driver_curve=_joined(driver_parts),
     )

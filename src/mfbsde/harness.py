@@ -15,6 +15,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
+
 import numpy as np
 import scipy
 
@@ -31,7 +33,7 @@ from .fluctuation import (
     value_law,
 )
 from .forward import LawFlow, simulate_blocks, solve_limit_forward
-from .model import CATALOG_NAMES, ModelSpec, catalog_model
+from .model import ModelSpec, catalog_model
 from .noise import StreamKey, TimeGrid
 
 __all__ = [
@@ -45,16 +47,10 @@ __all__ = [
     "fit_loglog_slope",
     "coupled_gaps",
     "study_law",
+    "model_from_block",
 ]
 
 SCHEMA_VERSION = 1
-
-_MODEL_PARAMS = {
-    "constant": {"b0", "s", "phi0", "f0"},
-    "ou_mean_field": {"beta", "s"},
-    "tanh_bounded": {"s", "rho", "kappa"},
-    "mf_bsde_linear": {"beta", "s"},
-}
 
 _STUDY_DEFAULTS = {
     "kind": "convergence",
@@ -94,6 +90,24 @@ class ConfigError(ValueError):
         super().__init__("; ".join(violations))
 
 
+def model_from_block(block) -> ModelSpec:
+    """The catalog model a model block names (see `catalog_model`).
+
+    Any fault of the block, from a missing name to a parameter the family
+    does not take or a value out of range, raises
+    ``ConfigError(["invalid model block: ..."])``.
+    """
+    try:
+        if not isinstance(block, dict):
+            raise ValueError("the model block must be a JSON object")
+        params = dict(block)
+        if "name" not in params:
+            raise ValueError("model.name is required")
+        return catalog_model(params.pop("name"), **params)
+    except ValueError as exc:
+        raise ConfigError([f"invalid model block: {exc}"]) from None
+
+
 @dataclass
 class ExperimentConfig:
     model_block: dict
@@ -102,11 +116,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def build_model(self) -> ModelSpec:
-        block = dict(self.model_block)
-        name = block.pop("name")
-        if "T" not in block:
-            block["T"] = 1.0
-        return catalog_model(name, **block)
+        return model_from_block(self.model_block)
 
     def build_grid(self) -> TimeGrid:
         return TimeGrid(self.model_block.get("T", 1.0), self.steps)
@@ -125,12 +135,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for what the study would hit mid-run (model
         parameters included); run again after overriding study keys."""
-        try:
-            dim = self.build_model().dim
-            grid = self.build_grid()
-        except ValueError as exc:
-            raise ConfigError([f"invalid model block: {exc}"]) from None
-        violations = _study_violations(self.study, grid, dim)
+        dim = self.build_model().dim
+        violations = _study_violations(self.study, self.build_grid(), dim)
         if violations:
             raise ConfigError(violations)
 
@@ -158,19 +164,15 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"unknown top-level key {key!r}")
 
     model_block = doc.get("model")
+    model = None
     if not isinstance(model_block, dict):
         violations.append("missing or invalid 'model' block")
         model_block = {}
-    name = model_block.get("name")
-    if name is None:
-        violations.append("model.name is required")
-    elif name not in CATALOG_NAMES:
-        violations.append(f"unknown model.name {name!r}")
     else:
-        allowed = _MODEL_PARAMS[name] | {"name", "x0", "T", "dim"}
-        for key in model_block:
-            if key not in allowed:
-                violations.append(f"unknown model key {key!r} for {name}")
+        try:
+            model = model_from_block(model_block)
+        except ConfigError as exc:
+            violations.extend(exc.violations)
 
     grid_block = doc.get("grid", {})
     if not isinstance(grid_block, dict):
@@ -209,16 +211,16 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append("study.n_values must be positive integers")
         elif any(b <= a for a, b in zip(nv, nv[1:])):
             violations.append("study.n_values must be strictly increasing")
-    if kind == "clt" and (not _is_int(study["n"]) or study["n"] < 1):
-        violations.append("study.n must be a positive integer for clt studies")
     if study["metrics"] is None:
         study["metrics"] = list(_METRICS)
     if study["members"] is None:
         study["members"] = study["reps"]
+    failed = set()
     for size_key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
         v = study[size_key]
         if not _is_int(v) or v < 1:
             violations.append(f"study.{size_key} must be a positive integer")
+            failed.add(size_key)
 
     out_block = doc.get("output", {})
     if not isinstance(out_block, dict):
@@ -229,11 +231,15 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"unknown output key {key!r}")
     out_dir = out_block.get("dir", "out")
 
+    # the run-time checks, on the study keys that passed their own
+    violations += _study_violations(
+        {k: v for k, v in study.items() if k not in failed},
+        None if model is None else TimeGrid(model.horizon, steps),
+        None if model is None else model.dim,
+    )
     if violations:
         raise ConfigError(violations)
-    cfg = ExperimentConfig(model_block, steps, study, out_dir)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(model_block, steps, study, out_dir)
 
 
 def _is_int(value) -> bool:
@@ -241,11 +247,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
+def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int]) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
-    compute nothing: bad metrics or degree, probe times off the grid, too few
-    inner paths for the regression basis, and clt ensembles too small to
-    compare."""
+    compute nothing: a clt environment size below 1, bad metrics or degree,
+    probe times off the grid, too few inner paths for the regression basis,
+    and clt ensembles too small to compare.
+
+    A size key absent from ``study`` (one that already failed its own check)
+    is not checked again; without a grid and dimension (an invalid model
+    block) neither are the checks that need them.
+    """
     out = []
     metrics = study["metrics"]
     if (
@@ -261,14 +272,16 @@ def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
         metrics = []
     backward = "y" in metrics or "z" in metrics
     if study["kind"] == "clt":
+        if not _is_int(study["n"]) or study["n"] < 1:
+            out.append("study.n must be a positive integer for clt studies")
         for key in ("reps", "members"):
-            if study[key] < CLT_MIN_SAMPLES:
+            if key in study and study[key] < CLT_MIN_SAMPLES:
                 out.append(
                     f"study.{key} must be at least {CLT_MIN_SAMPLES} for clt studies, "
                     f"got {study[key]}"
                 )
         read = {"probe_times": "x" in metrics, "y_probe_times": backward, "lattice_times": True}
-        for key in (k for k, used in read.items() if used):
+        for key in (k for k, used in read.items() if used and grid is not None):
             times = study[key]
             if not isinstance(times, list):
                 out.append(f"study.{key} must be a list of grid times")
@@ -281,7 +294,7 @@ def _study_violations(study: dict, grid: TimeGrid, dim: int) -> list[str]:
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
-    elif backward:
+    elif backward and dim is not None and "inner_paths" in study:
         need = 10 * len(_exponent_tuples(dim, degree))
         if study["inner_paths"] < need:
             out.append(
@@ -531,33 +544,20 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     decoupled = model.env_free("drift") and model.env_free("diffusion")
     scale = np.sqrt(N)
 
-    # forward fluctuation samples
-    forward_samples = {}
-    x_fluct = None
+    # scaled fluctuation samples, None for a metric not measured
+    x_fluct = y_fluct = z_fluct = None
     if "x" in metrics:
         x, _, _ = coupled_gaps(
             model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0), _CHUNK
         )
         x_fluct = scale * x
-        forward_samples = {t: x_fluct[:, grid.node_at(t), 0] for t in study["probe_times"]}
-
-    # backward fluctuation samples and z functionals
-    backward_samples = None
-    z_functionals = None
     if need_backward:
         _, y, z = coupled_gaps(
             model, N, grid, law, reps, int(study["inner_paths"]),
             root.child("bw", 0), root.child("be", 0), _CHUNK, degree=int(study["degree"]),
         )
-        y_gap = scale * y
-        z_gap = (scale * z)[:, :-1, 0]
-        if "y" in metrics:
-            backward_samples = {t: y_gap[:, grid.node_at(t)] for t in study["y_probe_times"]}
-        if "z" in metrics:
-            z_functionals = {
-                "one": grid.h * np.sum(z_gap, axis=1),
-                "t": grid.h * np.einsum("i,ri->r", grid.nodes[:-1], z_gap),
-            }
+        y_fluct = scale * y if "y" in metrics else None
+        z_fluct = scale * z if "z" in metrics else None
 
     limit = solve_limit_system(
         model, law, grid,
@@ -568,7 +568,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         cloud_size=env_cloud,
     )
     comparison = clt_compare(
-        model, N, grid, forward_samples, backward_samples, z_functionals, limit
+        N, grid, (x_fluct, y_fluct, z_fluct), limit, study["probe_times"], study["y_probe_times"]
     )
 
     # field covariance comparison on the configured lattice
@@ -608,9 +608,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     verdicts = []
     degenerate_all = decoupled and model.env_free("terminal") and model.env_free("driver")
     if degenerate_all:
-        exact = all(
-            np.all(s == 0.0) for s in forward_samples.values()
-        )
+        exact = x_fluct is None or not np.any(x_fluct)
         verdicts.append(
             {"criterion": "degenerate_exact", "passed": bool(exact), "details": "decoupled model"}
         )

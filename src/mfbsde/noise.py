@@ -21,9 +21,7 @@ __all__ = [
     "derive_key",
     "generator",
     "key_streams",
-    "standard_normals",
     "brownian_increments",
-    "brownian_path",
 ]
 
 
@@ -89,12 +87,19 @@ def key_streams(keys: Iterable[StreamKey]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def standard_normals(key: StreamKey, count: int) -> np.ndarray:
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count == 0:
-        return np.empty(0)
-    return generator(key).standard_normal(count)
+def brownian_increments(keys: Iterable[StreamKey], shape: tuple, step) -> np.ndarray:
+    """Brownian increments of variance ``step``, (len(keys),) + shape.
+
+    Key k's slice is ``sqrt(step) * generator(k).standard_normal(shape)`` bit
+    for bit, so each key's draws are what that key alone would give.
+    ``step`` broadcasts against ``shape``: it may be one step per node.
+    """
+    keys = list(keys)
+    dw = np.empty((len(keys),) + tuple(shape))
+    for row, rng in zip(dw, key_streams(keys)):
+        rng.standard_normal(out=row)
+    dw *= np.sqrt(step)
+    return dw
 
 
 @dataclass(frozen=True)
@@ -130,19 +135,3 @@ class TimeGrid:
 
     def __str__(self) -> str:
         return f"TimeGrid(T={self.horizon}, n={self.steps})"
-
-
-def brownian_increments(key: StreamKey, grid: TimeGrid, dim: int) -> np.ndarray:
-    """(steps, dim) array of N(0, h) increments, deterministic per key."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    z = generator(key).standard_normal((grid.steps, dim))
-    return np.sqrt(grid.h) * z
-
-
-def brownian_path(key: StreamKey, grid: TimeGrid, dim: int) -> np.ndarray:
-    """(steps + 1, dim) Brownian path at the grid nodes, starting at 0."""
-    dw = brownian_increments(key, grid, dim)
-    w = np.zeros((grid.steps + 1, dim))
-    np.cumsum(dw, axis=0, out=w[1:])
-    return w

@@ -15,26 +15,18 @@ from mfbsde.backward import (
 )
 from mfbsde.forward import simulate_blocks, solve_limit_forward
 from mfbsde.model import catalog_model
-from mfbsde.noise import StreamKey, TimeGrid, derive_key, generator
+from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
 ROOT = StreamKey(seed=8101)
 GRID = TimeGrid(1.0, 64)
 
 
 def _paths_and_increments(model, grid, count, key, law=None):
-    """Limit-dynamics paths with their increments (simple coupled sim)."""
+    """(P, n+1, d) limit-dynamics paths with their (P, n, d) increments."""
     law = law or solve_limit_forward(model, grid, 1024, derive_key(key, "law", 0))
-    sim = simulate_blocks(
-        model,
-        1,
-        grid,
-        law,
-        n_blocks=1,
-        inner=count,
-        w_key=derive_key(key, "w", 0),
-        env_key=derive_key(key, "e", 0),
-    )
-    return sim.xlim[0], sim.dw[0], law
+    w_key = derive_key(key, "w", 0).child("path", 0)
+    dw = brownian_increments([w_key], (count, grid.steps, model.dim), grid.h)
+    return law.euler(dw)[0], dw[0], law
 
 
 def test_shared_gram_fit_matches_per_target_reference():
@@ -74,7 +66,7 @@ def test_value_law_fixed_point_reaches_its_tolerance():
     model = catalog_model("tanh_bounded")
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "vlaw", 0))
     x, dw, _ = _paths_and_increments(model, grid, 1024, derive_key(ROOT, "vlp", 0), law)
-    sol = solve_mfbsde(model, law, x, dw, grid)
+    sol = solve_mfbsde(model, law, x[None], dw[None], grid)
     assert not sol.provenance["fixpoint_not_contracted"]
     assert 2 < sol.provenance["fixpoint_sweeps"] < 50
 
@@ -82,7 +74,7 @@ def test_value_law_fixed_point_reaches_its_tolerance():
 def test_constant_terminal_no_driver_gives_flat_solution():
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=1.0, f0=0.0)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "flat", 0))
-    sol = solve_mfbsde(model, law, x, dw, GRID)
+    sol = solve_mfbsde(model, law, x[None], dw[None], GRID)
     assert np.allclose(sol.y_values, 1.0, atol=1e-12)
     assert np.allclose(sol.z_values, 0.0, atol=1e-12)
 
@@ -91,7 +83,7 @@ def test_constant_driver_integrates_linearly():
     c = 0.7
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=0.0, f0=c)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "lin", 0))
-    sol = solve_mfbsde(model, law, x, dw, GRID)
+    sol = solve_mfbsde(model, law, x[None], dw[None], GRID)
     expected = c * (GRID.horizon - GRID.nodes)
     assert np.allclose(sol.y_values, expected[None, :], atol=1e-9)
 
@@ -105,7 +97,7 @@ def test_mf_linear_limit_solution_matches_closed_form():
         n_blocks=1, inner=4096,
         w_key=derive_key(ROOT, "mfw", 0), env_key=derive_key(ROOT, "mfe", 0),
     )
-    sol = solve_mfbsde(model, law, sim.xlim[0], sim.dw[0], GRID)
+    sol = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
     y0 = sol.y_values[:, 0].mean()
     assert abs(y0 - 2 * math.e) / (2 * math.e) < 0.02
     z_rms_err = np.sqrt(np.mean((sol.z_values[:, :-1, 0] - 1.0) ** 2))
@@ -165,7 +157,7 @@ def test_martingale_property_without_driver():
         model, 1, GRID, law, 1, 4096,
         derive_key(ROOT, "mart", 0), derive_key(ROOT, "marte", 0),
     )
-    sol = solve_mfbsde(model, law, sim.xlim[0], sim.dw[0], GRID)
+    sol = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
     means = sol.y_values.mean(axis=0)
     se = sol.y_values.std(axis=0, ddof=1) / math.sqrt(sol.y_values.shape[0])
     # ensemble mean constant across nodes within 3 standard errors

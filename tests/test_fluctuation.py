@@ -16,7 +16,7 @@ from mfbsde.fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from mfbsde.forward import solve_limit_forward
+from mfbsde.forward import simulate_blocks, solve_limit_forward
 from mfbsde.model import catalog_model
 from mfbsde.noise import StreamKey, TimeGrid, derive_key
 
@@ -410,16 +410,29 @@ def test_empirical_field_normality_diagnostics():
     assert abs(kurt) <= 4 * math.sqrt(24.0 / reps)
 
 
+def test_value_law_cloud_is_the_block_route_limit_cloud():
+    # the value law's cloud rides the stream of one block under key "vw":
+    # it equals simulate_blocks' limit paths under the same keys, bit for bit
+    grid = TimeGrid(1.0, 8)
+    model = catalog_model("tanh_bounded")
+    law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "vlaw_law", 0))
+    key = derive_key(ROOT, "vlaw_stream", 0)
+    vlaw = value_law(model, law, grid, key, size=256)
+    sim = simulate_blocks(
+        model, 1, grid, law, n_blocks=1, inner=256,
+        w_key=key.child("vw", 0), env_key=key.child("ve", 0),
+    )
+    assert np.array_equal(vlaw.cloud, sim.xlim[0])
+
+
 def test_clt_compare_report_structure():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
     res = solve_limit_system(model, law, GRID, members=256, key=derive_key(ROOT, "ls", 2))
-    fake = np.asarray(res.xbar[:, -1, 0])  # same-law samples
-    report = clt_compare(
-        model, 64, GRID, {1.0: fake}, None, None, res
-    )
+    fake = res.xbar  # same-law samples
+    report = clt_compare(64, GRID, (fake, None, None), res, [1.0], [])
     row = report["probes"]["x@1.0"]
     assert row["ks"]["p_value"] > 0.01
     assert row["approx"]["n"] == 256
     with pytest.raises(ValueError, match="200"):
-        clt_compare(model, 64, GRID, {1.0: fake[:50]}, None, None, res)
+        clt_compare(64, GRID, (fake[:50], None, None), res, [1.0], [])

@@ -24,7 +24,7 @@ GRID = TimeGrid(1.0, 64)
 
 
 def _plain_euler(model, grid, key):
-    dw = brownian_increments(key, grid, model.dim)[None]
+    dw = brownian_increments([key], (grid.steps, model.dim), grid.h)
     return euler_paths(
         model, grid, dw, lambda x, i: model.drift(x, x), lambda x, i: model.diffusion(x, x)
     )[0]

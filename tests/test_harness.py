@@ -571,3 +571,86 @@ def test_cli_backward_limit_mode(tmp_path):
     assert lines[0] == "rep,t,y,z_1"
     y0 = float(lines[1].split(",")[2])
     assert abs(y0 - 2 * math.e) < 0.6  # rough location check on one path
+
+
+def test_cli_backward_limit_paths_are_the_block_route_limit_paths(tmp_path, monkeypatch):
+    # fresh --n limit paths ride the stream of block 0 of the N mode: they
+    # equal simulate_blocks' limit paths under the same keys, bit for bit
+    import mfbsde.cli as cli
+    from mfbsde.forward import simulate_blocks
+
+    seen = {}
+    solve = cli.solve_mfbsde
+
+    def spy(model, law, x, dw, grid, degree):
+        seen.update(model=model, law=law, x=x, grid=grid)
+        return solve(model, law, x, dw, grid, degree=degree)
+
+    monkeypatch.setattr(cli, "solve_mfbsde", spy)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "tanh_bounded"}))
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--steps", "8"]
+    argv += ["--reps", "64", "--seed", "23", "--env-cloud", "256", "--out", str(tmp_path / "y.csv")]
+    assert cli.main(argv) == 0
+    root = StreamKey(seed=23)
+    sim = simulate_blocks(
+        seen["model"], 1, seen["grid"], seen["law"], n_blocks=1, inner=64,
+        w_key=root.child("w", 0), env_key=root.child("envs", 0),
+    )
+    assert seen["x"].shape == (1, 64, 9, 1)
+    assert np.array_equal(seen["x"][0], sim.xlim[0])
+
+
+BAD_MODEL_FILES = [
+    ('{"name": "tanh_bounded", "rho": 1.5}', "need |rho| < 1 to keep the diffusion positive"),
+    ('{"beta": 1.0}', "model.name is required"),
+    ('{"name": "ou_mean_field", "sigma": 1.0}', "unknown parameters for ou_mean_field: ['sigma']"),
+    ("beta = 1", "not valid JSON"),
+]
+
+
+@pytest.mark.parametrize("command", ["forward", "backward"])
+@pytest.mark.parametrize("text, violation", BAD_MODEL_FILES)
+def test_direct_commands_report_a_bad_model_file(command, text, violation, tmp_path, capsys):
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(text)
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = [command, "--model", str(model_path), "--n", "8", "--seed", "1", "--out", str(out_csv)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    printed = captured.out.splitlines()
+    assert printed[0] == "invalid configuration:"
+    assert len(printed) == 2 and printed[1].startswith("  - invalid model block: ")
+    assert violation in printed[1]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_csv.exists()
+
+
+def test_model_and_study_violations_reported_in_one_pass():
+    doc = _clt_doc(reps=True)
+    doc["model"] = {"name": "tanh_bounded", "rho": 1.5}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    v = err.value.violations
+    assert sorted(v) == sorted([
+        "invalid model block: need |rho| < 1 to keep the diffusion positive",
+        "study.reps must be a positive integer",
+        "study.members must be a positive integer",
+    ])
+
+
+def test_clt_environment_size_override_checked_before_compute(tmp_path, capsys):
+    # --n 0 used to pass validation and fail with a ZeroDivisionError mid-run
+    from mfbsde.cli import main
+
+    cfg_path = tmp_path / "clt.json"
+    cfg_path.write_text(json.dumps(_clt_doc(metrics=["x"])))
+    capsys.readouterr()
+    assert main(["clt", "--config", str(cfg_path), "--n", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:", "  - study.n must be a positive integer for clt studies"
+    ]
+    assert not (tmp_path / "out").exists()

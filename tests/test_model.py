@@ -13,9 +13,15 @@ from mfbsde.model import (
     env_shift,
     random_probes,
 )
-from mfbsde.noise import StreamKey, TimeGrid, brownian_path, derive_key
+from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key
 
 KEY = StreamKey(seed=11)
+
+
+def _brownian_path(key, grid, dim):
+    """(steps + 1, dim) Brownian path at the grid nodes, starting at 0."""
+    dw = brownian_increments([key], (grid.steps, dim), grid.h)[0]
+    return np.concatenate([np.zeros((1, dim)), np.cumsum(dw, axis=0)])
 
 
 def test_unknown_name_rejected():
@@ -28,7 +34,7 @@ def test_unknown_name_rejected():
 def test_constant_model_is_brownian_motion():
     model = catalog_model("constant", b0=0.0, s=1.0, x0=0.0)
     nodes = TimeGrid(1.0, 16).nodes
-    w = brownian_path(derive_key(KEY, "w", 0), TimeGrid(1.0, 16), 1)
+    w = _brownian_path(derive_key(KEY, "w", 0), TimeGrid(1.0, 16), 1)
     assert np.array_equal(model.closed_form.path_map(nodes, w), w)
 
 
@@ -43,7 +49,7 @@ def test_mf_bsde_linear_closed_form_values():
     # Y_t = 2 x0 e^{beta T} + s W_t and Z constant s
     model = catalog_model("mf_bsde_linear", beta=1.0, s=1.0, x0=1.0, T=1.0)
     grid = TimeGrid(1.0, 8)
-    w = brownian_path(derive_key(KEY, "w", 1), grid, 1)
+    w = _brownian_path(derive_key(KEY, "w", 1), grid, 1)
     y = model.closed_form.y_path(grid.nodes, w)
     assert y[0] == pytest.approx(2 * math.e + w[0, 0], rel=1e-12)
     assert np.allclose(y, 2 * math.e + w[:, 0])
@@ -191,7 +197,7 @@ def test_closed_form_satisfies_discretized_dynamics(name):
     residuals = {}
     for steps in (16, 32, 64, 128):
         grid = TimeGrid(model.horizon, steps)
-        w = brownian_path(derive_key(KEY, "resid", steps), grid, model.dim)
+        w = _brownian_path(derive_key(KEY, "resid", steps), grid, model.dim)
         x = cf.path_map(grid.nodes, w)
         worst = 0.0
         for i in range(steps):

@@ -5,19 +5,22 @@ from mfbsde.noise import (
     StreamKey,
     TimeGrid,
     brownian_increments,
-    brownian_path,
     derive_key,
     generator,
     key_streams,
-    standard_normals,
 )
 
 ROOT = StreamKey(seed=20260808)
 
 
+def _unit_draws(key, count):
+    """`count` N(0, 1) draws of one key: Brownian increments of unit step."""
+    return brownian_increments([key], (count,), 1.0)[0]
+
+
 def test_same_key_reproduces_bit_identical_draws():
-    a = standard_normals(ROOT, 1000)
-    b = standard_normals(ROOT, 1000)
+    a = _unit_draws(ROOT, 1000)
+    b = _unit_draws(ROOT, 1000)
     assert np.array_equal(a, b)
 
 
@@ -25,15 +28,15 @@ def test_derived_keys_differ_from_parent_and_siblings():
     k3 = derive_key(ROOT, "particle", 3)
     k4 = derive_key(ROOT, "particle", 4)
     assert k3 != k4 != ROOT
-    assert not np.array_equal(standard_normals(k3, 64), standard_normals(k4, 64))
-    assert not np.array_equal(standard_normals(k3, 64), standard_normals(ROOT, 64))
+    assert not np.array_equal(_unit_draws(k3, 64), _unit_draws(k4, 64))
+    assert not np.array_equal(_unit_draws(k3, 64), _unit_draws(ROOT, 64))
 
 
 def test_derivation_is_path_composition():
     via_two_steps = derive_key(derive_key(ROOT, "replication", 1), "particle", 2)
     direct = StreamKey(ROOT.seed, (("replication", 1), ("particle", 2)))
     assert via_two_steps == direct
-    assert np.array_equal(standard_normals(via_two_steps, 16), standard_normals(direct, 16))
+    assert np.array_equal(_unit_draws(via_two_steps, 16), _unit_draws(direct, 16))
 
 
 def test_prefix_audit():
@@ -47,15 +50,16 @@ def test_prefix_audit():
 
 def test_sibling_streams_uncorrelated():
     n = 100_000
-    a = standard_normals(derive_key(ROOT, "field", 0), n)
-    b = standard_normals(derive_key(ROOT, "field", 1), n)
+    a = _unit_draws(derive_key(ROOT, "field", 0), n)
+    b = _unit_draws(derive_key(ROOT, "field", 1), n)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
 
 
-def test_standard_normals_empty_and_moments():
-    assert standard_normals(ROOT, 0).shape == (0,)
-    draws = standard_normals(derive_key(ROOT, "moments", 0), 1_000_000)
+def test_brownian_increments_empty_and_moments():
+    assert _unit_draws(ROOT, 0).shape == (0,)
+    assert brownian_increments([], (4, 1), 0.5).shape == (0, 4, 1)
+    draws = _unit_draws(derive_key(ROOT, "moments", 0), 1_000_000)
     assert abs(draws.mean()) < 0.004  # 4 sigma/sqrt(n) with sigma = 1
     kurt = np.mean(draws**4) / np.mean(draws**2) ** 2 - 3.0
     assert abs(kurt) < 0.03
@@ -75,9 +79,8 @@ def test_increment_variance_matches_grid_step():
     # Var of each increment is h = T / n; check the first increment over many keys.
     grid = TimeGrid(horizon=1.0, steps=4)
     reps = 100_000
-    firsts = np.empty(reps)
-    for r in range(reps):
-        firsts[r] = brownian_increments(derive_key(ROOT, "var", r), grid, 1)[0, 0]
+    keys = [derive_key(ROOT, "var", r) for r in range(reps)]
+    firsts = brownian_increments(keys, (grid.steps, 1), grid.h)[:, 0, 0]
     h = grid.h
     se = h * np.sqrt(2.0 / reps)  # stderr of a variance estimate
     assert abs(firsts.var() - h) < 3 * se
@@ -86,21 +89,25 @@ def test_increment_variance_matches_grid_step():
 def test_total_increment_variance_is_horizon():
     grid = TimeGrid(horizon=1.0, steps=4)
     reps = 100_000
-    totals = np.empty(reps)
-    for r in range(reps):
-        totals[r] = brownian_increments(derive_key(ROOT, "sum", r), grid, 1).sum()
+    keys = [derive_key(ROOT, "sum", r) for r in range(reps)]
+    totals = brownian_increments(keys, (grid.steps, 1), grid.h).sum(axis=(1, 2))
     se = grid.horizon * np.sqrt(2.0 / reps)
     assert abs(totals.var() - grid.horizon) < 3 * se
 
 
-def test_brownian_path_starts_at_zero_and_cumsums():
+def test_brownian_increments_scale_each_keys_own_draws():
+    # key k's slice is sqrt(step) * generator(k)'s draw, bit for bit, for one
+    # step and for one step per node
     grid = TimeGrid(horizon=2.0, steps=8)
-    key = derive_key(ROOT, "path", 0)
-    w = brownian_path(key, grid, 3)
-    dw = brownian_increments(key, grid, 3)
-    assert w.shape == (9, 3)
-    assert np.all(w[0] == 0.0)
-    assert np.allclose(np.diff(w, axis=0), dw)
+    keys = [derive_key(ROOT, "path", k) for k in range(5)]
+    dw = brownian_increments(keys, (3, grid.steps, 2), grid.h)
+    assert dw.shape == (5, 3, grid.steps, 2)
+    for key, row in zip(keys, dw):
+        assert np.array_equal(row, np.sqrt(grid.h) * generator(key).standard_normal((3, grid.steps, 2)))
+    step = np.diff(grid.nodes[[1, 4, 8]], prepend=0.0)[:, None]
+    dw = brownian_increments(keys, (3, 3, 2), step)
+    for key, row in zip(keys, dw):
+        assert np.array_equal(row, np.sqrt(step) * generator(key).standard_normal((3, 3, 2)))
 
 
 def test_generator_independent_of_call_order():
