@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backward import solve_bsde_n, solve_mfbsde
-from .forward import _euler_coefficients, simulate_blocks, solve_limit_forward, solve_sde_n
+from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
 from .harness import (
     ConfigError,
     emit_report,
@@ -144,11 +144,11 @@ def _read_paths_csv(path: str, dim: int):
     return nodes, values
 
 
-def _invert_euler_increments(model, law, grid, values):
+def _invert_euler_increments(law, grid, values):
     """Recover Brownian increments from limit-dynamics paths (needs a
     nonsingular diffusion mean)."""
     R, n1, d = values.shape
-    drift, diffusion = _euler_coefficients(model, law.shift("drift"), law.shift("diffusion"))
+    drift, diffusion = law.euler_coefficients()
     dw = np.empty((R, grid.steps, d))
     for i in range(grid.steps):
         x = values[None, :, i, :]
@@ -177,7 +177,7 @@ def _cmd_backward(args) -> int:
                 print(f"path file has {len(nodes) - 1} steps, expected {grid.steps}", file=sys.stderr)
                 return 1
             x_paths = values[None]
-            dw = _invert_euler_increments(model, law, grid, values)[None]
+            dw = _invert_euler_increments(law, grid, values)[None]
         else:
             # one block of limit paths on the stream the N-mode's block 0 uses
             w_key = root.child("w", 0).child("path", 0)

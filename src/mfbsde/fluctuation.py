@@ -488,7 +488,11 @@ def clt_compare(
     a two-sample KS test per row, each side at least ``CLT_MIN_SAMPLES``
     samples.
     """
-    lim = _clt_statistics(grid, limit.xbar, limit.ybar, limit.zbar, probe_times, y_probe_times)
+    # the limit side only for the measured components: a probe list the
+    # study does not read need not sit on the grid
+    limits = (limit.xbar, limit.ybar, limit.zbar)
+    measured = (ens if gap is not None else None for gap, ens in zip(gaps, limits))
+    lim = _clt_statistics(grid, *measured, probe_times, y_probe_times)
     report: dict = {"N": N, "probes": {}, "z": {}}
     for (section, name), samples in _clt_statistics(grid, *gaps, probe_times, y_probe_times).items():
         other = lim[section, name]

@@ -186,11 +186,15 @@ class LawFlow:
                 self._curves[which] = mean - partner_values(model, which, ref)
         return self._curves[which]
 
+    def euler_coefficients(self):
+        """The limit dynamics' Euler drift and diffusion, ``fn(x, i)``: this
+        law's means of the two coefficients at own state x and node i."""
+        return _euler_coefficients(self.model, self.shift("drift"), self.shift("diffusion"))
+
     def euler(self, dw: np.ndarray) -> np.ndarray:
-        """Limit-dynamics paths (..., n+1, d) on increments ``dw`` (..., n, d):
-        Euler steps whose drift and diffusion means are this law's."""
-        fns = _euler_coefficients(self.model, self.shift("drift"), self.shift("diffusion"))
-        return euler_paths(self.model, self.grid, dw, *fns)
+        """Limit-dynamics paths (..., n+1, d) on increments ``dw`` (..., n, d),
+        stepped with `euler_coefficients`."""
+        return euler_paths(self.model, self.grid, dw, *self.euler_coefficients())
 
 
 # ---------------------------------------------------------------------------

@@ -215,12 +215,6 @@ def parse_config(text: str) -> ExperimentConfig:
         study["metrics"] = list(_METRICS)
     if study["members"] is None:
         study["members"] = study["reps"]
-    failed = set()
-    for size_key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
-        v = study[size_key]
-        if not _is_int(v) or v < 1:
-            violations.append(f"study.{size_key} must be a positive integer")
-            failed.add(size_key)
 
     out_block = doc.get("output", {})
     if not isinstance(out_block, dict):
@@ -231,9 +225,8 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"unknown output key {key!r}")
     out_dir = out_block.get("dir", "out")
 
-    # the run-time checks, on the study keys that passed their own
     violations += _study_violations(
-        {k: v for k, v in study.items() if k not in failed},
+        study,
         None if model is None else TimeGrid(model.horizon, steps),
         None if model is None else model.dim,
     )
@@ -249,15 +242,18 @@ def _is_int(value) -> bool:
 
 def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int]) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
-    compute nothing: a clt environment size below 1, bad metrics or degree,
-    probe times off the grid, too few inner paths for the regression basis,
-    and clt ensembles too small to compare.
-
-    A size key absent from ``study`` (one that already failed its own check)
-    is not checked again; without a grid and dimension (an invalid model
-    block) neither are the checks that need them.
+    compute nothing: a size below 1, bad metrics or degree, probe times off
+    the grid, too few inner paths for the regression basis, and clt
+    ensembles too small to compare.  Without a grid and dimension (an
+    invalid model block) the checks that need them are skipped.
     """
     out = []
+    sizes = {}
+    for key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
+        if _is_int(study[key]) and study[key] >= 1:
+            sizes[key] = study[key]
+        else:
+            out.append(f"study.{key} must be a positive integer")
     metrics = study["metrics"]
     if (
         not isinstance(metrics, list)
@@ -275,10 +271,10 @@ def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int])
         if not _is_int(study["n"]) or study["n"] < 1:
             out.append("study.n must be a positive integer for clt studies")
         for key in ("reps", "members"):
-            if key in study and study[key] < CLT_MIN_SAMPLES:
+            if sizes.get(key, CLT_MIN_SAMPLES) < CLT_MIN_SAMPLES:
                 out.append(
                     f"study.{key} must be at least {CLT_MIN_SAMPLES} for clt studies, "
-                    f"got {study[key]}"
+                    f"got {sizes[key]}"
                 )
         read = {"probe_times": "x" in metrics, "y_probe_times": backward, "lattice_times": True}
         for key in (k for k, used in read.items() if used and grid is not None):
@@ -294,12 +290,12 @@ def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int])
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
-    elif backward and dim is not None and "inner_paths" in study:
+    elif backward and dim is not None and "inner_paths" in sizes:
         need = 10 * len(_exponent_tuples(dim, degree))
-        if study["inner_paths"] < need:
+        if sizes["inner_paths"] < need:
             out.append(
                 f"study.inner_paths must be at least 10 * basis size = {need} "
-                f"for y or z metrics, got {study['inner_paths']}"
+                f"for y or z metrics, got {sizes['inner_paths']}"
             )
     return out
 

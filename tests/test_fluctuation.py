@@ -436,3 +436,18 @@ def test_clt_compare_report_structure():
     assert row["approx"]["n"] == 256
     with pytest.raises(ValueError, match="200"):
         clt_compare(64, GRID, (fake[:50], None, None), res, [1.0], [])
+
+
+@pytest.mark.parametrize("measured", ["x", "yz"])
+def test_clt_compare_reads_no_probe_list_of_an_unmeasured_component(measured):
+    # t = 0.3 is not a node of GRID; the probe list of a component without a
+    # gap is never read, as the config checks do not check it
+    model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
+    res = solve_limit_system(model, law, GRID, members=256, key=derive_key(ROOT, "ls", 2))
+    if measured == "x":
+        report = clt_compare(64, GRID, (res.xbar, None, None), res, [1.0], [0.3])
+        assert list(report["probes"]) == ["x@1.0"] and report["z"] == {}
+    else:
+        report = clt_compare(64, GRID, (None, res.ybar, res.zbar), res, [0.3], [0.5])
+        assert list(report["probes"]) == ["y@0.5"] and set(report["z"]) == {"one", "t"}

@@ -90,6 +90,15 @@ def test_unread_probe_times_are_not_checked():
     parse_config(json.dumps(_clt_doc(metrics=["x"], y_probe_times=[0.3])))
 
 
+def test_forward_only_clt_study_runs_on_a_grid_without_the_y_probe():
+    # the default y_probe_times [0.5] is no node of a 63-step grid; a study
+    # that passes the checks must not read it after the compute has run
+    doc = _clt_doc(metrics=["x"], reps=200, field_reps=100, env_cloud=256, lattice_times=[1.0])
+    doc["grid"]["steps"] = 63
+    report = run_clt_study(parse_config(json.dumps(doc)))
+    assert list(report.comparison["probes"]) == ["x@1.0"]
+
+
 def test_too_few_inner_paths_rejected_before_compute():
     # degree 2 in one dimension has 3 basis functions: at least 30 inner paths
     for kind in ({"kind": "convergence", "n_values": [4, 8, 16]}, {"kind": "clt", "n": 64}):
