@@ -28,12 +28,17 @@ from .harness import (
 from .noise import StreamKey, TimeGrid, brownian_increments
 
 
+def _read_json_file(path: str, what: str):
+    """The parsed JSON document of a file; a file that is not JSON is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"invalid {what}: not valid JSON: {exc}"]) from None
+
+
 def _load_model_block(path: str):
     """The model block of a JSON file: its "model" object, else the whole document."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid model block: not valid JSON: {exc}"]) from None
+    doc = _read_json_file(path, "model block")
     if isinstance(doc, dict) and isinstance(doc.get("model"), dict):
         return doc["model"]
     return doc
@@ -78,7 +83,7 @@ def _cmd_clt(args) -> int:
             "study": {"kind": "clt", "n": int(args.n), "seed": int(args.seed)},
         }
         if args.lattice is not None:
-            lat = json.loads(Path(args.lattice).read_text())
+            lat = _read_json_file(args.lattice, "lattice file")
             if not isinstance(lat, dict):
                 raise ConfigError(['the lattice file must be an object {"times": [...]}'])
             unknown = [f"unknown lattice key {key!r}" for key in lat if key != "times"]

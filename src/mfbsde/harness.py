@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .backward import _exponent_tuples, solve_bsde_n, solve_mfbsde
@@ -368,7 +367,6 @@ def _provenance(config: ExperimentConfig, extra: dict) -> dict:
         "versions": {
             "mfbsde": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     out.update(extra)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from mfbsde.fluctuation import (
     FieldLattice,
     _field_values,
+    _ks_row,
     _path_kernel,
     _split_path_field,
     law_cloud,
@@ -436,6 +441,81 @@ def test_clt_compare_report_structure():
     assert row["approx"]["n"] == 256
     with pytest.raises(ValueError, match="200"):
         clt_compare(64, GRID, (fake[:50], None, None), res, [1.0], [])
+
+
+KS_SIZES = [
+    (7, 7), (500, 500), (10000, 10000), (20, 30), (30, 20), (300, 700), (499, 500),
+    (2000, 4000), (12000, 15000),
+]
+
+
+@pytest.mark.parametrize("n, m", KS_SIZES)
+def test_ks_two_sample_is_scipy_exact_bit_for_bit(n, m):
+    # scipy's auto mode would switch to its asymptotic series above 10,000
+    # samples per side; the exact p-value stays exact there
+    from scipy import stats
+
+    rng = np.random.default_rng(n * 100003 + m)
+    for shift in (0.0, 0.2, 1.0):
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(m) + shift
+        with warnings.catch_warnings(record=True) as fell_back:
+            warnings.simplefilter("always")
+            ref = stats.ks_2samp(a, b, method="exact")
+        p_value = ref.pvalue
+        if fell_back:
+            # the n = m series rounded an ulp above 1 and scipy switched to
+            # its asymptotic series; the exact p-value there rounds to 1 (h <= 2)
+            assert n == m and round(ref.statistic * n) <= 2
+            p_value = 1.0
+        assert _ks_row(a, b) == {"statistic": ref.statistic, "p_value": p_value}
+
+
+def test_ks_row_identical_constant_and_nan_samples():
+    a = np.random.default_rng(3).standard_normal(300)
+    # identical samples: every ECDF gap is 0, so h = 0 and p = 1
+    assert _ks_row(a, a[::-1].copy()) == {"statistic": 0.0, "p_value": 1.0}
+    assert _ks_row(np.full(300, 0.5), np.full(400, 0.5)) == {
+        "statistic": 0.0, "p_value": 1.0, "degenerate": True,
+    }
+    # a NaN propagates, so its KS verdict fails
+    row = _ks_row(np.where(np.arange(300) == 7, np.nan, a), a)
+    assert math.isnan(row["statistic"]) and math.isnan(row["p_value"])
+
+
+def test_clt_compare_imports_no_scipy():
+    code = '''
+import sys
+import numpy as np
+import mfbsde.cli
+from mfbsde.fluctuation import LimitSystemResult, clt_compare
+from mfbsde.noise import TimeGrid
+
+grid = TimeGrid(1.0, 8)
+rng = np.random.default_rng(1)
+for reps, members in ((300, 300), (300, 400)):
+    limit = LimitSystemResult(
+        grid=grid,
+        x=None,
+        xbar=rng.standard_normal((members, 9, 1)),
+        ybar=rng.standard_normal((members, 9)),
+        zbar=rng.standard_normal((members, 9, 1)),
+        provenance={},
+    )
+    gaps = (
+        rng.standard_normal((reps, 9, 1)),
+        rng.standard_normal((reps, 9)),
+        rng.standard_normal((reps, 9, 1)),
+    )
+    report = clt_compare(64, grid, gaps, limit, [0.5, 1.0], [0.5])
+    assert len(report["probes"]) == 3 and len(report["z"]) == 2
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+'''
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("measured", ["x", "yz"])

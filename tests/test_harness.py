@@ -182,6 +182,22 @@ def test_lattice_probes_rejected_before_compute(study, lattice, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_clt_lattice_file_that_is_not_json_is_reported(tmp_path, capsys):
+    from mfbsde.cli import main
+
+    (tmp_path / "m.json").write_text(json.dumps(_clt_doc()["model"]))
+    (tmp_path / "lat.txt").write_text("times = 1")
+    argv = ["clt", "--model", str(tmp_path / "m.json"), "--lattice", str(tmp_path / "lat.txt")]
+    capsys.readouterr()
+    assert main(argv + ["--n", "4", "--seed", "1", "--out", str(tmp_path / "d")]) == 1
+    captured = capsys.readouterr()
+    printed = captured.out.splitlines()
+    assert printed[0] == "invalid configuration:" and len(printed) == 2
+    assert printed[1].startswith("  - invalid lattice file: not valid JSON")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("degree", [-1, 1.5, "2", None])
 def test_bad_degree_rejected(degree):
     for doc in (_clt_doc(degree=degree), {**MINIMAL, "study": {**MINIMAL["study"], "degree": degree}}):
