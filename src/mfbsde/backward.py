@@ -58,6 +58,11 @@ def _exponent_tuples(n_vars: int, degree: int) -> list[tuple[int, ...]]:
     return exps
 
 
+def min_block_paths(n_vars: int, degree: int) -> int:
+    """Fewest paths per regression block: ten times the basis size."""
+    return 10 * len(_exponent_tuples(n_vars, degree))
+
+
 def _features(states: np.ndarray, degree: int) -> np.ndarray:
     """Standardized monomial features, (B, P, K).
 
@@ -161,11 +166,9 @@ def _backward_induction(
     n = grid.steps
     h = grid.h
     d = dw.shape[-1]
-    k_basis = len(_exponent_tuples(cond_states.shape[-1], degree))
-    if P < 10 * k_basis:
-        raise ValueError(
-            f"need at least 10 * basis size = {10 * k_basis} paths per block, got {P}"
-        )
+    need = min_block_paths(cond_states.shape[-1], degree)
+    if P < need:
+        raise ValueError(f"need at least 10 * basis size = {need} paths per block, got {P}")
     y = np.empty((B, P, n1))
     z = np.empty((B, P, n1, d))
     y[:, :, n] = terminal

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .backward import solve_bsde_n, solve_mfbsde
+from .backward import min_block_paths, solve_bsde_n, solve_mfbsde
 from .forward import simulate_blocks, solve_limit_forward, solve_sde_n
 from .harness import (
+    _PATH_HEADER,
     ConfigError,
+    _path_rows,
+    _write_csv,
     emit_report,
     model_from_block,
     parse_config,
@@ -109,17 +112,24 @@ def _cmd_clt(args) -> int:
     return 0 if all(v["passed"] for v in report.verdicts) else 2
 
 
-def _write_paths_csv(path: str, grid: TimeGrid, values: np.ndarray) -> None:
-    lines = ["rep,t,coord,value"]
-    for r in range(values.shape[0]):
-        for i, t in enumerate(grid.nodes):
-            for c in range(values.shape[2]):
-                lines.append(f"{r},{float(t)!r},{c},{float(values[r, i, c])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _direct_model(args, least: dict):
+    """The model of a direct command's ``--model`` file and the violations
+    found: a bad model block, then each flag of ``least`` below its value."""
+    violations = [
+        f"--{flag.replace('_', '-')} must be an integer >= {low}, got {getattr(args, flag)}"
+        for flag, low in least.items()
+        if getattr(args, flag) < low
+    ]
+    try:
+        return model_from_block(_load_model_block(args.model)), violations
+    except ConfigError as exc:
+        return None, exc.violations + violations
 
 
 def _cmd_forward(args) -> int:
-    model = model_from_block(_load_model_block(args.model))
+    model, violations = _direct_model(args, {"n": 1, "steps": 1, "reps": 0, "env_cloud": 2})
+    if violations:
+        raise ConfigError(violations)
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     law = solve_limit_forward(model, grid, args.env_cloud, root.child("law", 0))
@@ -128,7 +138,7 @@ def _cmd_forward(args) -> int:
         root.child("w", 0), root.child("envs", 0),
         out_reps=args.reps,
     )
-    _write_paths_csv(args.out, grid, result.paths.values)
+    _write_csv(args.out, _PATH_HEADER, _path_rows(grid, result.paths.values))
     print(
         f"wrote {args.out}: {args.reps} replications, N={args.n}, "
         f"environments from the {law.kind.replace('_', '-')} limit law"
@@ -138,8 +148,8 @@ def _cmd_forward(args) -> int:
 
 def _read_paths_csv(path: str, dim: int):
     rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != "rep,t,coord,value":
-        raise ValueError(f"{path} is not a forward path CSV")
+    if rows[0] != ",".join(_PATH_HEADER):
+        raise ConfigError([f"--paths: {path} is not a forward path CSV"])
     data: dict[int, dict[float, list[float]]] = {}
     for line in rows[1:]:
         r, t, c, v = line.split(",")
@@ -162,25 +172,46 @@ def _invert_euler_increments(law, grid, values):
     return dw
 
 
+def _backward_setup(args):
+    """The model and the ``--paths`` file's values (None for fresh paths) of
+    a backward command; raises ConfigError before any compute."""
+    model, violations = _direct_model(args, {"steps": 1, "reps": 1, "degree": 0, "env_cloud": 2})
+    limit_mode = args.n == "limit"
+    if not (limit_mode or args.n.isdigit() and int(args.n) >= 1):
+        violations.append(f"--n must be 'limit' or an integer >= 1, got {args.n!r}")
+    values = None
+    if args.paths != "fresh" and not limit_mode:
+        violations.append(
+            "--paths needs --n limit: externally supplied paths carry no environment draws"
+        )
+    elif args.paths != "fresh" and model is not None:
+        nodes, values = _read_paths_csv(args.paths, model.dim)
+        if len(nodes) != args.steps + 1:
+            violations.append(f"--paths file has {len(nodes) - 1} steps, expected {args.steps}")
+    if model is not None and args.degree >= 0:
+        # paths per regression block: file rows, fresh limit paths or inner paths
+        if values is not None:
+            flag, paths = "--paths", len(values)
+        else:
+            flag, paths = ("--reps", args.reps) if limit_mode else ("--inner", args.inner)
+        need = min_block_paths(model.dim, args.degree)
+        if paths < need:
+            violations.append(
+                f"{flag} must give at least 10 * basis size = {need} paths per block, got {paths}"
+            )
+    if violations:
+        raise ConfigError(violations)
+    return model, values
+
+
 def _cmd_backward(args) -> int:
-    model = model_from_block(_load_model_block(args.model))
+    model, values = _backward_setup(args)
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     limit_mode = args.n == "limit"
-    if args.paths != "fresh" and not limit_mode:
-        print(
-            "path files are supported with --n limit only: externally supplied "
-            "paths carry no environment draws",
-            file=sys.stderr,
-        )
-        return 1
     law = study_law(model, grid, args.env_cloud, args.degree, root, not limit_mode)
     if limit_mode:
-        if args.paths != "fresh":
-            nodes, values = _read_paths_csv(args.paths, model.dim)
-            if len(nodes) != grid.steps + 1:
-                print(f"path file has {len(nodes) - 1} steps, expected {grid.steps}", file=sys.stderr)
-                return 1
+        if values is not None:
             x_paths = values[None]
             dw = _invert_euler_increments(law, grid, values)[None]
         else:
@@ -199,14 +230,13 @@ def _cmd_backward(args) -> int:
         )
         sol = solve_bsde_n(model, N, sim, grid, degree=args.degree)
         y, z = sol.designated()
-    d = z.shape[-1]
-    header = "rep,t,y," + ",".join(f"z_{j + 1}" for j in range(d))
-    lines = [header]
-    for r in range(y.shape[0]):
-        for i, t in enumerate(grid.nodes):
-            zs = ",".join(repr(float(z[r, i, j])) for j in range(d))
-            lines.append(f"{r},{float(t)!r},{float(y[r, i])!r},{zs}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    zs = [f"z_{j + 1}" for j in range(z.shape[-1])]
+    rows = [
+        {"rep": r, "t": float(t), "y": float(y[r, i]), **dict(zip(zs, map(float, z[r, i])))}
+        for r in range(y.shape[0])
+        for i, t in enumerate(grid.nodes)
+    ]
+    _write_csv(args.out, ["rep", "t", "y", *zs], rows)
     print(f"wrote {args.out}: {y.shape[0]} replications ({'limit' if limit_mode else 'N=' + args.n})")
     return 0
 

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import _exponent_tuples, solve_linear_limit_bsde, solve_mfbsde
-from .forward import LawFlow
+from .backward import min_block_paths, solve_linear_limit_bsde, solve_mfbsde
+from .forward import LawFlow, block_batches
 from .model import ModelSpec, partner_values
 from .noise import StreamKey, TimeGrid, brownian_increments, generator
 
@@ -38,12 +38,13 @@ __all__ = [
     "solve_limit_system",
     "clt_compare",
     "value_law",
-    "law_cloud",
 ]
 
 _BLOCK_ORDER = ("drift", "diffusion", "terminal", "driver")
 # fewest samples per side that `clt_compare` accepts
 CLT_MIN_SAMPLES = 200
+# fewest cloud paths that `theoretical_covariance` accepts
+KERNEL_MIN_CLOUD = 100
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
@@ -162,16 +163,6 @@ def _sample_covariance(feats: np.ndarray, blocks: tuple[str, ...]) -> Covariance
     return CovarianceMatrix(cov, stderr, blocks)
 
 
-def law_cloud(law: LawFlow, size: int, key: StreamKey, with_y: bool = True):
-    """A (paths, y) cloud of the law: a closed-form law draws ``size`` paths
-    under ``key``; a cloud law returns its own whole cloud, whatever ``size``
-    says."""
-    if law.use_closed_form:
-        x, y = law.sample_env([key], size, with_y=with_y)
-        return x[0], None if y is None else y[0]
-    return law.cloud, law.cloud_y if with_y else None
-
-
 def value_law(
     model: ModelSpec,
     law: LawFlow,
@@ -205,17 +196,23 @@ def theoretical_covariance(
 
     Every entry is the Monte Carlo covariance, over a cloud of joint base
     paths, of the corresponding coefficient evaluations; blocks share the
-    cloud, so cross-block covariances come out consistently.
+    cloud, so cross-block covariances come out consistently.  A closed-form
+    law draws ``cloud_size`` paths under ``key``; a cloud law gives its own
+    whole cloud, whatever ``cloud_size`` says.
     """
     needs_y = "driver" in lattice.blocks
     if needs_y and not law.has_y:
         raise ValueError("driver block needs a law carrying y values")
-    if law.use_closed_form and key is None:
-        raise ValueError("closed-form laws need a key to draw the kernel cloud")
-    x_cloud, y_cloud = law_cloud(law, cloud_size, key, with_y=needs_y)
+    if law.use_closed_form:
+        if key is None:
+            raise ValueError("closed-form laws need a key to draw the kernel cloud")
+        x, y = law.sample_env([key], cloud_size, with_y=needs_y)
+        x_cloud, y_cloud = x[0], None if y is None else y[0]
+    else:
+        x_cloud, y_cloud = law.cloud, law.cloud_y if needs_y else None
     m = x_cloud.shape[0]
-    if m < 100:
-        raise ValueError(f"kernel cloud too small ({m} < 100)")
+    if m < KERNEL_MIN_CLOUD:
+        raise ValueError(f"kernel cloud too small ({m} < {KERNEL_MIN_CLOUD})")
     nodes = range(lattice.grid.steps + 1)
     return _sample_covariance(*_field_values(model, lattice, x_cloud, y_cloud, nodes))
 
@@ -233,15 +230,6 @@ def sample_field_on_lattice(cov: CovarianceMatrix, key: StreamKey, count: int = 
 
 # ---------------------------------------------------------------------------
 # fields along paths
-
-
-def _path_kernel(
-    model: ModelSpec, grid: TimeGrid, x_cloud: np.ndarray, y_cloud
-) -> CovarianceMatrix:
-    """Joint kernel of all four field components along the grid."""
-    nodes = tuple(range(grid.steps + 1))
-    lattice = FieldLattice(grid, nodes, blocks=_BLOCK_ORDER)
-    return _sample_covariance(*_field_values(model, lattice, x_cloud, y_cloud, nodes))
 
 
 def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
@@ -270,13 +258,13 @@ def empirical_fields(
     env_key: StreamKey,
     center_key: StreamKey,
     center_size: int = 8192,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
     Per replication: sqrt(N) times the environment average of each centered
     coefficient, with the centering expectation estimated once from a
     disjoint cloud (avoids the bias of centering at the draw's own mean).
+    Replications run `forward.BLOCK_BATCH` at a time.
     """
     needs_y = "driver" in lattice.blocks
     if needs_y and not env_law.has_y:
@@ -296,8 +284,7 @@ def empirical_fields(
 
     center = partner_mean(*env_law.sample_env([center_key], center_size, nodes, with_y=needs_y))
     values = np.empty((reps, center.shape[1]))
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
+    for lo, hi in block_batches(reps):
         ex, ey = env_law.sample_env(
             [env_key.child("env", r) for r in range(lo, hi)], N, nodes, with_y=needs_y
         )
@@ -328,7 +315,6 @@ def solve_limit_system(
     inner: int = 64,
     degree: int = 2,
     cloud_size: int = 4096,
-    chunk: int = 512,
 ) -> LimitSystemResult:
     """Ensemble of the linearized limit system.
 
@@ -342,24 +328,21 @@ def solve_limit_system(
     E'[g(X') xbar'] and E'[g(X') ybar'] is zero, since the field is centred
     and independent of the partner's own noise, and the first-order
     components are linear in it.  Members therefore do not interact, and
-    ``chunk`` only bounds memory: the output does not depend on it.  The
-    field kernel comes from ``law`` when it carries y values, else from a
-    value law of ``cloud_size`` paths built on it; either way a cloud law
-    gives its whole cloud and a closed-form law ``cloud_size`` draws (see
-    `law_cloud`).
+    they run `forward.BLOCK_BATCH` at a time.  The field kernel is
+    `theoretical_covariance` along the whole grid, on ``law`` when it
+    carries y values, else on a value law of ``cloud_size`` paths built on
+    it.
     """
     d = model.dim
     n = grid.steps
     n1 = n + 1
     h = grid.h
     ref = model.x0
-    # the backward solve conditions on (state, first-order state): keep the
-    # inner ensemble comfortably above ten times the basis size
-    basis = len(_exponent_tuples(2 * d, degree))
-    inner = max(inner, 10 * basis)
+    # the backward solve conditions on (state, first-order state)
+    inner = max(inner, min_block_paths(2 * d, degree))
     vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=cloud_size, degree=degree)
-    kx, ky = law_cloud(vlaw, cloud_size, key.child("kern", 0))
-    kernel = _path_kernel(model, grid, kx, ky)
+    lattice = FieldLattice(grid, tuple(range(n1)), blocks=_BLOCK_ORDER)
+    kernel = theoretical_covariance(model, vlaw, lattice, cloud_size, key.child("kern", 0))
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
 
@@ -377,8 +360,7 @@ def solve_limit_system(
     ybar = np.empty((members, n1))
     zbar = np.empty((members, n1, d))
     fix_flag = False
-    for lo in range(0, members, chunk):
-        hi = min(lo + chunk, members)
+    for lo, hi in block_batches(members):
         size = hi - lo
         dw = brownian_increments([key.child("path", m) for m in range(lo, hi)], (inner, n, d), h)
         x_in = law.euler(dw)

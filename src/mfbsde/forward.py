@@ -29,11 +29,15 @@ __all__ = [
     "solve_sde_n",
     "solve_classical_system",
     "simulate_blocks",
+    "block_batches",
     "euler_paths",
     "keys_disjoint",
 ]
 
 DIVERGENCE_CAP = 1e8
+# blocks, replications or members that any loop holds at once (through
+# `block_batches`, at call time); every route is invariant under it
+BLOCK_BATCH = 256
 # elements of Brownian draws that `LawFlow.sample_env` holds at a time
 _SUB_BATCH = 1 << 18
 
@@ -298,7 +302,6 @@ def solve_sde_n(
     w_key: StreamKey,
     env_key: StreamKey,
     out_reps: int,
-    chunk: int = 256,
 ) -> SdeNResult:
     """Coupled one-path simulation of the N-environment forward system.
 
@@ -314,7 +317,7 @@ def solve_sde_n(
     sim = simulate_blocks(
         model, N, grid, law,
         n_blocks=out_reps, inner=1,
-        w_key=w_key, env_key=env_key.child("draws", 0), chunk=chunk,
+        w_key=w_key, env_key=env_key.child("draws", 0),
     )
     return SdeNResult(
         PathEnsemble(grid, sim.xn[:, 0], sim.keys),
@@ -347,8 +350,13 @@ class BlockSim:
     env_y: Optional[np.ndarray] = None            # always None
 
 
+def block_batches(count: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of ``count`` items taken `BLOCK_BATCH` at a time."""
+    return [(lo, min(lo + BLOCK_BATCH, count)) for lo in range(0, count, BLOCK_BATCH)]
+
+
 def _joined(parts: list):
-    """Per-chunk arrays joined along the block axis; None if any chunk has none."""
+    """Per-batch arrays joined along the block axis; None if any batch has none."""
     if not parts or any(p is None for p in parts):
         return None
     return np.concatenate(parts)
@@ -364,7 +372,6 @@ def simulate_blocks(
     w_key: StreamKey,
     env_key: StreamKey,
     block_offset: int = 0,
-    chunk: int = 256,
 ) -> BlockSim:
     """Simulate `n_blocks` blocks of `inner` coupled paths each.
 
@@ -373,7 +380,8 @@ def simulate_blocks(
     increment array under ``w_key.child("path", block_offset + b)``.  All
     inner paths of a block share the frozen environment; the limit paths use
     the coefficient means of the same ``law`` on the same increments, so no
-    second law's sampling error enters the gap between the two.
+    second law's sampling error enters the gap between the two.  Blocks run
+    `BLOCK_BATCH` at a time.
     """
     keys = tuple(w_key.child("path", block_offset + b) for b in range(n_blocks))
     dw_all = brownian_increments(keys, (inner, grid.steps, model.dim), grid.h)
@@ -383,8 +391,7 @@ def simulate_blocks(
 
     # partner values enter only through the driver
     with_y = not model.env_free("driver")
-    for lo in range(0, n_blocks, chunk):
-        hi = min(lo + chunk, n_blocks)
+    for lo, hi in block_batches(n_blocks):
         blocks = range(block_offset + lo, block_offset + hi)
         dw = dw_all[lo:hi]
         env_x, env_y = law.sample_env(

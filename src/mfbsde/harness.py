@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .backward import _exponent_tuples, solve_bsde_n, solve_mfbsde
+from .backward import min_block_paths, solve_bsde_n, solve_mfbsde
 from .fluctuation import (
     CLT_MIN_SAMPLES,
+    KERNEL_MIN_CLOUD,
     FieldLattice,
     _sample_covariance,
     clt_compare,
@@ -31,7 +32,7 @@ from .fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from .forward import LawFlow, simulate_blocks, solve_limit_forward
+from .forward import LawFlow, block_batches, simulate_blocks, solve_limit_forward
 from .model import ModelSpec, catalog_model
 from .noise import StreamKey, TimeGrid
 
@@ -76,9 +77,6 @@ _KS_ALPHA = 0.01
 # below this, an error series is roundoff of an identically-zero quantity
 # (statistical error scales here are > 1e-10), not a rate to fit
 _EXACT_TOL = 1e-20
-# blocks simulated at a time; every route is chunk-invariant, so it only
-# bounds memory
-_CHUNK = 256
 
 
 class ConfigError(ValueError):
@@ -242,9 +240,10 @@ def _is_int(value) -> bool:
 def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int]) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
     compute nothing: a size below 1, bad metrics or degree, probe times off
-    the grid, too few inner paths for the regression basis, and clt
-    ensembles too small to compare.  Without a grid and dimension (an
-    invalid model block) the checks that need them are skipped.
+    the grid, too few inner paths for the regression basis, a cloud too
+    small for its law or kernels, and clt ensembles too small to compare.
+    Without a grid and dimension (an invalid model block) the checks that
+    need them are skipped.
     """
     out = []
     sizes = {}
@@ -266,6 +265,13 @@ def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int])
         )
         metrics = []
     backward = "y" in metrics or "z" in metrics
+    # a cloud law needs two paths; a clt study's field kernels need more
+    least_cloud = KERNEL_MIN_CLOUD if study["kind"] == "clt" else 2
+    if sizes.get("env_cloud", least_cloud) < least_cloud:
+        scope = " for clt studies" if study["kind"] == "clt" else ""
+        out.append(
+            f"study.env_cloud must be at least {least_cloud}{scope}, got {sizes['env_cloud']}"
+        )
     if study["kind"] == "clt":
         if not _is_int(study["n"]) or study["n"] < 1:
             out.append("study.n must be a positive integer for clt studies")
@@ -290,7 +296,7 @@ def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int])
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
     elif backward and dim is not None and "inner_paths" in sizes:
-        need = 10 * len(_exponent_tuples(dim, degree))
+        need = min_block_paths(dim, degree)
         if sizes["inner_paths"] < need:
             out.append(
                 f"study.inner_paths must be at least 10 * basis size = {need} "
@@ -377,7 +383,7 @@ def _provenance(config: ExperimentConfig, extra: dict) -> dict:
 # convergence study
 
 
-def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, chunk, degree=None):
+def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, degree=None):
     """Designated-path gaps, N-system minus limit, of ``blocks`` coupled blocks.
 
     Block b draws its N partners from ``law`` under ``env_key.child("env", b)``
@@ -386,8 +392,8 @@ def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, chunk, degr
     law, so the time-discretization bias and the regression noise are common
     to both sides.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
     given, the y (B, n+1) and z (B, n+1, d) gaps of the backward solves at
-    that regression degree (else None).  Blocks run ``chunk`` at a time; the
-    gaps do not depend on ``chunk``.
+    that regression degree (else None).  Blocks run `forward.BLOCK_BATCH` at
+    a time; the gaps do not depend on it.
     """
     n1 = grid.steps + 1
     x = np.empty((blocks, n1, model.dim))
@@ -395,11 +401,8 @@ def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, chunk, degr
     if degree is not None:
         y = np.empty((blocks, n1))
         z = np.empty((blocks, n1, model.dim))
-    for lo in range(0, blocks, chunk):
-        hi = min(lo + chunk, blocks)
-        sim = simulate_blocks(
-            model, N, grid, law, hi - lo, inner, w_key, env_key, block_offset=lo, chunk=chunk
-        )
+    for lo, hi in block_batches(blocks):
+        sim = simulate_blocks(model, N, grid, law, hi - lo, inner, w_key, env_key, block_offset=lo)
         x[lo:hi] = sim.xn[:, 0] - sim.xlim[:, 0]
         if degree is not None:
             yn, zn = solve_bsde_n(model, N, sim, grid, degree=degree).designated()
@@ -460,14 +463,14 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
         if "x" in metrics:
             fwd = key_n.child("fwd", 0)
             x, _, _ = coupled_gaps(
-                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0), _CHUNK
+                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0)
             )
             errors["x"] = np.max(np.sum(x**2, axis=-1), axis=-1)
         if need_backward:
             bwd = key_n.child("bwd", 0)
             _, y, z = coupled_gaps(
                 model, int(N), grid, law, reps, int(study["inner_paths"]),
-                bwd.child("w", 0), bwd.child("e", 0), _CHUNK, degree=int(study["degree"]),
+                bwd.child("w", 0), bwd.child("e", 0), degree=int(study["degree"]),
             )
             errors["y"] = np.max(y**2, axis=-1)
             errors["z"] = grid.h * np.sum(np.sum(z[:, :-1] ** 2, axis=-1), axis=-1)
@@ -542,13 +545,13 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     x_fluct = y_fluct = z_fluct = None
     if "x" in metrics:
         x, _, _ = coupled_gaps(
-            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0), _CHUNK
+            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0)
         )
         x_fluct = scale * x
     if need_backward:
         _, y, z = coupled_gaps(
             model, N, grid, law, reps, int(study["inner_paths"]),
-            root.child("bw", 0), root.child("be", 0), _CHUNK, degree=int(study["degree"]),
+            root.child("bw", 0), root.child("be", 0), degree=int(study["degree"]),
         )
         y_fluct = scale * y if "y" in metrics else None
         z_fluct = scale * z if "z" in metrics else None
@@ -628,13 +631,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         {"criterion": "field_covariance", "passed": bool(cov_ok), "details": {"entries": len(cov_rows)}}
     )
 
-    fl_table = []
-    if x_fluct is not None:
-        for r in range(min(x_fluct.shape[0], 64)):
-            for i, t in enumerate(grid.nodes):
-                fl_table.append(
-                    {"rep": r, "t": float(t), "coord": 0, "value": float(x_fluct[r, i, 0])}
-                )
+    fl_table = [] if x_fluct is None else _path_rows(grid, x_fluct[:64, :, :1])
     return StudyReport(
         kind="clt",
         tables={"covariance": cov_rows, "fluctuations": fl_table},
@@ -655,7 +652,21 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
 # report emission
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+_PATH_HEADER = ["rep", "t", "coord", "value"]
+
+
+def _path_rows(grid: TimeGrid, values: np.ndarray) -> list[dict]:
+    """`_PATH_HEADER` rows of (R, n+1, d) paths, replication- then node-major."""
+    return [
+        {"rep": r, "t": float(t), "coord": c, "value": float(values[r, i, c])}
+        for r in range(values.shape[0])
+        for i, t in enumerate(grid.nodes)
+        for c in range(values.shape[2])
+    ]
+
+
+def _write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under ``header``: floats as their repr, all else as str."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -664,7 +675,7 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
                 for h in header
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def emit_report(report: StudyReport, out_dir) -> list[str]:
@@ -679,34 +690,28 @@ def emit_report(report: StudyReport, out_dir) -> list[str]:
     path = out / "report.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     written.append(str(path))
+    csvs = []
     if "errors" in report.tables:
-        p = out / "errors.csv"
-        _write_csv(p, ["N", "metric", "value", "stderr"], report.tables["errors"])
-        written.append(str(p))
-        rows = []
-        for metric, fit in report.slopes.items():
-            rows.append(
-                {
-                    "metric": metric,
-                    "slope": fit.get("slope"),
-                    "stderr": fit.get("stderr"),
-                    "ci_low": fit.get("ci", [None, None])[0],
-                    "ci_high": fit.get("ci", [None, None])[1],
-                }
-            )
-        p = out / "slope.csv"
-        _write_csv(p, ["metric", "slope", "stderr", "ci_low", "ci_high"], rows)
-        written.append(str(p))
+        slope_rows = [
+            {
+                "metric": metric,
+                "slope": fit.get("slope"),
+                "stderr": fit.get("stderr"),
+                "ci_low": fit.get("ci", [None, None])[0],
+                "ci_high": fit.get("ci", [None, None])[1],
+            }
+            for metric, fit in report.slopes.items()
+        ]
+        csvs += [
+            ("errors.csv", ["N", "metric", "value", "stderr"], report.tables["errors"]),
+            ("slope.csv", ["metric", "slope", "stderr", "ci_low", "ci_high"], slope_rows),
+        ]
     if "covariance" in report.tables:
-        p = out / "covariance.csv"
-        _write_csv(
-            p,
-            ["i", "j", "block", "value", "stderr", "empirical", "ok"],
-            report.tables["covariance"],
-        )
-        written.append(str(p))
+        header = ["i", "j", "block", "value", "stderr", "empirical", "ok"]
+        csvs.append(("covariance.csv", header, report.tables["covariance"]))
     if report.tables.get("fluctuations"):
-        p = out / "fluctuations.csv"
-        _write_csv(p, ["rep", "t", "coord", "value"], report.tables["fluctuations"])
-        written.append(str(p))
+        csvs.append(("fluctuations.csv", _PATH_HEADER, report.tables["fluctuations"]))
+    for name, header, rows in csvs:
+        _write_csv(out / name, header, rows)
+        written.append(str(out / name))
     return written

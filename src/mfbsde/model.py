@@ -32,7 +32,6 @@ __all__ = [
     "Probe",
     "catalog_model",
     "check_gradients",
-    "check_lipschitz",
     "env_average",
     "env_shift",
     "partner_values",
@@ -80,7 +79,6 @@ class ModelSpec:
     dim: int
     x0: Array
     horizon: float
-    lipschitz_bound: float
     drift: Callable[[Array, Array], Array]
     diffusion: Callable[[Array, Array], Array]
     driver: Callable[[Array, Array, Array, Array, Array], Array]
@@ -217,7 +215,6 @@ def _build_constant(dim, x0, horizon, params):
         dim=dim,
         x0=x0,
         horizon=horizon,
-        lipschitz_bound=0.0,
         drift=drift,
         diffusion=diffusion,
         driver=driver,
@@ -315,14 +312,11 @@ def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
 
     eye = np.eye(dim)
     g_own, g_env = _zero_driver_grads(dim)
-    # bound covers the summed drift + diffusion + terminal increments jointly
-    joint_bound = abs(beta) + (2.0 if linear_terminal else 1.0) * np.sqrt(dim)
     return ModelSpec(
         name=name,
         dim=dim,
         x0=x0,
         horizon=horizon,
-        lipschitz_bound=joint_bound,
         drift=drift,
         diffusion=diffusion,
         driver=driver,
@@ -424,7 +418,6 @@ def _build_tanh(dim, x0, horizon, params):
         dim=dim,
         x0=x0,
         horizon=horizon,
-        lipschitz_bound=(1.0 + s * abs(rho) + 2.0 + abs(kappa)) * np.sqrt(dim),
         drift=drift,
         diffusion=diffusion,
         driver=driver,
@@ -541,7 +534,7 @@ def env_average(
 
 
 # ---------------------------------------------------------------------------
-# gradient and Lipschitz validation
+# gradient validation
 
 
 @dataclass(frozen=True)
@@ -669,24 +662,3 @@ def check_gradients(
         errs["driver_env"] = max(errs["driver_env"], _rel_err(fd_env, env))
     return GradientReport(max_rel_error=errs, tolerance=tolerance)
 
-
-def check_lipschitz(model: ModelSpec, pairs: int, key: StreamKey, scale: float = 1.0) -> float:
-    """Largest observed coefficient ratio |g(a) - g(b)| / |a - b| over sampled pairs."""
-    rng = generator(key)
-    d = model.dim
-    worst = 0.0
-    for _ in range(pairs):
-        a = scale * rng.standard_normal(2 * d)
-        b = scale * rng.standard_normal(2 * d)
-        dist = float(np.linalg.norm(a - b))
-        if dist < 1e-12:
-            continue
-        xa, ea = a[:d], a[d:]
-        xb, eb = b[:d], b[d:]
-        num = (
-            np.linalg.norm(model.drift(xa, ea) - model.drift(xb, eb))
-            + np.linalg.norm(model.diffusion(xa, ea) - model.diffusion(xb, eb))
-            + abs(model.terminal(xa, ea) - model.terminal(xb, eb))
-        )
-        worst = max(worst, float(num) / dist)
-    return worst

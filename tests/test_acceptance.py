@@ -173,7 +173,7 @@ def ou_clt_data():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c4law", 0))
     x, _, _ = coupled_gaps(
-        model, 256, GRID, law, 4000, 1, derive_key(ROOT, "c4w", 0), derive_key(ROOT, "c4e", 0), 500
+        model, 256, GRID, law, 4000, 1, derive_key(ROOT, "c4w", 0), derive_key(ROOT, "c4e", 0)
     )
     samples = 16.0 * x[:, -1, 0]
     limit = solve_limit_system(
@@ -203,7 +203,7 @@ def mf_y_fluct_data():
     node = GRID.node_at(0.5)
     _, y, _ = coupled_gaps(
         model, 256, GRID, law, 4000, 128,
-        derive_key(ROOT, "c5w", 0), derive_key(ROOT, "c5e", 0), 250, degree=2,
+        derive_key(ROOT, "c5w", 0), derive_key(ROOT, "c5e", 0), degree=2,
     )
     samples = 16.0 * y[:, node]
     limit = solve_limit_system(

@@ -7,13 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from mfbsde import forward
 from mfbsde.fluctuation import (
     FieldLattice,
+    _BLOCK_ORDER,
     _field_values,
     _ks_row,
-    _path_kernel,
     _split_path_field,
-    law_cloud,
     clt_compare,
     empirical_fields,
     sample_field_on_lattice,
@@ -147,9 +147,9 @@ def test_empirical_fields_zero_for_decoupled_model():
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "ou_mean_field"])
-def test_empirical_fields_invariant_under_chunk_size(name):
-    # every replication draws its own partners under its own key, so chunk
-    # only bounds memory; tanh_bounded reads all four blocks off a value law
+def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
+    # every replication draws its own partners under its own key, so the
+    # batch only bounds memory; tanh_bounded reads all four blocks off a value law
     grid = TimeGrid(1.0, 16)
     model = catalog_model(name)
     law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "law", 20))
@@ -158,13 +158,13 @@ def test_empirical_fields_invariant_under_chunk_size(name):
         law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 20), size=256)
         blocks = ("drift", "diffusion", "terminal", "driver")
     lat = FieldLattice(grid, (4, 8, 16), blocks=blocks)
-    samples = [
-        empirical_fields(
+    samples = []
+    for batch in (1, 7, 256):
+        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        samples.append(empirical_fields(
             model, 16, lat, 30, law, derive_key(ROOT, "emp", 20), derive_key(ROOT, "ctr", 20),
-            center_size=512, chunk=chunk,
-        )
-        for chunk in (1, 7, 256)
-    ]
+            center_size=512,
+        ))
     # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
     assert samples[0].shape == (30, {"tanh_bounded": 10, "ou_mean_field": 3}[name])
     assert np.any(samples[0] != 0.0)
@@ -240,8 +240,9 @@ def test_field_along_path_variance_matches_kernel():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 11))
     reps = 10_000
     vals = np.empty(reps)
-    kx, ky = law_cloud(law, 30000, derive_key(ROOT, "kern", 0))
-    kernel = _path_kernel(model, GRID, kx, ky)
+    # the limit system's kernel: every grid node, all four blocks
+    lattice = _lattice(GRID, GRID.nodes, blocks=_BLOCK_ORDER)
+    kernel = theoretical_covariance(model, law, lattice, 30000, derive_key(ROOT, "kern", 0))
     node = GRID.node_at(0.75)
     for r in range(reps):
         vals[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "fs", r))[0][node, 0]
@@ -253,8 +254,8 @@ def test_field_along_path_variance_matches_kernel():
 def test_field_along_path_independent_draws():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 12))
-    kx, ky = law_cloud(law, 8192, derive_key(ROOT, "kern", 1))
-    kernel = _path_kernel(model, GRID, kx, ky)
+    lattice = _lattice(GRID, GRID.nodes, blocks=_BLOCK_ORDER)
+    kernel = theoretical_covariance(model, law, lattice, 8192, derive_key(ROOT, "kern", 1))
     n = 10_000
     a = np.empty(n)
     b = np.empty(n)
@@ -270,8 +271,8 @@ def test_ou_kernel_needs_no_jitter_and_keeps_vanishing_fields_zero():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     grid = TimeGrid(1.0, 32)
     law = solve_limit_forward(model, grid, 0, derive_key(ROOT, "law", 14))
-    kx, ky = law_cloud(law, 4096, derive_key(ROOT, "kern", 2))
-    kernel = _path_kernel(model, grid, kx, ky)
+    lattice = _lattice(grid, grid.nodes, blocks=_BLOCK_ORDER)
+    kernel = theoretical_covariance(model, law, lattice, 4096, derive_key(ROOT, "kern", 2))
     for r in range(20):
         drift, diffusion, _, driver = _path_field(model, grid, kernel, derive_key(ROOT, "zf", r))
         assert np.all(diffusion == 0.0)
@@ -310,18 +311,17 @@ def test_limit_system_fits_the_ou_z_exactly():
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear"])
-def test_limit_system_invariant_under_chunk_size(name):
-    # members do not interact, so chunk only bounds memory
+def test_limit_system_invariant_under_chunk_size(monkeypatch, name):
+    # members do not interact, so the batch only bounds memory
     model = catalog_model(name)
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 19))
-    runs = [
-        solve_limit_system(
-            model, law, grid, members=100, key=derive_key(ROOT, "chunk", 0),
-            cloud_size=1024, chunk=chunk,
-        )
-        for chunk in (1, 7, 512)
-    ]
+    runs = []
+    for batch in (1, 7, 512):
+        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        runs.append(solve_limit_system(
+            model, law, grid, members=100, key=derive_key(ROOT, "chunk", 0), cloud_size=1024,
+        ))
     for f in ("x", "xbar", "ybar", "zbar"):
         for res in runs[1:]:
             assert np.array_equal(getattr(res, f), getattr(runs[0], f)), f
@@ -355,26 +355,19 @@ def test_residual_field_variance_decays():
     # (system vs limit on shared streams): variance decays like 1/N
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 16))
-    from mfbsde.forward import simulate_blocks
 
     def coupled_diffs(n_pairs, N, key):
         """gamma(probe, X^N_T) - gamma(probe, X_T) for coupled pairs."""
-        out = np.empty(n_pairs)
         probe = np.array([1.0])
-        chunk = 512
-        for lo in range(0, n_pairs, chunk):
-            hi = min(lo + chunk, n_pairs)
-            sim = simulate_blocks(
-                model, N, GRID, law,
-                n_blocks=hi - lo, inner=1,
-                w_key=key.child("w", 0), env_key=key.child("e", 0),
-                block_offset=lo,
-            )
-            out[lo:hi] = (
-                model.drift(probe, sim.xn[:, 0, -1])[:, 0]
-                - model.drift(probe, sim.xlim[:, 0, -1])[:, 0]
-            )
-        return out
+        sim = simulate_blocks(
+            model, N, GRID, law,
+            n_blocks=n_pairs, inner=1,
+            w_key=key.child("w", 0), env_key=key.child("e", 0),
+        )
+        return (
+            model.drift(probe, sim.xn[:, 0, -1])[:, 0]
+            - model.drift(probe, sim.xlim[:, 0, -1])[:, 0]
+        )
 
     reps = 120
     variances = {}

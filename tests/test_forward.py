@@ -258,7 +258,7 @@ def test_classical_system_single_particle_matches_sde_n():
 
 def _x_sup2(model, N, grid, law, reps, key):
     """Per-replication sup_t |X^N_t - X_t|^2 of the coupled route's one-path blocks."""
-    x, _, _ = coupled_gaps(model, N, grid, law, reps, 1, key.child("w", 0), key.child("e", 0), 256)
+    x, _, _ = coupled_gaps(model, N, grid, law, reps, 1, key.child("w", 0), key.child("e", 0))
     return np.max(np.sum(x**2, axis=-1), axis=-1)
 
 
@@ -321,9 +321,9 @@ def test_divergence_guard_reports_step():
 
 
 @pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded", "mf_bsde_linear"])
-def test_blocks_invariant_under_chunk_size(name):
+def test_blocks_invariant_under_chunk_size(monkeypatch, name):
     # each block's environment, increments and partner shifts depend on its
-    # keys alone, so the chunking of blocks cannot change a single bit
+    # keys alone, so the block batch cannot change a single bit
     from mfbsde.fluctuation import value_law
 
     grid = TimeGrid(1.0, 16)
@@ -331,10 +331,10 @@ def test_blocks_invariant_under_chunk_size(name):
     law = solve_limit_forward(model, grid, 512, derive_key(ROOT, "law", 13))
     if not model.env_free("driver"):
         law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 0), size=256)
-    sims = [
-        simulate_blocks(model, 8, grid, law, 20, 4, W_KEY, ENV_KEY, chunk=c)
-        for c in (1, 7, 256)
-    ]
+    sims = []
+    for batch in (1, 7, 256):
+        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        sims.append(simulate_blocks(model, 8, grid, law, 20, 4, W_KEY, ENV_KEY))
     assert (sims[0].driver_curve is not None) == (name == "tanh_bounded")
     for sim in sims[1:]:
         for attr in ("xn", "xlim", "terminal_curve", "driver_curve"):

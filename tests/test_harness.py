@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mfbsde import forward
 from mfbsde.harness import (
     ConfigError,
     coupled_gaps,
@@ -74,6 +75,42 @@ def _clt_doc(**study):
         "grid": {"steps": 32},
         "study": {"kind": "clt", "n": 64, "seed": 5, **study},
     }
+
+
+ENV_CLOUD_CASES = [
+    # a cloud law needs two paths; the study died building the limit law
+    (
+        {
+            "model": {"name": "tanh_bounded"},
+            "grid": {"steps": 4},
+            "study": {
+                "kind": "convergence", "n_values": [2, 4, 8], "reps": 4, "metrics": ["x"],
+                "env_cloud": 1, "seed": 1,
+            },
+        },
+        2,
+        "study.env_cloud must be at least 2, got 1",
+    ),
+    # the field kernels need 100 paths; the study died after the gaps and
+    # the limit system
+    (_clt_doc(env_cloud=10), 100, "study.env_cloud must be at least 100 for clt studies, got 10"),
+]
+
+
+@pytest.mark.parametrize("doc, least, violation", ENV_CLOUD_CASES)
+def test_undersized_env_cloud_rejected_before_compute(doc, least, violation, tmp_path, capsys):
+    from mfbsde.cli import main
+
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (["validate"], [doc["study"]["kind"], "--out", str(out)]):
+        assert main([*argv, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["invalid configuration:", f"  - {violation}"]
+    assert not out.exists()
+    doc["study"]["env_cloud"] = least
+    parse_config(json.dumps(doc))
 
 
 @pytest.mark.parametrize("key", ["probe_times", "y_probe_times", "lattice_times"])
@@ -523,16 +560,19 @@ def _own_y_tanh():
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear", "own_y_tanh"])
-def test_coupled_gaps_invariant_under_chunk_size(name):
+def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
     # every block's draws, forward paths and backward solves depend on its
-    # keys alone, so the chunking of blocks cannot change a single bit
+    # keys alone, so the block batch cannot change a single bit
     grid = TimeGrid(1.0, 16)
     model = _own_y_tanh() if name == "own_y_tanh" else catalog_model(name, x0=1.0)
     root = StreamKey(seed=9301)
     law = study_law(model, grid, 256, 2, root, backward=True)
     assert law.has_y
     w_key, env_key = root.child("w", 0), root.child("e", 0)
-    runs = [coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, c, degree=2) for c in (1, 7, 256)]
+    runs = []
+    for batch in (1, 7, 256):
+        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        runs.append(coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, degree=2))
     assert [g.shape for g in runs[0]] == [(20, 17, 1), (20, 17), (20, 17, 1)]
     assert np.any(runs[0][1] != 0.0)
     for run in runs[1:]:
@@ -650,6 +690,55 @@ def test_direct_commands_report_a_bad_model_file(command, text, violation, tmp_p
     assert printed[0] == "invalid configuration:"
     assert len(printed) == 2 and printed[1].startswith("  - invalid model block: ")
     assert violation in printed[1]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_csv.exists()
+
+
+def _ten_path_file(path):
+    """A forward path CSV of 10 replications on the default 64-step grid."""
+    lines = ["rep,t,coord,value"] + [f"{r},{i / 64!r},0,1.0" for r in range(10) for i in range(65)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+NO_DRAWS = "--paths needs --n limit: externally supplied paths carry no environment draws"
+BAD_SIZE_FLAGS = [
+    ("backward", ["--n", "8", "--inner", "16"],
+     ["--inner must give at least 10 * basis size = 30 paths per block, got 16"]),
+    ("backward", ["--n", "limit", "--reps", "8"],
+     ["--reps must give at least 10 * basis size = 30 paths per block, got 8"]),
+    ("backward", ["--n", "limit", "--paths", "PATHS"],
+     ["--paths must give at least 10 * basis size = 30 paths per block, got 10"]),
+    ("backward", ["--n", "8", "--paths", "PATHS"], [NO_DRAWS]),
+    ("backward", ["--n", "0"], ["--n must be 'limit' or an integer >= 1, got '0'"]),
+    ("backward", ["--n", "abc"], ["--n must be 'limit' or an integer >= 1, got 'abc'"]),
+    ("backward", ["--n", "8", "--degree", "-1"], ["--degree must be an integer >= 0, got -1"]),
+    ("forward", ["--n", "0"], ["--n must be an integer >= 1, got 0"]),
+    ("forward", ["--n", "8", "--reps", "-1"], ["--reps must be an integer >= 0, got -1"]),
+    ("forward", ["--n", "8", "--steps", "0"], ["--steps must be an integer >= 1, got 0"]),
+    ("forward", ["--n", "8", "--env-cloud", "1"], ["--env-cloud must be an integer >= 2, got 1"]),
+    ("forward", ["--n", "0", "--steps", "0"],
+     ["--n must be an integer >= 1, got 0", "--steps must be an integer >= 1, got 0"]),
+]
+
+
+@pytest.mark.parametrize("command, flags, violations", BAD_SIZE_FLAGS)
+def test_direct_commands_check_size_flags_before_compute(
+    command, flags, violations, tmp_path, capsys
+):
+    # each of these used to end in a traceback, some after the law and the
+    # blocks were built
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "tanh_bounded"}))
+    _ten_path_file(tmp_path / "paths.csv")
+    flags = [str(tmp_path / "paths.csv") if f == "PATHS" else f for f in flags]
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = [command, "--model", str(model_path), *flags, "--seed", "1", "--out", str(out_csv)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["invalid configuration:", *(f"  - {v}" for v in violations)]
     assert "Traceback" not in captured.out + captured.err
     assert not out_csv.exists()
 

@@ -8,7 +8,6 @@ from mfbsde.model import (
     CATALOG_NAMES,
     catalog_model,
     check_gradients,
-    check_lipschitz,
     env_average,
     env_shift,
     random_probes,
@@ -211,10 +210,3 @@ def test_closed_form_satisfies_discretized_dynamics(name):
         residuals[steps] = worst
     assert residuals[128] <= max(residuals[16] / 4, 1e-12)  # roughly O(h) decay
     assert residuals[128] <= 10.0 * (1.0 / 128)
-
-
-def test_lipschitz_bound_holds_on_sampled_pairs():
-    for name in ("constant", "tanh_bounded"):
-        model = catalog_model(name)
-        observed = check_lipschitz(model, 200, derive_key(KEY, "lip", 0))
-        assert observed <= model.lipschitz_bound + 1e-9
