@@ -11,6 +11,12 @@ Conditioning on the state alone is only valid once the mean-field inputs are
 frozen.  The N-environment solver therefore works on blocks: every block
 shares one frozen environment draw, regressions run within blocks, and the
 first inner path of each block is the designated output replication.
+
+The core is node-major: it moves the node axis of the conditioning states and
+increments to the front once, keeps y and z as (n+1, B, P, ...) work arrays,
+so each node's features, fits and driver steps read and write contiguous
+(B, P, ...) slices, and returns the public (B * P, n+1, ...) arrays as views
+of those work arrays (merging B and P needs no copy).
 """
 
 from __future__ import annotations
@@ -123,7 +129,8 @@ class BsdeSolution:
     row copied from the last interior node (no increment spans the terminal
     node).  R = blocks * inner, and ``block_shape`` records that layout; the
     first inner path of each block is its designated replication.  A plain
-    BSDE solve is one block.
+    BSDE solve is one block.  Both arrays are views of node-major buffers,
+    not C-contiguous.
     """
 
     grid: TimeGrid
@@ -169,26 +176,30 @@ def _backward_induction(
     need = min_block_paths(cond_states.shape[-1], degree)
     if P < need:
         raise ValueError(f"need at least 10 * basis size = {need} paths per block, got {P}")
-    y = np.empty((B, P, n1))
-    z = np.empty((B, P, n1, d))
-    y[:, :, n] = terminal
+    # node-major work arrays (see the module docstring); the outputs stay
+    # views, since copying them back costs peak memory
+    states = np.ascontiguousarray(np.moveaxis(cond_states, 2, 0))   # (n+1, B, P, m)
+    dw = np.ascontiguousarray(np.moveaxis(dw, 2, 0))                # (n, B, P, d)
+    y = np.empty((n1, B, P))
+    z = np.empty((n1, B, P, d))
+    y[n] = terminal
     resid_rms = np.empty((n, B))
     contraction_flag = False
     sweeps_run = 0
     for i in range(n - 1, -1, -1):
-        feats = _features(cond_states[:, :, i, :], degree)
+        feats = _features(states[i], degree)
         gram = _gram(feats)
-        cond = _batched_fit(feats, gram, y[:, :, i + 1, None])[..., 0]
-        centered = y[:, :, i + 1] - cond
+        cond = _batched_fit(feats, gram, y[i + 1, :, :, None])[..., 0]
+        centered = y[i + 1] - cond
         resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
-        z[:, :, i] = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
+        z[i] = _batched_fit(feats, gram, centered[..., None] * dw[i] / h)
         # each block stops at its own tolerance, so a block's values do not
         # depend on which blocks share its batch
         cur = cond
         tol = _FIXPOINT_TOL * (1.0 + np.max(np.abs(cond), axis=1))
         live = np.ones(B, dtype=bool)
         for sweep in range(1, _FIXPOINT_CAP + 1):
-            nxt = cond + h * driver_fn(i, cur, z[:, :, i])
+            nxt = cond + h * driver_fn(i, cur, z[i])
             delta = np.max(np.abs(nxt - cur), axis=1)
             cur = nxt if live.all() else np.where(live[:, None], nxt, cur)
             live &= delta > tol
@@ -197,8 +208,8 @@ def _backward_induction(
         else:
             contraction_flag = True
         sweeps_run = max(sweeps_run, sweep)
-        y[:, :, i] = cur
-    z[:, :, n] = z[:, :, n - 1]
+        y[i] = cur
+    z[n] = z[n - 1]
     provenance = {
         "fixpoint_sweeps": sweeps_run,
         "fixpoint_not_contracted": contraction_flag,
@@ -207,8 +218,8 @@ def _backward_induction(
     }
     return BsdeSolution(
         grid,
-        y.reshape(B * P, n1),
-        z.reshape(B * P, n1, d),
+        np.moveaxis(y, 0, 2).reshape(B * P, n1),
+        np.moveaxis(z, 0, 2).reshape(B * P, n1, d),
         {"residual_rms": resid_rms},
         provenance,
         block_shape=(B, P),

@@ -21,6 +21,7 @@ from .harness import (
     ConfigError,
     _path_rows,
     _write_csv,
+    builds_value_law,
     emit_report,
     model_from_block,
     parse_config,
@@ -198,6 +199,12 @@ def _backward_setup(args):
         if paths < need:
             violations.append(
                 f"{flag} must give at least 10 * basis size = {need} paths per block, got {paths}"
+            )
+        # the value law is regressed as one block of --env-cloud paths
+        if builds_value_law(model, not limit_mode) and args.env_cloud < need:
+            violations.append(
+                f"--env-cloud must give at least 10 * basis size = {need} paths "
+                f"for the value law, got {args.env_cloud}"
             )
     if violations:
         raise ConfigError(violations)

@@ -132,8 +132,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for what the study would hit mid-run (model
         parameters included); run again after overriding study keys."""
-        dim = self.build_model().dim
-        violations = _study_violations(self.study, self.build_grid(), dim)
+        violations = _study_violations(self.study, self.build_grid(), self.build_model())
         if violations:
             raise ConfigError(violations)
 
@@ -223,9 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
     out_dir = out_block.get("dir", "out")
 
     violations += _study_violations(
-        study,
-        None if model is None else TimeGrid(model.horizon, steps),
-        None if model is None else model.dim,
+        study, None if model is None else TimeGrid(model.horizon, steps), model
     )
     if violations:
         raise ConfigError(violations)
@@ -237,13 +234,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int]) -> list[str]:
+def _study_violations(
+    study: dict, grid: Optional[TimeGrid], model: Optional[ModelSpec]
+) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
     compute nothing: a size below 1, bad metrics or degree, probe times off
-    the grid, too few inner paths for the regression basis, a cloud too
-    small for its law or kernels, and clt ensembles too small to compare.
-    Without a grid and dimension (an invalid model block) the checks that
-    need them are skipped.
+    the grid, too few inner paths or value-law paths for the regression
+    basis, a cloud too small for its law or kernels, and clt ensembles too
+    small to compare.  Without a grid and model (an invalid model block) the
+    checks that need them are skipped.
     """
     out = []
     sizes = {}
@@ -295,12 +294,18 @@ def _study_violations(study: dict, grid: Optional[TimeGrid], dim: Optional[int])
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
-    elif backward and dim is not None and "inner_paths" in sizes:
-        need = min_block_paths(dim, degree)
-        if sizes["inner_paths"] < need:
+    elif backward and model is not None:
+        need = min_block_paths(model.dim, degree)
+        if sizes.get("inner_paths", need) < need:
             out.append(
                 f"study.inner_paths must be at least 10 * basis size = {need} "
                 f"for y or z metrics, got {sizes['inner_paths']}"
+            )
+        # the value law is regressed as one block of env_cloud paths
+        if builds_value_law(model, backward) and sizes.get("env_cloud", need) < need:
+            out.append(
+                f"study.env_cloud must be at least 10 * basis size = {need} "
+                f"for y or z metrics when the driver reads partner y, got {sizes['env_cloud']}"
             )
     return out
 
@@ -421,6 +426,12 @@ def _estimate(samples: np.ndarray) -> dict:
     }
 
 
+def builds_value_law(model: ModelSpec, backward: bool) -> bool:
+    """Whether `study_law` attaches a value law: the backward side runs and
+    the driver reads partner y."""
+    return backward and not model.env_free("driver")
+
+
 def study_law(
     model: ModelSpec, grid: TimeGrid, env_cloud: int, degree: int, root: StreamKey, backward: bool
 ) -> LawFlow:
@@ -432,7 +443,7 @@ def study_law(
     values attached (`value_law`), a cloud of ``env_cloud`` paths.
     """
     law = solve_limit_forward(model, grid, env_cloud, root.child("law", 0))
-    if not backward or model.env_free("driver"):
+    if not builds_value_law(model, backward):
         return law
     return value_law(model, law, grid, root.child("vlaw", 0), size=env_cloud, degree=degree)
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mfbsde.backward import (
+    _FIXPOINT_CAP,
+    _FIXPOINT_TOL,
+    _backward_induction,
     _batched_fit,
     _features,
     _gram,
@@ -47,6 +50,75 @@ def test_shared_gram_fit_matches_per_target_reference():
         ref_coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
         ref_fit = np.einsum("bpi,bi->bp", feats, ref_coef)
         assert np.max(np.abs(fitted[..., j] - ref_fit)) <= 1e-12 * np.max(np.abs(ref_fit))
+
+
+def _strided_induction(grid, cond_states, dw, terminal, driver_fn, degree):
+    """Per-node reference of the induction on (B, P, n+1, ...) arrays,
+    indexed node by node through strided slices."""
+    B, P, n1, _ = cond_states.shape
+    n, h, d = grid.steps, grid.h, dw.shape[-1]
+    y = np.empty((B, P, n1))
+    z = np.empty((B, P, n1, d))
+    y[:, :, n] = terminal
+    resid_rms = np.empty((n, B))
+    sweeps_run = 0
+    for i in range(n - 1, -1, -1):
+        feats = _features(cond_states[:, :, i, :], degree)
+        gram = _gram(feats)
+        cond = _batched_fit(feats, gram, y[:, :, i + 1, None])[..., 0]
+        centered = y[:, :, i + 1] - cond
+        resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
+        z[:, :, i] = _batched_fit(feats, gram, centered[..., None] * dw[:, :, i] / h)
+        cur = cond
+        tol = _FIXPOINT_TOL * (1.0 + np.max(np.abs(cond), axis=1))
+        live = np.ones(B, dtype=bool)
+        for sweep in range(1, _FIXPOINT_CAP + 1):
+            nxt = cond + h * driver_fn(i, cur, z[:, :, i])
+            delta = np.max(np.abs(nxt - cur), axis=1)
+            cur = np.where(live[:, None], nxt, cur)
+            live &= delta > tol
+            if not live.any():
+                break
+        sweeps_run = max(sweeps_run, sweep)
+        y[:, :, i] = cur
+    z[:, :, n] = z[:, :, n - 1]
+    return y, z, resid_rms, sweeps_run
+
+
+@pytest.mark.parametrize("B, P, n, m", [(5, 60, 8, 1), (4, 100, 8, 2)])
+def test_node_major_induction_matches_strided_reference(B, P, n, m):
+    # the driver reads its own y and z (no catalog driver does), so the
+    # implicit fixed point and the z feedback are both exercised; m = 2 is
+    # the linear-limit shape, conditioning on (x, x-bar) with d = 1
+    grid = TimeGrid(1.0, n)
+    rng = generator(derive_key(ROOT, "node_major", m))
+    dw = np.sqrt(grid.h) * rng.standard_normal((B, P, n, 1))
+    w = np.concatenate([np.zeros((B, P, 1, 1)), np.cumsum(dw, axis=2)], axis=2)
+    states = np.concatenate([w, 0.5 * w**2 + rng.standard_normal((B, P, 1, 1))], axis=-1)[..., :m]
+    terminal = np.sin(states[:, :, -1, 0]) + np.sum(states[:, :, -1, :], axis=-1)
+
+    def driver(i, y, z):
+        return 0.5 * np.sin(y) + 0.3 * np.tanh(z[..., 0]) + 0.1 * states[:, :, i, 0]
+
+    states_in, dw_in = states.copy(), dw.copy()
+    sol = _backward_induction(grid, states, dw, terminal, driver, 2, "reference")
+    assert np.array_equal(states, states_in) and np.array_equal(dw, dw_in)
+    y_ref, z_ref, rms_ref, sweeps_ref = _strided_induction(grid, states, dw, terminal, driver, 2)
+    assert sol.block_shape == (B, P)
+    assert sol.y_values.shape == (B * P, n + 1)
+    assert sol.z_values.shape == (B * P, n + 1, 1)
+    y_got, z_got = sol.designated()
+    assert y_got.shape == (B, n + 1) and z_got.shape == (B, n + 1, 1)
+    for got, ref in (
+        (sol.y_values, y_ref.reshape(B * P, n + 1)),
+        (sol.z_values, z_ref.reshape(B * P, n + 1, 1)),
+        (y_got, y_ref[:, 0]),
+        (z_got, z_ref[:, 0]),
+        (sol.artifacts["residual_rms"], rms_ref),
+    ):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert sol.provenance["fixpoint_sweeps"] == sweeps_ref > 2
+    assert not sol.provenance["fixpoint_not_contracted"]
 
 
 def test_round_off_spread_gives_zero_feature_columns():

@@ -17,7 +17,7 @@ from mfbsde.harness import (
     study_law,
     StudyReport,
 )
-from mfbsde.model import catalog_model
+from mfbsde.model import catalog_model, check_gradients, random_probes
 from mfbsde.noise import StreamKey, TimeGrid, generator
 
 
@@ -94,6 +94,21 @@ ENV_CLOUD_CASES = [
     # the field kernels need 100 paths; the study died after the gaps and
     # the limit system
     (_clt_doc(env_cloud=10), 100, "study.env_cloud must be at least 100 for clt studies, got 10"),
+    # tanh_bounded's driver reads partner y, so the study regresses a value
+    # law of env_cloud paths as one block; the study died there
+    (
+        {
+            "model": {"name": "tanh_bounded"},
+            "grid": {"steps": 4},
+            "study": {
+                "kind": "convergence", "n_values": [2, 4, 8], "reps": 4, "metrics": ["y"],
+                "env_cloud": 10, "seed": 1,
+            },
+        },
+        30,
+        "study.env_cloud must be at least 10 * basis size = 30 for y or z metrics "
+        "when the driver reads partner y, got 10",
+    ),
 ]
 
 
@@ -553,10 +568,24 @@ def _own_y_tanh():
     """tanh_bounded plus an own-y driver term: every driver step is implicit,
     and blocks reach the fixed-point tolerance after different sweep counts."""
     model = catalog_model("tanh_bounded", x0=1.0)
-    base = model.driver
+    base, base_own = model.driver, model.grad_driver_own
+
+    def grad_driver_own(x, y, z, ex, ey):
+        out = base_own(x, y, z, ex, ey)
+        out[..., model.dim] += 0.5 * np.cos(y)
+        return out
+
     return dataclasses.replace(
-        model, driver=lambda x, y, z, ex, ey: base(x, y, z, ex, ey) + 0.5 * np.sin(y)
+        model,
+        driver=lambda x, y, z, ex, ey: base(x, y, z, ex, ey) + 0.5 * np.sin(y),
+        grad_driver_own=grad_driver_own,
     )
+
+
+def test_own_y_tanh_declares_its_driver_gradients():
+    model = _own_y_tanh()
+    report = check_gradients(model, random_probes(model, 50, StreamKey(seed=9302)))
+    assert report.passed, report.max_rel_error
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear", "own_y_tanh"])
@@ -718,6 +747,8 @@ BAD_SIZE_FLAGS = [
     ("forward", ["--n", "8", "--env-cloud", "1"], ["--env-cloud must be an integer >= 2, got 1"]),
     ("forward", ["--n", "0", "--steps", "0"],
      ["--n must be an integer >= 1, got 0", "--steps must be an integer >= 1, got 0"]),
+    ("backward", ["--n", "8", "--env-cloud", "10"],
+     ["--env-cloud must give at least 10 * basis size = 30 paths for the value law, got 10"]),
 ]
 
 
