@@ -241,7 +241,8 @@ def _block_solve(
     solver: str,
     self_average: bool = False,
 ) -> BsdeSolution:
-    """Backward solve on blocks whose partner means are g(x, x0) plus a shift.
+    """Backward solve on blocks whose partner means are the own part plus a
+    shift (see `env_average`).
 
     With ``self_average`` the driver instead averages over the block's own
     (state, y) columns, refreshed on every fixed-point sweep: this defines
@@ -334,19 +335,17 @@ def solve_linear_limit_bsde(
     coefficient against the first-order state; the driver adds the field
     curve to the own-triple gradient terms against the fluctuation triple.
     Partner-gradient terms are absent: their averages vanish in the limit
-    (see `solve_limit_system`).  Gradients take the partner at the reference
-    state x0, which is exact under the additive coupling of every model (see
-    `ModelSpec`): an own-state gradient does not depend on the partner.
+    (see `solve_limit_system`).  Under the additive coupling (see
+    `ModelSpec`) the own-state gradients are those of the own parts.
     """
     B, P, n1, d = x.shape
-    ref = model.x0
-    a_phi = model.grad_terminal_x(x[:, :, -1, :], ref)  # (B, P, d)
+    a_phi = model.grad_terminal_x(x[:, :, -1, :])  # (B, P, d)
     terminal = xi3[:, None] + np.sum(a_phi * xbar[:, :, -1, :], axis=-1)
     y0 = base_y if base_y is not None else np.zeros((B, P, n1))
     z0 = base_z if base_z is not None else np.zeros((B, P, n1, d))
 
     def driver(i, ybar, zbar):
-        own = model.grad_driver_own(x[:, :, i, :], y0[:, :, i], z0[:, :, i, :], ref, 0.0)
+        own = model.grad_driver_own(x[:, :, i, :], y0[:, :, i], z0[:, :, i, :])
         out = (
             np.sum(own[..., :d] * xbar[:, :, i, :], axis=-1)
             + own[..., d] * ybar

@@ -32,10 +32,19 @@ from .harness import (
 from .noise import StreamKey, TimeGrid, brownian_increments
 
 
+def _read_input(path: str, what: str) -> str:
+    """The text of an input file; one that cannot be read is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError([f"cannot read {what} {path}: {exc.strerror}"]) from None
+
+
 def _read_json_file(path: str, what: str):
     """The parsed JSON document of a file; a file that is not JSON is a ConfigError."""
+    text = _read_input(path, what)
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid {what}: not valid JSON: {exc}"]) from None
 
@@ -49,13 +58,13 @@ def _load_model_block(path: str):
 
 
 def _cmd_validate(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_input(args.config, "config file"))
     print(f"ok: {cfg.digest()} ({cfg.study['kind']} study, seed {cfg.study['seed']})")
     return 0
 
 
 def _load_config(args):
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(_read_input(args.config, "config file"))
     if args.seed is not None:
         cfg.study["seed"] = int(args.seed)
     if args.out is not None:
@@ -148,15 +157,32 @@ def _cmd_forward(args) -> int:
 
 
 def _read_paths_csv(path: str, dim: int):
-    rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != ",".join(_PATH_HEADER):
+    """The nodes and (R, n+1, d) values of a forward path CSV; any fault of
+    the file is a ConfigError."""
+    rows = _read_input(path, "--paths file").strip().splitlines()
+    if not rows or rows[0] != ",".join(_PATH_HEADER):
         raise ConfigError([f"--paths: {path} is not a forward path CSV"])
-    data: dict[int, dict[float, list[float]]] = {}
-    for line in rows[1:]:
-        r, t, c, v = line.split(",")
-        data.setdefault(int(r), {}).setdefault(float(t), [0.0] * dim)[int(c)] = float(v)
-    nodes = sorted(next(iter(data.values())))
-    values = np.array([[data[r][t] for t in nodes] for r in sorted(data)])
+    data: dict[int, dict[float, dict[int, float]]] = {}
+    for number, line in enumerate(rows[1:], start=2):
+        try:
+            r, t, c, v = line.split(",")
+            r, t, c, v = int(r), float(t), int(c), float(v)
+        except ValueError:
+            raise ConfigError([f"--paths: line {number} is not rep,t,coord,value: {line!r}"]) from None
+        if not 0 <= c < dim:
+            raise ConfigError([f"--paths: line {number} has coordinate {c}, not below dimension {dim}"])
+        data.setdefault(r, {}).setdefault(t, {})[c] = v
+    if not data:
+        raise ConfigError([f"--paths: {path} has no path rows"])
+    first = min(data)
+    nodes = sorted(data[first])
+    for r, path_r in data.items():
+        if sorted(path_r) != nodes or any(len(coords) != dim for coords in path_r.values()):
+            raise ConfigError([
+                f"--paths: replication {r} does not have the nodes and {dim} coordinates "
+                f"of replication {first}"
+            ])
+    values = np.array([[[data[r][t][c] for c in range(dim)] for t in nodes] for r in sorted(data)])
     return nodes, values
 
 

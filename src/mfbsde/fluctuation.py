@@ -8,9 +8,9 @@ linearized first-order system driven by that field, and runs the
 statistical comparisons between the two.
 
 Every coefficient couples to its partner additively (see `ModelSpec`), so a
-field entry is b(X) - E b(X) whatever the own state: entries are evaluated
-at the reference state x0, and one kernel factorization serves every member
-path.  `_field_values` lays out every entry's summand from one
+field entry is b(X) - E b(X) for the coefficient's partner part b, whatever
+the own state, and one kernel factorization serves every member path.
+`_field_values` lays out every entry's summand from one
 `model.partner_values` call per block; the kernel cloud and the empirical
 draws both go through it.
 """
@@ -56,9 +56,9 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6)
 class FieldLattice:
     """Evaluation points (time nodes) for the fluctuation fields.
 
-    Each entry evaluates its coefficient at the reference state x0, the
-    driver at (x0, 0, 0).  The terminal block is always evaluated at the
-    final node.  `_field_values` fixes the order of the entries.
+    Each entry evaluates its coefficient's partner part.  The terminal block
+    is always evaluated at the final node.  `_field_values` fixes the order
+    of the entries.
     """
 
     grid: TimeGrid
@@ -75,15 +75,15 @@ class FieldLattice:
 
 
 def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
-    """Summands of every lattice entry's field: the coefficient at x0 against
-    partner states (see `partner_values`), and each entry's block name.
+    """Summands of every lattice entry's field: the partner part at partner
+    states (see `partner_values`), and each entry's block name.
 
     ``x`` is (..., k, d) partner states and ``y`` (..., k) their values (read
     by the driver block only), at the grid nodes ``nodes`` in order.  Returns
     (..., L): columns run block by block, node-major within a block, then
     over the coefficient's own axes.  The terminal block sits at the final
-    node.  A partner-free block gives exact zeros: its field vanishes
-    identically, and a constant column would differ only by rounding.
+    node.  A block without a partner part gives exact zeros: its field
+    vanishes identically.
     """
     col = {node: k for k, node in enumerate(nodes)}
     lead = np.shape(x)[:-2]
@@ -337,7 +337,6 @@ def solve_limit_system(
     n = grid.steps
     n1 = n + 1
     h = grid.h
-    ref = model.x0
     # the backward solve conditions on (state, first-order state)
     inner = max(inner, min_block_paths(2 * d, degree))
     vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=cloud_size, degree=degree)
@@ -348,11 +347,8 @@ def solve_limit_system(
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
-    probe = generator(key.child("grad_probe", 0)).standard_normal((32, 3 * d + 2))
-    gprobe = model.grad_driver_own(
-        probe[:, :d], probe[:, d], probe[:, d + 1 : 2 * d + 1],
-        probe[:, 2 * d + 1 : 3 * d + 1], probe[:, 3 * d + 1],
-    )
+    probe = generator(key.child("grad_probe", 0)).standard_normal((32, 2 * d + 1))
+    gprobe = model.grad_driver_own(probe[:, :d], probe[:, d], probe[:, d + 1 :])
     need_base = bool(np.any(gprobe != 0.0))
 
     x = np.empty((members, n1, d))
@@ -367,8 +363,8 @@ def solve_limit_system(
         xbar_in = np.zeros((size, inner, n1, d))
         for i in range(n):
             xb = xbar_in[:, :, i, :]
-            gbx = model.grad_drift_x(x_in[:, :, i, :], ref)
-            gsx = model.grad_diffusion_x(x_in[:, :, i, :], ref)
+            gbx = model.grad_drift_x(x_in[:, :, i, :])
+            gsx = model.grad_diffusion_x(x_in[:, :, i, :])
             drift_term = eta1[lo:hi, None, i, :] + np.einsum("...jk,...k->...j", gbx, xb)
             diff_term = eta2[lo:hi, None, i, :, :] + np.einsum("...jkl,...l->...jk", gsx, xb)
             xbar_in[:, :, i + 1, :] = (

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec, env_average, env_shift, partner_values
+from .model import ModelSpec, env_average, env_shift
 from .noise import StreamKey, TimeGrid, brownian_increments, key_streams
 
 __all__ = [
@@ -74,9 +74,9 @@ class LawFlow:
     once a backward solve has been attached).  Closed-form mode synthesizes
     exact draws on demand from the model's path map, so environment sampling
     never pays a cloud-size bias.  Either way a limit-side mean of a
-    coefficient is g(x, x0) plus the law's `shift` curve, the same form as a
-    block's mean over its N partners, and `euler` steps the limit dynamics
-    with those means.
+    coefficient is its own part plus the law's `shift` curve E b(X_t), the
+    same form as a block's mean over its N partners, and `euler` steps the
+    limit dynamics with those means.
     """
 
     grid: TimeGrid
@@ -161,14 +161,15 @@ class LawFlow:
     # -- mean-field coefficient shifts ----------------------------------------
 
     def shift(self, which: str) -> Optional[np.ndarray]:
-        """The law's shift curve of coefficient ``which``, in `BlockSim`'s
-        layout: (1,) for the terminal, else (1, n+1) plus the coefficient's own
-        axes; None for a coefficient that ignores its partner.
+        """The law's mean E b(X_t) of the partner part of coefficient
+        ``which``, in `BlockSim`'s layout: (1,) for the terminal, else (1, n+1)
+        plus the coefficient's own axes; None for a coefficient without a
+        partner part.
 
         With it, `env_average` gives the law's mean of the coefficient at any
-        own state.  A closed-form law takes its exact mean at x0 minus
-        g(x0, x0); a cloud law is one pool holding the whole cloud (see
-        `env_shift`), its terminal shift the last node of the path curve.
+        own state.  A closed-form law reads its exact mean off the closed
+        form's ``env_means``; a cloud law is one pool holding the whole cloud
+        (see `env_shift`).  The terminal shift is the last node of the curve.
         """
         model = self.model
         if model.env_free(which):
@@ -177,17 +178,11 @@ class LawFlow:
             if not self.use_closed_form:
                 cloud_y = None if self.cloud_y is None else self.cloud_y[None]
                 curve = env_shift(model, which, self.cloud[None], cloud_y)
-                self._curves[which] = curve[:, -1] if which == "terminal" else curve
-            elif which == "driver":
-                raise ValueError("a closed form carries no mean of a partner-dependent driver")
+            elif which in model.closed_form.env_means:
+                curve = model.closed_form.env_means[which](self.grid.nodes)[None]
             else:
-                cf, ref = model.closed_form, model.x0
-                if which == "terminal":
-                    mean = np.reshape(cf.terminal_mean(ref), (1,))
-                else:
-                    oracle = getattr(cf, f"{which}_mean")
-                    mean = np.stack([oracle(ref, float(t)) for t in self.grid.nodes])[None]
-                self._curves[which] = mean - partner_values(model, which, ref)
+                raise ValueError(f"the closed form carries no mean of the partner part of {which}")
+            self._curves[which] = curve[:, -1] if which == "terminal" else curve
         return self._curves[which]
 
     def euler_coefficients(self):
@@ -232,9 +227,9 @@ def euler_paths(model: ModelSpec, grid: TimeGrid, dw: np.ndarray, drift_fn, diff
 
 
 def _euler_coefficients(model: ModelSpec, drift_curve, diffusion_curve):
-    """Euler drift and diffusion: g(x, x0) plus a shift curve (B, n+1, ...)
-    at the step's node (see `env_average`); a None curve is a coefficient
-    that ignores its partner."""
+    """Euler drift and diffusion: the own part plus a shift curve
+    (B, n+1, ...) at the step's node (see `env_average`); a None curve is a
+    coefficient without a partner part."""
 
     def coefficient(which, curve):
         return lambda x, i: env_average(

@@ -116,7 +116,7 @@ class ExperimentConfig:
         return model_from_block(self.model_block)
 
     def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.model_block.get("T", 1.0), self.steps)
+        return TimeGrid(self.build_model().horizon, self.steps)
 
     def root_key(self) -> StreamKey:
         return StreamKey(seed=int(self.study["seed"]))
@@ -648,13 +648,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         tables={"covariance": cov_rows, "fluctuations": fl_table},
         slopes={},
         verdicts=verdicts,
-        provenance=_provenance(
-            config,
-            {
-                "limit_system": limit.provenance,
-                "kernel_jitter": limit.provenance.get("kernel_jitter", 0.0),
-            },
-        ),
+        provenance=_provenance(config, {"limit_system": limit.provenance}),
         comparison=comparison,
     )
 

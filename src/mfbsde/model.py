@@ -1,16 +1,18 @@
 """Coefficient models for mean-field forward-backward systems.
 
-A model is a quadruple of coefficient functions
+A model is a quadruple of coefficients, each an own part plus an optional
+partner part:
 
-    drift(x, x_env) -> d-vector          diffusion(x, x_env) -> d x d matrix
-    driver(x, y, z, x_env, y_env) -> r   terminal(x, x_env) -> r
+    drift(x) + drift_env(x_env) -> d-vector
+    diffusion(x) + diffusion_env(x_env) -> d x d matrix
+    driver(x, y, z) + driver_env(x_env, y_env) -> r
+    terminal(x) + terminal_env(x_env) -> r
 
-together with their first-order gradients.  The second ("environment")
-argument is the partner variable that mean-field expectations average over.
-Every coefficient couples to its partner additively (see `ModelSpec`), so a
-mean over partners is the coefficient at the reference partner plus one
-shift per pool.  The driver signature deliberately has no z_env parameter:
-partner z values never enter the driver.
+together with the own parts' gradients.  The partner ("environment")
+variable is what mean-field expectations average over, so a mean over a
+pool of partners is the own part plus the pool's mean of the partner part.
+The driver's partner part deliberately has no z_env parameter: partner z
+values never enter the driver.
 
 All callables are numpy-vectorized over leading axes; coordinates live on the
 trailing axis.
@@ -37,11 +39,13 @@ __all__ = [
     "partner_values",
     "random_probes",
     "CATALOG_NAMES",
+    "COEFFICIENTS",
 ]
 
 Array = np.ndarray
 
 CATALOG_NAMES = ("constant", "ou_mean_field", "tanh_bounded", "mf_bsde_linear")
+COEFFICIENTS = ("drift", "diffusion", "terminal", "driver")
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,14 @@ class ClosedForm:
     ``path_map`` (and ``y_path``/``z_path``) turn a Brownian path sampled on
     grid nodes into the exact state (and value/martingale-integrand) path, so
     fresh exact draws from the state law cost one Brownian path each.
-    ``drift_mean``/``diffusion_mean``/``terminal_mean`` are the exact
-    environment-averaged coefficients (no closed-form model has a driver that
-    reads its partners).
+    ``env_means`` maps each coefficient with a partner part to its exact mean
+    E b(X_t) along the law, t (k,) -> (k,) plus the coefficient's own axes
+    (no closed-form model has a driver that reads its partners).
     """
 
     mean: Callable[[Array], Array]                 # t (k,) -> (k, d)
     path_map: Callable[[Array, Array], Array]      # nodes, w (..., k, d) -> (..., k, d)
-    drift_mean: Callable[[Array, float], Array]    # x (..., d), t -> (..., d)
-    diffusion_mean: Callable[[Array, float], Array]  # -> (..., d, d)
-    terminal_mean: Callable[[Array], Array]        # x (..., d) -> (...)
+    env_means: dict[str, Callable[[Array], Array]]
     y_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k)
     z_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k, d)
 
@@ -69,42 +71,49 @@ class ClosedForm:
 class ModelSpec:
     """Immutable coefficient bundle; all evaluations are pure functions.
 
-    The coupling contract: each coefficient is a(x) + b(x_env), and the
-    driver is a(x, y, z) + b(x_env, y_env).  A mean over partner pools is then
-    g(x, x0) plus the pool's shift (see `env_average`), and every fluctuation
-    field is b(X) - E b(X), the same at every own state.
+    The coupling contract: each coefficient is an own part a(x) plus a
+    partner part b(x_env), and the driver is a(x, y, z) + b(x_env, y_env).
+    A partner part of None means the coefficient ignores its partners.  A
+    mean over a partner pool is a(x) plus the pool's mean of b (see
+    `env_average`), and every fluctuation field is b(X) - E b(X).
     """
 
     name: str
     dim: int
     x0: Array
     horizon: float
-    drift: Callable[[Array, Array], Array]
-    diffusion: Callable[[Array, Array], Array]
-    driver: Callable[[Array, Array, Array, Array, Array], Array]
-    terminal: Callable[[Array, Array], Array]
-    grad_drift_x: Callable[[Array, Array], Array]        # (..., d, d)
-    grad_drift_env: Callable[[Array, Array], Array]      # (..., d, d)
-    grad_diffusion_x: Callable[[Array, Array], Array]    # (..., d, d, d)
-    grad_diffusion_env: Callable[[Array, Array], Array]  # (..., d, d, d)
-    grad_terminal_x: Callable[[Array, Array], Array]     # (..., d)
-    grad_terminal_env: Callable[[Array, Array], Array]   # (..., d)
-    grad_driver_own: Callable[..., Array]                # (..., 2d+1)
-    grad_driver_env: Callable[..., Array]                # (..., d+1)
-    env_dependence: frozenset[str] = frozenset()
+    drift: Callable[[Array], Array]                        # (..., d)
+    diffusion: Callable[[Array], Array]                    # (..., d, d)
+    driver: Callable[[Array, Array, Array], Array]         # (...)
+    terminal: Callable[[Array], Array]                     # (...)
+    grad_drift_x: Callable[[Array], Array]                 # (..., d, d)
+    grad_diffusion_x: Callable[[Array], Array]             # (..., d, d, d)
+    grad_terminal_x: Callable[[Array], Array]              # (..., d)
+    grad_driver_own: Callable[[Array, Array, Array], Array]  # (..., 2d+1)
+    drift_env: Optional[Callable[[Array], Array]] = None
+    diffusion_env: Optional[Callable[[Array], Array]] = None
+    terminal_env: Optional[Callable[[Array], Array]] = None
+    driver_env: Optional[Callable[[Array, Array], Array]] = None
     closed_form: Optional[ClosedForm] = None
 
     def env_free(self, which: str) -> bool:
-        """True when the named coefficient ignores its environment argument."""
-        return which not in self.env_dependence
+        """True when the named coefficient has no partner part."""
+        if which not in COEFFICIENTS:
+            raise ValueError(f"unknown coefficient selector {which!r}")
+        return getattr(self, f"{which}_env") is None
 
 
 # ---------------------------------------------------------------------------
 # small shape helpers
 
 
-def _shape_of(*arrays: Array) -> tuple[int, ...]:
+def _batch(*arrays: Array) -> tuple[int, ...]:
+    """Broadcast batch shape of arrays whose trailing axis is coordinates."""
     return np.broadcast_shapes(*(np.shape(a)[:-1] for a in arrays))
+
+
+def _driver_batch(x: Array, y: Array, z: Array) -> tuple[int, ...]:
+    return np.broadcast_shapes(np.shape(y), _batch(x, z))
 
 
 def _diag(values: Array) -> Array:
@@ -117,8 +126,8 @@ def _diag(values: Array) -> Array:
     return out
 
 
-def _zeros_like_batch(x: Array, e: Array, tail: tuple[int, ...]) -> Array:
-    return np.zeros(_shape_of(np.atleast_1d(x), np.atleast_1d(e)) + tail)
+def _zeros(x: Array, tail: tuple[int, ...]) -> Array:
+    return np.zeros(_batch(x) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +170,18 @@ def catalog_model(name: str, **params) -> ModelSpec:
     return builder(dim, x0, horizon, params)
 
 
-def _zero_driver_grads(dim):
-    def own(x, y, z, ex, ey):
-        return _zeros_like_batch(x, ex, (2 * dim + 1,))
+def _zero_grads(dim) -> dict:
+    """Every own-state gradient identically zero."""
+    return dict(
+        grad_drift_x=lambda x: _zeros(x, (dim, dim)),
+        grad_diffusion_x=lambda x: _zeros(x, (dim, dim, dim)),
+        grad_terminal_x=lambda x: _zeros(x, (dim,)),
+        grad_driver_own=lambda x, y, z: np.zeros(_driver_batch(x, y, z) + (2 * dim + 1,)),
+    )
 
-    def env(x, y, z, ex, ey):
-        return _zeros_like_batch(x, ex, (dim + 1,))
 
-    return own, env
+def _zero_driver(x, y, z):
+    return np.zeros(_driver_batch(x, y, z))
 
 
 def _build_constant(dim, x0, horizon, params):
@@ -177,20 +190,6 @@ def _build_constant(dim, x0, horizon, params):
     phi0 = float(params.pop("phi0", 1.0))
     f0 = float(params.pop("f0", 0.0))
     _reject_extra("constant", params)
-
-    def drift(x, e):
-        return np.broadcast_to(b0, _shape_of(x, e) + (dim,)).copy()
-
-    def diffusion(x, e):
-        return _diag(np.broadcast_to(s, _shape_of(x, e) + (dim,)))
-
-    def driver(x, y, z, ex, ey):
-        return np.broadcast_to(f0, _shape_of(x, ex)).copy()
-
-    def terminal(x, e):
-        return np.broadcast_to(phi0, _shape_of(x, e)).copy()
-
-    g_own, g_env = _zero_driver_grads(dim)
 
     def mean(t):
         t = np.asarray(t, dtype=float)
@@ -202,9 +201,7 @@ def _build_constant(dim, x0, horizon, params):
     closed = ClosedForm(
         mean=mean,
         path_map=path_map,
-        drift_mean=lambda x, t: np.broadcast_to(b0, np.shape(x)).copy(),
-        diffusion_mean=lambda x, t: _diag(np.broadcast_to(s, np.shape(x))),
-        terminal_mean=lambda x: np.broadcast_to(phi0, np.shape(x)[:-1]).copy(),
+        env_means={},
         y_path=lambda nodes, w: np.broadcast_to(
             phi0 + f0 * (horizon - np.asarray(nodes)), w.shape[:-1]
         ).copy(),
@@ -215,28 +212,20 @@ def _build_constant(dim, x0, horizon, params):
         dim=dim,
         x0=x0,
         horizon=horizon,
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
-        terminal=terminal,
-        grad_drift_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim)),
-        grad_drift_env=lambda x, e: _zeros_like_batch(x, e, (dim, dim)),
-        grad_diffusion_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim, dim)),
-        grad_diffusion_env=lambda x, e: _zeros_like_batch(x, e, (dim, dim, dim)),
-        grad_terminal_x=lambda x, e: _zeros_like_batch(x, e, (dim,)),
-        grad_terminal_env=lambda x, e: _zeros_like_batch(x, e, (dim,)),
-        grad_driver_own=g_own,
-        grad_driver_env=g_env,
-        env_dependence=frozenset(),
+        drift=lambda x: np.broadcast_to(b0, np.shape(x)).copy(),
+        diffusion=lambda x: _diag(np.broadcast_to(s, np.shape(x))),
+        driver=lambda x, y, z: np.broadcast_to(f0, _driver_batch(x, y, z)).copy(),
+        terminal=lambda x: np.broadcast_to(phi0, _batch(x)).copy(),
+        **_zero_grads(dim),
         closed_form=closed,
     )
 
 
-def _ou_like_closed_form(dim, x0, horizon, beta, s, *, linear_terminal):
+def _ou_like_closed_form(x0, horizon, beta, s, *, linear_terminal):
     """Closed form shared by the OU family.
 
     State: X_t = x0 e^{beta t} + s W_t.  Terminal sum(x) gives
-    Y_t = M(T) + s sum(W_t); terminal sum(x + x_env) gives
+    Y_t = M(T) + s sum(W_t); terminal sum(x) + sum(x_env) gives
     Y_t = 2 M(T) + s sum(W_t), with M(t) = sum_i x0_i e^{beta t}.
     """
 
@@ -250,90 +239,37 @@ def _ou_like_closed_form(dim, x0, horizon, beta, s, *, linear_terminal):
     m_T = float(np.sum(x0) * np.exp(beta * horizon))
     y_const = (2.0 * m_T) if linear_terminal else m_T
 
-    def terminal_mean(x):
-        x = np.asarray(x, dtype=float)
-        total = np.sum(x, axis=-1)
-        return (total + m_T) if linear_terminal else total
-
     def y_path(nodes, w):
         return y_const + s * np.sum(w, axis=-1)
 
     def z_path(nodes, w):
         return np.broadcast_to(s, w.shape).copy()
 
-    def drift_mean(x, t):
-        m_t = x0 * np.exp(beta * t)
-        return np.broadcast_to(beta * m_t, np.shape(x)).copy()
-
-    def diffusion_mean(x, t):
-        return _diag(np.broadcast_to(s, np.shape(x)))
-
-    return ClosedForm(
-        mean=mean,
-        path_map=path_map,
-        drift_mean=drift_mean,
-        diffusion_mean=diffusion_mean,
-        terminal_mean=terminal_mean,
-        y_path=y_path,
-        z_path=z_path,
-    )
+    # E[beta X_t] and E[sum X_t]: the partner parts are linear
+    env_means = {"drift": lambda t: beta * mean(t)}
+    if linear_terminal:
+        env_means["terminal"] = lambda t: np.sum(mean(t), axis=-1)
+    return ClosedForm(mean=mean, path_map=path_map, env_means=env_means, y_path=y_path, z_path=z_path)
 
 
 def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
-    def drift(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return beta * e
+    def terminal(x):
+        return np.sum(np.asarray(x, float), axis=-1)
 
-    def diffusion(x, e):
-        return _diag(np.broadcast_to(s, _shape_of(x, e) + (dim,)))
-
-    def driver(x, y, z, ex, ey):
-        return np.zeros(_shape_of(x, ex))
-
-    if linear_terminal:
-
-        def terminal(x, e):
-            x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-            return np.sum(x + e, axis=-1)
-
-        def grad_terminal_env(x, e):
-            return np.ones(_shape_of(x, e) + (dim,))
-
-        env_dep = frozenset({"drift", "terminal"})
-    else:
-
-        def terminal(x, e):
-            return np.sum(np.broadcast_to(np.asarray(x, float), _shape_of(x, e) + (dim,)), axis=-1)
-
-        def grad_terminal_env(x, e):
-            return _zeros_like_batch(x, e, (dim,))
-
-        env_dep = frozenset({"drift"})
-
-    eye = np.eye(dim)
-    g_own, g_env = _zero_driver_grads(dim)
     return ModelSpec(
         name=name,
         dim=dim,
         x0=x0,
         horizon=horizon,
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        drift=lambda x: np.zeros(np.shape(x)),
+        diffusion=lambda x: _diag(np.broadcast_to(s, np.shape(x))),
+        driver=_zero_driver,
         terminal=terminal,
-        grad_drift_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim)),
-        grad_drift_env=lambda x, e: np.broadcast_to(
-            beta * eye, _shape_of(x, e) + (dim, dim)
-        ).copy(),
-        grad_diffusion_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim, dim)),
-        grad_diffusion_env=lambda x, e: _zeros_like_batch(x, e, (dim, dim, dim)),
-        grad_terminal_x=lambda x, e: np.ones(_shape_of(x, e) + (dim,)),
-        grad_terminal_env=grad_terminal_env,
-        grad_driver_own=g_own,
-        grad_driver_env=g_env,
-        env_dependence=env_dep,
+        **_zero_grads(dim) | {"grad_terminal_x": lambda x: np.ones(np.shape(x))},
+        drift_env=lambda e: beta * np.asarray(e, float),
+        terminal_env=terminal if linear_terminal else None,
         closed_form=_ou_like_closed_form(
-            dim, x0, horizon, beta, s, linear_terminal=linear_terminal
+            x0, horizon, beta, s, linear_terminal=linear_terminal
         ),
     )
 
@@ -365,72 +301,23 @@ def _build_tanh(dim, x0, horizon, params):
     if abs(rho) >= 1.0:
         raise ValueError("need |rho| < 1 to keep the diffusion positive")
 
-    def drift(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return np.tanh(e)
-
-    def diffusion(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return _diag(s * (1.0 + rho * np.tanh(e)))
-
-    def driver(x, y, z, ex, ey):
-        shape = _shape_of(x, ex)
-        return np.broadcast_to(kappa * np.tanh(ey), shape).copy()
-
-    def terminal(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return np.sum(np.tanh(x) + np.tanh(e), axis=-1)
-
-    def sech2(u):
-        return 1.0 - np.tanh(u) ** 2
-
-    def grad_drift_env(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return _diag(sech2(e))
-
-    def grad_diffusion_env(x, e):
-        # axes: (..., row i, col j, env coordinate k); only i == j == k nonzero
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        out = np.zeros(e.shape + (dim, dim))
-        idx = np.arange(dim)
-        out[..., idx, idx, idx] = s * rho * sech2(e)
-        return out
-
-    def grad_terminal_x(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return sech2(x)
-
-    def grad_terminal_env(x, e):
-        x, e = np.broadcast_arrays(np.asarray(x, float), np.asarray(e, float))
-        return sech2(e)
-
-    def grad_driver_own(x, y, z, ex, ey):
-        return _zeros_like_batch(x, ex, (2 * dim + 1,))
-
-    def grad_driver_env(x, y, z, ex, ey):
-        shape = _shape_of(x, ex)
-        out = np.zeros(shape + (dim + 1,))
-        out[..., dim] = kappa * sech2(np.broadcast_to(ey, shape))
-        return out
+    def terminal(x):
+        return np.sum(np.tanh(x), axis=-1)
 
     return ModelSpec(
         name="tanh_bounded",
         dim=dim,
         x0=x0,
         horizon=horizon,
-        drift=drift,
-        diffusion=diffusion,
-        driver=driver,
+        drift=lambda x: np.zeros(np.shape(x)),
+        diffusion=lambda x: _diag(np.broadcast_to(s, np.shape(x))),
+        driver=_zero_driver,
         terminal=terminal,
-        grad_drift_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim)),
-        grad_drift_env=grad_drift_env,
-        grad_diffusion_x=lambda x, e: _zeros_like_batch(x, e, (dim, dim, dim)),
-        grad_diffusion_env=grad_diffusion_env,
-        grad_terminal_x=grad_terminal_x,
-        grad_terminal_env=grad_terminal_env,
-        grad_driver_own=grad_driver_own,
-        grad_driver_env=grad_driver_env,
-        env_dependence=frozenset({"drift", "diffusion", "driver", "terminal"}),
+        **_zero_grads(dim) | {"grad_terminal_x": lambda x: 1.0 - np.tanh(x) ** 2},
+        drift_env=np.tanh,
+        diffusion_env=lambda e: _diag(s * rho * np.tanh(e)),
+        terminal_env=terminal,
+        driver_env=lambda ex, ey: kappa * np.tanh(ey),
         closed_form=None,
     )
 
@@ -454,18 +341,8 @@ def _reject_extra(name, params):
 #
 # Every mean-field expectation E[g(x, X_t)] is replaced by the mean of g over a
 # pool of partner states.  `partner_values` is the only code that evaluates a
-# coefficient against partner states, and `env_average` and `env_shift` are
-# the only place that decides how a mean over them is computed.
-
-
-def _coefficient(model: ModelSpec, which: str):
-    """Coefficient ``which`` with the driver's signature g(x, y, z, x_env, y_env)."""
-    if which == "driver":
-        return model.driver
-    if which not in ("drift", "diffusion", "terminal"):
-        raise ValueError(f"unknown coefficient selector {which!r}")
-    g = getattr(model, which)
-    return lambda x, y, z, ex, ey: g(x, ex)
+# partner part, and `env_average` and `env_shift` are the only place that
+# decides how a mean over partners is computed.
 
 
 def _check_pool(which: str, env_x, env_y) -> None:
@@ -483,31 +360,32 @@ def _check_pool(which: str, env_x, env_y) -> None:
 
 
 def partner_values(model: ModelSpec, which: str, env_x, env_y=None):
-    """Coefficient ``which`` at the reference state x0 against partner states.
+    """Partner part b of coefficient ``which`` at partner states.
 
-    ``env_x`` is (..., d) and ``env_y`` (...) for the driver, which is taken
-    at own (x0, 0, 0).  Returns (...) plus the coefficient's own axes.  Under
-    the additive contract this is every partner-dependent term there is: the
-    shift of a pool mean and each fluctuation field's summand.
+    ``env_x`` is (..., d), and ``env_y`` (...) for the driver.  Returns (...)
+    plus the coefficient's own axes.  Under the additive contract this is
+    every partner-dependent term there is: the summand of a pool mean and of
+    each fluctuation field.
     """
-    g = _coefficient(model, which)
-    return g(model.x0, 0.0, np.zeros(model.dim), env_x, env_y)
+    if which == "driver":
+        return model.driver_env(env_x, env_y)
+    return getattr(model, f"{which}_env")(env_x)
 
 
 def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
-    """What the average keeps of a partner pool.
+    """What the average keeps of a partner pool: the pool's mean of the
+    partner part.
 
     ``env_x`` holds partner states on axis 1, (B, K, ..., d), and ``env_y``
     their values (B, K, ...) for the driver; axes between the pool axis and
-    the coordinates (grid nodes, say) are kept.  Returns the shift
-    mean_k g(ref, e_k) - g(ref, ref), shaped (B, ...) plus the coefficient's
-    own axes, or None for a coefficient that ignores its partner.
+    the coordinates (grid nodes, say) are kept.  Returns mean_k b(e_k),
+    shaped (B, ...) plus the coefficient's own axes, or None for a
+    coefficient without a partner part.
     """
     if model.env_free(which):
         return None
     _check_pool(which, env_x, env_y)
-    pool = partner_values(model, which, env_x, env_y).mean(axis=1)
-    return pool - partner_values(model, which, model.x0, 0.0)
+    return partner_values(model, which, env_x, env_y).mean(axis=1)
 
 
 def env_average(
@@ -520,17 +398,17 @@ def env_average(
     also takes own ``y`` (B, P) and ``z`` (B, P, d) and partner values
     ``env_y`` (B, K).  Returns (B, P) plus the coefficient's own axes.
 
-    A coefficient that ignores its partner is g(x, x), which keeps decoupled
-    models bit-exact; any other costs O(B*P + B*K) as g(x, ref) plus the
-    pool's `env_shift`, which a caller that reuses or drops a pool passes as
-    ``shift`` (B, ...) in place of the pool.
+    The mean is the own part at ``x`` plus the pool's `env_shift`, which a
+    caller that reuses or drops a pool passes as ``shift`` (B, ...) in place
+    of the pool; a coefficient without a partner part is its own part alone.
     """
-    g = _coefficient(model, which)
-    if model.env_free(which):
-        return g(x, y, z, x, y)
+    partner_free = model.env_free(which)
+    own = model.driver(x, y, z) if which == "driver" else getattr(model, which)(x)
+    if partner_free:
+        return own
     if shift is None:
         shift = env_shift(model, which, env_x, env_y)
-    return g(x, y, z, model.x0, 0.0) + shift[:, None]
+    return own + shift[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +418,18 @@ def env_average(
 @dataclass(frozen=True)
 class Probe:
     x: Array
-    env: Array
     y: float
     z: Array
-    env_y: float
 
 
 def random_probes(model: ModelSpec, count: int, key: StreamKey) -> list[Probe]:
     """Unit-scale probe points for validation checks."""
     rng = generator(key)
+    d = model.dim
     probes = []
     for _ in range(count):
-        vals = rng.standard_normal(3 * model.dim + 2)
-        probes.append(
-            Probe(
-                x=vals[: model.dim],
-                env=vals[model.dim : 2 * model.dim],
-                y=float(vals[2 * model.dim]),
-                z=vals[2 * model.dim + 1 : 3 * model.dim + 1],
-                env_y=float(vals[3 * model.dim + 1]),
-            )
-        )
+        vals = rng.standard_normal(2 * d + 1)
+        probes.append(Probe(x=vals[:d], y=float(vals[d]), z=vals[d + 1 :]))
     return probes
 
 
@@ -597,68 +466,33 @@ def _rel_err(fd, an):
 def check_gradients(
     model: ModelSpec, probes: list[Probe], tolerance: float = _FD_TOL
 ) -> GradientReport:
-    """Max relative error of each declared gradient vs central differences."""
+    """Max relative error of each own-state gradient vs central differences."""
     d = model.dim
-    errs = {
-        name: 0.0
-        for name in (
-            "drift_x",
-            "drift_env",
-            "diffusion_x",
-            "diffusion_env",
-            "terminal_x",
-            "terminal_env",
-            "driver_own",
-            "driver_env",
-        )
-    }
+    errs = dict.fromkeys(("drift_x", "diffusion_x", "terminal_x", "driver_own"), 0.0)
     for p in probes:
-        args2 = (p.x, p.env)
-        for v in (model.drift(*args2), model.diffusion(*args2), model.terminal(*args2)):
+        for v in (model.drift(p.x), model.diffusion(p.x), model.terminal(p.x)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite coefficient value at probe {p}")
-        # drift: gradient[i, j] = d drift_i / d arg_j
-        for which, grad_fn, argi in (
-            ("drift_x", model.grad_drift_x, 0),
-            ("drift_env", model.grad_drift_env, 1),
+        # the gradient's trailing axis is the own coordinate j
+        for which, fn, grad_fn in (
+            ("drift_x", model.drift, model.grad_drift_x),
+            ("diffusion_x", model.diffusion, model.grad_diffusion_x),
+            ("terminal_x", model.terminal, model.grad_terminal_x),
         ):
-            an = np.asarray(grad_fn(*args2), float)
+            an = np.asarray(grad_fn(p.x), float)
             for j in range(d):
-                fd = _central_diff(model.drift, args2, argi, j)
-                errs[which] = max(errs[which], _rel_err(fd, an[..., :, j]))
-        for which, grad_fn, argi in (
-            ("diffusion_x", model.grad_diffusion_x, 0),
-            ("diffusion_env", model.grad_diffusion_env, 1),
-        ):
-            an = np.asarray(grad_fn(*args2), float)
-            for k in range(d):
-                fd = _central_diff(model.diffusion, args2, argi, k)
-                errs[which] = max(errs[which], _rel_err(fd, an[..., :, :, k]))
-        for which, grad_fn, argi in (
-            ("terminal_x", model.grad_terminal_x, 0),
-            ("terminal_env", model.grad_terminal_env, 1),
-        ):
-            an = np.asarray(grad_fn(*args2), float)
-            for j in range(d):
-                fd = _central_diff(model.terminal, args2, argi, j)
+                fd = _central_diff(fn, (p.x,), 0, j)
                 errs[which] = max(errs[which], _rel_err(fd, an[..., j]))
-        args5 = (p.x, p.y, p.z, p.env, p.env_y)
+        args = (p.x, p.y, p.z)
 
-        def driver5(x, y, z, ex, ey):
-            return model.driver(x, float(y), z, ex, float(ey))
+        def driver(x, y, z):
+            return model.driver(x, float(y), z)
 
-        own = np.asarray(model.grad_driver_own(*args5), float).reshape(2 * d + 1)
-        env = np.asarray(model.grad_driver_env(*args5), float).reshape(d + 1)
+        own = np.asarray(model.grad_driver_own(*args), float).reshape(2 * d + 1)
         fd_own = np.array(
-            [float(_central_diff(driver5, args5, 0, j)) for j in range(d)]
-            + [float(_central_diff(driver5, args5, 1, 0))]
-            + [float(_central_diff(driver5, args5, 2, j)) for j in range(d)]
-        )
-        fd_env = np.array(
-            [float(_central_diff(driver5, args5, 3, j)) for j in range(d)]
-            + [float(_central_diff(driver5, args5, 4, 0))]
+            [float(_central_diff(driver, args, 0, j)) for j in range(d)]
+            + [float(_central_diff(driver, args, 1, 0))]
+            + [float(_central_diff(driver, args, 2, j)) for j in range(d)]
         )
         errs["driver_own"] = max(errs["driver_own"], _rel_err(fd_own, own))
-        errs["driver_env"] = max(errs["driver_env"], _rel_err(fd_env, env))
     return GradientReport(max_rel_error=errs, tolerance=tolerance)
-

@@ -44,13 +44,12 @@ def test_lattice_index_map_is_bijective():
     vals, blocks = _field_values(model, lat, x, y, nodes)
     assert vals.shape == (5, 15) and vals.flags.c_contiguous
     assert blocks == ("drift",) * 4 + ("diffusion",) * 8 + ("terminal",) + ("driver",) * 2
-    ref, z0 = model.x0, np.zeros(2)
     expected = np.concatenate(
         [
-            model.drift(ref, x[:, :2]).reshape(5, 4),
-            model.diffusion(ref, x[:, :2]).reshape(5, 8),
-            model.terminal(ref, x[:, 2])[:, None],
-            model.driver(ref, 0.0, z0, x[:, :2], y[:, :2]),
+            model.drift_env(x[:, :2]).reshape(5, 4),
+            model.diffusion_env(x[:, :2]).reshape(5, 8),
+            model.terminal_env(x[:, 2])[:, None],
+            model.driver_env(x[:, :2], y[:, :2]),
         ],
         axis=1,
     )
@@ -357,16 +356,16 @@ def test_residual_field_variance_decays():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 16))
 
     def coupled_diffs(n_pairs, N, key):
-        """gamma(probe, X^N_T) - gamma(probe, X_T) for coupled pairs."""
-        probe = np.array([1.0])
+        """gamma(X^N_T) - gamma(X_T) for coupled pairs, gamma the drift's
+        partner part."""
         sim = simulate_blocks(
             model, N, GRID, law,
             n_blocks=n_pairs, inner=1,
             w_key=key.child("w", 0), env_key=key.child("e", 0),
         )
         return (
-            model.drift(probe, sim.xn[:, 0, -1])[:, 0]
-            - model.drift(probe, sim.xlim[:, 0, -1])[:, 0]
+            model.drift_env(sim.xn[:, 0, -1])[:, 0]
+            - model.drift_env(sim.xlim[:, 0, -1])[:, 0]
         )
 
     reps = 120

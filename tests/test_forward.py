@@ -14,7 +14,7 @@ from mfbsde.forward import (
     solve_sde_n,
 )
 from mfbsde.harness import coupled_gaps
-from mfbsde.model import catalog_model, env_average, env_shift
+from mfbsde.model import COEFFICIENTS, catalog_model, env_shift, partner_values
 from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
 ROOT = StreamKey(seed=7001)
@@ -26,7 +26,7 @@ GRID = TimeGrid(1.0, 64)
 def _plain_euler(model, grid, key):
     dw = brownian_increments([key], (grid.steps, model.dim), grid.h)
     return euler_paths(
-        model, grid, dw, lambda x, i: model.drift(x, x), lambda x, i: model.diffusion(x, x)
+        model, grid, dw, lambda x, i: model.drift(x), lambda x, i: model.diffusion(x)
     )[0]
 
 
@@ -145,25 +145,24 @@ def test_batched_sample_env_equals_single_key_draws_cloud(with_values, nodes):
     ],
 )
 def test_closed_form_shift_reproduces_the_oracle_means(name, params, dependent):
-    # g(x, x0) plus the law's shift is the exact mean at every own state and node
+    # the shift is E b(X_t); every closed-form partner part is linear, so the
+    # oracle must equal b at the law's mean curve
     model = catalog_model(name, dim=2, x0=[1.0, -0.5], **params)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 16))
     cf = model.closed_form
-    x = generator(derive_key(ROOT, "own", 0)).standard_normal((3, 5, 2))
-    assert [w for w in ("drift", "diffusion", "terminal", "driver") if not model.env_free(w)] == dependent
+    assert [w for w in COEFFICIENTS if not model.env_free(w)] == dependent
+    assert sorted(cf.env_means) == sorted(dependent)
+    mean = cf.mean(GRID.nodes)
     for which in dependent:
         shift = law.shift(which)
+        want = partner_values(model, which, mean)[None]
         if which == "terminal":
             assert shift.shape == (1,)
-            got = env_average(model, which, x, shift=shift)
-            assert np.allclose(got, cf.terminal_mean(x), rtol=1e-13, atol=1e-13)
-            continue
-        assert shift.shape[:2] == (1, GRID.steps + 1)
-        for i, t in enumerate(GRID.nodes):
-            got = env_average(model, which, x, shift=shift[:, i])
-            want = getattr(cf, f"{which}_mean")(x, float(t))
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-    for which in ("drift", "diffusion", "terminal", "driver"):
+            want = want[:, -1]
+        else:
+            assert shift.shape[:2] == (1, GRID.steps + 1)
+        assert np.allclose(shift, want, rtol=1e-13, atol=1e-13)
+    for which in COEFFICIENTS:
         if model.env_free(which):
             assert law.shift(which) is None
 

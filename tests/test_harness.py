@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -565,19 +568,20 @@ def test_clt_fluctuations_centred_on_a_value_law_model():
 
 
 def _own_y_tanh():
-    """tanh_bounded plus an own-y driver term: every driver step is implicit,
-    and blocks reach the fixed-point tolerance after different sweep counts."""
+    """tanh_bounded plus an own-y term in the driver's own part: every driver
+    step is implicit, and blocks reach the fixed-point tolerance after
+    different sweep counts."""
     model = catalog_model("tanh_bounded", x0=1.0)
     base, base_own = model.driver, model.grad_driver_own
 
-    def grad_driver_own(x, y, z, ex, ey):
-        out = base_own(x, y, z, ex, ey)
+    def grad_driver_own(x, y, z):
+        out = base_own(x, y, z)
         out[..., model.dim] += 0.5 * np.cos(y)
         return out
 
     return dataclasses.replace(
         model,
-        driver=lambda x, y, z, ex, ey: base(x, y, z, ex, ey) + 0.5 * np.sin(y),
+        driver=lambda x, y, z: base(x, y, z) + 0.5 * np.sin(y),
         grad_driver_own=grad_driver_own,
     )
 
@@ -772,6 +776,84 @@ def test_direct_commands_check_size_flags_before_compute(
     assert captured.out.splitlines() == ["invalid configuration:", *(f"  - {v}" for v in violations)]
     assert "Traceback" not in captured.out + captured.err
     assert not out_csv.exists()
+
+
+MISSING_INPUTS = [
+    (["validate", "--config", "MISSING"], "config file"),
+    (["convergence", "--config", "MISSING"], "config file"),
+    (["forward", "--model", "MISSING", "--n", "8"], "model block"),
+    (["clt", "--model", "MODEL", "--lattice", "MISSING", "--n", "8"], "lattice file"),
+    (["backward", "--model", "MODEL", "--n", "limit", "--paths", "MISSING"], "--paths file"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, what", MISSING_INPUTS, ids=["validate", "convergence", "forward", "clt", "backward"]
+)
+def test_missing_input_file_is_an_invalid_configuration(argv, what, tmp_path, capsys):
+    # each of these used to end in a FileNotFoundError traceback
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "ou_mean_field"}))
+    missing = tmp_path / "missing.json"
+    argv = [{"MISSING": str(missing), "MODEL": str(model_path)}.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    if argv[0] != "validate":
+        argv += ["--seed", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "invalid configuration:", f"  - cannot read {what} {missing}: No such file or directory"
+    ]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
+HEADER = "rep,t,coord,value"
+BAD_PATH_FILES = [
+    ("", "--paths: PATH is not a forward path CSV"),
+    (HEADER, "--paths: PATH has no path rows"),
+    (f"{HEADER}\n0,0.0,1,1.0", "--paths: line 2 has coordinate 1, not below dimension 1"),
+    (f"{HEADER}\n0,0.0,0,1.0\n0,0.5,0,1.0\n1,0.0,0,1.0",
+     "--paths: replication 1 does not have the nodes and 1 coordinates of replication 0"),
+    (f"{HEADER}\n0,0.0,0", "--paths: line 2 is not rep,t,coord,value: '0,0.0,0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, violation", BAD_PATH_FILES,
+    ids=["empty", "header_only", "coordinate_out_of_range", "missing_node", "short_row"],
+)
+def test_bad_paths_file_is_an_invalid_configuration(text, violation, tmp_path, capsys):
+    # empty, header-only and out-of-range files used to end in a traceback
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "ou_mean_field"}))
+    paths = tmp_path / "paths.csv"
+    paths.write_text(text)
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--paths", str(paths)]
+    assert main(argv + ["--seed", "1", "--out", str(out_csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "invalid configuration:", f"  - {violation.replace('PATH', str(paths))}"
+    ]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_csv.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only numerical package at run time; scipy is a test extra
+    code = "import sys, mfbsde.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_model_and_study_violations_reported_in_one_pass():

@@ -56,10 +56,15 @@ def test_mf_bsde_linear_closed_form_values():
 
 
 def test_driver_signature_excludes_partner_z():
+    # the own part reads (x, y, z); the partner part (x_env, y_env) only
+    partner_parts = 0
     for name in CATALOG_NAMES:
         model = catalog_model(name)
-        params = list(inspect.signature(model.driver).parameters)
-        assert params == ["x", "y", "z", "ex", "ey"]
+        assert list(inspect.signature(model.driver).parameters) == ["x", "y", "z"]
+        if model.driver_env is not None:
+            partner_parts += 1
+            assert list(inspect.signature(model.driver_env).parameters) == ["ex", "ey"]
+    assert partner_parts >= 1
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -75,33 +80,14 @@ def test_constant_gradients_exactly_zero():
     assert report.worst == 0.0
 
 
-def test_ou_env_drift_gradient_is_beta_everywhere():
-    beta = 1.7
-    model = catalog_model("ou_mean_field", beta=beta, s=1.0)
-    for p in random_probes(model, 5, derive_key(KEY, "probe", 2)):
-        g = model.grad_drift_env(p.x, p.env)
-        assert np.array_equal(g, np.array([[beta]]))
-
-
-def test_tanh_env_gradient_value():
-    model = catalog_model("tanh_bounded")
-    x = np.array([0.0])
-    e = np.array([0.3])
-    expected = 1.0 - math.tanh(0.3) ** 2  # = 0.915136...
-    assert model.grad_drift_env(x, e)[0, 0] == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(0.91513, abs=1e-5)
-    fd = (model.drift(x, e + 1e-6) - model.drift(x, e - 1e-6)) / 2e-6
-    assert abs(fd[0] - expected) <= 1e-6
-
-
 def test_gradients_vectorize_over_batches():
     model = catalog_model("tanh_bounded", dim=2)
-    x = np.zeros((5, 3, 2))
-    e = np.linspace(-1, 1, 30).reshape(5, 3, 2)
-    assert model.grad_drift_env(x, e).shape == (5, 3, 2, 2)
-    assert model.grad_diffusion_env(x, e).shape == (5, 3, 2, 2, 2)
-    assert model.drift(x, e).shape == (5, 3, 2)
-    assert model.diffusion(x, e).shape == (5, 3, 2, 2)
+    x = np.linspace(-1, 1, 30).reshape(5, 3, 2)
+    assert model.grad_drift_x(x).shape == (5, 3, 2, 2)
+    assert model.grad_diffusion_x(x).shape == (5, 3, 2, 2, 2)
+    assert model.grad_terminal_x(x).shape == (5, 3, 2)
+    assert model.drift(x).shape == model.drift_env(x).shape == (5, 3, 2)
+    assert model.diffusion(x).shape == model.diffusion_env(x).shape == (5, 3, 2, 2)
 
 
 def test_env_average_examples():
@@ -147,17 +133,25 @@ def test_env_average_without_pool_or_shift_names_what_is_missing():
 
 
 def _brute_force_mean(model, which, x, env, y, z, env_y):
-    """Mean over the pool by one coefficient call per (own, partner) pair."""
+    """Mean over the pool of the own part plus the partner's part, one
+    evaluation per (own, partner) pair."""
     B, P, _ = x.shape
+    partner = getattr(model, f"{which}_env")
     out = []
     for b in range(B):
         for p in range(P):
+            if which == "driver":
+                own = model.driver(x[b, p], y[b, p], z[b, p])
+            else:
+                own = getattr(model, which)(x[b, p])
             vals = []
             for k in range(env.shape[1]):
-                if which == "driver":
-                    vals.append(model.driver(x[b, p], y[b, p], z[b, p], env[b, k], env_y[b, k]))
+                if partner is None:
+                    vals.append(own)
+                elif which == "driver":
+                    vals.append(own + partner(env[b, k], env_y[b, k]))
                 else:
-                    vals.append(getattr(model, which)(x[b, p], env[b, k]))
+                    vals.append(own + partner(env[b, k]))
             out.append(np.mean(vals, axis=0))
     return np.reshape(out, (B, P) + np.shape(out[0]))
 
@@ -190,9 +184,14 @@ def test_env_average_matches_brute_force_mean(name, which, blocks, pooled):
 
 @pytest.mark.parametrize("name", ["constant", "ou_mean_field", "mf_bsde_linear"])
 def test_closed_form_satisfies_discretized_dynamics(name):
-    # Residual of the exact path against one Euler step shrinks linearly in h.
+    # Residual of the exact path against one Euler step with coefficients
+    # a(x) + E b(X_t) shrinks linearly in h.
     model = catalog_model(name, x0=1.0, T=1.0)
     cf = model.closed_form
+
+    def mean(which, x, t):
+        b = cf.env_means.get(which)
+        return getattr(model, which)(x) + (0.0 if b is None else b(np.array([t]))[0])
     residuals = {}
     for steps in (16, 32, 64, 128):
         grid = TimeGrid(model.horizon, steps)
@@ -203,8 +202,8 @@ def test_closed_form_satisfies_discretized_dynamics(name):
             t = grid.nodes[i]
             step = (
                 x[i]
-                + cf.drift_mean(x[i], t) * grid.h
-                + cf.diffusion_mean(x[i], t) @ (w[i + 1] - w[i])
+                + mean("drift", x[i], t) * grid.h
+                + mean("diffusion", x[i], t) @ (w[i + 1] - w[i])
             )
             worst = max(worst, float(np.max(np.abs(x[i + 1] - step))))
         residuals[steps] = worst
