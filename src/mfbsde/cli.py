@@ -207,13 +207,18 @@ def _backward_setup(args):
     if not (limit_mode or args.n.isdigit() and int(args.n) >= 1):
         violations.append(f"--n must be 'limit' or an integer >= 1, got {args.n!r}")
     values = None
+    bad_file = False
     if args.paths != "fresh" and not limit_mode:
         violations.append(
             "--paths needs --n limit: externally supplied paths carry no environment draws"
         )
     elif args.paths != "fresh" and model is not None:
-        nodes, values = _read_paths_csv(args.paths, model.dim)
-        if len(nodes) != args.steps + 1:
+        try:
+            nodes, values = _read_paths_csv(args.paths, model.dim)
+        except ConfigError as exc:
+            violations += exc.violations
+            bad_file = True
+        if values is not None and len(nodes) != args.steps + 1:
             violations.append(f"--paths file has {len(nodes) - 1} steps, expected {args.steps}")
     if model is not None and args.degree >= 0:
         # paths per regression block: file rows, fresh limit paths or inner paths
@@ -222,7 +227,7 @@ def _backward_setup(args):
         else:
             flag, paths = ("--reps", args.reps) if limit_mode else ("--inner", args.inner)
         need = min_block_paths(model.dim, args.degree)
-        if paths < need:
+        if paths < need and not bad_file:
             violations.append(
                 f"{flag} must give at least 10 * basis size = {need} paths per block, got {paths}"
             )

@@ -171,13 +171,10 @@ def value_law(
     size: int = 4096,
     degree: int = 2,
 ) -> LawFlow:
-    """Law carrying backward values: a law that has them is returned as is;
-    otherwise a fresh cloud of ``size`` limit paths of ``law``, one block
-    driven by the stream ``key.child("vw", 0).child("path", 0)``, gets a
-    backward solve attached, its driver averaged over the cloud's own
-    values."""
-    if law.has_y:
-        return law
+    """Law carrying backward values, built on ``law``, which carries none: a
+    fresh cloud of ``size`` limit paths of ``law``, one block driven by the
+    stream ``key.child("vw", 0).child("path", 0)``, gets a backward solve
+    attached, its driver averaged over the cloud's own values."""
     w_key = key.child("vw", 0).child("path", 0)
     dw = brownian_increments([w_key], (size, grid.steps, model.dim), grid.h)
     x = law.euler(dw)
@@ -198,9 +195,10 @@ def theoretical_covariance(
     paths, of the corresponding coefficient evaluations; blocks share the
     cloud, so cross-block covariances come out consistently.  A closed-form
     law draws ``cloud_size`` paths under ``key``; a cloud law gives its own
-    whole cloud, whatever ``cloud_size`` says.
+    whole cloud, whatever ``cloud_size`` says.  Only a driver that reads
+    partner y needs a law carrying y values.
     """
-    needs_y = "driver" in lattice.blocks
+    needs_y = "driver" in lattice.blocks and not model.env_free("driver")
     if needs_y and not law.has_y:
         raise ValueError("driver block needs a law carrying y values")
     if law.use_closed_form:
@@ -328,10 +326,9 @@ def solve_limit_system(
     E'[g(X') xbar'] and E'[g(X') ybar'] is zero, since the field is centred
     and independent of the partner's own noise, and the first-order
     components are linear in it.  Members therefore do not interact, and
-    they run `forward.BLOCK_BATCH` at a time.  The field kernel is
-    `theoretical_covariance` along the whole grid, on ``law`` when it
-    carries y values, else on a value law of ``cloud_size`` paths built on
-    it.
+    they run `forward.BLOCK_BATCH` at a time.  Member paths, base solve and
+    the field kernel (`theoretical_covariance` along the whole grid) all read
+    ``law``, which carries y values when the driver reads partner y.
     """
     d = model.dim
     n = grid.steps
@@ -339,9 +336,8 @@ def solve_limit_system(
     h = grid.h
     # the backward solve conditions on (state, first-order state)
     inner = max(inner, min_block_paths(2 * d, degree))
-    vlaw = value_law(model, law, grid, key.child("vlaw", 0), size=cloud_size, degree=degree)
     lattice = FieldLattice(grid, tuple(range(n1)), blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, vlaw, lattice, cloud_size, key.child("kern", 0))
+    kernel = theoretical_covariance(model, law, lattice, cloud_size, key.child("kern", 0))
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
 

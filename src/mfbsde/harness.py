@@ -263,15 +263,16 @@ def _study_violations(
             f"got {metrics!r}"
         )
         metrics = []
-    backward = "y" in metrics or "z" in metrics
+    backward = _measures_backward(metrics)
+    clt = study["kind"] == "clt"
     # a cloud law needs two paths; a clt study's field kernels need more
-    least_cloud = KERNEL_MIN_CLOUD if study["kind"] == "clt" else 2
+    least_cloud = KERNEL_MIN_CLOUD if clt else 2
     if sizes.get("env_cloud", least_cloud) < least_cloud:
-        scope = " for clt studies" if study["kind"] == "clt" else ""
+        scope = " for clt studies" if clt else ""
         out.append(
             f"study.env_cloud must be at least {least_cloud}{scope}, got {sizes['env_cloud']}"
         )
-    if study["kind"] == "clt":
+    if clt:
         if not _is_int(study["n"]) or study["n"] < 1:
             out.append("study.n must be a positive integer for clt studies")
         for key in ("reps", "members"):
@@ -294,18 +295,20 @@ def _study_violations(
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
-    elif backward and model is not None:
+    elif model is not None:
         need = min_block_paths(model.dim, degree)
-        if sizes.get("inner_paths", need) < need:
+        if backward and sizes.get("inner_paths", need) < need:
             out.append(
                 f"study.inner_paths must be at least 10 * basis size = {need} "
                 f"for y or z metrics, got {sizes['inner_paths']}"
             )
-        # the value law is regressed as one block of env_cloud paths
-        if builds_value_law(model, backward) and sizes.get("env_cloud", need) < need:
+        # the value law is regressed as one block of env_cloud paths; a clt
+        # study's limit system solves backward whatever the metrics
+        if builds_value_law(model, clt or backward) and sizes.get("env_cloud", need) < need:
+            scope = "clt studies" if clt else "y or z metrics"
             out.append(
                 f"study.env_cloud must be at least 10 * basis size = {need} "
-                f"for y or z metrics when the driver reads partner y, got {sizes['env_cloud']}"
+                f"for {scope} when the driver reads partner y, got {sizes['env_cloud']}"
             )
     return out
 
@@ -432,6 +435,24 @@ def builds_value_law(model: ModelSpec, backward: bool) -> bool:
     return backward and not model.env_free("driver")
 
 
+def _measures_backward(metrics) -> bool:
+    """Whether a study point solves backward: it measures y or z."""
+    return "y" in metrics or "z" in metrics
+
+
+def _point_gaps(model, N, grid, law, study, w_key, env_key):
+    """The one coupled run of a study point: `coupled_gaps` on ``reps``
+    blocks of ``inner_paths`` paths solved backward when the study measures
+    y or z, else of one path.  x reads each block's designated path, the
+    same either way: its increments come first in the block's draw, and the
+    partner draws do not depend on the block size."""
+    backward = _measures_backward(study["metrics"])
+    return coupled_gaps(
+        model, N, grid, law, int(study["reps"]), int(study["inner_paths"]) if backward else 1,
+        w_key, env_key, degree=int(study["degree"]) if backward else None,
+    )
+
+
 def study_law(
     model: ModelSpec, grid: TimeGrid, env_cloud: int, degree: int, root: StreamKey, backward: bool
 ) -> LawFlow:
@@ -455,9 +476,8 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     study = config.study
     root = config.root_key()
     metrics = list(study["metrics"])
-    need_backward = "y" in metrics or "z" in metrics
-    law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, need_backward)
-    reps = int(study["reps"])
+    backward = _measures_backward(metrics)
+    law = study_law(model, grid, int(study["env_cloud"]), int(study["degree"]), root, backward)
     reference_note = "closed_form"
     if law.kind == "cloud":
         # self-reference mode: the limit reference is the cloud law itself,
@@ -469,20 +489,10 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     rows = []
     per_metric: dict[str, dict[int, dict]] = {m: {} for m in metrics}
     for N in study["n_values"]:
-        key_n = root.child("n", int(N))
-        errors = {}
-        if "x" in metrics:
-            fwd = key_n.child("fwd", 0)
-            x, _, _ = coupled_gaps(
-                model, int(N), grid, law, reps, 1, fwd.child("w", 0), fwd.child("e", 0)
-            )
-            errors["x"] = np.max(np.sum(x**2, axis=-1), axis=-1)
-        if need_backward:
-            bwd = key_n.child("bwd", 0)
-            _, y, z = coupled_gaps(
-                model, int(N), grid, law, reps, int(study["inner_paths"]),
-                bwd.child("w", 0), bwd.child("e", 0), degree=int(study["degree"]),
-            )
+        fwd = root.child("n", int(N)).child("fwd", 0)
+        x, y, z = _point_gaps(model, int(N), grid, law, study, fwd.child("w", 0), fwd.child("e", 0))
+        errors = {"x": np.max(np.sum(x**2, axis=-1), axis=-1)}
+        if y is not None:
             errors["y"] = np.max(y**2, axis=-1)
             errors["z"] = grid.h * np.sum(np.sum(z[:, :-1] ** 2, axis=-1), axis=-1)
         for m, name in (("x", "x_sup2"), ("y", "y_sup2"), ("z", "z_quad")):
@@ -544,28 +554,16 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     study = config.study
     root = config.root_key()
     N = int(study["n"])
-    reps = int(study["reps"])
-    metrics = list(study["metrics"])
     env_cloud = int(study["env_cloud"])
-    need_backward = "y" in metrics or "z" in metrics
-    law = study_law(model, grid, env_cloud, int(study["degree"]), root, need_backward)
+    # the limit system solves backward whatever the metrics
+    law = study_law(model, grid, env_cloud, int(study["degree"]), root, backward=True)
     decoupled = model.env_free("drift") and model.env_free("diffusion")
-    scale = np.sqrt(N)
 
-    # scaled fluctuation samples, None for a metric not measured
-    x_fluct = y_fluct = z_fluct = None
-    if "x" in metrics:
-        x, _, _ = coupled_gaps(
-            model, N, grid, law, reps, 1, root.child("fw", 0), root.child("fe", 0)
-        )
-        x_fluct = scale * x
-    if need_backward:
-        _, y, z = coupled_gaps(
-            model, N, grid, law, reps, int(study["inner_paths"]),
-            root.child("bw", 0), root.child("be", 0), degree=int(study["degree"]),
-        )
-        y_fluct = scale * y if "y" in metrics else None
-        z_fluct = scale * z if "z" in metrics else None
+    # scaled fluctuation samples of one coupled run, None for a metric not measured
+    gaps = _point_gaps(model, N, grid, law, study, root.child("fw", 0), root.child("fe", 0))
+    x_fluct, y_fluct, z_fluct = (
+        np.sqrt(N) * g if m in study["metrics"] else None for m, g in zip(_METRICS, gaps)
+    )
 
     limit = solve_limit_system(
         model, law, grid,

@@ -315,12 +315,12 @@ def test_limit_system_invariant_under_chunk_size(monkeypatch, name):
     model = catalog_model(name)
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 19))
+    key = derive_key(ROOT, "chunk", 0)
+    law = value_law(model, law, grid, key.child("vlaw", 0), size=1024)
     runs = []
     for batch in (1, 7, 512):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
-        runs.append(solve_limit_system(
-            model, law, grid, members=100, key=derive_key(ROOT, "chunk", 0), cloud_size=1024,
-        ))
+        runs.append(solve_limit_system(model, law, grid, members=100, key=key, cloud_size=1024))
     for f in ("x", "xbar", "ybar", "zbar"):
         for res in runs[1:]:
             assert np.array_equal(getattr(res, f), getattr(runs[0], f)), f
@@ -332,9 +332,9 @@ def test_limit_system_means_vanish_on_a_nonlinear_model():
     model = catalog_model("tanh_bounded")
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 20))
-    res = solve_limit_system(
-        model, law, grid, members=2000, key=derive_key(ROOT, "ls", 3), cloud_size=1024
-    )
+    key = derive_key(ROOT, "ls", 3)
+    law = value_law(model, law, grid, key.child("vlaw", 0), size=1024)
+    res = solve_limit_system(model, law, grid, members=2000, key=key, cloud_size=1024)
     for probe, v in (("xbar@1", res.xbar[:, -1, 0]), ("ybar@0.5", res.ybar[:, grid.node_at(0.5)])):
         se = v.std(ddof=1) / math.sqrt(len(v))
         assert abs(v.mean()) <= 4 * se, (probe, v.mean(), se)

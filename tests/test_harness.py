@@ -112,6 +112,21 @@ ENV_CLOUD_CASES = [
         "study.env_cloud must be at least 10 * basis size = 30 for y or z metrics "
         "when the driver reads partner y, got 10",
     ),
+    # a clt study's limit system solves backward whatever the metrics, on a
+    # value law of env_cloud paths; the x-only study died there
+    (
+        {
+            "model": {"name": "tanh_bounded"},
+            "grid": {"steps": 4},
+            "study": {
+                "kind": "clt", "n": 64, "metrics": ["x"], "env_cloud": 100, "degree": 10,
+                "seed": 1,
+            },
+        },
+        110,
+        "study.env_cloud must be at least 10 * basis size = 110 for clt studies "
+        "when the driver reads partner y, got 100",
+    ),
 ]
 
 
@@ -613,6 +628,36 @@ def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("name", ["tanh_bounded", "ou_mean_field"])
+def test_coupled_gaps_x_does_not_depend_on_the_inner_paths(name):
+    # a block's designated increments are the first of its draw and its
+    # partner draws do not depend on the block size, so one run serves x,
+    # y and z: its x gaps equal those of a one-path run, bit for bit
+    grid = TimeGrid(1.0, 16)
+    model = catalog_model(name, x0=1.0)
+    root = StreamKey(seed=9303)
+    law = study_law(model, grid, 256, 2, root, backward=True)
+    assert law.has_y and law.kind == ("cloud" if name == "tanh_bounded" else "closed_form")
+    w_key, env_key = root.child("w", 0), root.child("e", 0)
+    x1, _, _ = coupled_gaps(model, 8, grid, law, 20, 1, w_key, env_key)
+    x32, y32, _ = coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, degree=2)
+    assert np.any(x1 != 0.0) and np.any(y32 != 0.0)
+    assert np.array_equal(x1, x32)
+
+
+def test_clt_study_reads_x_y_and_z_from_one_run():
+    # on ou_mean_field the gap X^N - X is a function of the frozen
+    # environment alone, so Y^N_t - Y_t = X^N_T - X_T on every path: the y
+    # fluctuations of one coupled run repeat its terminal x fluctuations
+    doc = _clt_doc(reps=200, members=200, inner_paths=32, field_reps=100, env_cloud=256)
+    doc["study"]["lattice_times"] = [1.0]
+    probes = run_clt_study(parse_config(json.dumps(doc))).comparison["probes"]
+    x_row, y_row = probes["x@1.0"]["approx"], probes["y@0.5"]["approx"]
+    assert y_row.keys() == x_row.keys()
+    for key in x_row:
+        assert abs(y_row[key] - x_row[key]) <= 1e-12, (key, x_row[key], y_row[key])
+
+
 def test_cli_validate_and_forward(tmp_path):
     from mfbsde.cli import main
 
@@ -843,6 +888,36 @@ def test_bad_paths_file_is_an_invalid_configuration(text, violation, tmp_path, c
         "invalid configuration:", f"  - {violation.replace('PATH', str(paths))}"
     ]
     assert "Traceback" not in captured.out + captured.err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, flag_violations",
+    [
+        (["--degree", "-1", "--reps", "0"],
+         ["--reps must be an integer >= 1, got 0", "--degree must be an integer >= 0, got -1"]),
+        # a bad file has no replications to count, and --reps is not read
+        (["--reps", "5"], []),
+    ],
+    ids=["bad_flags", "unread_reps"],
+)
+def test_bad_paths_file_is_reported_with_the_flag_violations(flags, flag_violations, tmp_path, capsys):
+    # the file's violation used to hide the flag violations found before it
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "ou_mean_field"}))
+    paths = tmp_path / "empty.csv"
+    paths.write_text("")
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--paths", str(paths), *flags]
+    assert main(argv + ["--seed", "1", "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:",
+        *(f"  - {v}" for v in flag_violations),
+        f"  - --paths: {paths} is not a forward path CSV",
+    ]
     assert not out_csv.exists()
 
 
