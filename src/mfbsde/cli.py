@@ -111,7 +111,6 @@ def _cmd_clt(args) -> int:
         cfg.study["n"] = int(args.n)
     if args.reps is not None:
         cfg.study["reps"] = int(args.reps)
-        cfg.study["members"] = int(args.reps)
     cfg.validate()
     report = run_clt_study(cfg)
     written = emit_report(report, cfg.out_dir)
@@ -301,7 +300,7 @@ def main(argv=None) -> int:
     p.add_argument("--model", default=None, help="JSON model block (direct mode)")
     p.add_argument("--lattice", default=None, help='JSON file {"times": [...]}')
     p.add_argument("--n", type=int, default=None, help="environment size")
-    p.add_argument("--reps", type=int, default=None, help="replications / members")
+    p.add_argument("--reps", type=int, default=None, help="replications per ensemble (study.reps)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=_cmd_clt)

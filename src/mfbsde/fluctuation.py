@@ -433,55 +433,21 @@ def _ks_prob_outside_square(n: int, h: int) -> float:
     return 2 * P
 
 
-def _ks_prob_outside_band(n: int, m: int, g: int, h: int) -> float:
-    """The share of lattice paths from (0, 0) to (n, m) that leave the band
-    |i m/g - j n/g| < h.
-
-    r(i, j), the probability that a uniformly random path to (i, j) has left
-    the band, is 1 off the band and (i r(i-1, j) + j r(i, j-1)) / (i + j) on
-    it.  Both neighbours of a cell lie on the previous anti-diagonal, so the
-    walk takes one vector step per diagonal k = i + j and stores only its
-    in-band cells.  It works on r, not 1 - r, which keeps the tail's
-    relative accuracy.
-    """
-    ng, mg = n // g, m // g
-    k = np.arange(n + m + 1)
-    # the cells (i, k - i) of diagonal k in the band and the lattice
-    lo = np.maximum((k * ng - h) // (mg + ng) + 1, np.maximum(k - m, 0))
-    hi = np.minimum(-(-(k * ng + h) // (mg + ng)) - 1, np.minimum(k, n))
-    i_all = np.arange(n + 1, dtype=float)
-    r = np.ones(n + 2)  # r[i + 1] holds the cell (i, k - i); off-band cells read 1
-    r[1] = 0.0
-    for kk in range(1, n + m + 1):
-        a, b = lo[kk], hi[kk]
-        i = i_all[a : b + 1]
-        new = (r[a : b + 1] * i + r[a + 1 : b + 2] * (kk - i)) / kk
-        r[lo[kk - 1] + 1 : a + 1] = 1.0
-        r[a + 1 : b + 2] = new
-    return float(r[n + 1])
-
-
 def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """The two-sided two-sample Kolmogorov-Smirnov statistic D and its exact
-    p-value P(D' >= D) under the null of one continuous law, by the same
-    rule at every sample size (no switch to an asymptotic series)."""
+    """The two-sided two-sample Kolmogorov-Smirnov statistic D of two samples
+    of one size n and its exact p-value P(D' >= D) under the null of one
+    continuous law, by the same rule at every n (no switch to an asymptotic
+    series)."""
     a, b = np.sort(a), np.sort(b)
-    n, m = len(a), len(b)
+    n = len(a)
     pooled = np.concatenate([a, b])
-    diff = np.searchsorted(a, pooled, side="right") / n - np.searchsorted(b, pooled, side="right") / m
-    d = max(diff.max(), np.clip(-diff.min(), 0, 1))
-    # D is a multiple of 1/lcm(n, m): round it onto that lattice
-    g = math.gcd(n, m)
-    lcm = (n // g) * m
-    h = int(np.round(d * lcm))
+    # n D: the largest gap between the two samples' counts at or below a point
+    gap = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
+    h = int(np.abs(gap).max())
     if h == 0:
         return 0.0, 1.0
-    if n == m:
-        # at h <= 2 the series' roundoff can land an ulp or two above 1
-        p = min(_ks_prob_outside_square(n, h), 1.0)
-    else:
-        p = _ks_prob_outside_band(n, m, g, h)
-    return h / lcm, p
+    # at h <= 2 the series' roundoff can land an ulp or two above 1
+    return h / n, min(_ks_prob_outside_square(n, h), 1.0)
 
 
 def _ks_row(a: np.ndarray, b: np.ndarray) -> dict:
@@ -526,8 +492,8 @@ def clt_compare(
     (R, n+1, d), (R, n+1) and (R, n+1, d), with None for a component not
     measured.  Each of its statistics (see `_clt_statistics`) is compared with
     the same statistic of the limit's (xbar, ybar, zbar): a moment table and
-    a two-sample KS test per row, each side at least ``CLT_MIN_SAMPLES``
-    samples.
+    a two-sample KS test per row, the two sides of one size of at least
+    ``CLT_MIN_SAMPLES`` samples.
     """
     # the limit side only for the measured components: a probe list the
     # study does not read need not sit on the grid
@@ -539,6 +505,8 @@ def clt_compare(
         other = lim[section, name]
         if min(len(samples), len(other)) < CLT_MIN_SAMPLES:
             raise ValueError(f"need at least {CLT_MIN_SAMPLES} samples per side")
+        if len(samples) != len(other):
+            raise ValueError(f"the two sides differ in size: {len(samples)} and {len(other)}")
         report[section][name] = {
             "approx": _moment_row(samples),
             "limit": _moment_row(other),

@@ -33,7 +33,7 @@ from .fluctuation import (
     value_law,
 )
 from .forward import LawFlow, block_batches, simulate_blocks, solve_limit_forward
-from .model import ModelSpec, catalog_model
+from .model import ModelSpec, _is_number, catalog_model
 from .noise import StreamKey, TimeGrid
 
 __all__ = [
@@ -57,7 +57,6 @@ _STUDY_DEFAULTS = {
     "n_values": None,
     "n": None,
     "reps": 2000,
-    "members": None,          # defaults to reps
     "inner_paths": 128,
     "degree": 2,
     "env_cloud": 4096,        # sizes every cloud a study draws
@@ -209,8 +208,6 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append("study.n_values must be strictly increasing")
     if study["metrics"] is None:
         study["metrics"] = list(_METRICS)
-    if study["members"] is None:
-        study["members"] = study["reps"]
 
     out_block = doc.get("output", {})
     if not isinstance(out_block, dict):
@@ -238,15 +235,16 @@ def _study_violations(
     study: dict, grid: Optional[TimeGrid], model: Optional[ModelSpec]
 ) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
-    compute nothing: a size below 1, bad metrics or degree, probe times off
-    the grid, too few inner paths or value-law paths for the regression
-    basis, a cloud too small for its law or kernels, and clt ensembles too
-    small to compare.  Without a grid and model (an invalid model block) the
-    checks that need them are skipped.
+    compute nothing: a size below 1, bad metrics or degree, probe or lattice
+    times that are not finite numbers or not grid nodes, an empty lattice,
+    too few inner paths or value-law paths for the regression basis, a cloud
+    too small for its law or kernels, clt ensembles too small to compare and
+    too few field replications for a sample covariance.  Without a grid and
+    model (an invalid model block) the checks that need them are skipped.
     """
     out = []
     sizes = {}
-    for key in ("reps", "members", "inner_paths", "env_cloud", "field_reps"):
+    for key in ("reps", "inner_paths", "env_cloud", "field_reps"):
         if _is_int(study[key]) and study[key] >= 1:
             sizes[key] = study[key]
         else:
@@ -275,23 +273,33 @@ def _study_violations(
     if clt:
         if not _is_int(study["n"]) or study["n"] < 1:
             out.append("study.n must be a positive integer for clt studies")
-        for key in ("reps", "members"):
-            if sizes.get(key, CLT_MIN_SAMPLES) < CLT_MIN_SAMPLES:
-                out.append(
-                    f"study.{key} must be at least {CLT_MIN_SAMPLES} for clt studies, "
-                    f"got {sizes[key]}"
-                )
+        # the approximation and the limit ensemble both have reps members
+        if sizes.get("reps", CLT_MIN_SAMPLES) < CLT_MIN_SAMPLES:
+            out.append(
+                f"study.reps must be at least {CLT_MIN_SAMPLES} for clt studies, "
+                f"got {sizes['reps']}"
+            )
+        # a sample covariance divides by field_reps - 1
+        if sizes.get("field_reps", 2) < 2:
+            out.append(
+                f"study.field_reps must be at least 2 for clt studies, got {sizes['field_reps']}"
+            )
         read = {"probe_times": "x" in metrics, "y_probe_times": backward, "lattice_times": True}
-        for key in (k for k, used in read.items() if used and grid is not None):
+        for key in (k for k, used in read.items() if used):
             times = study[key]
             if not isinstance(times, list):
                 out.append(f"study.{key} must be a list of grid times")
                 continue
+            if key == "lattice_times" and not times:
+                out.append("study.lattice_times must not be empty")
             for t in times:
-                try:
-                    grid.node_at(float(t))
-                except (TypeError, ValueError):
-                    out.append(f"study.{key} entry {t!r} is not a node of {grid}")
+                if not _is_number(t):
+                    out.append(f"study.{key} entry {t!r} is not a finite number")
+                elif grid is not None:
+                    try:
+                        grid.node_at(t)
+                    except ValueError:
+                        out.append(f"study.{key} entry {t!r} is not a node of {grid}")
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")
@@ -567,7 +575,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
 
     limit = solve_limit_system(
         model, law, grid,
-        members=int(study["members"]),
+        members=int(study["reps"]),
         key=root.child("limit", 0),
         inner=max(64, int(study["inner_paths"]) // 2),
         degree=int(study["degree"]),
@@ -688,8 +696,6 @@ def emit_report(report: StudyReport, out_dir) -> list[str]:
     written = []
     doc = report.to_dict()
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if not report.tables and not report.verdicts:
-        doc["verdict"] = "no-data"
     path = out / "report.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     written.append(str(path))

@@ -20,6 +20,7 @@ trailing axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -323,12 +324,14 @@ def _build_tanh(dim, x0, horizon, params):
 
 
 def _is_number(value) -> bool:
-    """A finite real number; a bool is not one."""
-    return (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value))
-    )
+    """A finite real number; a bool is not one, nor an integer beyond the
+    range of a float."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _reject_extra(name, params):

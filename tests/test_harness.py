@@ -31,7 +31,8 @@ MINIMAL = {
 
 
 # env_cloud sizes every cloud; verdict thresholds and the block batch are
-# module constants; every lattice entry is evaluated at the reference state
+# module constants; every lattice entry is evaluated at the reference state;
+# the limit ensemble has reps members
 REMOVED_STUDY_KEYS = {
     "kernel_cloud": 4096,
     "center_cloud": 8192,
@@ -43,6 +44,7 @@ REMOVED_STUDY_KEYS = {
     "exact_tol": 1e-20,
     "chunk": 256,
     "lattice_probes": [[0.0]],
+    "members": 2000,
 }
 
 
@@ -52,7 +54,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path, capsys):
     assert cfg.study["degree"] == 2
     assert cfg.study["env_cloud"] == 4096
     assert cfg.study["metrics"] == ["x", "y", "z"]
-    assert len(cfg.study) == 14
+    assert len(cfg.study) == 13
     from mfbsde.cli import main
 
     # environments always come from the limit law, so there is no law
@@ -146,13 +148,48 @@ def test_undersized_env_cloud_rejected_before_compute(doc, least, violation, tmp
     parse_config(json.dumps(doc))
 
 
-@pytest.mark.parametrize("key", ["probe_times", "y_probe_times", "lattice_times"])
-def test_off_grid_times_rejected_before_compute(key):
-    # 0.3 is not a node of the 32-step grid; the study would raise mid-run
+TIME_LIST_CASES = [
+    # 0.3 is not a node of the grid; the study would raise mid-run
+    pytest.param(key, [0.5, 0.3], "entry 0.3 is not a node of {grid}", id=key)
+    for key in ("probe_times", "y_probe_times", "lattice_times")
+] + [
+    # a string raised a TypeError after the coupled run and the limit system,
+    # an empty lattice an IndexError, and true was read as the time 1.0
+    pytest.param("probe_times", ["1.0"], "entry '1.0' is not a finite number", id="probe_times-string"),
+    pytest.param("lattice_times", ["0.5"], "entry '0.5' is not a finite number", id="lattice_times-string"),
+    pytest.param("lattice_times", [], "must not be empty", id="lattice_times-empty"),
+    pytest.param("probe_times", [True], "entry True is not a finite number", id="probe_times-bool"),
+    # an integer beyond the float range raised in the checks themselves
+    pytest.param(
+        "probe_times", [10**400], f"entry {10**400} is not a finite number", id="probe_times-huge"
+    ),
+]
+
+
+@pytest.mark.parametrize("key, times, violation", TIME_LIST_CASES)
+def test_off_grid_times_rejected_before_compute(key, times, violation, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(_clt_doc(**{key: [0.5, 0.3]})))
-    assert err.value.violations == [f"study.{key} entry 0.3 is not a node of TimeGrid(T=1.0, n=32)"]
+        parse_config(json.dumps(_clt_doc(**{key: times})))
+    grid = TimeGrid(1.0, 32)
+    assert err.value.violations == [f"study.{key} {violation.format(grid=grid)}"]
     parse_config(json.dumps(_clt_doc(**{key: [0.5, 0.25]})))
+    if key != "lattice_times":
+        return
+    # a clt --lattice file goes through the same checks, on the default grid
+    from mfbsde.cli import main
+
+    (tmp_path / "model.json").write_text(json.dumps(_clt_doc()["model"]))
+    (tmp_path / "lattice.json").write_text(json.dumps({"times": times}))
+    argv = [
+        "clt", "--model", str(tmp_path / "model.json"), "--lattice", str(tmp_path / "lattice.json"),
+        "--n", "64", "--seed", "5", "--out", str(tmp_path / "out"),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:", f"  - study.{key} {violation.format(grid=TimeGrid(1.0, 64))}"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_unread_probe_times_are_not_checked():
@@ -183,22 +220,26 @@ def test_too_few_inner_paths_rejected_before_compute():
 
 
 def test_undersized_clt_ensembles_rejected_before_compute(tmp_path, capsys):
-    # clt_compare needs 200 samples per side; the study would raise after
-    # running every block and the limit system
-    for key in ("reps", "members"):
+    # clt_compare needs 200 samples per side, and a sample covariance two
+    # field replications; the study would raise, or write NaN covariances,
+    # after running every block and the limit system
+    for key, least in (("reps", 200), ("field_reps", 2)):
         with pytest.raises(ConfigError) as err:
-            parse_config(json.dumps(_clt_doc(**{"reps": 500, "members": 500, key: 199})))
-        assert err.value.violations == [f"study.{key} must be at least 200 for clt studies, got 199"]
-    parse_config(json.dumps(_clt_doc(reps=200, members=200)))
-    # the --reps flag overrides both after parsing
+            parse_config(json.dumps(_clt_doc(**{key: least - 1})))
+        assert err.value.violations == [
+            f"study.{key} must be at least {least} for clt studies, got {least - 1}"
+        ]
+        parse_config(json.dumps(_clt_doc(**{key: least})))
+    # the --reps flag overrides study.reps after parsing
     from mfbsde.cli import main
 
     cfg_path = tmp_path / "clt.json"
     cfg_path.write_text(json.dumps(_clt_doc(metrics=["x"])))
     capsys.readouterr()
     assert main(["clt", "--config", str(cfg_path), "--reps", "50", "--out", str(tmp_path / "out")]) == 1
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[0] == "invalid configuration:" and len(printed) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:", "  - study.reps must be at least 200 for clt studies, got 50"
+    ]
     assert not (tmp_path / "out").exists()
 
 
@@ -315,10 +356,7 @@ def test_bad_model_block_is_an_invalid_configuration(model, violation, tmp_path,
         ("study", "seed", True, ["study.seed must be an integer, got True"]),
         ("grid", "steps", True, ["grid.steps must be a positive integer"]),
         ("study", "n_values", [True, 8, 16], ["study.n_values must be positive integers"]),
-        (
-            "study", "reps", True,
-            ["study.reps must be a positive integer", "study.members must be a positive integer"],
-        ),
+        ("study", "reps", True, ["study.reps must be a positive integer"]),
         ("study", "degree", True, ["study.degree must be an integer >= 0, got True"]),
     ],
 )
@@ -396,7 +434,6 @@ def test_emit_report_empty_study(tmp_path):
     report = StudyReport("convergence", {}, {}, [], {})
     written = emit_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["verdict"] == "no-data"
     assert doc["schema_version"] == 1
     assert written == [str(tmp_path / "report.json")]
 
@@ -509,7 +546,6 @@ def test_clt_study_smoke(tmp_path):
                     "kind": "clt",
                     "n": 32,
                     "reps": 256,
-                    "members": 256,
                     "inner_paths": 32,
                     "env_cloud": 512,
                     "field_reps": 500,
@@ -566,7 +602,6 @@ def test_clt_fluctuations_centred_on_a_value_law_model():
                     "kind": "clt",
                     "n": 1024,
                     "reps": 500,
-                    "members": 256,
                     "inner_paths": 32,
                     "field_reps": 100,
                     "metrics": ["x", "y"],
@@ -649,7 +684,7 @@ def test_clt_study_reads_x_y_and_z_from_one_run():
     # on ou_mean_field the gap X^N - X is a function of the frozen
     # environment alone, so Y^N_t - Y_t = X^N_T - X_T on every path: the y
     # fluctuations of one coupled run repeat its terminal x fluctuations
-    doc = _clt_doc(reps=200, members=200, inner_paths=32, field_reps=100, env_cloud=256)
+    doc = _clt_doc(reps=200, inner_paths=32, field_reps=100, env_cloud=256)
     doc["study"]["lattice_times"] = [1.0]
     probes = run_clt_study(parse_config(json.dumps(doc))).comparison["probes"]
     x_row, y_row = probes["x@1.0"]["approx"], probes["y@0.5"]["approx"]
@@ -940,7 +975,6 @@ def test_model_and_study_violations_reported_in_one_pass():
     assert sorted(v) == sorted([
         "invalid model block: need |rho| < 1 to keep the diffusion positive",
         "study.reps must be a positive integer",
-        "study.members must be a positive integer",
     ])
 
 
