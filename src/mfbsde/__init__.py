@@ -20,7 +20,6 @@ from .fluctuation import (
 )
 from .forward import (
     LawFlow,
-    PathEnsemble,
     solve_classical_system,
     solve_limit_forward,
     solve_sde_n,
@@ -44,7 +43,6 @@ __all__ = [
     "FieldLattice",
     "LawFlow",
     "ModelSpec",
-    "PathEnsemble",
     "StreamKey",
     "StudyReport",
     "TimeGrid",

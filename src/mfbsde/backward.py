@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .forward import BlockSim, LawFlow
-from .model import ModelSpec, env_average
+from .model import ModelSpec, env_average, env_shift
 from .noise import TimeGrid
 
 __all__ = [
@@ -248,14 +248,15 @@ def _block_solve(
     (state, y) columns, refreshed on every fixed-point sweep: this defines
     the value law's fixed point (see `fluctuation.value_law`).
     """
-    terminal = env_average(model, "terminal", x[:, :, -1, :], shift=terminal_shift)
+    terminal = env_average(model, "terminal", x[:, :, -1, :], terminal_shift)
 
     def driver(i, y, z):
         xi = x[:, :, i, :]
         if self_average:
-            return env_average(model, "driver", xi, xi, y, y, z)
-        shift = None if driver_shift is None else driver_shift[:, i]
-        return env_average(model, "driver", xi, y=y, z=z, shift=shift)
+            shift = env_shift(model, "driver", xi, y)
+        else:
+            shift = None if driver_shift is None else driver_shift[:, i]
+        return env_average(model, "driver", xi, shift, y, z)
 
     return _backward_induction(grid, x, dw, terminal, driver, degree, solver)
 

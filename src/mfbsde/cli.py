@@ -85,12 +85,15 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_clt(args) -> int:
     if args.config is not None:
+        clash = [f for f in ("model", "lattice") if getattr(args, f) is not None]
+        if clash:
+            raise ConfigError([f"--{f} belongs to direct mode, not to --config" for f in clash])
         cfg = _load_config(args)
     else:
         # direct mode: build a study document from the model block
-        if args.model is None or args.n is None or args.seed is None:
-            print("direct mode needs --model, --n and --seed", file=sys.stderr)
-            return 1
+        missing = [f for f in ("model", "n", "seed") if getattr(args, f) is None]
+        if missing:
+            raise ConfigError([f"direct mode needs --{f}" for f in missing])
         doc = {
             "model": _load_model_block(args.model),
             "study": {"kind": "clt", "n": int(args.n), "seed": int(args.seed)},
@@ -142,12 +145,12 @@ def _cmd_forward(args) -> int:
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     law = solve_limit_forward(model, grid, args.env_cloud, root.child("law", 0))
-    result = solve_sde_n(
+    paths, _ = solve_sde_n(
         model, args.n, grid, law,
         root.child("w", 0), root.child("envs", 0),
         out_reps=args.reps,
     )
-    _write_csv(args.out, _PATH_HEADER, _path_rows(grid, result.paths.values))
+    _write_csv(args.out, _PATH_HEADER, _path_rows(grid, paths))
     print(
         f"wrote {args.out}: {args.reps} replications, N={args.n}, "
         f"environments from the {law.kind.replace('_', '-')} limit law"

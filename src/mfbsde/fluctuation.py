@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .backward import min_block_paths, solve_linear_limit_bsde, solve_mfbsde
-from .forward import LawFlow, block_batches
+from .forward import LawFlow, block_batches, euler_paths
 from .model import ModelSpec, partner_values
 from .noise import StreamKey, TimeGrid, brownian_increments, generator
 
@@ -304,6 +304,17 @@ class LimitSystemResult:
     provenance: dict
 
 
+def _xbar_coefficients(model: ModelSpec, x, eta1, eta2):
+    """Euler drift eta1 + grad b(x) xbar and diffusion eta2 + grad sigma(x) xbar
+    of the first-order component along base paths ``x`` (..., n+1, d)."""
+    return (
+        lambda xbar, i: eta1[..., i, :]
+        + np.einsum("...jk,...k->...j", model.grad_drift_x(x[..., i, :]), xbar),
+        lambda xbar, i: eta2[..., i, :, :]
+        + np.einsum("...jkl,...l->...jk", model.grad_diffusion_x(x[..., i, :]), xbar),
+    )
+
+
 def solve_limit_system(
     model: ModelSpec,
     law: LawFlow,
@@ -353,24 +364,16 @@ def solve_limit_system(
     zbar = np.empty((members, n1, d))
     fix_flag = False
     for lo, hi in block_batches(members):
-        size = hi - lo
         dw = brownian_increments([key.child("path", m) for m in range(lo, hi)], (inner, n, d), h)
         x_in = law.euler(dw)
-        xbar_in = np.zeros((size, inner, n1, d))
-        for i in range(n):
-            xb = xbar_in[:, :, i, :]
-            gbx = model.grad_drift_x(x_in[:, :, i, :])
-            gsx = model.grad_diffusion_x(x_in[:, :, i, :])
-            drift_term = eta1[lo:hi, None, i, :] + np.einsum("...jk,...k->...j", gbx, xb)
-            diff_term = eta2[lo:hi, None, i, :, :] + np.einsum("...jkl,...l->...jk", gsx, xb)
-            xbar_in[:, :, i + 1, :] = (
-                xb + drift_term * h + np.einsum("...jk,...k->...j", diff_term, dw[:, :, i, :])
-            )
+        # the first-order component starts at 0 and steps through the field
+        coefficients = _xbar_coefficients(model, x_in, eta1[lo:hi, None], eta2[lo:hi, None])
+        xbar_in = euler_paths(np.zeros(d), grid, dw, *coefficients)
         base_y = base_z = None
         if need_base:
             base = solve_mfbsde(model, law, x_in, dw, grid, degree=degree)
-            base_y = base.y_values.reshape(size, inner, n1)
-            base_z = base.z_values.reshape(size, inner, n1, d)
+            base_y = base.y_values.reshape(x_in.shape[:3])
+            base_z = base.z_values.reshape(x_in.shape)
         sol = solve_linear_limit_bsde(
             model,
             grid,
@@ -467,10 +470,10 @@ def _clt_statistics(grid: TimeGrid, x, y, z, probe_times, y_probe_times) -> dict
     out = {}
     if x is not None:
         for t in probe_times:
-            out["probes", f"x@{t}"] = x[:, grid.node_at(t), 0]
+            out["probes", f"x@{float(t)}"] = x[:, grid.node_at(t), 0]
     if y is not None:
         for t in y_probe_times:
-            out["probes", f"y@{t}"] = y[:, grid.node_at(t)]
+            out["probes", f"y@{float(t)}"] = y[:, grid.node_at(t)]
     if z is not None:
         nodes = grid.nodes[:-1]
         for name, phi in (("one", np.ones_like(nodes)), ("t", nodes)):

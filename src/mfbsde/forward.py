@@ -21,9 +21,7 @@ from .model import ModelSpec, env_average, env_shift
 from .noise import StreamKey, TimeGrid, brownian_increments, key_streams
 
 __all__ = [
-    "PathEnsemble",
     "LawFlow",
-    "SdeNResult",
     "BlockSim",
     "solve_limit_forward",
     "solve_sde_n",
@@ -31,7 +29,6 @@ __all__ = [
     "simulate_blocks",
     "block_batches",
     "euler_paths",
-    "keys_disjoint",
 ]
 
 DIVERGENCE_CAP = 1e8
@@ -40,26 +37,6 @@ DIVERGENCE_CAP = 1e8
 BLOCK_BATCH = 256
 # elements of Brownian draws that `LawFlow.sample_env` holds at a time
 _SUB_BATCH = 1 << 18
-
-
-@dataclass
-class PathEnsemble:
-    """Sampled paths indexed (replication, time node, coordinate)."""
-
-    grid: TimeGrid
-    values: np.ndarray  # (R, n+1, d)
-    keys: tuple[StreamKey, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3:
-            raise ValueError("values must be (replications, nodes, coordinates)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("path ensemble contains non-finite values")
-
-
-def keys_disjoint(a: StreamKey, b: StreamKey) -> bool:
-    """True when neither key addresses a sub-stream of the other."""
-    return not (a.is_prefix_of(b) or b.is_prefix_of(a))
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +170,26 @@ class LawFlow:
     def euler(self, dw: np.ndarray) -> np.ndarray:
         """Limit-dynamics paths (..., n+1, d) on increments ``dw`` (..., n, d),
         stepped with `euler_coefficients`."""
-        return euler_paths(self.model, self.grid, dw, *self.euler_coefficients())
+        return euler_paths(self.model.x0, self.grid, dw, *self.euler_coefficients())
 
 
 # ---------------------------------------------------------------------------
 # Euler stepping
 
 
-def euler_paths(model: ModelSpec, grid: TimeGrid, dw: np.ndarray, drift_fn, diffusion_fn):
-    """Generic Euler scheme; dw has shape (..., steps, d).
+def euler_paths(x0, grid: TimeGrid, dw: np.ndarray, drift_fn, diffusion_fn):
+    """Generic Euler scheme from ``x0`` (d,); dw has shape (..., steps, d).
 
     drift_fn(x, i) -> (..., d) and diffusion_fn(x, i) -> (..., d, d) receive
-    the current states and the node index.  Aborts on divergence.
+    the current states and the node index.  Aborts on a NaN, infinite or
+    divergent state (see `DIVERGENCE_CAP`).
     """
     n = grid.steps
     h = grid.h
     lead = dw.shape[:-2]
     d = dw.shape[-1]
     out = np.empty(lead + (n + 1, d))
-    x = np.broadcast_to(model.x0, lead + (d,)).copy()
+    x = np.broadcast_to(x0, lead + (d,)).copy()
     out[..., 0, :] = x
     for i in range(n):
         b = drift_fn(x, i)
@@ -232,9 +210,7 @@ def _euler_coefficients(model: ModelSpec, drift_curve, diffusion_curve):
     coefficient without a partner part."""
 
     def coefficient(which, curve):
-        return lambda x, i: env_average(
-            model, which, x, shift=None if curve is None else curve[:, i]
-        )
+        return lambda x, i: env_average(model, which, x, None if curve is None else curve[:, i])
 
     return coefficient("drift", drift_curve), coefficient("diffusion", diffusion_curve)
 
@@ -256,37 +232,29 @@ def solve_limit_forward(
         return LawFlow(grid, model, use_closed_form=True)
     if cloud_size < 2:
         raise ValueError("cloud_size must be >= 2")
-    paths = solve_classical_system(model, cloud_size, grid, root_key)
-    return LawFlow(grid, model, cloud=paths.values)
+    return LawFlow(grid, model, cloud=solve_classical_system(model, cloud_size, grid, root_key))
 
 
 def solve_classical_system(
     model: ModelSpec, N: int, grid: TimeGrid, key: StreamKey
-) -> PathEnsemble:
-    """Fully coupled particle system: particle i's coefficients average the
-    current states of all N particles; each particle has its own Brownian
-    stream ``key.child("path", i)``."""
+) -> np.ndarray:
+    """Fully coupled particle system, (N, n+1, d) paths: particle i's
+    coefficients average the current states of all N particles; each particle
+    has its own Brownian stream ``key.child("path", i)``."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    keys = tuple(key.child("path", i) for i in range(N))
+    keys = [key.child("path", i) for i in range(N)]
     dw = brownian_increments(keys, (grid.steps, model.dim), grid.h)
 
     def coefficient(which):
         # the partner pool is the current state of all N particles
-        return lambda x, i: env_average(model, which, x[None], x[None])[0]
+        return lambda x, i: env_average(model, which, x[None], env_shift(model, which, x[None]))[0]
 
-    values = euler_paths(model, grid, dw, coefficient("drift"), coefficient("diffusion"))
-    return PathEnsemble(grid, values, keys)
+    return euler_paths(model.x0, grid, dw, coefficient("drift"), coefficient("diffusion"))
 
 
 # ---------------------------------------------------------------------------
 # the N-environment system
-
-
-@dataclass
-class SdeNResult:
-    paths: PathEnsemble                 # the N-environment solution paths
-    coupled_limit: PathEnsemble         # limit dynamics on the same W streams
 
 
 def solve_sde_n(
@@ -297,27 +265,24 @@ def solve_sde_n(
     w_key: StreamKey,
     env_key: StreamKey,
     out_reps: int,
-) -> SdeNResult:
-    """Coupled one-path simulation of the N-environment forward system.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled one-path simulation of the N-environment forward system:
+    ``(paths, coupled_limit)``, each (out_reps, n+1, d).
 
     Replication r is driven by the Brownian stream ``w_key.child("path", r)``
     and draws its own N partner paths from the limit law ``law`` under
     ``env_key.child("draws", 0).child("env", r)``; its coupled limit path
-    takes the coefficient means of ``law`` on the same increments.
+    takes the coefficient means of ``law`` on the same increments.  Streams
+    hash their full key path, so even ``w_key == env_key`` shares no draw.
     """
     if N < 1 or out_reps < 0:
         raise ValueError("need N >= 1, out_reps >= 0")
-    if not keys_disjoint(w_key, env_key):
-        raise ValueError("w_key and env_key must address disjoint stream subtrees")
     sim = simulate_blocks(
         model, N, grid, law,
         n_blocks=out_reps, inner=1,
         w_key=w_key, env_key=env_key.child("draws", 0),
     )
-    return SdeNResult(
-        PathEnsemble(grid, sim.xn[:, 0], sim.keys),
-        PathEnsemble(grid, sim.xlim[:, 0], sim.keys),
-    )
+    return sim.xn[:, 0], sim.xlim[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +303,6 @@ class BlockSim:
     dw: np.ndarray                 # (B, P, n, d)
     xn: np.ndarray                 # (B, P, n+1, d)
     xlim: np.ndarray               # (B, P, n+1, d) limit dynamics, same dw
-    keys: tuple[StreamKey, ...]
     terminal_curve: Optional[np.ndarray] = None   # (B,) terminal shift
     driver_curve: Optional[np.ndarray] = None     # (B, n+1) driver shift
     env_x: Optional[np.ndarray] = None            # always None: pools are dropped
@@ -378,7 +342,7 @@ def simulate_blocks(
     second law's sampling error enters the gap between the two.  Blocks run
     `BLOCK_BATCH` at a time.
     """
-    keys = tuple(w_key.child("path", block_offset + b) for b in range(n_blocks))
+    keys = [w_key.child("path", block_offset + b) for b in range(n_blocks)]
     dw_all = brownian_increments(keys, (inner, grid.steps, model.dim), grid.h)
     xn = np.empty((n_blocks, inner, grid.steps + 1, model.dim))
     xlim = np.empty_like(xn)
@@ -395,7 +359,7 @@ def simulate_blocks(
         pool_fns = _euler_coefficients(
             model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
         )
-        xn[lo:hi] = euler_paths(model, grid, dw, *pool_fns)
+        xn[lo:hi] = euler_paths(model.x0, grid, dw, *pool_fns)
         xlim[lo:hi] = law.euler(dw)
         terminal = env_shift(model, "terminal", env_x[:, :, -1])
         # forward-only use of a y-free law leaves the driver shift unset; the
@@ -409,7 +373,6 @@ def simulate_blocks(
         dw=dw_all,
         xn=xn,
         xlim=xlim,
-        keys=keys,
         terminal_curve=_joined(terminal_parts),
         driver_curve=_joined(driver_parts),
     )

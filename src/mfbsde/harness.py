@@ -292,14 +292,19 @@ def _study_violations(
                 continue
             if key == "lattice_times" and not times:
                 out.append("study.lattice_times must not be empty")
+            first = {}  # node -> its first entry; a second one would collapse into it
             for t in times:
                 if not _is_number(t):
                     out.append(f"study.{key} entry {t!r} is not a finite number")
                 elif grid is not None:
                     try:
-                        grid.node_at(t)
+                        node = grid.node_at(t)
                     except ValueError:
                         out.append(f"study.{key} entry {t!r} is not a node of {grid}")
+                        continue
+                    if node in first:
+                        out.append(f"study.{key} entries {first[node]!r} and {t!r} name one node")
+                    first.setdefault(node, t)
     degree = study["degree"]
     if not _is_int(degree) or degree < 0:
         out.append(f"study.degree must be an integer >= 0, got {degree!r}")

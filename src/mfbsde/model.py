@@ -53,9 +53,9 @@ COEFFICIENTS = ("drift", "diffusion", "terminal", "driver")
 class ClosedForm:
     """Exact reference curves for a model with a known solution.
 
-    ``path_map`` (and ``y_path``/``z_path``) turn a Brownian path sampled on
-    grid nodes into the exact state (and value/martingale-integrand) path, so
-    fresh exact draws from the state law cost one Brownian path each.
+    ``path_map`` (and ``y_path``) turn a Brownian path sampled on grid nodes
+    into the exact state (and value) path, so fresh exact draws from the
+    state law cost one Brownian path each.
     ``env_means`` maps each coefficient with a partner part to its exact mean
     E b(X_t) along the law, t (k,) -> (k,) plus the coefficient's own axes
     (no closed-form model has a driver that reads its partners).
@@ -65,7 +65,6 @@ class ClosedForm:
     path_map: Callable[[Array, Array], Array]      # nodes, w (..., k, d) -> (..., k, d)
     env_means: dict[str, Callable[[Array], Array]]
     y_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k)
-    z_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k, d)
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ def _build_constant(dim, x0, horizon, params):
         y_path=lambda nodes, w: np.broadcast_to(
             phi0 + f0 * (horizon - np.asarray(nodes)), w.shape[:-1]
         ).copy(),
-        z_path=lambda nodes, w: np.zeros(w.shape),
     )
     return ModelSpec(
         name="constant",
@@ -243,14 +241,11 @@ def _ou_like_closed_form(x0, horizon, beta, s, *, linear_terminal):
     def y_path(nodes, w):
         return y_const + s * np.sum(w, axis=-1)
 
-    def z_path(nodes, w):
-        return np.broadcast_to(s, w.shape).copy()
-
     # E[beta X_t] and E[sum X_t]: the partner parts are linear
     env_means = {"drift": lambda t: beta * mean(t)}
     if linear_terminal:
         env_means["terminal"] = lambda t: np.sum(mean(t), axis=-1)
-    return ClosedForm(mean=mean, path_map=path_map, env_means=env_means, y_path=y_path, z_path=z_path)
+    return ClosedForm(mean=mean, path_map=path_map, env_means=env_means, y_path=y_path)
 
 
 def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
@@ -344,22 +339,8 @@ def _reject_extra(name, params):
 #
 # Every mean-field expectation E[g(x, X_t)] is replaced by the mean of g over a
 # pool of partner states.  `partner_values` is the only code that evaluates a
-# partner part, and `env_average` and `env_shift` are the only place that
-# decides how a mean over partners is computed.
-
-
-def _check_pool(which: str, env_x, env_y) -> None:
-    if which == "driver" and env_y is None:
-        raise ValueError(
-            "driver averages over partner y values, but neither a pool nor a shift "
-            "carries them; attach y values to the environment law first (see value_law)"
-        )
-    if env_x is None:
-        raise ValueError(
-            f"{which} averages over partners, but the call passes neither a pool nor a shift"
-        )
-    if np.shape(env_x)[1] == 0:
-        raise ValueError("partner pool is empty")
+# partner part, `env_shift` is the only reduction of a pool, and
+# `env_average` is the only place that adds the reduced pool to the own part.
 
 
 def partner_values(model: ModelSpec, which: str, env_x, env_y=None):
@@ -387,30 +368,32 @@ def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
     """
     if model.env_free(which):
         return None
-    _check_pool(which, env_x, env_y)
+    if which == "driver" and env_y is None:
+        raise ValueError(
+            "driver averages over partner y values, but the pool carries none; "
+            "attach y values to the environment law first (see value_law)"
+        )
+    if np.shape(env_x)[1] == 0:
+        raise ValueError("partner pool is empty")
     return partner_values(model, which, env_x, env_y).mean(axis=1)
 
 
-def env_average(
-    model: ModelSpec, which: str, x, env_x=None, env_y=None, y=None, z=None, shift=None
-):
+def env_average(model: ModelSpec, which: str, x, shift, y=None, z=None):
     """Mean of coefficient ``which`` at own states over partner pools.
 
-    Own states ``x`` are (B, P, d) and the partner pool ``env_x`` is
-    (B, K, d), with B = 1 for one pool shared by every own state; the driver
-    also takes own ``y`` (B, P) and ``z`` (B, P, d) and partner values
-    ``env_y`` (B, K).  Returns (B, P) plus the coefficient's own axes.
-
-    The mean is the own part at ``x`` plus the pool's `env_shift`, which a
-    caller that reuses or drops a pool passes as ``shift`` (B, ...) in place
-    of the pool; a coefficient without a partner part is its own part alone.
+    Own states ``x`` are (B, P, d), and the driver also takes own ``y``
+    (B, P) and ``z`` (B, P, d).  ``shift`` (B, ...) is each pool's
+    `env_shift`, with B = 1 for one pool shared by every own state.  Returns
+    (B, P) plus the coefficient's own axes: the own part at ``x`` plus the
+    shift, or the own part alone for a coefficient without a partner part
+    (whose shift is None).
     """
     partner_free = model.env_free(which)
     own = model.driver(x, y, z) if which == "driver" else getattr(model, which)(x)
     if partner_free:
         return own
     if shift is None:
-        shift = env_shift(model, which, env_x, env_y)
+        raise ValueError(f"{which} averages over partners, but the call passes no shift")
     return own + shift[:, None]
 
 

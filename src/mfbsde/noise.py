@@ -35,13 +35,6 @@ class StreamKey:
     def child(self, role: str, index: int) -> "StreamKey":
         return StreamKey(self.seed, self.path + ((str(role), int(index)),))
 
-    def is_prefix_of(self, other: "StreamKey") -> bool:
-        return (
-            self.seed == other.seed
-            and len(self.path) <= len(other.path)
-            and other.path[: len(self.path)] == self.path
-        )
-
     def __str__(self) -> str:
         tail = "/".join(f"{role}:{idx}" for role, idx in self.path)
         return f"{self.seed}" + (f"/{tail}" if tail else "")

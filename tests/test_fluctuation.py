@@ -350,6 +350,91 @@ def test_limit_system_decoupled_is_identically_zero():
     assert np.allclose(res.zbar, 0.0, atol=1e-12)
 
 
+def _own_gradient_model(dim):
+    """A cloud-law model whose own drift and diffusion gradients are nonzero
+    and couple the coordinates (every catalog model has zero ones):
+    drift -0.7 tanh(A x) + tanh(x_env), diffusion 0.5 I + 0.2 sin(x_j) B_jk
+    + 0.3 diag(tanh(x_env)), terminal sum(x) + sum(tanh(x_env))."""
+    from mfbsde.model import ModelSpec
+
+    A = np.array([[1.0, 0.3], [-0.4, 0.8]])[:dim, :dim]
+    B = np.array([[1.0, 0.5], [-0.6, 1.0]])[:dim, :dim]
+    eye = np.eye(dim)
+
+    def grad_diffusion(x):
+        # d sigma_jk / d x_l = 0.2 cos(x_j) B_jk [j == l]
+        return 0.2 * np.cos(x)[..., :, None, None] * B[:, :, None] * eye[:, None, :]
+
+    return ModelSpec(
+        name="own_gradients",
+        dim=dim,
+        x0=np.full(dim, 0.5),
+        horizon=1.0,
+        drift=lambda x: -0.7 * np.tanh(x @ A.T),
+        diffusion=lambda x: 0.5 * eye + 0.2 * np.sin(x)[..., :, None] * B,
+        driver=lambda x, y, z: np.zeros(np.broadcast_shapes(np.shape(y), np.shape(x)[:-1])),
+        terminal=lambda x: np.sum(x, axis=-1),
+        grad_drift_x=lambda x: -0.7 * (1.0 - np.tanh(x @ A.T) ** 2)[..., :, None] * A,
+        grad_diffusion_x=grad_diffusion,
+        grad_terminal_x=lambda x: np.ones(np.shape(x)),
+        grad_driver_own=lambda x, y, z: np.zeros(np.shape(y) + (2 * dim + 1,)),
+        drift_env=np.tanh,
+        diffusion_env=lambda e: 0.3 * np.tanh(e)[..., :, None] * eye,
+        terminal_env=lambda e: np.sum(np.tanh(e), axis=-1),
+    )
+
+
+def _strided_xbar(model, x, dw, eta1, eta2, h):
+    """The first-order forward component stepped in place, node by node, on
+    strided slices of one (B, P, n+1, d) buffer: the reference for the Euler
+    route of `solve_limit_system`."""
+    xbar = np.zeros(x.shape)
+    for i in range(x.shape[2] - 1):
+        xb = xbar[:, :, i, :]
+        gbx = model.grad_drift_x(x[:, :, i, :])
+        gsx = model.grad_diffusion_x(x[:, :, i, :])
+        drift_term = eta1[:, None, i, :] + np.einsum("...jk,...k->...j", gbx, xb)
+        diff_term = eta2[:, None, i, :, :] + np.einsum("...jkl,...l->...jk", gsx, xb)
+        xbar[:, :, i + 1, :] = (
+            xb + drift_term * h + np.einsum("...jk,...k->...j", diff_term, dw[:, :, i, :])
+        )
+    return xbar
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_limit_system_xbar_matches_the_strided_reference(dim):
+    # xbar steps through forward.euler_paths; on a model with nonzero own
+    # gradients it must equal the in-place node loop bit for bit
+    from mfbsde.backward import min_block_paths
+    from mfbsde.model import check_gradients, random_probes
+    from mfbsde.noise import brownian_increments
+
+    model = _own_gradient_model(dim)
+    assert check_gradients(model, random_probes(model, 20, derive_key(ROOT, "og", dim))).passed
+    grid = TimeGrid(1.0, 8)
+    law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "law", 30 + dim))
+    key = derive_key(ROOT, "og_ls", dim)
+    members, degree = 6, 1
+    inner = min_block_paths(2 * dim, degree)
+    res = solve_limit_system(
+        model, law, grid, members, key, inner=inner, degree=degree, cloud_size=256
+    )
+    # the member draws, rebuilt under the keys solve_limit_system uses
+    lattice = FieldLattice(grid, tuple(range(grid.steps + 1)), blocks=_BLOCK_ORDER)
+    kernel = theoretical_covariance(model, law, lattice, 256, key.child("kern", 0))
+    raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
+    eta1, eta2, _, _ = _split_path_field(model, grid, raw)
+    assert np.any(eta1 != 0.0) and np.any(eta2 != 0.0)
+    dw = brownian_increments(
+        [key.child("path", m) for m in range(members)], (inner, grid.steps, dim), grid.h
+    )
+    x = law.euler(dw)
+    assert np.any(model.grad_drift_x(x) != 0.0) and np.any(model.grad_diffusion_x(x) != 0.0)
+    want = _strided_xbar(model, x, dw, eta1, eta2, grid.h)
+    assert np.array_equal(res.x, x[:, 0])
+    assert np.array_equal(res.xbar, want[:, 0])
+
+
 def test_residual_field_variance_decays():
     # correction field built from coefficient differences along coupled pairs
     # (system vs limit on shared streams): variance decays like 1/N

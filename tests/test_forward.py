@@ -7,7 +7,6 @@ from mfbsde import forward
 from mfbsde.forward import (
     LawFlow,
     euler_paths,
-    keys_disjoint,
     simulate_blocks,
     solve_classical_system,
     solve_limit_forward,
@@ -26,7 +25,7 @@ GRID = TimeGrid(1.0, 64)
 def _plain_euler(model, grid, key):
     dw = brownian_increments([key], (grid.steps, model.dim), grid.h)
     return euler_paths(
-        model, grid, dw, lambda x, i: model.drift(x), lambda x, i: model.diffusion(x)
+        model.x0, grid, dw, lambda x, i: model.drift(x), lambda x, i: model.diffusion(x)
     )[0]
 
 
@@ -41,7 +40,7 @@ def test_limit_forward_brownian_variance():
 
 def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
     model = catalog_model("tanh_bounded")
-    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 0)).values
+    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 0))
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2)
     nodes = [0, 16, 40, 64]
     key = derive_key(ROOT, "sub", 0)
@@ -130,7 +129,7 @@ def test_batched_sample_env_equals_single_key_draws_closed_form(monkeypatch, key
 def test_batched_sample_env_equals_single_key_draws_cloud(with_values, nodes):
     # an odd count leaves a half-used 32-bit buffer after every key's draw
     model = catalog_model("tanh_bounded")
-    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 1)).values
+    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 1))
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2 if with_values else None)
     keys = [derive_key(ROOT, "cbatch", i) for i in range(5)]
     _assert_stacked_single_key_draws(law, keys, 33, nodes)
@@ -169,7 +168,7 @@ def test_closed_form_shift_reproduces_the_oracle_means(name, params, dependent):
 
 def test_cloud_law_shift_is_env_shift_over_the_cloud():
     model = catalog_model("tanh_bounded")
-    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 2)).values
+    cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 2))
     cloud_y = np.tanh(cloud[..., 0])
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud_y)
     for which in ("drift", "diffusion", "driver"):
@@ -185,8 +184,8 @@ def test_limit_forward_cloud_mode_ou_mean():
     # moderate-horizon linear model via the classical system directly
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     paths = solve_classical_system(model, 2048, GRID, derive_key(ROOT, "cls", 0))
-    mean_T = paths.values[:, -1, 0].mean()
-    sd = paths.values[:, -1, 0].std(ddof=1)
+    mean_T = paths[:, -1, 0].mean()
+    sd = paths[:, -1, 0].std(ddof=1)
     assert abs(mean_T - math.e) <= 4 * sd / math.sqrt(2048)
 
 
@@ -201,19 +200,13 @@ def test_limit_forward_cloud_for_model_without_closed_form():
 def test_constant_model_paths_are_exact():
     model = catalog_model("constant", b0=0.5, s=2.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 2))
-    res = solve_sde_n(model, 1, GRID, law, W_KEY, ENV_KEY, out_reps=2)
-    for r, key in enumerate(res.paths.keys):
-        dw = np.sqrt(GRID.h) * np.reshape(
-            np.asarray(
-                __import__("mfbsde.noise", fromlist=["generator"])
-                .generator(key)
-                .standard_normal((1, GRID.steps, 1))
-            ),
-            (GRID.steps, 1),
-        )
+    paths, _ = solve_sde_n(model, 1, GRID, law, W_KEY, ENV_KEY, out_reps=2)
+    for r in range(2):
+        key = W_KEY.child("path", r)
+        dw = np.sqrt(GRID.h) * generator(key).standard_normal((GRID.steps, 1))
         w = np.concatenate([np.zeros((1, 1)), np.cumsum(dw, axis=0)])
         expected = 1.0 + 0.5 * GRID.nodes[:, None] + 2.0 * w
-        assert np.allclose(res.paths.values[r], expected, atol=1e-12)
+        assert np.allclose(paths[r], expected, atol=1e-12)
 
 
 def test_decoupled_model_collapses_bit_exactly():
@@ -222,22 +215,22 @@ def test_decoupled_model_collapses_bit_exactly():
     model = catalog_model("constant", b0=0.3, s=1.2, x0=0.5)
     base = derive_key(ROOT, "collapse", 0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 3))
-    res8 = solve_sde_n(model, 8, GRID, law, base, ENV_KEY, out_reps=3)
-    res64 = solve_sde_n(model, 64, GRID, law, base, ENV_KEY, out_reps=3)
+    paths8, limit8 = solve_sde_n(model, 8, GRID, law, base, ENV_KEY, out_reps=3)
+    paths64, _ = solve_sde_n(model, 64, GRID, law, base, ENV_KEY, out_reps=3)
     classical = solve_classical_system(model, 3, GRID, base)
-    assert np.array_equal(res8.paths.values, res64.paths.values)
-    assert np.array_equal(res8.paths.values, classical.values)
-    assert np.array_equal(res8.paths.values, res8.coupled_limit.values)
+    assert np.array_equal(paths8, paths64)
+    assert np.array_equal(paths8, classical)
+    assert np.array_equal(paths8, limit8)
     for r in range(3):
         plain = _plain_euler(model, GRID, derive_key(base, "path", r))
-        assert np.array_equal(res8.paths.values[r], plain)
+        assert np.array_equal(paths8[r], plain)
 
 
 def test_sde_n_consistency_with_closed_form_mean():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
-    res = solve_sde_n(model, 32, GRID, law, W_KEY, ENV_KEY, out_reps=2000)
-    xT = res.paths.values[:, -1, 0]
+    paths, _ = solve_sde_n(model, 32, GRID, law, W_KEY, ENV_KEY, out_reps=2000)
+    xT = paths[:, -1, 0]
     se = xT.std(ddof=1) / math.sqrt(len(xT))
     # Euler mean at T carries an O(h) offset; compare against the Euler mean
     nodes = GRID.nodes[:-1]
@@ -250,9 +243,9 @@ def test_classical_system_single_particle_matches_sde_n():
     model = catalog_model("constant", b0=1.0, s=0.7)
     base = derive_key(ROOT, "single", 0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 6))
-    res = solve_sde_n(model, 1, GRID, law, base, ENV_KEY, out_reps=1)
+    paths, _ = solve_sde_n(model, 1, GRID, law, base, ENV_KEY, out_reps=1)
     classical = solve_classical_system(model, 1, GRID, base)
-    assert np.array_equal(res.paths.values[0], classical.values[0])
+    assert np.array_equal(paths[0], classical[0])
 
 
 def _x_sup2(model, N, grid, law, reps, key):
@@ -288,14 +281,23 @@ def test_forward_error_monotone_in_n_spot_check():
 
 
 def test_env_keys_disjoint_from_w_keys():
+    # replication r steps on w_key/path:r and draws its partners under
+    # env_key/draws:0/env:r; streams hash the full key path, so the two share
+    # no draw even when w_key == env_key, and that call is accepted
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 9))
-    res = solve_sde_n(model, 4, GRID, law, W_KEY, ENV_KEY, out_reps=3)
-    # replication r draws its partners under env_key.child("draws", 0).child("env", r)
-    for r, key in enumerate(res.paths.keys):
-        assert keys_disjoint(key, ENV_KEY.child("draws", 0).child("env", r))
-    with pytest.raises(ValueError):
-        solve_sde_n(model, 4, GRID, law, W_KEY, W_KEY, out_reps=1)
+    paths, limit = solve_sde_n(model, 4, GRID, law, W_KEY, W_KEY, out_reps=3)
+    assert paths.shape == limit.shape == (3, GRID.steps + 1, 1)
+    count = 4096
+    for r in range(3):
+        w = brownian_increments([W_KEY.child("path", r)], (count,), 1.0)[0]
+        env = brownian_increments([W_KEY.child("draws", 0).child("env", r)], (count,), 1.0)[0]
+        assert not np.any(w == env)
+        assert abs(np.corrcoef(w, env)[0, 1]) <= 4 / math.sqrt(count)
+    # the limit paths read the W streams alone; the partners move the N-paths
+    other_paths, other_limit = solve_sde_n(model, 4, GRID, law, W_KEY, ENV_KEY, out_reps=3)
+    assert np.array_equal(limit, other_limit)
+    assert not np.array_equal(paths, other_paths)
 
 
 def test_blocks_share_environment_and_increments():

@@ -163,6 +163,13 @@ TIME_LIST_CASES = [
     pytest.param(
         "probe_times", [10**400], f"entry {10**400} is not a finite number", id="probe_times-huge"
     ),
+] + [
+    # two spellings of one node gave two report rows under one name, or one
+    # kernel entry twice
+    pytest.param(
+        key, [1, 0.5, 1.0], "entries 1 and 1.0 name one node", id=f"{key}-duplicate"
+    )
+    for key in ("probe_times", "y_probe_times", "lattice_times")
 ]
 
 
@@ -204,6 +211,18 @@ def test_forward_only_clt_study_runs_on_a_grid_without_the_y_probe():
     doc["grid"]["steps"] = 63
     report = run_clt_study(parse_config(json.dumps(doc)))
     assert list(report.comparison["probes"]) == ["x@1.0"]
+
+
+def test_clt_probe_names_follow_the_grid_time_not_its_spelling():
+    # probe_times [1] used to give the row x@1 and the verdicts
+    # variance_match:x@1 and ks:x@1, where [1.0] gives x@1.0
+    doc = _clt_doc(
+        metrics=["x"], reps=200, field_reps=100, env_cloud=256, lattice_times=[1], probe_times=[1]
+    )
+    report = run_clt_study(parse_config(json.dumps(doc)))
+    assert list(report.comparison["probes"]) == ["x@1.0"]
+    criteria = {v["criterion"] for v in report.verdicts}
+    assert {"variance_match:x@1.0", "ks:x@1.0"} <= criteria
 
 
 def test_too_few_inner_paths_rejected_before_compute():
@@ -976,6 +995,62 @@ def test_model_and_study_violations_reported_in_one_pass():
         "invalid model block: need |rho| < 1 to keep the diffusion positive",
         "study.reps must be a positive integer",
     ])
+
+
+CLT_FLAG_CASES = [
+    # --model and --lattice used to be ignored next to --config: the study ran
+    # on the config's model and lattice and exited 0
+    pytest.param(
+        ["--config", "CONFIG", "--model", "BAD"],
+        ["--model belongs to direct mode, not to --config"],
+        id="config-model",
+    ),
+    pytest.param(
+        ["--config", "CONFIG", "--lattice", "LATTICE", "--model", "BAD"],
+        [
+            "--model belongs to direct mode, not to --config",
+            "--lattice belongs to direct mode, not to --config",
+        ],
+        id="config-lattice-model",
+    ),
+    # direct mode printed a bare line on stderr for a missing flag
+    pytest.param(["--model", "MODEL", "--n", "8"], ["direct mode needs --seed"], id="no-seed"),
+    pytest.param(
+        ["--lattice", "LATTICE"],
+        ["direct mode needs --model", "direct mode needs --n", "direct mode needs --seed"],
+        id="no-model-n-seed",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, violations", CLT_FLAG_CASES)
+def test_clt_flags_of_the_other_mode_are_an_invalid_configuration(
+    flags, violations, tmp_path, capsys
+):
+    from mfbsde.cli import main
+
+    doc = _clt_doc(metrics=["x"])
+    files = {
+        "CONFIG": ("clt.json", json.dumps(doc)),
+        "MODEL": ("model.json", json.dumps(doc["model"])),
+        # 0.3 is no node of the 8-step grid
+        "LATTICE": ("lat.json", json.dumps({"times": [0.3]})),
+        "BAD": ("bad.json", "not json"),
+    }
+    argv = ["clt"]
+    for flag in flags:
+        if flag in files:
+            name, text = files[flag]
+            (tmp_path / name).write_text(text)
+            flag = str(tmp_path / name)
+        argv.append(flag)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["invalid configuration:", *(f"  - {v}" for v in violations)]
+    assert captured.err == ""
+    assert not out.exists()
 
 
 def test_clt_environment_size_override_checked_before_compute(tmp_path, capsys):

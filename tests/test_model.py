@@ -45,14 +45,13 @@ def test_ou_mean_curve_hits_e_at_time_one():
 
 
 def test_mf_bsde_linear_closed_form_values():
-    # Y_t = 2 x0 e^{beta T} + s W_t and Z constant s
+    # Y_t = 2 x0 e^{beta T} + s W_t
     model = catalog_model("mf_bsde_linear", beta=1.0, s=1.0, x0=1.0, T=1.0)
     grid = TimeGrid(1.0, 8)
     w = _brownian_path(derive_key(KEY, "w", 1), grid, 1)
     y = model.closed_form.y_path(grid.nodes, w)
     assert y[0] == pytest.approx(2 * math.e + w[0, 0], rel=1e-12)
     assert np.allclose(y, 2 * math.e + w[:, 0])
-    assert np.all(model.closed_form.z_path(grid.nodes, w) == 1.0)
 
 
 def test_driver_signature_excludes_partner_z():
@@ -90,21 +89,27 @@ def test_gradients_vectorize_over_batches():
     assert model.diffusion(x).shape == model.diffusion_env(x).shape == (5, 3, 2, 2)
 
 
+def _pool_average(model, which, x, env, env_y=None, y=None, z=None):
+    """The mean over a partner pool: the pool reduced by env_shift, then
+    added to the own part."""
+    return env_average(model, which, x, env_shift(model, which, env, env_y), y, z)
+
+
 def test_env_average_examples():
     const = catalog_model("constant", b0=0.0, s=1.0)
     env = np.array([[[0.7], [-1.2], [3.0]]])
-    assert env_average(const, "diffusion", np.array([[[0.5]]]), env)[0, 0, 0, 0] == 1.0
+    assert _pool_average(const, "diffusion", np.array([[[0.5]]]), env)[0, 0, 0, 0] == 1.0
 
     ou = catalog_model("ou_mean_field", beta=1.0, s=1.0)
     env = np.array([[[0.0], [2.0], [4.0]]])
-    assert env_average(ou, "drift", np.array([[[9.0]]]), env)[0, 0, 0] == pytest.approx(2.0)
+    assert _pool_average(ou, "drift", np.array([[[9.0]]]), env)[0, 0, 0] == pytest.approx(2.0)
 
     lin = catalog_model("mf_bsde_linear")
     env = np.array([[[1.0], [3.0]]])
-    assert env_average(lin, "terminal", np.array([[[1.0]]]), env)[0, 0] == pytest.approx(3.0)
+    assert _pool_average(lin, "terminal", np.array([[[1.0]]]), env)[0, 0] == pytest.approx(3.0)
 
-    with pytest.raises(ValueError):
-        env_average(ou, "drift", np.array([[[0.0]]]), np.empty((1, 0, 1)))
+    with pytest.raises(ValueError, match="partner pool is empty"):
+        env_shift(ou, "drift", np.empty((1, 0, 1)))
 
 
 def test_env_average_driver_uses_partner_y():
@@ -112,24 +117,24 @@ def test_env_average_driver_uses_partner_y():
     env = np.array([[[0.0], [0.0]]])
     env_y = np.array([[0.4, -0.4]])
     x = np.array([[[0.0]]])
-    val = env_average(model, "driver", x, env, env_y, y=np.zeros((1, 1)), z=np.zeros((1, 1, 1)))
+    val = _pool_average(model, "driver", x, env, env_y, np.zeros((1, 1)), np.zeros((1, 1, 1)))
     assert val[0, 0] == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError, match="partner y values"):
-        env_average(model, "driver", x, env, y=np.zeros((1, 1)), z=np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError, match="partner y values, but the pool carries none"):
+        env_shift(model, "driver", env)
 
 
 def test_env_average_without_pool_or_shift_names_what_is_missing():
     ou = catalog_model("ou_mean_field")
     x = np.zeros((1, 1, 1))
-    with pytest.raises(ValueError, match="drift averages over partners, but the call passes neither"):
-        env_average(ou, "drift", x)
+    with pytest.raises(ValueError, match="drift averages over partners, but the call passes no shift"):
+        env_average(ou, "drift", x, None)
     tanh = catalog_model("tanh_bounded")
     with pytest.raises(ValueError, match="terminal averages over partners"):
-        env_average(tanh, "terminal", x)
-    with pytest.raises(ValueError, match="driver averages over partner y values, but neither"):
-        env_average(tanh, "driver", x, y=np.zeros((1, 1)), z=x)
-    # a coefficient that ignores its partner needs neither
-    assert env_average(ou, "diffusion", x)[0, 0, 0, 0] == 1.0
+        env_average(tanh, "terminal", x, None)
+    with pytest.raises(ValueError, match="driver averages over partners"):
+        env_average(tanh, "driver", x, None, np.zeros((1, 1)), x)
+    # a coefficient that ignores its partner needs no shift
+    assert env_average(ou, "diffusion", x, None)[0, 0, 0, 0] == 1.0
 
 
 def _brute_force_mean(model, which, x, env, y, z, env_y):
@@ -159,12 +164,13 @@ def _brute_force_mean(model, which, x, env, y, z, env_y):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 @pytest.mark.parametrize("which", ["drift", "diffusion", "terminal", "driver"])
 @pytest.mark.parametrize("blocks", [1, 3])
-@pytest.mark.parametrize("pooled", [True, False])
-def test_env_average_matches_brute_force_mean(name, which, blocks, pooled):
+@pytest.mark.parametrize("on_curve", [True, False])
+def test_env_average_matches_brute_force_mean(name, which, blocks, on_curve):
     # The guard of the additive coupling contract.  blocks == 1 is one pool
     # shared by every own state; blocks == 3 gives each block its own pool.
-    # pooled=False passes the pool's env_shift in place of the pool, as the
-    # callers that drop their pools do.
+    # on_curve=True reads the shift at one node of a shift curve, the way
+    # the Euler steps and the backward driver do: env_shift of a pool held
+    # at several nodes keeps the node axis.
     model = catalog_model(name, dim=2)
     rng = np.random.default_rng(5)
     P, K, d = 4, 6, model.dim
@@ -174,10 +180,14 @@ def test_env_average_matches_brute_force_mean(name, which, blocks, pooled):
     env = rng.standard_normal((blocks, K, d))
     env_y = rng.standard_normal((blocks, K))
     expected = _brute_force_mean(model, which, x, env, y, z, env_y)
-    if pooled:
-        got = env_average(model, which, x, env, env_y, y, z)
+    if on_curve:
+        # the pool at three nodes; the middle node holds env
+        nodes_x = np.stack([env + 1.0, env, env - 2.0], axis=2)
+        curve = env_shift(model, which, nodes_x, np.stack([env_y, env_y, -env_y], axis=2))
+        shift = None if curve is None else curve[:, 1]
     else:
-        got = env_average(model, which, x, y=y, z=z, shift=env_shift(model, which, env, env_y))
+        shift = env_shift(model, which, env, env_y)
+    got = env_average(model, which, x, shift, y, z)
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 

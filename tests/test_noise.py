@@ -40,12 +40,14 @@ def test_derivation_is_path_composition():
 
 
 def test_prefix_audit():
+    # a stream hashes its full key path, so a key shares no draw with its
+    # descendants or with a sibling subtree
     child = derive_key(ROOT, "env", 0)
     grandchild = derive_key(child, "particle", 1)
-    assert ROOT.is_prefix_of(grandchild)
-    assert child.is_prefix_of(grandchild)
-    assert not grandchild.is_prefix_of(child)
-    assert not derive_key(ROOT, "path", 0).is_prefix_of(child)
+    draws = [_unit_draws(k, 256) for k in (ROOT, child, grandchild, derive_key(ROOT, "path", 0))]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1 :]:
+            assert not np.any(a == b)
 
 
 def test_sibling_streams_uncorrelated():
