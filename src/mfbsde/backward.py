@@ -262,12 +262,7 @@ def _block_solve(
 
 
 def solve_mfbsde(
-    model: ModelSpec,
-    law_flow: LawFlow,
-    x_paths: np.ndarray,
-    dw: np.ndarray,
-    grid: TimeGrid,
-    degree: int = 2,
+    law: LawFlow, x_paths: np.ndarray, dw: np.ndarray, degree: int = 2
 ) -> BsdeSolution:
     """Backward solution of the mean-field limit equation on given paths.
 
@@ -276,36 +271,30 @@ def solve_mfbsde(
     Terminal and driver means come from the law's shift curves
     (`LawFlow.shift`).  A law without y values has no driver curve: the
     driver then averages over each block's own (state, y) values, which is
-    how `value_law` finds the law's values in the first place.  Regression
-    conditions on the state at each node.
+    how `value_law` finds the law's values in the first place.  Model and
+    grid are the law's.  Regression conditions on the state at each node.
     """
-    self_average = not law_flow.has_y
+    self_average = not law.has_y
     return _block_solve(
-        model, grid, x_paths, dw,
-        law_flow.shift("terminal"),
-        None if self_average else law_flow.shift("driver"),
+        law.model, law.grid, x_paths, dw,
+        law.shift("terminal"),
+        None if self_average else law.shift("driver"),
         degree,
         "mf_limit",
         self_average=self_average,
     )
 
 
-def solve_bsde_n(
-    model: ModelSpec,
-    N: int,
-    sim: BlockSim,
-    grid: TimeGrid,
-    degree: int = 2,
-) -> BsdeSolution:
+def solve_bsde_n(model: ModelSpec, N: int, sim: BlockSim, degree: int = 2) -> BsdeSolution:
     """Backward solution of the N-environment system on simulated blocks.
 
     Terminal and driver replace mean-field expectations by averages over the
-    block's frozen N partner paths, which ``sim`` carries as shift curves;
-    regressions stay within blocks, where the value is a function of the
-    state conditionally on the environment.
+    block's frozen N partner paths, which ``sim`` carries as shift curves
+    on its grid; regressions stay within blocks, where the value is a
+    function of the state conditionally on the environment.
     """
     sol = _block_solve(
-        model, grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree, "bsde_n"
+        model, sim.grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree, "bsde_n"
     )
     sol.provenance["environment_size"] = N
     return sol

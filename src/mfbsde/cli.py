@@ -145,11 +145,7 @@ def _cmd_forward(args) -> int:
     grid = TimeGrid(model.horizon, args.steps)
     root = StreamKey(seed=args.seed)
     law = solve_limit_forward(model, grid, args.env_cloud, root.child("law", 0))
-    paths, _ = solve_sde_n(
-        model, args.n, grid, law,
-        root.child("w", 0), root.child("envs", 0),
-        out_reps=args.reps,
-    )
+    paths, _ = solve_sde_n(law, args.n, root.child("w", 0), root.child("envs", 0), args.reps)
     _write_csv(args.out, _PATH_HEADER, _path_rows(grid, paths))
     print(
         f"wrote {args.out}: {args.reps} replications, N={args.n}, "
@@ -188,9 +184,10 @@ def _read_paths_csv(path: str, dim: int):
     return nodes, values
 
 
-def _invert_euler_increments(law, grid, values):
-    """Recover Brownian increments from limit-dynamics paths (needs a
-    nonsingular diffusion mean)."""
+def _invert_euler_increments(law, values):
+    """Recover Brownian increments from limit-dynamics paths on the law's
+    grid (needs a nonsingular diffusion mean)."""
+    grid = law.grid
     R, n1, d = values.shape
     drift, diffusion = law.euler_coefficients()
     dw = np.empty((R, grid.steps, d))
@@ -253,22 +250,21 @@ def _cmd_backward(args) -> int:
     if limit_mode:
         if values is not None:
             x_paths = values[None]
-            dw = _invert_euler_increments(law, grid, values)[None]
+            dw = _invert_euler_increments(law, values)[None]
         else:
             # one block of limit paths on the stream the N-mode's block 0 uses
             w_key = root.child("w", 0).child("path", 0)
             dw = brownian_increments([w_key], (args.reps, grid.steps, model.dim), grid.h)
             x_paths = law.euler(dw)
-        sol = solve_mfbsde(model, law, x_paths, dw, grid, degree=args.degree)
+        sol = solve_mfbsde(law, x_paths, dw, degree=args.degree)
         y, z = sol.y_values, sol.z_values
     else:
         N = int(args.n)
         sim = simulate_blocks(
-            model, N, grid, law,
-            n_blocks=args.reps, inner=args.inner,
+            law, N, n_blocks=args.reps, inner=args.inner,
             w_key=root.child("w", 0), env_key=root.child("envs", 0),
         )
-        sol = solve_bsde_n(model, N, sim, grid, degree=args.degree)
+        sol = solve_bsde_n(model, N, sim, degree=args.degree)
         y, z = sol.designated()
     zs = [f"z_{j + 1}" for j in range(z.shape[-1])]
     rows = [

@@ -78,10 +78,10 @@ def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
     """Summands of every lattice entry's field: the partner part at partner
     states (see `partner_values`), and each entry's block name.
 
-    ``x`` is (..., k, d) partner states and ``y`` (..., k) their values (read
-    by the driver block only), at the grid nodes ``nodes`` in order.  Returns
-    (..., L): columns run block by block, node-major within a block, then
-    over the coefficient's own axes.  The terminal block sits at the final
+    ``x`` is (..., k, d) partner states and ``y`` (..., k) their values, or
+    None for a law without them (read by the driver block only), at the grid
+    nodes ``nodes`` in order.  Returns (..., L): columns run block by block,
+    node-major within a block, then over the coefficient's own axes.  The terminal block sits at the final
     node.  A block without a partner part gives exact zeros: its field
     vanishes identically.
     """
@@ -99,7 +99,8 @@ def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
             idx = [col[t] for t in at]
             if idx == list(range(idx[0], idx[0] + len(idx))):
                 idx = slice(idx[0], idx[0] + len(idx))  # a view of x, not a copy
-            ys = y[..., idx] if block == "driver" else None
+            # without values the driver's partner part raises
+            ys = y[..., idx] if block == "driver" and y is not None else None
             parts.append(partner_values(model, block, x[..., idx, :], ys).reshape(lead + (width,)))
         blocks.extend([block] * width)
     values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
@@ -163,27 +164,20 @@ def _sample_covariance(feats: np.ndarray, blocks: tuple[str, ...]) -> Covariance
     return CovarianceMatrix(cov, stderr, blocks)
 
 
-def value_law(
-    model: ModelSpec,
-    law: LawFlow,
-    grid: TimeGrid,
-    key: StreamKey,
-    size: int = 4096,
-    degree: int = 2,
-) -> LawFlow:
+def value_law(law: LawFlow, key: StreamKey, size: int = 4096, degree: int = 2) -> LawFlow:
     """Law carrying backward values, built on ``law``, which carries none: a
     fresh cloud of ``size`` limit paths of ``law``, one block driven by the
     stream ``key.child("vw", 0).child("path", 0)``, gets a backward solve
     attached, its driver averaged over the cloud's own values."""
+    grid = law.grid
     w_key = key.child("vw", 0).child("path", 0)
-    dw = brownian_increments([w_key], (size, grid.steps, model.dim), grid.h)
+    dw = brownian_increments([w_key], (size, grid.steps, law.model.dim), grid.h)
     x = law.euler(dw)
-    sol = solve_mfbsde(model, law, x, dw, grid, degree=degree)
-    return LawFlow(grid, model, cloud=x[0], cloud_y=sol.y_values)
+    sol = solve_mfbsde(law, x, dw, degree=degree)
+    return LawFlow(grid, law.model, cloud=x[0], cloud_y=sol.y_values)
 
 
 def theoretical_covariance(
-    model: ModelSpec,
     law: LawFlow,
     lattice: FieldLattice,
     cloud_size: int = 4096,
@@ -196,23 +190,19 @@ def theoretical_covariance(
     cloud, so cross-block covariances come out consistently.  A closed-form
     law draws ``cloud_size`` paths under ``key``; a cloud law gives its own
     whole cloud, whatever ``cloud_size`` says.  Only a driver that reads
-    partner y needs a law carrying y values.
+    partner y needs a law carrying y values (see `partner_values`).
     """
-    needs_y = "driver" in lattice.blocks and not model.env_free("driver")
-    if needs_y and not law.has_y:
-        raise ValueError("driver block needs a law carrying y values")
-    if law.use_closed_form:
-        if key is None:
-            raise ValueError("closed-form laws need a key to draw the kernel cloud")
-        x, y = law.sample_env([key], cloud_size, with_y=needs_y)
-        x_cloud, y_cloud = x[0], None if y is None else y[0]
+    if not law.use_closed_form:
+        x_cloud = law.cloud
+    elif key is None:
+        raise ValueError("closed-form laws need a key to draw the kernel cloud")
     else:
-        x_cloud, y_cloud = law.cloud, law.cloud_y if needs_y else None
+        x_cloud = law.sample_env([key], cloud_size)[0][0]
     m = x_cloud.shape[0]
     if m < KERNEL_MIN_CLOUD:
         raise ValueError(f"kernel cloud too small ({m} < {KERNEL_MIN_CLOUD})")
     nodes = range(lattice.grid.steps + 1)
-    return _sample_covariance(*_field_values(model, lattice, x_cloud, y_cloud, nodes))
+    return _sample_covariance(*_field_values(law.model, lattice, x_cloud, law.cloud_y, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +238,10 @@ def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
 
 
 def empirical_fields(
-    model: ModelSpec,
+    law: LawFlow,
     N: int,
     lattice: FieldLattice,
     reps: int,
-    env_law: LawFlow,
     env_key: StreamKey,
     center_key: StreamKey,
     center_size: int = 8192,
@@ -260,13 +249,12 @@ def empirical_fields(
     """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
     Per replication: sqrt(N) times the environment average of each centered
-    coefficient, with the centering expectation estimated once from a
-    disjoint cloud (avoids the bias of centering at the draw's own mean).
-    Replications run `forward.BLOCK_BATCH` at a time.
+    coefficient over N partners drawn from ``law``, with the centering
+    expectation estimated once from a disjoint cloud (avoids the bias of
+    centering at the draw's own mean).  Replications run
+    `forward.BLOCK_BATCH` at a time.
     """
-    needs_y = "driver" in lattice.blocks
-    if needs_y and not env_law.has_y:
-        raise ValueError("driver block needs an environment law carrying y values")
+    model = law.model
     # partner-free coefficients have identically vanishing summands
     live = [b for b in lattice.blocks if not model.env_free(b)]
     if not live:
@@ -280,12 +268,10 @@ def empirical_fields(
         # column by column, so that each mean is a pairwise sum over partners
         return np.stack([vals[..., j].mean(axis=1) for j in range(vals.shape[-1])], axis=-1)
 
-    center = partner_mean(*env_law.sample_env([center_key], center_size, nodes, with_y=needs_y))
+    center = partner_mean(*law.sample_env([center_key], center_size, nodes))
     values = np.empty((reps, center.shape[1]))
     for lo, hi in block_batches(reps):
-        ex, ey = env_law.sample_env(
-            [env_key.child("env", r) for r in range(lo, hi)], N, nodes, with_y=needs_y
-        )
+        ex, ey = law.sample_env([env_key.child("env", r) for r in range(lo, hi)], N, nodes)
         values[lo:hi] = np.sqrt(N) * (partner_mean(ex, ey) - center)
     return values
 
@@ -316,9 +302,7 @@ def _xbar_coefficients(model: ModelSpec, x, eta1, eta2):
 
 
 def solve_limit_system(
-    model: ModelSpec,
     law: LawFlow,
-    grid: TimeGrid,
     members: int,
     key: StreamKey,
     inner: int = 64,
@@ -339,8 +323,10 @@ def solve_limit_system(
     components are linear in it.  Members therefore do not interact, and
     they run `forward.BLOCK_BATCH` at a time.  Member paths, base solve and
     the field kernel (`theoretical_covariance` along the whole grid) all read
-    ``law``, which carries y values when the driver reads partner y.
+    ``law``, which carries y values when the driver reads partner y; so do
+    model and grid.
     """
+    model, grid = law.model, law.grid
     d = model.dim
     n = grid.steps
     n1 = n + 1
@@ -348,7 +334,7 @@ def solve_limit_system(
     # the backward solve conditions on (state, first-order state)
     inner = max(inner, min_block_paths(2 * d, degree))
     lattice = FieldLattice(grid, tuple(range(n1)), blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, law, lattice, cloud_size, key.child("kern", 0))
+    kernel = theoretical_covariance(law, lattice, cloud_size, key.child("kern", 0))
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
 
@@ -371,7 +357,7 @@ def solve_limit_system(
         xbar_in = euler_paths(np.zeros(d), grid, dw, *coefficients)
         base_y = base_z = None
         if need_base:
-            base = solve_mfbsde(model, law, x_in, dw, grid, degree=degree)
+            base = solve_mfbsde(law, x_in, dw, degree=degree)
             base_y = base.y_values.reshape(x_in.shape[:3])
             base_z = base.z_values.reshape(x_in.shape)
         sol = solve_linear_limit_bsde(

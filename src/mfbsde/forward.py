@@ -47,13 +47,15 @@ _SUB_BATCH = 1 << 18
 class LawFlow:
     """Path law of the state process: a sample cloud or exact closed form.
 
-    Cloud mode stores M independent paths (optionally with partner y-values
-    once a backward solve has been attached).  Closed-form mode synthesizes
-    exact draws on demand from the model's path map, so environment sampling
-    never pays a cloud-size bias.  Either way a limit-side mean of a
-    coefficient is its own part plus the law's `shift` curve E b(X_t), the
-    same form as a block's mean over its N partners, and `euler` steps the
-    limit dynamics with those means.
+    Cloud mode stores M independent paths, and their y values once a
+    backward solve has been attached (a value law, see `value_law`).
+    Closed-form mode synthesizes exact state draws on demand from the model's
+    path map, so environment sampling never pays a cloud-size bias.  Either
+    way a limit-side mean of a coefficient is its own part plus the law's
+    `shift` curve E b(X_t), the same form as a block's mean over its N
+    partners, and `euler` steps the limit dynamics with those means.  The law
+    is a study's one source of its model, grid and partner values: every
+    route that takes a law reads them here.
     """
 
     grid: TimeGrid
@@ -81,31 +83,28 @@ class LawFlow:
 
     @property
     def has_y(self) -> bool:
-        return self.use_closed_form and self.model.closed_form.y_path is not None or (
-            not self.use_closed_form and self.cloud_y is not None
-        )
+        return self.cloud_y is not None
 
     # -- samples ------------------------------------------------------------
 
-    def sample_env(self, keys, count: int, nodes=None, with_y: bool = True):
+    def sample_env(self, keys, count: int, nodes=None):
         """Draw `count` i.i.d. partner paths per key; returns (x, y).
 
         ``x`` is (len(keys), count, n+1, d) and ``y`` (len(keys), count, n+1),
-        or None when the law carries no values or ``with_y`` is false.  Each
-        key's draws equal what that key alone would give.  With ``nodes``
+        or None when the law carries no values (every law but a value law).
+        Each key's draws equal what that key alone would give.  With ``nodes``
         (grid node indices) only those nodes are returned, in their order.  A
         closed-form law then draws the Brownian path at those nodes alone,
         which is exact in law because its path maps are pointwise in time; a
         cloud law returns the full draw's entries at those nodes, bit for bit.
         """
         keys = list(keys)
-        with_y = with_y and self.has_y
         if not self.use_closed_form:
             idx = np.empty((len(keys), count), dtype=np.int64)
             for row, rng in zip(idx, key_streams(keys)):
                 row[:] = rng.integers(0, self.cloud.shape[0], size=count)
             at = idx if nodes is None else (idx[..., None], np.asarray(nodes))
-            return self.cloud[at], self.cloud_y[at] if with_y else None
+            return self.cloud[at], self.cloud_y[at] if self.has_y else None
         grid = self.grid
         cf = self.model.closed_form
         d = self.model.dim
@@ -119,7 +118,6 @@ class LawFlow:
             step = np.diff(at, prepend=0.0)[:, None]
             draws = at.size
         x = np.empty((len(keys), count, t.size, d))
-        y = np.empty((len(keys), count, t.size)) if with_y else None
         # keys go in sub-batches, so the temporaries stay small beside x
         per = max(1, _SUB_BATCH // (count * draws * d))
         for lo in range(0, len(keys), per):
@@ -131,9 +129,7 @@ class LawFlow:
             else:
                 w = np.cumsum(dw, axis=2)[:, :, back]
             x[lo:hi] = cf.path_map(t, w)
-            if with_y:
-                y[lo:hi] = cf.y_path(t, w)
-        return x, y
+        return x, None
 
     # -- mean-field coefficient shifts ----------------------------------------
 
@@ -258,13 +254,7 @@ def solve_classical_system(
 
 
 def solve_sde_n(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
-    law: LawFlow,
-    w_key: StreamKey,
-    env_key: StreamKey,
-    out_reps: int,
+    law: LawFlow, N: int, w_key: StreamKey, env_key: StreamKey, out_reps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coupled one-path simulation of the N-environment forward system:
     ``(paths, coupled_limit)``, each (out_reps, n+1, d).
@@ -272,15 +262,14 @@ def solve_sde_n(
     Replication r is driven by the Brownian stream ``w_key.child("path", r)``
     and draws its own N partner paths from the limit law ``law`` under
     ``env_key.child("draws", 0).child("env", r)``; its coupled limit path
-    takes the coefficient means of ``law`` on the same increments.  Streams
-    hash their full key path, so even ``w_key == env_key`` shares no draw.
+    takes the coefficient means of ``law`` on the same increments.  Model
+    and grid are the law's.  Streams hash their full key path, so even
+    ``w_key == env_key`` shares no draw.
     """
     if N < 1 or out_reps < 0:
         raise ValueError("need N >= 1, out_reps >= 0")
     sim = simulate_blocks(
-        model, N, grid, law,
-        n_blocks=out_reps, inner=1,
-        w_key=w_key, env_key=env_key.child("draws", 0),
+        law, N, n_blocks=out_reps, inner=1, w_key=w_key, env_key=env_key.child("draws", 0)
     )
     return sim.xn[:, 0], sim.xlim[:, 0]
 
@@ -322,10 +311,8 @@ def _joined(parts: list):
 
 
 def simulate_blocks(
-    model: ModelSpec,
-    N: int,
-    grid: TimeGrid,
     law: LawFlow,
+    N: int,
     n_blocks: int,
     inner: int,
     w_key: StreamKey,
@@ -339,23 +326,19 @@ def simulate_blocks(
     increment array under ``w_key.child("path", block_offset + b)``.  All
     inner paths of a block share the frozen environment; the limit paths use
     the coefficient means of the same ``law`` on the same increments, so no
-    second law's sampling error enters the gap between the two.  Blocks run
-    `BLOCK_BATCH` at a time.
+    second law's sampling error enters the gap between the two.  Model and
+    grid are the law's.  Blocks run `BLOCK_BATCH` at a time.
     """
+    model, grid = law.model, law.grid
     keys = [w_key.child("path", block_offset + b) for b in range(n_blocks)]
     dw_all = brownian_increments(keys, (inner, grid.steps, model.dim), grid.h)
     xn = np.empty((n_blocks, inner, grid.steps + 1, model.dim))
     xlim = np.empty_like(xn)
     terminal_parts, driver_parts = [], []
-
-    # partner values enter only through the driver
-    with_y = not model.env_free("driver")
     for lo, hi in block_batches(n_blocks):
         blocks = range(block_offset + lo, block_offset + hi)
         dw = dw_all[lo:hi]
-        env_x, env_y = law.sample_env(
-            [env_key.child("env", b) for b in blocks], N, with_y=with_y
-        )
+        env_x, env_y = law.sample_env([env_key.child("env", b) for b in blocks], N)
         pool_fns = _euler_coefficients(
             model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
         )

@@ -114,9 +114,6 @@ class ExperimentConfig:
     def build_model(self) -> ModelSpec:
         return model_from_block(self.model_block)
 
-    def build_grid(self) -> TimeGrid:
-        return TimeGrid(self.build_model().horizon, self.steps)
-
     def root_key(self) -> StreamKey:
         return StreamKey(seed=int(self.study["seed"]))
 
@@ -131,7 +128,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for what the study would hit mid-run (model
         parameters included); run again after overriding study keys."""
-        violations = _study_violations(self.study, self.build_grid(), self.build_model())
+        model = self.build_model()
+        violations = _study_violations(self.study, TimeGrid(model.horizon, self.steps), model)
         if violations:
             raise ConfigError(violations)
 
@@ -217,6 +215,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if key != "dir":
             violations.append(f"unknown output key {key!r}")
     out_dir = out_block.get("dir", "out")
+    if not (isinstance(out_dir, str) and out_dir):
+        violations.append(f"output.dir must be a non-empty string, got {out_dir!r}")
 
     violations += _study_violations(
         study, None if model is None else TimeGrid(model.horizon, steps), model
@@ -404,30 +404,30 @@ def _provenance(config: ExperimentConfig, extra: dict) -> dict:
 # convergence study
 
 
-def coupled_gaps(model, N, grid, law, blocks, inner, w_key, env_key, degree=None):
+def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     """Designated-path gaps, N-system minus limit, of ``blocks`` coupled blocks.
 
     Block b draws its N partners from ``law`` under ``env_key.child("env", b)``
     and its ``inner`` paths' increments under ``w_key.child("path", b)``; the
     limit paths and the limit backward solve take their means from the same
     law, so the time-discretization bias and the regression noise are common
-    to both sides.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
+    to both sides.  Model and grid are the law's.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
     given, the y (B, n+1) and z (B, n+1, d) gaps of the backward solves at
     that regression degree (else None).  Blocks run `forward.BLOCK_BATCH` at
     a time; the gaps do not depend on it.
     """
-    n1 = grid.steps + 1
-    x = np.empty((blocks, n1, model.dim))
+    n1, d = law.grid.steps + 1, law.model.dim
+    x = np.empty((blocks, n1, d))
     y = z = None
     if degree is not None:
         y = np.empty((blocks, n1))
-        z = np.empty((blocks, n1, model.dim))
+        z = np.empty((blocks, n1, d))
     for lo, hi in block_batches(blocks):
-        sim = simulate_blocks(model, N, grid, law, hi - lo, inner, w_key, env_key, block_offset=lo)
+        sim = simulate_blocks(law, N, hi - lo, inner, w_key, env_key, block_offset=lo)
         x[lo:hi] = sim.xn[:, 0] - sim.xlim[:, 0]
         if degree is not None:
-            yn, zn = solve_bsde_n(model, N, sim, grid, degree=degree).designated()
-            yl, zl = solve_mfbsde(model, law, sim.xlim, sim.dw, grid, degree=degree).designated()
+            yn, zn = solve_bsde_n(law.model, N, sim, degree=degree).designated()
+            yl, zl = solve_mfbsde(law, sim.xlim, sim.dw, degree=degree).designated()
             y[lo:hi] = yn - yl
             z[lo:hi] = zn - zl
     return x, y, z
@@ -453,7 +453,7 @@ def _measures_backward(metrics) -> bool:
     return "y" in metrics or "z" in metrics
 
 
-def _point_gaps(model, N, grid, law, study, w_key, env_key):
+def _point_gaps(law, N, study, w_key, env_key):
     """The one coupled run of a study point: `coupled_gaps` on ``reps``
     blocks of ``inner_paths`` paths solved backward when the study measures
     y or z, else of one path.  x reads each block's designated path, the
@@ -461,7 +461,7 @@ def _point_gaps(model, N, grid, law, study, w_key, env_key):
     partner draws do not depend on the block size."""
     backward = _measures_backward(study["metrics"])
     return coupled_gaps(
-        model, N, grid, law, int(study["reps"]), int(study["inner_paths"]) if backward else 1,
+        law, N, int(study["reps"]), int(study["inner_paths"]) if backward else 1,
         w_key, env_key, degree=int(study["degree"]) if backward else None,
     )
 
@@ -479,13 +479,13 @@ def study_law(
     law = solve_limit_forward(model, grid, env_cloud, root.child("law", 0))
     if not builds_value_law(model, backward):
         return law
-    return value_law(model, law, grid, root.child("vlaw", 0), size=env_cloud, degree=degree)
+    return value_law(law, root.child("vlaw", 0), size=env_cloud, degree=degree)
 
 
 def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     """Error-versus-environment-size study with log-log slope fits."""
     model = config.build_model()
-    grid = config.build_grid()
+    grid = TimeGrid(model.horizon, config.steps)
     study = config.study
     root = config.root_key()
     metrics = list(study["metrics"])
@@ -503,7 +503,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     per_metric: dict[str, dict[int, dict]] = {m: {} for m in metrics}
     for N in study["n_values"]:
         fwd = root.child("n", int(N)).child("fwd", 0)
-        x, y, z = _point_gaps(model, int(N), grid, law, study, fwd.child("w", 0), fwd.child("e", 0))
+        x, y, z = _point_gaps(law, int(N), study, fwd.child("w", 0), fwd.child("e", 0))
         errors = {"x": np.max(np.sum(x**2, axis=-1), axis=-1)}
         if y is not None:
             errors["y"] = np.max(y**2, axis=-1)
@@ -563,7 +563,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
 def run_clt_study(config: ExperimentConfig) -> StudyReport:
     """Distributional comparison of scaled fluctuations against the limit system."""
     model = config.build_model()
-    grid = config.build_grid()
+    grid = TimeGrid(model.horizon, config.steps)
     study = config.study
     root = config.root_key()
     N = int(study["n"])
@@ -573,13 +573,13 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     decoupled = model.env_free("drift") and model.env_free("diffusion")
 
     # scaled fluctuation samples of one coupled run, None for a metric not measured
-    gaps = _point_gaps(model, N, grid, law, study, root.child("fw", 0), root.child("fe", 0))
+    gaps = _point_gaps(law, N, study, root.child("fw", 0), root.child("fe", 0))
     x_fluct, y_fluct, z_fluct = (
         np.sqrt(N) * g if m in study["metrics"] else None for m, g in zip(_METRICS, gaps)
     )
 
     limit = solve_limit_system(
-        model, law, grid,
+        law,
         members=int(study["reps"]),
         key=root.child("limit", 0),
         inner=max(64, int(study["inner_paths"]) // 2),
@@ -592,13 +592,9 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
 
     # field covariance comparison on the configured lattice
     lattice = FieldLattice(grid, tuple(grid.node_at(t) for t in study["lattice_times"]))
-    cov = theoretical_covariance(
-        model, law, lattice,
-        cloud_size=4 * env_cloud,
-        key=root.child("cov", 0),
-    )
+    cov = theoretical_covariance(law, lattice, cloud_size=4 * env_cloud, key=root.child("cov", 0))
     emp = empirical_fields(
-        model, N, lattice, int(study["field_reps"]), law,
+        law, N, lattice, int(study["field_reps"]),
         root.child("field_env", 0), root.child("field_ctr", 0),
         center_size=2 * env_cloud,
     )

@@ -53,9 +53,9 @@ COEFFICIENTS = ("drift", "diffusion", "terminal", "driver")
 class ClosedForm:
     """Exact reference curves for a model with a known solution.
 
-    ``path_map`` (and ``y_path``) turn a Brownian path sampled on grid nodes
-    into the exact state (and value) path, so fresh exact draws from the
-    state law cost one Brownian path each.
+    ``path_map`` turns a Brownian path sampled on grid nodes into the exact
+    state path, so fresh exact draws from the state law cost one Brownian
+    path each.
     ``env_means`` maps each coefficient with a partner part to its exact mean
     E b(X_t) along the law, t (k,) -> (k,) plus the coefficient's own axes
     (no closed-form model has a driver that reads its partners).
@@ -64,7 +64,6 @@ class ClosedForm:
     mean: Callable[[Array], Array]                 # t (k,) -> (k, d)
     path_map: Callable[[Array, Array], Array]      # nodes, w (..., k, d) -> (..., k, d)
     env_means: dict[str, Callable[[Array], Array]]
-    y_path: Optional[Callable[[Array, Array], Array]] = None   # nodes, w -> (..., k)
 
 
 @dataclass(frozen=True)
@@ -198,14 +197,6 @@ def _build_constant(dim, x0, horizon, params):
     def path_map(nodes, w):
         return x0 + b0 * np.asarray(nodes)[..., None] + s * w
 
-    closed = ClosedForm(
-        mean=mean,
-        path_map=path_map,
-        env_means={},
-        y_path=lambda nodes, w: np.broadcast_to(
-            phi0 + f0 * (horizon - np.asarray(nodes)), w.shape[:-1]
-        ).copy(),
-    )
     return ModelSpec(
         name="constant",
         dim=dim,
@@ -216,14 +207,15 @@ def _build_constant(dim, x0, horizon, params):
         driver=lambda x, y, z: np.broadcast_to(f0, _driver_batch(x, y, z)).copy(),
         terminal=lambda x: np.broadcast_to(phi0, _batch(x)).copy(),
         **_zero_grads(dim),
-        closed_form=closed,
+        closed_form=ClosedForm(mean=mean, path_map=path_map, env_means={}),
     )
 
 
-def _ou_like_closed_form(x0, horizon, beta, s, *, linear_terminal):
+def _ou_like_closed_form(x0, beta, s, *, linear_terminal):
     """Closed form shared by the OU family.
 
-    State: X_t = x0 e^{beta t} + s W_t.  Terminal sum(x) gives
+    State: X_t = x0 e^{beta t} + s W_t, the only path it maps.  The values
+    are left to the backward solvers; for reference, terminal sum(x) gives
     Y_t = M(T) + s sum(W_t); terminal sum(x) + sum(x_env) gives
     Y_t = 2 M(T) + s sum(W_t), with M(t) = sum_i x0_i e^{beta t}.
     """
@@ -235,17 +227,11 @@ def _ou_like_closed_form(x0, horizon, beta, s, *, linear_terminal):
     def path_map(nodes, w):
         return x0 * np.exp(beta * np.asarray(nodes))[..., None] + s * w
 
-    m_T = float(np.sum(x0) * np.exp(beta * horizon))
-    y_const = (2.0 * m_T) if linear_terminal else m_T
-
-    def y_path(nodes, w):
-        return y_const + s * np.sum(w, axis=-1)
-
     # E[beta X_t] and E[sum X_t]: the partner parts are linear
     env_means = {"drift": lambda t: beta * mean(t)}
     if linear_terminal:
         env_means["terminal"] = lambda t: np.sum(mean(t), axis=-1)
-    return ClosedForm(mean=mean, path_map=path_map, env_means=env_means, y_path=y_path)
+    return ClosedForm(mean=mean, path_map=path_map, env_means=env_means)
 
 
 def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
@@ -264,9 +250,7 @@ def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
         **_zero_grads(dim) | {"grad_terminal_x": lambda x: np.ones(np.shape(x))},
         drift_env=lambda e: beta * np.asarray(e, float),
         terminal_env=terminal if linear_terminal else None,
-        closed_form=_ou_like_closed_form(
-            x0, horizon, beta, s, linear_terminal=linear_terminal
-        ),
+        closed_form=_ou_like_closed_form(x0, beta, s, linear_terminal=linear_terminal),
     )
 
 
@@ -349,11 +333,17 @@ def partner_values(model: ModelSpec, which: str, env_x, env_y=None):
     ``env_x`` is (..., d), and ``env_y`` (...) for the driver.  Returns (...)
     plus the coefficient's own axes.  Under the additive contract this is
     every partner-dependent term there is: the summand of a pool mean and of
-    each fluctuation field.
+    each fluctuation field.  A driver part without ``env_y`` raises: the
+    partners' law carries no values (see `LawFlow.has_y`).
     """
-    if which == "driver":
-        return model.driver_env(env_x, env_y)
-    return getattr(model, f"{which}_env")(env_x)
+    if which != "driver":
+        return getattr(model, f"{which}_env")(env_x)
+    if env_y is None:
+        raise ValueError(
+            "driver averages over partner y values, but the pool carries none; "
+            "attach y values to the environment law first (see value_law)"
+        )
+    return model.driver_env(env_x, env_y)
 
 
 def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
@@ -368,11 +358,6 @@ def env_shift(model: ModelSpec, which: str, env_x, env_y=None):
     """
     if model.env_free(which):
         return None
-    if which == "driver" and env_y is None:
-        raise ValueError(
-            "driver averages over partner y values, but the pool carries none; "
-            "attach y values to the environment law first (see value_law)"
-        )
     if np.shape(env_x)[1] == 0:
         raise ValueError("partner pool is empty")
     return partner_values(model, which, env_x, env_y).mean(axis=1)

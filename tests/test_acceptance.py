@@ -153,13 +153,12 @@ def test_criterion_03_decoupled_exactness():
     ok = True
     for N in (8, 64, 256):
         sim = simulate_blocks(
-            model, N, GRID, law,
-            n_blocks=1, inner=512,
+            law, N, n_blocks=1, inner=512,
             w_key=derive_key(ROOT, "c3w", N), env_key=derive_key(ROOT, "c3e", N),
         )
         ok = ok and np.array_equal(sim.xn, sim.xlim)
-        sol_n = solve_bsde_n(model, N, sim, GRID)
-        sol_l = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
+        sol_n = solve_bsde_n(model, N, sim)
+        sol_l = solve_mfbsde(law, sim.xlim, sim.dw)
         ok = ok and np.array_equal(sol_n.y_values, sol_l.y_values)
         ok = ok and np.array_equal(sol_n.z_values, sol_l.z_values)
     _verdict("3 decoupling exactness", ok, "bit-exact for N in {8, 64, 256}")
@@ -173,11 +172,11 @@ def ou_clt_data():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c4law", 0))
     x, _, _ = coupled_gaps(
-        model, 256, GRID, law, 4000, 1, derive_key(ROOT, "c4w", 0), derive_key(ROOT, "c4e", 0)
+        law, 256, 4000, 1, derive_key(ROOT, "c4w", 0), derive_key(ROOT, "c4e", 0)
     )
     samples = 16.0 * x[:, -1, 0]
     limit = solve_limit_system(
-        model, law, GRID, members=4000, key=derive_key(ROOT, "c4ls", 0), inner=64
+        law, members=4000, key=derive_key(ROOT, "c4ls", 0), inner=64
     )
     return samples, limit
 
@@ -202,12 +201,12 @@ def mf_y_fluct_data():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c5law", 0))
     node = GRID.node_at(0.5)
     _, y, _ = coupled_gaps(
-        model, 256, GRID, law, 4000, 128,
-        derive_key(ROOT, "c5w", 0), derive_key(ROOT, "c5e", 0), degree=2,
+        law, 256, 4000, 128, derive_key(ROOT, "c5w", 0), derive_key(ROOT, "c5e", 0),
+        degree=2,
     )
     samples = 16.0 * y[:, node]
     limit = solve_limit_system(
-        model, law, GRID, members=4000, key=derive_key(ROOT, "c5ls", 0), inner=64
+        law, members=4000, key=derive_key(ROOT, "c5ls", 0), inner=64
     )
     return samples, limit, node
 
@@ -234,7 +233,7 @@ def test_criterion_06_field_covariance():
     times = (0.25, 0.5, 1.0)
     lattice = FieldLattice(GRID, tuple(GRID.node_at(t) for t in times))
     cov = theoretical_covariance(
-        model, law, lattice, cloud_size=60000, key=derive_key(ROOT, "c6k", 0)
+        law, lattice, cloud_size=60000, key=derive_key(ROOT, "c6k", 0)
     )
     theo_ok = True
     for a, ta in enumerate(times):
@@ -242,9 +241,8 @@ def test_criterion_06_field_covariance():
             theo_ok = theo_ok and abs(cov.matrix[a, b] - min(ta, tb)) <= 3 * cov.stderr[a, b]
     reps = 10_000
     sample = empirical_fields(
-        model, 256, lattice, reps, law,
-        derive_key(ROOT, "c6env", 0), derive_key(ROOT, "c6ctr", 0),
-        center_size=32768,
+        law, 256, lattice, reps, derive_key(ROOT, "c6env", 0),
+        derive_key(ROOT, "c6ctr", 0), center_size=32768,
     )
     emp = np.cov(sample.T)
     emp_ok = True
@@ -270,23 +268,21 @@ def test_criterion_07_z_boundedness():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c7law", 0))
     for N in N_GRID:
         sim = simulate_blocks(
-            model, N, GRID, law,
-            n_blocks=16, inner=256,
+            law, N, n_blocks=16, inner=256,
             w_key=derive_key(ROOT, "c7w", N), env_key=derive_key(ROOT, "c7e", N),
         )
-        sol = solve_bsde_n(model, N, sim, GRID)
+        sol = solve_bsde_n(model, N, sim)
         worst = max(worst, sol.max_abs_z)
     # bounded benchmark with partner-dependent driver and diffusion
     model_t = catalog_model("tanh_bounded", s=1.0, rho=0.4, kappa=0.25, x0=0.0, T=1.0)
     law_t = solve_limit_forward(model_t, GRID, 4096, derive_key(ROOT, "c7tl", 0))
-    vlaw_t = value_law(model_t, law_t, GRID, derive_key(ROOT, "c7tv", 0))
+    vlaw_t = value_law(law_t, derive_key(ROOT, "c7tv", 0))
     for N in N_GRID:
         sim = simulate_blocks(
-            model_t, N, GRID, vlaw_t,
-            n_blocks=16, inner=256,
+            vlaw_t, N, n_blocks=16, inner=256,
             w_key=derive_key(ROOT, "c7tbw", N), env_key=derive_key(ROOT, "c7tbe", N),
         )
-        sol = solve_bsde_n(model_t, N, sim, GRID)
+        sol = solve_bsde_n(model_t, N, sim)
         worst = max(worst, sol.max_abs_z)
     _verdict("7 z boundedness", worst < 5.0, f"max |z| = {worst:.3f} < 5.0")
 
@@ -298,8 +294,7 @@ def test_criterion_08_comparison_property():
     model = catalog_model("constant", b0=0.0, s=1.0, x0=0.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "c8law", 0))
     sim = simulate_blocks(
-        model, 1, GRID, law, 1, 256,
-        derive_key(ROOT, "c8w", 0), derive_key(ROOT, "c8e", 0),
+        law, 1, 1, 256, derive_key(ROOT, "c8w", 0), derive_key(ROOT, "c8e", 0),
     )
     x, dw = sim.xlim[0], sim.dw[0]
     from mfbsde.noise import generator
@@ -340,11 +335,10 @@ def test_criterion_09_hoelder_in_time():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c9law", 0))
     sim = simulate_blocks(
-        model, 64, GRID, law,
-        n_blocks=64, inner=128,
+        law, 64, n_blocks=64, inner=128,
         w_key=derive_key(ROOT, "c9w", 0), env_key=derive_key(ROOT, "c9e", 0),
     )
-    sol = solve_bsde_n(model, 64, sim, GRID)
+    sol = solve_bsde_n(model, 64, sim)
     y = sol.y_values
     gaps = [1, 2, 4, 8, 16, 32]
     e2 = [float(np.mean((y[:, g:] - y[:, :-g]) ** 2)) for g in gaps]
@@ -401,7 +395,7 @@ def test_criterion_10c_field_sampler_covariance():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "c10law", 0))
     lattice = FieldLattice(GRID, (GRID.node_at(0.25), GRID.node_at(0.5), GRID.node_at(1.0)))
     cov = theoretical_covariance(
-        model, law, lattice, cloud_size=8192, key=derive_key(ROOT, "c10k", 0)
+        law, lattice, cloud_size=8192, key=derive_key(ROOT, "c10k", 0)
     )
     n = 10_000
     sample = sample_field_on_lattice(cov, derive_key(ROOT, "c10s", 0), count=n)

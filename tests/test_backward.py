@@ -138,7 +138,7 @@ def test_value_law_fixed_point_reaches_its_tolerance():
     model = catalog_model("tanh_bounded")
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "vlaw", 0))
     x, dw, _ = _paths_and_increments(model, grid, 1024, derive_key(ROOT, "vlp", 0), law)
-    sol = solve_mfbsde(model, law, x[None], dw[None], grid)
+    sol = solve_mfbsde(law, x[None], dw[None])
     assert not sol.provenance["fixpoint_not_contracted"]
     assert 2 < sol.provenance["fixpoint_sweeps"] < 50
 
@@ -146,7 +146,7 @@ def test_value_law_fixed_point_reaches_its_tolerance():
 def test_constant_terminal_no_driver_gives_flat_solution():
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=1.0, f0=0.0)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "flat", 0))
-    sol = solve_mfbsde(model, law, x[None], dw[None], GRID)
+    sol = solve_mfbsde(law, x[None], dw[None])
     assert np.allclose(sol.y_values, 1.0, atol=1e-12)
     assert np.allclose(sol.z_values, 0.0, atol=1e-12)
 
@@ -155,7 +155,7 @@ def test_constant_driver_integrates_linearly():
     c = 0.7
     model = catalog_model("constant", b0=0.0, s=1.0, phi0=0.0, f0=c)
     x, dw, law = _paths_and_increments(model, GRID, 256, derive_key(ROOT, "lin", 0))
-    sol = solve_mfbsde(model, law, x[None], dw[None], GRID)
+    sol = solve_mfbsde(law, x[None], dw[None])
     expected = c * (GRID.horizon - GRID.nodes)
     assert np.allclose(sol.y_values, expected[None, :], atol=1e-9)
 
@@ -165,11 +165,10 @@ def test_mf_linear_limit_solution_matches_closed_form():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=1.0, x0=1.0, T=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 1))
     sim = simulate_blocks(
-        model, 1, GRID, law,
-        n_blocks=1, inner=4096,
+        law, 1, n_blocks=1, inner=4096,
         w_key=derive_key(ROOT, "mfw", 0), env_key=derive_key(ROOT, "mfe", 0),
     )
-    sol = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
+    sol = solve_mfbsde(law, sim.xlim, sim.dw)
     y0 = sol.y_values[:, 0].mean()
     assert abs(y0 - 2 * math.e) / (2 * math.e) < 0.02
     z_rms_err = np.sqrt(np.mean((sol.z_values[:, :-1, 0] - 1.0) ** 2))
@@ -181,13 +180,12 @@ def test_decoupled_bsde_n_equals_limit_solution_bit_exactly():
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 2))
     for N in (1, 16):
         sim = simulate_blocks(
-            model, N, GRID, law,
-            n_blocks=1, inner=128,
+            law, N, n_blocks=1, inner=128,
             w_key=derive_key(ROOT, "dw", N), env_key=derive_key(ROOT, "de", N),
         )
         assert np.array_equal(sim.xn, sim.xlim)
-        sol_n = solve_bsde_n(model, N, sim, GRID)
-        sol_lim = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
+        sol_n = solve_bsde_n(model, N, sim)
+        sol_lim = solve_mfbsde(law, sim.xlim, sim.dw)
         assert np.array_equal(sol_n.y_values, sol_lim.y_values)
         assert np.array_equal(sol_n.z_values, sol_lim.z_values)
 
@@ -197,10 +195,9 @@ def test_trivial_terminal_for_every_environment_size():
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 3))
     for N in (1, 8):
         sim = simulate_blocks(
-            model, N, GRID, law, 1, 64,
-            derive_key(ROOT, "tw", N), derive_key(ROOT, "te", N),
+            law, N, 1, 64, derive_key(ROOT, "tw", N), derive_key(ROOT, "te", N),
         )
-        sol = solve_bsde_n(model, N, sim, GRID)
+        sol = solve_bsde_n(model, N, sim)
         assert np.allclose(sol.y_values, 1.0, atol=1e-12)
         assert np.allclose(sol.z_values, 0.0, atol=1e-12)
 
@@ -209,10 +206,9 @@ def test_terminal_values_are_exact_per_replication():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
     sim = simulate_blocks(
-        model, 8, GRID, law, 4, 64,
-        derive_key(ROOT, "term", 0), derive_key(ROOT, "terme", 0),
+        law, 8, 4, 64, derive_key(ROOT, "term", 0), derive_key(ROOT, "terme", 0),
     )
-    sol = solve_bsde_n(model, 8, sim, GRID)
+    sol = solve_bsde_n(model, 8, sim)
     # terminal node reproduces the averaged terminal functional exactly
     # block b's partners are the draw addressed by env_key.child("env", b)
     env_key = derive_key(ROOT, "terme", 0)
@@ -226,10 +222,9 @@ def test_martingale_property_without_driver():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 5))
     sim = simulate_blocks(
-        model, 1, GRID, law, 1, 4096,
-        derive_key(ROOT, "mart", 0), derive_key(ROOT, "marte", 0),
+        law, 1, 1, 4096, derive_key(ROOT, "mart", 0), derive_key(ROOT, "marte", 0),
     )
-    sol = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
+    sol = solve_mfbsde(law, sim.xlim, sim.dw)
     means = sol.y_values.mean(axis=0)
     se = sol.y_values.std(axis=0, ddof=1) / math.sqrt(sol.y_values.shape[0])
     # ensemble mean constant across nodes within 3 standard errors
@@ -242,12 +237,11 @@ def test_mf_bsde_linear_error_ratio_between_environment_sizes():
     errors = {}
     for N in (16, 64):
         sim = simulate_blocks(
-            model, N, GRID, law,
-            n_blocks=600, inner=128,
+            law, N, n_blocks=600, inner=128,
             w_key=derive_key(ROOT, "rw", N), env_key=derive_key(ROOT, "re", N),
         )
-        sol_n = solve_bsde_n(model, N, sim, GRID)
-        sol_lim = solve_mfbsde(model, law, sim.xlim, sim.dw, GRID)
+        sol_n = solve_bsde_n(model, N, sim)
+        sol_lim = solve_mfbsde(law, sim.xlim, sim.dw)
         y_n, _ = sol_n.designated()
         y_lim, _ = sol_lim.designated()
         errors[N] = float(np.mean(np.max((y_n - y_lim) ** 2, axis=1)))
@@ -259,10 +253,9 @@ def test_z_values_stay_bounded_on_benchmarks():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 7))
     sim = simulate_blocks(
-        model, 32, GRID, law, 16, 256,
-        derive_key(ROOT, "zb", 0), derive_key(ROOT, "zbe", 0),
+        law, 32, 16, 256, derive_key(ROOT, "zb", 0), derive_key(ROOT, "zbe", 0),
     )
-    sol = solve_bsde_n(model, 32, sim, GRID)
+    sol = solve_bsde_n(model, 32, sim)
     assert sol.max_abs_z < 5.0
     assert not sol.provenance["z_cap_exceeded"]
 
@@ -342,10 +335,9 @@ def test_hoelder_in_time_scaling_of_y():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
     sim = simulate_blocks(
-        model, 64, GRID, law, 64, 128,
-        derive_key(ROOT, "hw", 0), derive_key(ROOT, "he", 0),
+        law, 64, 64, 128, derive_key(ROOT, "hw", 0), derive_key(ROOT, "he", 0),
     )
-    sol = solve_bsde_n(model, 64, sim, GRID)
+    sol = solve_bsde_n(model, 64, sim)
     y = sol.y_values
     gaps = [1, 2, 4, 8, 16, 32]
     e2 = []
@@ -360,8 +352,7 @@ def test_linear_limit_bsde_zero_forcing_gives_zero():
     model = catalog_model("constant", b0=0.1, s=1.0, phi0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 9))
     sim = simulate_blocks(
-        model, 1, GRID, law, 8, 64,
-        derive_key(ROOT, "llw", 0), derive_key(ROOT, "lle", 0),
+        law, 1, 8, 64, derive_key(ROOT, "llw", 0), derive_key(ROOT, "lle", 0),
     )
     xbar = np.zeros_like(sim.xlim)
     xi3 = np.zeros(8)
@@ -377,8 +368,7 @@ def test_linear_limit_bsde_terminal_mean_near_zero():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 10))
     B = 64
     sim = simulate_blocks(
-        model, 1, GRID, law, B, 64,
-        derive_key(ROOT, "lmw", 0), derive_key(ROOT, "lme", 0),
+        law, 1, B, 64, derive_key(ROOT, "lmw", 0), derive_key(ROOT, "lme", 0),
     )
     rng = generator(derive_key(ROOT, "llf", 0))
     xi3 = 0.5 * rng.standard_normal(B)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -16,3 +17,25 @@ def test_every_all_name_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entries"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_a_law_carries_its_model_and_grid():
+    # a route that takes a law reads the law's model and grid, so none takes
+    # a second model or grid that could disagree with it
+    law_takers, clashes = set(), []
+    for name in ("forward", "backward", "fluctuation", "harness"):
+        module = importlib.import_module(f"mfbsde.{name}")
+        for attr, fn in vars(module).items():
+            if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"law_flow", "env_law"}, attr
+            if "law" in params:
+                law_takers.add(attr)
+                if params & {"model", "grid"}:
+                    clashes.append(f"{name}.{attr}")
+    assert clashes == []
+    assert law_takers >= {
+        "simulate_blocks", "solve_sde_n", "solve_mfbsde", "value_law", "theoretical_covariance",
+        "empirical_fields", "solve_limit_system", "coupled_gaps",
+    }

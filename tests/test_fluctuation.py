@@ -22,7 +22,7 @@ from mfbsde.fluctuation import (
     theoretical_covariance,
     value_law,
 )
-from mfbsde.forward import simulate_blocks, solve_limit_forward
+from mfbsde.forward import LawFlow, simulate_blocks, solve_limit_forward
 from mfbsde.model import catalog_model
 from mfbsde.noise import StreamKey, TimeGrid, derive_key
 
@@ -62,7 +62,7 @@ def test_theoretical_covariance_ou_is_min_kernel():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 0))
     lat = _lattice(GRID, (0.25, 0.5, 1.0))
-    cov = theoretical_covariance(model, law, lat, cloud_size=60000, key=derive_key(ROOT, "k", 0))
+    cov = theoretical_covariance(law, lat, cloud_size=60000, key=derive_key(ROOT, "k", 0))
     times = (0.25, 0.5, 1.0)
     for a, ta in enumerate(times):
         for b, tb in enumerate(times):
@@ -75,7 +75,7 @@ def test_theoretical_covariance_constant_diffusion_block_zero():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 1))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "diffusion"))
-    cov = theoretical_covariance(model, law, lat, cloud_size=2000, key=derive_key(ROOT, "k", 1))
+    cov = theoretical_covariance(law, lat, cloud_size=2000, key=derive_key(ROOT, "k", 1))
     idx = [i for i, block in enumerate(cov.blocks) if block == "diffusion"]
     assert len(idx) == 2
     assert np.all(cov.matrix[np.ix_(idx, idx)] == 0.0)
@@ -85,7 +85,7 @@ def test_covariance_is_symmetric_psd():
     model = catalog_model("tanh_bounded")
     law = solve_limit_forward(model, GRID, 2048, derive_key(ROOT, "law", 2))
     lat = _lattice(GRID, (0.25, 0.75), blocks=("drift", "terminal"))
-    cov = theoretical_covariance(model, law, lat)
+    cov = theoretical_covariance(law, lat)
     assert np.array_equal(cov.matrix, cov.matrix.T)
     assert np.linalg.eigvalsh(cov.matrix)[0] >= -1e-8 * np.max(np.diag(cov.matrix))
 
@@ -95,7 +95,23 @@ def test_covariance_rejects_small_cloud():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 3))
     lat = _lattice(GRID, (0.5,))
     with pytest.raises(ValueError, match="too small"):
-        theoretical_covariance(model, law, lat, cloud_size=50, key=derive_key(ROOT, "k", 2))
+        theoretical_covariance(law, lat, cloud_size=50, key=derive_key(ROOT, "k", 2))
+
+
+def test_driver_block_on_a_law_without_values_raises_in_partner_values():
+    # the one missing-y check sits in the one partner evaluator: the kernel
+    # and the empirical fields both reach it through `_field_values`
+    model = catalog_model("tanh_bounded")
+    law = solve_limit_forward(model, GRID, 256, derive_key(ROOT, "law", 21))
+    assert law.kind == "cloud" and not law.has_y
+    lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "driver"))
+    match = "driver averages over partner y values, but the pool carries none"
+    with pytest.raises(ValueError, match=match):
+        theoretical_covariance(law, lat)
+    with pytest.raises(ValueError, match=match):
+        empirical_fields(
+            law, 8, lat, 4, derive_key(ROOT, "emp", 21), derive_key(ROOT, "ctr", 21), center_size=64
+        )
 
 
 def test_field_sampler_reproduces_covariance():
@@ -104,7 +120,7 @@ def test_field_sampler_reproduces_covariance():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
     lat = _lattice(GRID, (0.25, 0.5, 1.0))
-    cov = theoretical_covariance(model, law, lat, cloud_size=8192, key=derive_key(ROOT, "k", 3))
+    cov = theoretical_covariance(law, lat, cloud_size=8192, key=derive_key(ROOT, "k", 3))
     n = 10_000
     sample = sample_field_on_lattice(cov, derive_key(ROOT, "draw", 0), count=n)
     emp = np.cov(sample.T)
@@ -119,7 +135,7 @@ def test_field_samples_independent_across_keys():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 5))
     lat = _lattice(GRID, (1.0,))
-    cov = theoretical_covariance(model, law, lat, cloud_size=4096, key=derive_key(ROOT, "k", 4))
+    cov = theoretical_covariance(law, lat, cloud_size=4096, key=derive_key(ROOT, "k", 4))
     a = sample_field_on_lattice(cov, derive_key(ROOT, "ind", 0), count=10_000)[:, 0]
     b = sample_field_on_lattice(cov, derive_key(ROOT, "ind", 1), count=10_000)[:, 0]
     corr = np.corrcoef(a, b)[0, 1]
@@ -130,7 +146,7 @@ def test_zero_covariance_samples_exact_zero():
     model = catalog_model("constant", b0=0.0, s=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 6))
     lat = _lattice(GRID, (0.5, 1.0))
-    cov = theoretical_covariance(model, law, lat, cloud_size=512, key=derive_key(ROOT, "k", 5))
+    cov = theoretical_covariance(law, lat, cloud_size=512, key=derive_key(ROOT, "k", 5))
     sample = sample_field_on_lattice(cov, derive_key(ROOT, "draw", 1), count=100)
     assert np.all(sample == 0.0)
 
@@ -140,8 +156,7 @@ def test_empirical_fields_zero_for_decoupled_model():
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 7))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "terminal"))
     sample = empirical_fields(
-        model, 32, lat, 200, law, derive_key(ROOT, "emp", 0), derive_key(ROOT, "ctr", 0),
-        center_size=512,
+        law, 32, lat, 200, derive_key(ROOT, "emp", 0), derive_key(ROOT, "ctr", 0), center_size=512,
     )
     assert np.all(sample == 0.0)
 
@@ -155,14 +170,14 @@ def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
     law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "law", 20))
     blocks = ("drift",)
     if name == "tanh_bounded":
-        law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 20), size=256)
+        law = value_law(law, derive_key(ROOT, "vlaw", 20), size=256)
         blocks = ("drift", "diffusion", "terminal", "driver")
     lat = FieldLattice(grid, (4, 8, 16), blocks=blocks)
     samples = []
     for batch in (1, 7, 256):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
         samples.append(empirical_fields(
-            model, 16, lat, 30, law, derive_key(ROOT, "emp", 20), derive_key(ROOT, "ctr", 20),
+            law, 16, lat, 30, derive_key(ROOT, "emp", 20), derive_key(ROOT, "ctr", 20),
             center_size=512,
         ))
     # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
@@ -180,7 +195,7 @@ def test_empirical_field_mean_and_variance():
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
     sample = empirical_fields(
-        model, 64, lat, reps, law, derive_key(ROOT, "emp", 1), derive_key(ROOT, "ctr", 1),
+        law, 64, lat, reps, derive_key(ROOT, "emp", 1), derive_key(ROOT, "ctr", 1),
         center_size=16384,
     )
     vals = sample[:, 0]
@@ -198,10 +213,10 @@ def test_empirical_field_covariance_matches_theory():
     model = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 9))
     lat = _lattice(GRID, (0.25, 0.5, 1.0))
-    cov = theoretical_covariance(model, law, lat, cloud_size=30000, key=derive_key(ROOT, "k", 6))
+    cov = theoretical_covariance(law, lat, cloud_size=30000, key=derive_key(ROOT, "k", 6))
     reps = 4000
     sample = empirical_fields(
-        model, 64, lat, reps, law, derive_key(ROOT, "emp", 2), derive_key(ROOT, "ctr", 2),
+        law, 64, lat, reps, derive_key(ROOT, "emp", 2), derive_key(ROOT, "ctr", 2),
         center_size=16384,
     )
     emp = np.cov(sample.T)
@@ -215,14 +230,15 @@ def test_empirical_field_covariance_matches_theory():
 
 
 def test_field_scale_linearity():
-    # scaling the drift coefficient by c scales its field block by c^2 exactly
+    # scaling the drift coefficient by c scales its field block by c^2
+    # exactly: two cloud laws, one per model, share one cloud of the base law
     base = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     scaled = catalog_model("ou_mean_field", beta=2.0, s=1.0, x0=1.0)
     law = solve_limit_forward(base, GRID, 0, derive_key(ROOT, "law", 10))
+    cloud = law.sample_env([derive_key(ROOT, "k", 7)], 2048)[0][0]
     lat = _lattice(GRID, (0.5, 1.0))
-    key = derive_key(ROOT, "k", 7)
-    cov_base = theoretical_covariance(base, law, lat, cloud_size=2048, key=key)
-    cov_scaled = theoretical_covariance(scaled, law, lat, cloud_size=2048, key=key)
+    cov_base = theoretical_covariance(LawFlow(GRID, base, cloud=cloud), lat)
+    cov_scaled = theoretical_covariance(LawFlow(GRID, scaled, cloud=cloud), lat)
     assert np.allclose(cov_scaled.matrix, 4.0 * cov_base.matrix, rtol=1e-12)
 
 
@@ -242,7 +258,7 @@ def test_field_along_path_variance_matches_kernel():
     vals = np.empty(reps)
     # the limit system's kernel: every grid node, all four blocks
     lattice = _lattice(GRID, GRID.nodes, blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, law, lattice, 30000, derive_key(ROOT, "kern", 0))
+    kernel = theoretical_covariance(law, lattice, 30000, derive_key(ROOT, "kern", 0))
     node = GRID.node_at(0.75)
     for r in range(reps):
         vals[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "fs", r))[0][node, 0]
@@ -255,7 +271,7 @@ def test_field_along_path_independent_draws():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 12))
     lattice = _lattice(GRID, GRID.nodes, blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, law, lattice, 8192, derive_key(ROOT, "kern", 1))
+    kernel = theoretical_covariance(law, lattice, 8192, derive_key(ROOT, "kern", 1))
     n = 10_000
     a = np.empty(n)
     b = np.empty(n)
@@ -272,7 +288,7 @@ def test_ou_kernel_needs_no_jitter_and_keeps_vanishing_fields_zero():
     grid = TimeGrid(1.0, 32)
     law = solve_limit_forward(model, grid, 0, derive_key(ROOT, "law", 14))
     lattice = _lattice(grid, grid.nodes, blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, law, lattice, 4096, derive_key(ROOT, "kern", 2))
+    kernel = theoretical_covariance(law, lattice, 4096, derive_key(ROOT, "kern", 2))
     for r in range(20):
         drift, diffusion, _, driver = _path_field(model, grid, kernel, derive_key(ROOT, "zf", r))
         assert np.all(diffusion == 0.0)
@@ -286,7 +302,7 @@ def test_limit_system_variance_and_mean():
     # oracle h^3 sum min(j, l) and the ensemble mean of zero
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 13))
-    res = solve_limit_system(model, law, GRID, members=4000, key=derive_key(ROOT, "ls", 0))
+    res = solve_limit_system(law, members=4000, key=derive_key(ROOT, "ls", 0))
     var_T = res.xbar[:, -1, 0].var(ddof=1)
     target = 0.25 / 3.0
     assert abs(var_T - target) <= 0.15 * target
@@ -306,7 +322,7 @@ def test_limit_system_fits_the_ou_z_exactly():
     # an explicit inverse of the Gram matrix leaks about 1e-7 into it
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 17))
-    res = solve_limit_system(model, law, GRID, members=100, key=derive_key(ROOT, "ls", 2))
+    res = solve_limit_system(law, members=100, key=derive_key(ROOT, "ls", 2))
     assert np.max(np.abs(res.zbar)) < 1e-10
 
 
@@ -317,11 +333,11 @@ def test_limit_system_invariant_under_chunk_size(monkeypatch, name):
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 19))
     key = derive_key(ROOT, "chunk", 0)
-    law = value_law(model, law, grid, key.child("vlaw", 0), size=1024)
+    law = value_law(law, key.child("vlaw", 0), size=1024)
     runs = []
     for batch in (1, 7, 512):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
-        runs.append(solve_limit_system(model, law, grid, members=100, key=key, cloud_size=1024))
+        runs.append(solve_limit_system(law, members=100, key=key, cloud_size=1024))
     for f in ("x", "xbar", "ybar", "zbar"):
         for res in runs[1:]:
             assert np.array_equal(getattr(res, f), getattr(runs[0], f)), f
@@ -334,8 +350,8 @@ def test_limit_system_means_vanish_on_a_nonlinear_model():
     grid = TimeGrid(1.0, 16)
     law = solve_limit_forward(model, grid, 1024, derive_key(ROOT, "law", 20))
     key = derive_key(ROOT, "ls", 3)
-    law = value_law(model, law, grid, key.child("vlaw", 0), size=1024)
-    res = solve_limit_system(model, law, grid, members=2000, key=key, cloud_size=1024)
+    law = value_law(law, key.child("vlaw", 0), size=1024)
+    res = solve_limit_system(law, members=2000, key=key, cloud_size=1024)
     for probe, v in (("xbar@1", res.xbar[:, -1, 0]), ("ybar@0.5", res.ybar[:, grid.node_at(0.5)])):
         se = v.std(ddof=1) / math.sqrt(len(v))
         assert abs(v.mean()) <= 4 * se, (probe, v.mean(), se)
@@ -344,7 +360,7 @@ def test_limit_system_means_vanish_on_a_nonlinear_model():
 def test_limit_system_decoupled_is_identically_zero():
     model = catalog_model("constant", b0=0.1, s=1.0, phi0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 14))
-    res = solve_limit_system(model, law, GRID, members=128, key=derive_key(ROOT, "ls", 1))
+    res = solve_limit_system(law, members=128, key=derive_key(ROOT, "ls", 1))
     assert np.all(res.xbar == 0.0)
     assert np.allclose(res.ybar, 0.0, atol=1e-12)
     assert np.allclose(res.zbar, 0.0, atol=1e-12)
@@ -416,12 +432,10 @@ def test_limit_system_xbar_matches_the_strided_reference(dim):
     key = derive_key(ROOT, "og_ls", dim)
     members, degree = 6, 1
     inner = min_block_paths(2 * dim, degree)
-    res = solve_limit_system(
-        model, law, grid, members, key, inner=inner, degree=degree, cloud_size=256
-    )
+    res = solve_limit_system(law, members, key, inner=inner, degree=degree, cloud_size=256)
     # the member draws, rebuilt under the keys solve_limit_system uses
     lattice = FieldLattice(grid, tuple(range(grid.steps + 1)), blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(model, law, lattice, 256, key.child("kern", 0))
+    kernel = theoretical_covariance(law, lattice, 256, key.child("kern", 0))
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
     eta1, eta2, _, _ = _split_path_field(model, grid, raw)
     assert np.any(eta1 != 0.0) and np.any(eta2 != 0.0)
@@ -445,8 +459,7 @@ def test_residual_field_variance_decays():
         """gamma(X^N_T) - gamma(X_T) for coupled pairs, gamma the drift's
         partner part."""
         sim = simulate_blocks(
-            model, N, GRID, law,
-            n_blocks=n_pairs, inner=1,
+            law, N, n_blocks=n_pairs, inner=1,
             w_key=key.child("w", 0), env_key=key.child("e", 0),
         )
         return (
@@ -481,9 +494,8 @@ def test_empirical_field_normality_diagnostics():
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
     sample = empirical_fields(
-        model, 256, lat, reps, law,
-        derive_key(ROOT, "norm", 0), derive_key(ROOT, "normc", 0),
-        center_size=16384,
+        law, 256, lat, reps, derive_key(ROOT, "norm", 0),
+        derive_key(ROOT, "normc", 0), center_size=16384,
     )
     v = sample[:, 0]
     v = (v - v.mean()) / v.std(ddof=1)
@@ -500,10 +512,9 @@ def test_value_law_cloud_is_the_block_route_limit_cloud():
     model = catalog_model("tanh_bounded")
     law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "vlaw_law", 0))
     key = derive_key(ROOT, "vlaw_stream", 0)
-    vlaw = value_law(model, law, grid, key, size=256)
+    vlaw = value_law(law, key, size=256)
     sim = simulate_blocks(
-        model, 1, grid, law, n_blocks=1, inner=256,
-        w_key=key.child("vw", 0), env_key=key.child("ve", 0),
+        law, 1, n_blocks=1, inner=256, w_key=key.child("vw", 0), env_key=key.child("ve", 0),
     )
     assert np.array_equal(vlaw.cloud, sim.xlim[0])
 
@@ -511,7 +522,7 @@ def test_value_law_cloud_is_the_block_route_limit_cloud():
 def test_clt_compare_report_structure():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
-    res = solve_limit_system(model, law, GRID, members=256, key=derive_key(ROOT, "ls", 2))
+    res = solve_limit_system(law, members=256, key=derive_key(ROOT, "ls", 2))
     fake = res.xbar  # same-law samples
     report = clt_compare(64, GRID, (fake, None, None), res, [1.0], [])
     row = report["probes"]["x@1.0"]
@@ -610,7 +621,7 @@ def test_clt_compare_reads_no_probe_list_of_an_unmeasured_component(measured):
     # gap is never read, as the config checks do not check it
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 15))
-    res = solve_limit_system(model, law, GRID, members=256, key=derive_key(ROOT, "ls", 2))
+    res = solve_limit_system(law, members=256, key=derive_key(ROOT, "ls", 2))
     if measured == "x":
         report = clt_compare(64, GRID, (res.xbar, None, None), res, [1.0], [0.3])
         assert list(report["probes"]) == ["x@1.0"] and report["z"] == {}

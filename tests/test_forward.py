@@ -52,15 +52,16 @@ def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
 
 @pytest.mark.parametrize("name", ["ou_mean_field", "mf_bsde_linear"])
 def test_sample_env_at_nodes_matches_the_closed_form_law(name):
-    # W is drawn at the requested nodes only; per node, x and y must keep the
-    # exact mean and variance (x0 e^{beta t}, s^2 t) of the full-path law
+    # W is drawn at the requested nodes only; per node, x must keep the exact
+    # mean and variance (x0 e^{beta t}, s^2 t) of the full-path law, and a
+    # closed-form law carries no y values
     beta, s, count = 0.8, 0.6, 20_000
     model = catalog_model(name, beta=beta, s=s, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 14))
     nodes = [48, 0, 16, 64]  # unsorted on purpose
     x, y = law.sample_env([derive_key(ROOT, "sub", 1)], count, nodes)
-    assert x.shape == (1, count, 4, 1) and y.shape == (1, count, 4)
-    x, y = x[0], y[0]
+    assert x.shape == (1, count, 4, 1) and y is None
+    x = x[0]
     t = GRID.nodes[nodes]
     mean = model.closed_form.mean(t)[:, 0]
     var = s**2 * t
@@ -70,8 +71,6 @@ def test_sample_env_at_nodes_matches_the_closed_form_law(name):
         se_var = var[k] * math.sqrt(2.0 / (count - 1))
         assert abs(x[:, k, 0].mean() - mean[k]) <= 4 * se_mean
         assert abs(x[:, k, 0].var(ddof=1) - var[k]) <= 4 * se_var
-        # x and y read the same Brownian value: y - x is deterministic
-        assert np.allclose(y[:, k] - x[:, k, 0], y[0, k] - x[0, k, 0])
     # increments over disjoint intervals stay independent
     inc_a = x[:, 2, 0] - x[:, 1, 0]
     inc_b = x[:, 0, 0] - x[:, 2, 0]
@@ -96,7 +95,7 @@ def _one_key_env(law, key, count, nodes=None):
         at, back = np.unique(t, return_inverse=True)
         gaps = np.sqrt(np.diff(at, prepend=0.0))[:, None]
         w = np.cumsum(gaps * rng.standard_normal((count, at.size, d)), axis=1)[:, back]
-    return cf.path_map(t, w), cf.y_path(t, w)
+    return cf.path_map(t, w), None
 
 
 def _assert_stacked_single_key_draws(law, keys, count, nodes=None):
@@ -107,8 +106,6 @@ def _assert_stacked_single_key_draws(law, keys, count, nodes=None):
         assert y is None
     else:
         assert np.array_equal(y, np.stack([sy for _, sy in singles]))
-    x_only, no_y = law.sample_env(keys, count, nodes, with_y=False)
-    assert no_y is None and np.array_equal(x_only, x)
 
 
 @pytest.mark.parametrize("keys_per_batch", [1, 3, 5])
@@ -200,7 +197,7 @@ def test_limit_forward_cloud_for_model_without_closed_form():
 def test_constant_model_paths_are_exact():
     model = catalog_model("constant", b0=0.5, s=2.0, x0=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 2))
-    paths, _ = solve_sde_n(model, 1, GRID, law, W_KEY, ENV_KEY, out_reps=2)
+    paths, _ = solve_sde_n(law, 1, W_KEY, ENV_KEY, out_reps=2)
     for r in range(2):
         key = W_KEY.child("path", r)
         dw = np.sqrt(GRID.h) * generator(key).standard_normal((GRID.steps, 1))
@@ -215,8 +212,8 @@ def test_decoupled_model_collapses_bit_exactly():
     model = catalog_model("constant", b0=0.3, s=1.2, x0=0.5)
     base = derive_key(ROOT, "collapse", 0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 3))
-    paths8, limit8 = solve_sde_n(model, 8, GRID, law, base, ENV_KEY, out_reps=3)
-    paths64, _ = solve_sde_n(model, 64, GRID, law, base, ENV_KEY, out_reps=3)
+    paths8, limit8 = solve_sde_n(law, 8, base, ENV_KEY, out_reps=3)
+    paths64, _ = solve_sde_n(law, 64, base, ENV_KEY, out_reps=3)
     classical = solve_classical_system(model, 3, GRID, base)
     assert np.array_equal(paths8, paths64)
     assert np.array_equal(paths8, classical)
@@ -229,7 +226,7 @@ def test_decoupled_model_collapses_bit_exactly():
 def test_sde_n_consistency_with_closed_form_mean():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
-    paths, _ = solve_sde_n(model, 32, GRID, law, W_KEY, ENV_KEY, out_reps=2000)
+    paths, _ = solve_sde_n(law, 32, W_KEY, ENV_KEY, out_reps=2000)
     xT = paths[:, -1, 0]
     se = xT.std(ddof=1) / math.sqrt(len(xT))
     # Euler mean at T carries an O(h) offset; compare against the Euler mean
@@ -243,21 +240,21 @@ def test_classical_system_single_particle_matches_sde_n():
     model = catalog_model("constant", b0=1.0, s=0.7)
     base = derive_key(ROOT, "single", 0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 6))
-    paths, _ = solve_sde_n(model, 1, GRID, law, base, ENV_KEY, out_reps=1)
+    paths, _ = solve_sde_n(law, 1, base, ENV_KEY, out_reps=1)
     classical = solve_classical_system(model, 1, GRID, base)
     assert np.array_equal(paths[0], classical[0])
 
 
-def _x_sup2(model, N, grid, law, reps, key):
+def _x_sup2(law, N, reps, key):
     """Per-replication sup_t |X^N_t - X_t|^2 of the coupled route's one-path blocks."""
-    x, _, _ = coupled_gaps(model, N, grid, law, reps, 1, key.child("w", 0), key.child("e", 0))
+    x, _, _ = coupled_gaps(law, N, reps, 1, key.child("w", 0), key.child("e", 0))
     return np.max(np.sum(x**2, axis=-1), axis=-1)
 
 
 def test_forward_error_zero_for_decoupled_model():
     model = catalog_model("constant", b0=0.2, s=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 12))
-    per_rep = _x_sup2(model, 16, GRID, law, 50, derive_key(ROOT, "fz", 0))
+    per_rep = _x_sup2(law, 16, 50, derive_key(ROOT, "fz", 0))
     assert np.all(per_rep == 0.0)
 
 
@@ -266,7 +263,7 @@ def test_forward_error_decays_with_environment_size():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 7))
     errs = {}
     for N in (16, 64):
-        errs[N] = _x_sup2(model, N, GRID, law, 2000, derive_key(ROOT, "fe", N)).mean()
+        errs[N] = _x_sup2(law, N, 2000, derive_key(ROOT, "fe", N)).mean()
     ratio = errs[64] / errs[16]
     assert 0.125 <= ratio <= 0.5
 
@@ -274,8 +271,8 @@ def test_forward_error_decays_with_environment_size():
 def test_forward_error_monotone_in_n_spot_check():
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
-    err1 = _x_sup2(model, 1, GRID, law, 2000, derive_key(ROOT, "m1", 0)).mean()
-    err4 = _x_sup2(model, 4, GRID, law, 2000, derive_key(ROOT, "m4", 0)).mean()
+    err1 = _x_sup2(law, 1, 2000, derive_key(ROOT, "m1", 0)).mean()
+    err4 = _x_sup2(law, 4, 2000, derive_key(ROOT, "m4", 0)).mean()
     assert np.isfinite(err1) and np.isfinite(err4)
     assert err4 < err1
 
@@ -286,7 +283,7 @@ def test_env_keys_disjoint_from_w_keys():
     # no draw even when w_key == env_key, and that call is accepted
     model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 9))
-    paths, limit = solve_sde_n(model, 4, GRID, law, W_KEY, W_KEY, out_reps=3)
+    paths, limit = solve_sde_n(law, 4, W_KEY, W_KEY, out_reps=3)
     assert paths.shape == limit.shape == (3, GRID.steps + 1, 1)
     count = 4096
     for r in range(3):
@@ -295,7 +292,7 @@ def test_env_keys_disjoint_from_w_keys():
         assert not np.any(w == env)
         assert abs(np.corrcoef(w, env)[0, 1]) <= 4 / math.sqrt(count)
     # the limit paths read the W streams alone; the partners move the N-paths
-    other_paths, other_limit = solve_sde_n(model, 4, GRID, law, W_KEY, ENV_KEY, out_reps=3)
+    other_paths, other_limit = solve_sde_n(law, 4, W_KEY, ENV_KEY, out_reps=3)
     assert np.array_equal(limit, other_limit)
     assert not np.array_equal(paths, other_paths)
 
@@ -303,9 +300,7 @@ def test_env_keys_disjoint_from_w_keys():
 def test_blocks_share_environment_and_increments():
     model = catalog_model("mf_bsde_linear", beta=1.0, s=0.5, x0=1.0)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 10))
-    sim = simulate_blocks(
-        model, 8, GRID, law, n_blocks=4, inner=16, w_key=W_KEY, env_key=ENV_KEY
-    )
+    sim = simulate_blocks(law, 8, n_blocks=4, inner=16, w_key=W_KEY, env_key=ENV_KEY)
     assert sim.xn.shape == (4, 16, 65, 1)
     assert sim.xlim.shape == (4, 16, 65, 1)
     # limit and N-system paths share increments: both start at x0 and their
@@ -331,11 +326,11 @@ def test_blocks_invariant_under_chunk_size(monkeypatch, name):
     model = catalog_model(name, x0=1.0)
     law = solve_limit_forward(model, grid, 512, derive_key(ROOT, "law", 13))
     if not model.env_free("driver"):
-        law = value_law(model, law, grid, derive_key(ROOT, "vlaw", 0), size=256)
+        law = value_law(law, derive_key(ROOT, "vlaw", 0), size=256)
     sims = []
     for batch in (1, 7, 256):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
-        sims.append(simulate_blocks(model, 8, grid, law, 20, 4, W_KEY, ENV_KEY))
+        sims.append(simulate_blocks(law, 8, 20, 4, W_KEY, ENV_KEY))
     assert (sims[0].driver_curve is not None) == (name == "tanh_bounded")
     for sim in sims[1:]:
         for attr in ("xn", "xlim", "terminal_curve", "driver_curve"):

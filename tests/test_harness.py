@@ -21,7 +21,7 @@ from mfbsde.harness import (
     StudyReport,
 )
 from mfbsde.model import catalog_model, check_gradients, random_probes
-from mfbsde.noise import StreamKey, TimeGrid, generator
+from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, generator
 
 
 MINIMAL = {
@@ -394,6 +394,27 @@ def test_integer_keys_reject_non_integers_and_booleans(block, key, value, violat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out_dir", [5, "", None, ["out"]])
+def test_output_dir_must_be_a_non_empty_string(out_dir, tmp_path, monkeypatch, capsys):
+    # a non-string dir used to pass validation and fail in emit_report,
+    # after the whole study had run
+    from mfbsde.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    doc = {**MINIMAL, "output": {"dir": out_dir}}
+    violation = f"output.dir must be a non-empty string, got {out_dir!r}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.violations == [violation]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("validate", "convergence"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["invalid configuration:", f"  - {violation}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
+
+
 def test_missing_seed_is_reported_by_name():
     doc = {"model": {"name": "constant"}, "study": {"kind": "convergence", "n_values": [8, 16, 32]}}
     with pytest.raises(ConfigError) as err:
@@ -669,12 +690,13 @@ def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
     model = _own_y_tanh() if name == "own_y_tanh" else catalog_model(name, x0=1.0)
     root = StreamKey(seed=9301)
     law = study_law(model, grid, 256, 2, root, backward=True)
-    assert law.has_y
+    # values are attached exactly when the driver reads partner y
+    assert law.has_y == (not model.env_free("driver"))
     w_key, env_key = root.child("w", 0), root.child("e", 0)
     runs = []
     for batch in (1, 7, 256):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
-        runs.append(coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, degree=2))
+        runs.append(coupled_gaps(law, 8, 20, 32, w_key, env_key, degree=2))
     assert [g.shape for g in runs[0]] == [(20, 17, 1), (20, 17), (20, 17, 1)]
     assert np.any(runs[0][1] != 0.0)
     for run in runs[1:]:
@@ -691,10 +713,11 @@ def test_coupled_gaps_x_does_not_depend_on_the_inner_paths(name):
     model = catalog_model(name, x0=1.0)
     root = StreamKey(seed=9303)
     law = study_law(model, grid, 256, 2, root, backward=True)
-    assert law.has_y and law.kind == ("cloud" if name == "tanh_bounded" else "closed_form")
+    assert law.kind == ("cloud" if name == "tanh_bounded" else "closed_form")
+    assert law.has_y == (law.kind == "cloud")
     w_key, env_key = root.child("w", 0), root.child("e", 0)
-    x1, _, _ = coupled_gaps(model, 8, grid, law, 20, 1, w_key, env_key)
-    x32, y32, _ = coupled_gaps(model, 8, grid, law, 20, 32, w_key, env_key, degree=2)
+    x1, _, _ = coupled_gaps(law, 8, 20, 1, w_key, env_key)
+    x32, y32, _ = coupled_gaps(law, 8, 20, 32, w_key, env_key, degree=2)
     assert np.any(x1 != 0.0) and np.any(y32 != 0.0)
     assert np.array_equal(x1, x32)
 
@@ -779,9 +802,9 @@ def test_cli_backward_limit_paths_are_the_block_route_limit_paths(tmp_path, monk
     seen = {}
     solve = cli.solve_mfbsde
 
-    def spy(model, law, x, dw, grid, degree):
-        seen.update(model=model, law=law, x=x, grid=grid)
-        return solve(model, law, x, dw, grid, degree=degree)
+    def spy(law, x, dw, degree):
+        seen.update(law=law, x=x)
+        return solve(law, x, dw, degree=degree)
 
     monkeypatch.setattr(cli, "solve_mfbsde", spy)
     model_path = tmp_path / "model.json"
@@ -791,11 +814,42 @@ def test_cli_backward_limit_paths_are_the_block_route_limit_paths(tmp_path, monk
     assert cli.main(argv) == 0
     root = StreamKey(seed=23)
     sim = simulate_blocks(
-        seen["model"], 1, seen["grid"], seen["law"], n_blocks=1, inner=64,
-        w_key=root.child("w", 0), env_key=root.child("envs", 0),
+        seen["law"], 1, n_blocks=1, inner=64, w_key=root.child("w", 0), env_key=root.child("envs", 0)
     )
     assert seen["x"].shape == (1, 64, 9, 1)
     assert np.array_equal(seen["x"][0], sim.xlim[0])
+
+
+@pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded"])
+def test_cli_backward_limit_paths_file_matches_the_fresh_run(name, tmp_path):
+    # the fresh --n limit paths, written as a forward path CSV, give back the
+    # fresh run's solution: the inversion uses the same law's drift and
+    # diffusion means, so the recovered increments agree to round-off
+    import mfbsde.cli as cli
+    from mfbsde.harness import _PATH_HEADER, _path_rows, _write_csv
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": name}))
+    model = catalog_model(name)
+    grid = TimeGrid(model.horizon, 8)
+    root = StreamKey(seed=31)
+    law = study_law(model, grid, 256, 2, root, backward=False)
+    dw = brownian_increments([root.child("w", 0).child("path", 0)], (64, 8, 1), grid.h)
+    _write_csv(tmp_path / "paths.csv", _PATH_HEADER, _path_rows(grid, law.euler(dw)[0]))
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--steps", "8"]
+    argv += ["--reps", "64", "--seed", "31", "--env-cloud", "256"]
+    assert cli.main(argv + ["--out", str(tmp_path / "fresh.csv")]) == 0
+    assert cli.main(argv + ["--paths", str(tmp_path / "paths.csv"), "--out", str(tmp_path / "file.csv")]) == 0
+
+    def table(path):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "rep,t,y,z_1"
+        return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+    fresh, from_file = table(tmp_path / "fresh.csv"), table(tmp_path / "file.csv")
+    assert fresh.shape == from_file.shape == (64 * 9, 4)
+    assert np.array_equal(fresh[:, :2], from_file[:, :2])
+    assert np.max(np.abs(fresh - from_file)) <= 1e-12
 
 
 BAD_MODEL_FILES = [

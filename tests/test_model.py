@@ -44,16 +44,6 @@ def test_ou_mean_curve_hits_e_at_time_one():
     assert m1 == pytest.approx(math.e, rel=1e-12)
 
 
-def test_mf_bsde_linear_closed_form_values():
-    # Y_t = 2 x0 e^{beta T} + s W_t
-    model = catalog_model("mf_bsde_linear", beta=1.0, s=1.0, x0=1.0, T=1.0)
-    grid = TimeGrid(1.0, 8)
-    w = _brownian_path(derive_key(KEY, "w", 1), grid, 1)
-    y = model.closed_form.y_path(grid.nodes, w)
-    assert y[0] == pytest.approx(2 * math.e + w[0, 0], rel=1e-12)
-    assert np.allclose(y, 2 * math.e + w[:, 0])
-
-
 def test_driver_signature_excludes_partner_z():
     # the own part reads (x, y, z); the partner part (x_env, y_env) only
     partner_parts = 0
