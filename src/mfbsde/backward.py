@@ -64,6 +64,11 @@ def _exponent_tuples(n_vars: int, degree: int) -> list[tuple[int, ...]]:
     return exps
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without a full-size ``np.abs`` temporary."""
+    return float(max(a.max(), -a.min())) if a.size else 0.0
+
+
 def min_block_paths(n_vars: int, degree: int) -> int:
     """Fewest paths per regression block: ten times the basis size."""
     return 10 * len(_exponent_tuples(n_vars, degree))
@@ -145,15 +150,16 @@ class BsdeSolution:
             raise ValueError("backward solution contains non-finite values")
 
     def designated(self) -> tuple[np.ndarray, np.ndarray]:
-        """(y, z) of the designated replication of each block."""
+        """(y, z) of the designated replication of each block, (B, n+1) and
+        (B, n+1, d), as owned copies that do not keep the solution alive."""
         B, P = self.block_shape
-        y = self.y_values.reshape(B, P, -1)[:, 0]
-        z = self.z_values.reshape(B, P, self.grid.steps + 1, -1)[:, 0]
+        y = self.y_values.reshape(B, P, -1)[:, 0].copy()
+        z = self.z_values.reshape(B, P, self.grid.steps + 1, -1)[:, 0].copy()
         return y, z
 
     @property
     def max_abs_z(self) -> float:
-        return float(np.max(np.abs(self.z_values))) if self.z_values.size else 0.0
+        return _max_abs(self.z_values)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,7 @@ def _backward_induction(
     provenance = {
         "fixpoint_sweeps": sweeps_run,
         "fixpoint_not_contracted": contraction_flag,
-        "z_cap_exceeded": bool(np.max(np.abs(z)) > _Z_CAP),
+        "z_cap_exceeded": _max_abs(z) > _Z_CAP,
         "solver": solver,
     }
     return BsdeSolution(

@@ -74,6 +74,7 @@ def _load_config(args):
 
 def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
+    cfg.validate()
     report = run_convergence_study(cfg)
     written = emit_report(report, cfg.out_dir)
     for v in report.verdicts:

@@ -348,8 +348,9 @@ def solve_limit_system(
     xbar = np.empty((members, n1, d))
     ybar = np.empty((members, n1))
     zbar = np.empty((members, n1, d))
-    fix_flag = False
-    for lo, hi in block_batches(members):
+
+    def run_batch(lo, hi):
+        # a function, so no array of this batch outlives it into the next
         dw = brownian_increments([key.child("path", m) for m in range(lo, hi)], (inner, n, d), h)
         x_in = law.euler(dw)
         # the first-order component starts at 0 and steps through the field
@@ -375,7 +376,11 @@ def solve_limit_system(
         x[lo:hi] = x_in[:, 0]
         xbar[lo:hi] = xbar_in[:, 0]
         ybar[lo:hi], zbar[lo:hi] = sol.designated()
-        fix_flag = fix_flag or sol.provenance["fixpoint_not_contracted"]
+        return sol.provenance["fixpoint_not_contracted"]
+
+    fix_flag = False
+    for lo, hi in block_batches(members):
+        fix_flag = run_batch(lo, hi) or fix_flag
     return LimitSystemResult(
         grid=grid,
         x=x,

@@ -126,12 +126,9 @@ class ExperimentConfig:
         }
 
     def validate(self) -> None:
-        """Raise ConfigError for what the study would hit mid-run (model
-        parameters included); run again after overriding study keys."""
-        model = self.build_model()
-        violations = _study_violations(self.study, TimeGrid(model.horizon, self.steps), model)
-        if violations:
-            raise ConfigError(violations)
+        """Raise ConfigError for every `parse_config` rule the config breaks;
+        run again after overriding study keys or the output dir."""
+        parse_config(json.dumps(self.canonical()))
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
@@ -414,7 +411,7 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     to both sides.  Model and grid are the law's.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
     given, the y (B, n+1) and z (B, n+1, d) gaps of the backward solves at
     that regression degree (else None).  Blocks run `forward.BLOCK_BATCH` at
-    a time; the gaps do not depend on it.
+    a time and no batch's arrays outlive it; the gaps do not depend on it.
     """
     n1, d = law.grid.steps + 1, law.model.dim
     x = np.empty((blocks, n1, d))
@@ -430,6 +427,7 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
             yl, zl = solve_mfbsde(law, sim.xlim, sim.dw, degree=degree).designated()
             y[lo:hi] = yn - yl
             z[lo:hi] = zn - zl
+        del sim  # the next batch's simulation must not run beside this batch's arrays
     return x, y, z
 
 

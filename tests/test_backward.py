@@ -109,6 +109,12 @@ def test_node_major_induction_matches_strided_reference(B, P, n, m):
     assert sol.z_values.shape == (B * P, n + 1, 1)
     y_got, z_got = sol.designated()
     assert y_got.shape == (B, n + 1) and z_got.shape == (B, n + 1, 1)
+    # owned copies of each block's first inner path: they do not keep the
+    # solution's node-major buffers alive
+    for got, values in ((y_got, sol.y_values), (z_got, sol.z_values)):
+        assert not np.shares_memory(got, values)
+        assert np.array_equal(got, values.reshape(B, P, *values.shape[1:])[:, 0])
+    assert sol.max_abs_z == np.max(np.abs(sol.z_values))
     for got, ref in (
         (sol.y_values, y_ref.reshape(B * P, n + 1)),
         (sol.z_values, z_ref.reshape(B * P, n + 1, 1)),

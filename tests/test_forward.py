@@ -50,27 +50,28 @@ def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
     assert np.array_equal(x, x_full[:, :, nodes]) and np.array_equal(y, y_full[:, :, nodes])
 
 
-@pytest.mark.parametrize("name", ["ou_mean_field", "mf_bsde_linear"])
-def test_sample_env_at_nodes_matches_the_closed_form_law(name):
-    # W is drawn at the requested nodes only; per node, x must keep the exact
-    # mean and variance (x0 e^{beta t}, s^2 t) of the full-path law, and a
-    # closed-form law carries no y values
-    beta, s, count = 0.8, 0.6, 20_000
-    model = catalog_model(name, beta=beta, s=s, x0=1.0)
+@pytest.mark.parametrize("x0", [[1.0], [1.0, -0.5]], ids=["ou_mean_field", "ou_mean_field_dim2"])
+def test_sample_env_at_nodes_matches_the_closed_form_law(x0):
+    # W is drawn at the requested nodes only; per node and coordinate, x must
+    # keep the exact mean and variance (x0 e^{beta t}, s^2 t) of the
+    # full-path law, and a closed-form law carries no y values
+    beta, s, count, d = 0.8, 0.6, 20_000, len(x0)
+    model = catalog_model("ou_mean_field", beta=beta, s=s, x0=x0, dim=d)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 14))
     nodes = [48, 0, 16, 64]  # unsorted on purpose
     x, y = law.sample_env([derive_key(ROOT, "sub", 1)], count, nodes)
-    assert x.shape == (1, count, 4, 1) and y is None
+    assert x.shape == (1, count, 4, d) and y is None
     x = x[0]
     t = GRID.nodes[nodes]
-    mean = model.closed_form.mean(t)[:, 0]
+    mean = model.closed_form.mean(t)
     var = s**2 * t
-    assert np.all(x[:, 1] == 1.0)
+    assert np.all(x[:, 1] == x0)
     for k in (0, 2, 3):
         se_mean = math.sqrt(var[k] / count)
         se_var = var[k] * math.sqrt(2.0 / (count - 1))
-        assert abs(x[:, k, 0].mean() - mean[k]) <= 4 * se_mean
-        assert abs(x[:, k, 0].var(ddof=1) - var[k]) <= 4 * se_var
+        for j in range(d):
+            assert abs(x[:, k, j].mean() - mean[k, j]) <= 4 * se_mean, (k, j)
+            assert abs(x[:, k, j].var(ddof=1) - var[k]) <= 4 * se_var, (k, j)
     # increments over disjoint intervals stay independent
     inc_a = x[:, 2, 0] - x[:, 1, 0]
     inc_b = x[:, 0, 0] - x[:, 2, 0]

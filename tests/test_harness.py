@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mfbsde import forward
+from mfbsde.fluctuation import solve_limit_system
 from mfbsde.harness import (
     ConfigError,
     coupled_gaps,
@@ -415,6 +417,34 @@ def test_output_dir_must_be_a_non_empty_string(out_dir, tmp_path, monkeypatch, c
     assert [p.name for p in tmp_path.iterdir()] == ["study.json"]
 
 
+def test_empty_out_flag_is_an_invalid_configuration(tmp_path, monkeypatch, capsys):
+    # --out overrides output.dir, so it meets the same rule, before compute;
+    # it used to run the study and write into the working directory
+    from mfbsde import cli
+
+    def no_compute(cfg):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_convergence_study", no_compute)
+    monkeypatch.setattr(cli, "run_clt_study", no_compute)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conv.json").write_text(json.dumps(MINIMAL))
+    (tmp_path / "clt.json").write_text(json.dumps(_clt_doc()))
+    (tmp_path / "model.json").write_text(json.dumps(_clt_doc()["model"]))
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    for argv in (
+        ["convergence", "--config", "conv.json"],
+        ["clt", "--config", "clt.json"],
+        ["clt", "--model", "model.json", "--n", "64", "--seed", "5"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", ""]) == 1, argv
+        assert capsys.readouterr().out.splitlines() == [
+            "invalid configuration:", "  - output.dir must be a non-empty string, got ''"
+        ], argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 def test_missing_seed_is_reported_by_name():
     doc = {"model": {"name": "constant"}, "study": {"kind": "convergence", "n_values": [8, 16, 32]}}
     with pytest.raises(ConfigError) as err:
@@ -702,6 +732,33 @@ def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
     for run in runs[1:]:
         for a, b in zip(runs[0], run):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("route", ["coupled_gaps", "limit_system"])
+def test_peak_memory_does_not_grow_with_the_batch_count(monkeypatch, route):
+    # a loop holds one block batch at a time, so three batches peak where one
+    # does; only the (count, n+1, ...) results grow, by a few kB here
+    monkeypatch.setattr(forward, "BLOCK_BATCH", 32)
+    grid = TimeGrid(1.0, 32)
+    root = StreamKey(seed=9305)
+    law = study_law(catalog_model("ou_mean_field"), grid, 1024, 2, root, backward=True)
+    w_key, env_key, limit_key = root.child("w", 0), root.child("e", 0), root.child("ls", 0)
+    run = {
+        "coupled_gaps": lambda count: coupled_gaps(law, 256, count, 128, w_key, env_key, degree=2),
+        "limit_system": lambda count: solve_limit_system(
+            law, count, limit_key, inner=64, cloud_size=1024
+        ),
+    }[route]
+    run(32)  # warm-up: first-call allocations are not the loop's
+    peaks = []
+    for count in (32, 96):
+        tracemalloc.start()
+        try:
+            run(count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "ou_mean_field"])
