@@ -16,7 +16,10 @@ The core is node-major: it moves the node axis of the conditioning states and
 increments to the front once, keeps y and z as (n+1, B, P, ...) work arrays,
 so each node's features, fits and driver steps read and write contiguous
 (B, P, ...) slices, and returns the public (B * P, n+1, ...) arrays as views
-of those work arrays (merging B and P needs no copy).
+of those work arrays (merging B and P needs no copy).  A block bundle from
+`simulate_blocks` already lies node-major, so the move copies nothing there;
+the value law's cloud paths, the limit system's states and a plain BSDE's
+paths are block-major and are copied once.
 """
 
 from __future__ import annotations
@@ -182,8 +185,9 @@ def _backward_induction(
     need = min_block_paths(cond_states.shape[-1], degree)
     if P < need:
         raise ValueError(f"need at least 10 * basis size = {need} paths per block, got {P}")
-    # node-major work arrays (see the module docstring); the outputs stay
-    # views, since copying them back costs peak memory
+    # node-major work arrays (see the module docstring): a no-op on a block
+    # bundle, one copy otherwise; the outputs stay views, since copying them
+    # back costs peak memory
     states = np.ascontiguousarray(np.moveaxis(cond_states, 2, 0))   # (n+1, B, P, m)
     dw = np.ascontiguousarray(np.moveaxis(dw, 2, 0))                # (n, B, P, d)
     y = np.empty((n1, B, P))

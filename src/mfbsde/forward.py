@@ -163,28 +163,30 @@ class LawFlow:
         law's means of the two coefficients at own state x and node i."""
         return _euler_coefficients(self.model, self.shift("drift"), self.shift("diffusion"))
 
-    def euler(self, dw: np.ndarray) -> np.ndarray:
+    def euler(self, dw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Limit-dynamics paths (..., n+1, d) on increments ``dw`` (..., n, d),
-        stepped with `euler_coefficients`."""
-        return euler_paths(self.model.x0, self.grid, dw, *self.euler_coefficients())
+        stepped with `euler_coefficients`, written into ``out`` if given."""
+        return euler_paths(self.model.x0, self.grid, dw, *self.euler_coefficients(), out=out)
 
 
 # ---------------------------------------------------------------------------
 # Euler stepping
 
 
-def euler_paths(x0, grid: TimeGrid, dw: np.ndarray, drift_fn, diffusion_fn):
+def euler_paths(x0, grid: TimeGrid, dw: np.ndarray, drift_fn, diffusion_fn, out=None):
     """Generic Euler scheme from ``x0`` (d,); dw has shape (..., steps, d).
 
     drift_fn(x, i) -> (..., d) and diffusion_fn(x, i) -> (..., d, d) receive
-    the current states and the node index.  Aborts on a NaN, infinite or
-    divergent state (see `DIVERGENCE_CAP`).
+    the current states and the node index.  The paths (..., steps+1, d) go
+    into ``out`` if given (any strides), else into a new array.  Aborts on a
+    NaN, infinite or divergent state (see `DIVERGENCE_CAP`).
     """
     n = grid.steps
     h = grid.h
     lead = dw.shape[:-2]
     d = dw.shape[-1]
-    out = np.empty(lead + (n + 1, d))
+    if out is None:
+        out = np.empty(lead + (n + 1, d))
     x = np.broadcast_to(x0, lead + (d,)).copy()
     out[..., 0, :] = x
     for i in range(n):
@@ -289,6 +291,8 @@ class BlockSim:
     """
 
     grid: TimeGrid
+    # views of node-major (n, B, P, d) and (n+1, B, P, d) buffers, so the
+    # backward solves' node-major moves (see `backward`) copy nothing
     dw: np.ndarray                 # (B, P, n, d)
     xn: np.ndarray                 # (B, P, n+1, d)
     xlim: np.ndarray               # (B, P, n+1, d) limit dynamics, same dw
@@ -331,9 +335,12 @@ def simulate_blocks(
     """
     model, grid = law.model, law.grid
     keys = [w_key.child("path", block_offset + b) for b in range(n_blocks)]
-    dw_all = brownian_increments(keys, (inner, grid.steps, model.dim), grid.h)
-    xn = np.empty((n_blocks, inner, grid.steps + 1, model.dim))
-    xlim = np.empty_like(xn)
+    # node-major buffers behind (B, P, nodes, d) views (see `BlockSim`)
+    n, d = grid.steps, model.dim
+    dw_all = np.moveaxis(np.empty((n, n_blocks, inner, d)), 0, 2)
+    brownian_increments(keys, (inner, n, d), grid.h, out=dw_all)
+    xn = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
+    xlim = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
     terminal_parts, driver_parts = [], []
     for lo, hi in block_batches(n_blocks):
         blocks = range(block_offset + lo, block_offset + hi)
@@ -342,8 +349,8 @@ def simulate_blocks(
         pool_fns = _euler_coefficients(
             model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
         )
-        xn[lo:hi] = euler_paths(model.x0, grid, dw, *pool_fns)
-        xlim[lo:hi] = law.euler(dw)
+        euler_paths(model.x0, grid, dw, *pool_fns, out=xn[lo:hi])
+        law.euler(dw, out=xlim[lo:hi])
         terminal = env_shift(model, "terminal", env_x[:, :, -1])
         # forward-only use of a y-free law leaves the driver shift unset; the
         # backward solver raises if it actually needs it

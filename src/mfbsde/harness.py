@@ -408,10 +408,11 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     and its ``inner`` paths' increments under ``w_key.child("path", b)``; the
     limit paths and the limit backward solve take their means from the same
     law, so the time-discretization bias and the regression noise are common
-    to both sides.  Model and grid are the law's.  Returns the x gaps (B, n+1, d) and, when ``degree`` is
-    given, the y (B, n+1) and z (B, n+1, d) gaps of the backward solves at
-    that regression degree (else None).  Blocks run `forward.BLOCK_BATCH` at
-    a time and no batch's arrays outlive it; the gaps do not depend on it.
+    to both sides.  Model and grid are the law's.  Returns the x gaps
+    (B, n+1, d) and, when ``degree`` is given, the y (B, n+1) and z
+    (B, n+1, d) gaps of the backward solves at that regression degree (else
+    None).  Blocks run `forward.BLOCK_BATCH` at a time and no batch's arrays
+    outlive it; the gaps do not depend on it.
     """
     n1, d = law.grid.steps + 1, law.model.dim
     x = np.empty((blocks, n1, d))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -80,17 +80,23 @@ def key_streams(keys: Iterable[StreamKey]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def brownian_increments(keys: Iterable[StreamKey], shape: tuple, step) -> np.ndarray:
-    """Brownian increments of variance ``step``, (len(keys),) + shape.
+def brownian_increments(
+    keys: Iterable[StreamKey], shape: tuple, step, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Brownian increments of variance ``step``, (len(keys),) + shape, written
+    into ``out`` (any strides) if given.
 
     Key k's slice is ``sqrt(step) * generator(k).standard_normal(shape)`` bit
     for bit, so each key's draws are what that key alone would give.
     ``step`` broadcasts against ``shape``: it may be one step per node.
     """
     keys = list(keys)
-    dw = np.empty((len(keys),) + tuple(shape))
+    dw = np.empty((len(keys),) + tuple(shape)) if out is None else out
     for row, rng in zip(dw, key_streams(keys)):
-        rng.standard_normal(out=row)
+        if row.flags.c_contiguous:
+            rng.standard_normal(out=row)
+        else:
+            row[...] = rng.standard_normal(shape)
     dw *= np.sqrt(step)
     return dw
 

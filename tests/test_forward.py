@@ -337,3 +337,33 @@ def test_blocks_invariant_under_chunk_size(monkeypatch, name):
         for attr in ("xn", "xlim", "terminal_curve", "driver_curve"):
             a, b = getattr(sims[0], attr), getattr(sim, attr)
             assert (a is None and b is None) or np.array_equal(a, b), attr
+
+
+def test_block_bundle_is_node_major_so_backward_moves_copy_nothing(monkeypatch):
+    # the backward solves move the node axis to the front with
+    # ascontiguousarray; on a block bundle that must return the same memory
+    monkeypatch.setattr(forward, "BLOCK_BATCH", 3)
+    grid = TimeGrid(1.0, 8)
+    model = catalog_model("tanh_bounded", x0=[1.0, -0.5], dim=2)
+    law = solve_limit_forward(model, grid, 64, derive_key(ROOT, "law", 15))
+    sim = simulate_blocks(law, 4, 7, 5, W_KEY, ENV_KEY)
+    assert sim.xn.shape == sim.xlim.shape == (7, 5, 9, 2)
+    # drawn straight into the node-major buffer, bit for bit the block draws
+    keys = [W_KEY.child("path", b) for b in range(7)]
+    assert sim.dw.tobytes() == brownian_increments(keys, (5, 8, 2), grid.h).tobytes()
+    for attr in ("xn", "xlim", "dw"):
+        a = getattr(sim, attr)
+        assert np.shares_memory(np.ascontiguousarray(np.moveaxis(a, 2, 0)), a), attr
+
+
+def test_euler_paths_into_a_node_major_view_is_bit_identical():
+    model = catalog_model("tanh_bounded", x0=[1.0, -0.5], dim=2)
+    law = solve_limit_forward(model, GRID, 64, derive_key(ROOT, "law", 16))
+    keys = [derive_key(ROOT, "path", b) for b in range(3)]
+    dw = brownian_increments(keys, (5, GRID.steps, 2), GRID.h)
+    coefficients = law.euler_coefficients()
+    fresh = euler_paths(model.x0, GRID, dw, *coefficients)
+    view = np.moveaxis(np.empty((GRID.steps + 1, 3, 5, 2)), 0, 2)
+    assert not view.flags.c_contiguous
+    assert euler_paths(model.x0, GRID, dw, *coefficients, out=view) is view
+    assert fresh.tobytes() == view.tobytes()
