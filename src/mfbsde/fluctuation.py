@@ -2,7 +2,7 @@
 
 The normalized environment averages of each coefficient, centered at their
 expectations, form random fields indexed by time.  This module estimates
-those fields empirically, builds the limit covariance kernels from a cloud
+those fields empirically, builds the limit covariance kernel from a cloud
 of base-system paths, samples the limit Gaussian field, integrates the
 linearized first-order system driven by that field, and runs the
 statistical comparisons between the two.
@@ -11,12 +11,14 @@ Every coefficient couples to its partner additively (see `ModelSpec`), so a
 field entry is b(X) - E b(X) for the coefficient's partner part b, whatever
 the own state, and one kernel factorization serves every member path.
 `_field_values` lays out every entry's summand from one
-`model.partner_values` call per block; the kernel cloud and the empirical
-draws both go through it.
+`model.partner_values` call per block, for the kernel cloud and the
+empirical draws alike; every other reader of a column selects it by its
+`_field_labels` label.  The empirical fields centre at the law's own mean.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -57,7 +59,7 @@ class FieldLattice:
     """Evaluation points (time nodes) for the fluctuation fields.
 
     Each entry evaluates its coefficient's partner part.  The terminal block
-    is always evaluated at the final node.  `_field_values` fixes the order
+    is always evaluated at the final node.  `_field_labels` fixes the order
     of the entries.
     """
 
@@ -69,43 +71,55 @@ class FieldLattice:
         for b in self.blocks:
             if b not in _BLOCK_ORDER:
                 raise ValueError(f"unknown block {b!r}")
+        if not self.time_nodes:
+            raise ValueError("a lattice needs at least one time node")
         for t in self.time_nodes:
             if not 0 <= t <= self.grid.steps:
                 raise ValueError(f"node {t} outside the grid")
 
 
+def _field_labels(model: ModelSpec, lattice: FieldLattice) -> tuple:
+    """The label (block, node, own-axis index) of every lattice entry, in
+    column order: block by block, node-major within a block, then over the
+    coefficient's own axes.  The terminal block sits at the final node."""
+    own = {"drift": (model.dim,), "diffusion": (model.dim, model.dim)}
+    return tuple(
+        (block, t, axis)
+        for block in _BLOCK_ORDER if block in lattice.blocks
+        for t in ((lattice.grid.steps,) if block == "terminal" else lattice.time_nodes)
+        for axis in np.ndindex(own.get(block, ()))
+    )
+
+
 def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
     """Summands of every lattice entry's field: the partner part at partner
-    states (see `partner_values`), and each entry's block name.
+    states (see `partner_values`), and the entries' labels.
 
     ``x`` is (..., k, d) partner states and ``y`` (..., k) their values, or
     None for a law without them (read by the driver block only), at the grid
-    nodes ``nodes`` in order.  Returns (..., L): columns run block by block,
-    node-major within a block, then over the coefficient's own axes.  The terminal block sits at the final
-    node.  A block without a partner part gives exact zeros: its field
-    vanishes identically.
+    nodes ``nodes`` in order.  Returns (..., L) values whose columns follow
+    `_field_labels`.  A block without a partner part gives exact zeros: its
+    field vanishes identically.
     """
+    labels = _field_labels(model, lattice)
     col = {node: k for k, node in enumerate(nodes)}
     lead = np.shape(x)[:-2]
-    parts, blocks = [], []
-    for block in _BLOCK_ORDER:
-        if block not in lattice.blocks:
-            continue
-        at = [lattice.grid.steps] if block == "terminal" else list(lattice.time_nodes)
-        width = len(at) * {"drift": model.dim, "diffusion": model.dim**2}.get(block, 1)
+    parts = []
+    for block, group in itertools.groupby(labels, key=lambda label: label[0]):
+        group = list(group)
+        width = len(group)
         if model.env_free(block):
             parts.append(np.zeros(lead + (width,)))
-        else:
-            idx = [col[t] for t in at]
-            if idx == list(range(idx[0], idx[0] + len(idx))):
-                idx = slice(idx[0], idx[0] + len(idx))  # a view of x, not a copy
-            # without values the driver's partner part raises
-            ys = y[..., idx] if block == "driver" and y is not None else None
-            parts.append(partner_values(model, block, x[..., idx, :], ys).reshape(lead + (width,)))
-        blocks.extend([block] * width)
+            continue
+        idx = [col[t] for t in dict.fromkeys(t for _, t, _ in group)]
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            idx = slice(idx[0], idx[0] + len(idx))  # a view of x, not a copy
+        # without values the driver's partner part raises
+        ys = y[..., idx] if block == "driver" and y is not None else None
+        parts.append(partner_values(model, block, x[..., idx, :], ys).reshape(lead + (width,)))
     values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     # C order: the covariance's BLAS products round by memory layout
-    return np.ascontiguousarray(values), tuple(blocks)
+    return np.ascontiguousarray(values), labels
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +130,7 @@ def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
 class CovarianceMatrix:
     matrix: np.ndarray
     stderr: np.ndarray
-    blocks: tuple[str, ...]        # block name of each entry
+    labels: tuple                  # label of each entry (see `_field_labels`)
     jitter: float = 0.0
     _chol: Optional[np.ndarray] = dc_field(default=None, repr=False)
 
@@ -151,8 +165,14 @@ class CovarianceMatrix:
         self._chol = chol
         return chol
 
+    def at(self, labels) -> "CovarianceMatrix":
+        """The entries labelled ``labels``, in their order."""
+        col = {label: c for c, label in enumerate(self.labels)}
+        sub = np.ix_([col[label] for label in labels], [col[label] for label in labels])
+        return CovarianceMatrix(self.matrix[sub], self.stderr[sub], tuple(labels))
 
-def _sample_covariance(feats: np.ndarray, blocks: tuple[str, ...]) -> CovarianceMatrix:
+
+def _sample_covariance(feats: np.ndarray, labels: tuple) -> CovarianceMatrix:
     """Covariance of (M, L) samples: the mean-centred Gram matrix, symmetrised,
     with the stderr of each entry."""
     m = feats.shape[0]
@@ -161,7 +181,7 @@ def _sample_covariance(feats: np.ndarray, blocks: tuple[str, ...]) -> Covariance
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     stderr = np.sqrt((np.outer(diag, diag) + cov**2) / m)
-    return CovarianceMatrix(cov, stderr, blocks)
+    return CovarianceMatrix(cov, stderr, labels)
 
 
 def value_law(law: LawFlow, key: StreamKey, size: int = 4096, degree: int = 2) -> LawFlow:
@@ -220,17 +240,15 @@ def sample_field_on_lattice(cov: CovarianceMatrix, key: StreamKey, count: int = 
 # fields along paths
 
 
-def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
+def _split_path_field(model: ModelSpec, kernel: CovarianceMatrix, raw: np.ndarray):
     """Split (R, L) draws of the path kernel into drift (R, n+1, d), diffusion
-    (R, n+1, d, d), terminal (R,) and driver (R, n+1) arrays.
-
-    The kernel's lattice lays its entries out block by block, node-major
-    within a block (see `_field_values`).
+    (R, n+1, d, d), terminal (R,) and driver (R, n+1) arrays, each block's
+    columns selected by their labels (node-major, then over the own axes).
     """
     d = model.dim
-    n1 = grid.steps + 1
-    drift, diffusion, terminal, driver = np.split(raw, np.cumsum([n1 * d, n1 * d * d, 1]), axis=1)
-    return drift.reshape(-1, n1, d), diffusion.reshape(-1, n1, d, d), terminal[:, 0], driver
+    shapes = {"drift": (-1, d), "diffusion": (-1, d, d), "terminal": (), "driver": (-1,)}
+    blocks = np.array([label[0] for label in kernel.labels])
+    return tuple(raw[:, blocks == b].reshape((len(raw),) + shapes[b]) for b in _BLOCK_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -238,41 +256,38 @@ def _split_path_field(model: ModelSpec, grid: TimeGrid, raw: np.ndarray):
 
 
 def empirical_fields(
-    law: LawFlow,
-    N: int,
-    lattice: FieldLattice,
-    reps: int,
-    env_key: StreamKey,
-    center_key: StreamKey,
-    center_size: int = 8192,
+    law: LawFlow, N: int, lattice: FieldLattice, reps: int, env_key: StreamKey
 ) -> np.ndarray:
     """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
     Per replication: sqrt(N) times the environment average of each centered
-    coefficient over N partners drawn from ``law``, with the centering
-    expectation estimated once from a disjoint cloud (avoids the bias of
-    centering at the draw's own mean).  Replications run
-    `forward.BLOCK_BATCH` at a time.
+    coefficient over N partners drawn from ``law`` under
+    ``env_key.child("env", r)``.  The centre is the law's own mean of each
+    entry (`LawFlow.shift`): a closed form's exact mean, or a cloud law's
+    cloud mean, which is the exact mean of the law its partners are
+    resampled from.  Replications run `forward.BLOCK_BATCH` at a time.
     """
     model = law.model
+    labels = _field_labels(model, lattice)
     # partner-free coefficients have identically vanishing summands
-    live = [b for b in lattice.blocks if not model.env_free(b)]
+    live = [label for label in labels if not model.env_free(label[0])]
     if not live:
-        return _field_values(model, lattice, np.empty((reps, 0, model.dim)), None, ())[0]
+        return np.zeros((reps, len(labels)))
     # draw partners only at the live lattice nodes: every summand is pointwise in t
-    final = (lattice.grid.steps,)
-    nodes = sorted({t for b in live for t in (final if b == "terminal" else lattice.time_nodes)})
-
-    def partner_mean(x, y):
-        vals = _field_values(model, lattice, x, y, nodes)[0]
-        # column by column, so that each mean is a pairwise sum over partners
-        return np.stack([vals[..., j].mean(axis=1) for j in range(vals.shape[-1])], axis=-1)
-
-    center = partner_mean(*law.sample_env([center_key], center_size, nodes))
-    values = np.empty((reps, center.shape[1]))
+    nodes = sorted({t for _, t, _ in live})
+    # the law's own mean of each entry; the terminal shift holds the final node alone
+    shift = {b: law.shift(b) for b in lattice.blocks}
+    center = np.array([
+        0.0 if shift[b] is None else shift[b][(0,) if b == "terminal" else (0, t) + axis]
+        for b, t, axis in labels
+    ])
+    values = np.empty((reps, len(labels)))
     for lo, hi in block_batches(reps):
         ex, ey = law.sample_env([env_key.child("env", r) for r in range(lo, hi)], N, nodes)
-        values[lo:hi] = np.sqrt(N) * (partner_mean(ex, ey) - center)
+        vals = _field_values(model, lattice, ex, ey, nodes)[0]
+        # column by column, so that each mean is a pairwise sum over partners
+        mean = np.stack([vals[..., j].mean(axis=1) for j in range(len(labels))], axis=-1)
+        values[lo:hi] = np.sqrt(N) * (mean - center)
     return values
 
 
@@ -287,6 +302,7 @@ class LimitSystemResult:
     xbar: np.ndarray     # (R, n+1, d) first-order forward component
     ybar: np.ndarray     # (R, n+1)
     zbar: np.ndarray     # (R, n+1, d)
+    kernel: CovarianceMatrix   # the path kernel every member's field is drawn from
     provenance: dict
 
 
@@ -322,9 +338,9 @@ def solve_limit_system(
     and independent of the partner's own noise, and the first-order
     components are linear in it.  Members therefore do not interact, and
     they run `forward.BLOCK_BATCH` at a time.  Member paths, base solve and
-    the field kernel (`theoretical_covariance` along the whole grid) all read
-    ``law``, which carries y values when the driver reads partner y; so do
-    model and grid.
+    the field kernel (`theoretical_covariance` along the whole grid, all four
+    blocks, returned as ``kernel``) all read ``law``, which carries y values
+    when the driver reads partner y, and take their model and grid from it.
     """
     model, grid = law.model, law.grid
     d = model.dim
@@ -336,7 +352,7 @@ def solve_limit_system(
     lattice = FieldLattice(grid, tuple(range(n1)), blocks=_BLOCK_ORDER)
     kernel = theoretical_covariance(law, lattice, cloud_size, key.child("kern", 0))
     raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
-    eta1, eta2, xi3, eta4 = _split_path_field(model, grid, raw)
+    eta1, eta2, xi3, eta4 = _split_path_field(model, kernel, raw)
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
@@ -382,16 +398,10 @@ def solve_limit_system(
     for lo, hi in block_batches(members):
         fix_flag = run_batch(lo, hi) or fix_flag
     return LimitSystemResult(
-        grid=grid,
-        x=x,
-        xbar=xbar,
-        ybar=ybar,
-        zbar=zbar,
+        grid, x, xbar, ybar, zbar, kernel,
         provenance={
-            "members": members,
-            "inner": inner,
-            "kernel_jitter": kernel.jitter,
-            "fixpoint_not_contracted": fix_flag,
+            "members": members, "inner": inner,
+            "kernel_jitter": kernel.jitter, "fixpoint_not_contracted": fix_flag,
         },
     )
 

@@ -25,11 +25,11 @@ from .fluctuation import (
     CLT_MIN_SAMPLES,
     KERNEL_MIN_CLOUD,
     FieldLattice,
+    _field_labels,
     _sample_covariance,
     clt_compare,
     empirical_fields,
     solve_limit_system,
-    theoretical_covariance,
     value_law,
 )
 from .forward import LawFlow, block_batches, simulate_blocks, solve_limit_forward
@@ -235,7 +235,7 @@ def _study_violations(
     compute nothing: a size below 1, bad metrics or degree, probe or lattice
     times that are not finite numbers or not grid nodes, an empty lattice,
     too few inner paths or value-law paths for the regression basis, a cloud
-    too small for its law or kernels, clt ensembles too small to compare and
+    too small for its law or kernel, clt ensembles too small to compare and
     too few field replications for a sample covariance.  Without a grid and
     model (an invalid model block) the checks that need them are skipped.
     """
@@ -260,7 +260,7 @@ def _study_violations(
         metrics = []
     backward = _measures_backward(metrics)
     clt = study["kind"] == "clt"
-    # a cloud law needs two paths; a clt study's field kernels need more
+    # a cloud law needs two paths; a clt study's field kernel needs more
     least_cloud = KERNEL_MIN_CLOUD if clt else 2
     if sizes.get("env_cloud", least_cloud) < least_cloud:
         scope = " for clt studies" if clt else ""
@@ -589,35 +589,24 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         N, grid, (x_fluct, y_fluct, z_fluct), limit, study["probe_times"], study["y_probe_times"]
     )
 
-    # field covariance comparison on the configured lattice
+    # field covariance on the configured lattice: the empirical fields against
+    # the entries of the kernel the limit members were drawn from
     lattice = FieldLattice(grid, tuple(grid.node_at(t) for t in study["lattice_times"]))
-    cov = theoretical_covariance(law, lattice, cloud_size=4 * env_cloud, key=root.child("cov", 0))
-    emp = empirical_fields(
-        law, N, lattice, int(study["field_reps"]),
-        root.child("field_env", 0), root.child("field_ctr", 0),
-        center_size=2 * env_cloud,
-    )
-    emp_cov = _sample_covariance(emp, cov.blocks)
+    emp = empirical_fields(law, N, lattice, int(study["field_reps"]), root.child("field_env", 0))
+    emp_cov = _sample_covariance(emp, _field_labels(model, lattice))
+    cov = limit.kernel.at(emp_cov.labels)
     cov_rows = []
-    cov_ok = True
     for i in range(cov.size):
         for j in range(cov.size):
             combined = float(np.sqrt(emp_cov.stderr[i, j] ** 2 + cov.stderr[i, j] ** 2))
             gap = float(abs(emp_cov.matrix[i, j] - cov.matrix[i, j]))
             degenerate = cov.matrix[i, i] == 0.0 and cov.matrix[j, j] == 0.0
             ok = gap == 0.0 if degenerate else gap <= 4 * combined
-            cov_ok = cov_ok and ok
-            cov_rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "block": cov.blocks[i],
-                    "value": float(cov.matrix[i, j]),
-                    "stderr": combined,
-                    "empirical": float(emp_cov.matrix[i, j]),
-                    "ok": bool(ok),
-                }
-            )
+            cov_rows.append({
+                "i": i, "j": j, "block": cov.labels[i][0], "value": float(cov.matrix[i, j]),
+                "stderr": combined, "empirical": float(emp_cov.matrix[i, j]), "ok": bool(ok),
+            })
+    cov_ok = all(row["ok"] for row in cov_rows)
 
     verdicts = []
     degenerate_all = decoupled and model.env_free("terminal") and model.env_free("driver")

@@ -240,10 +240,7 @@ def test_criterion_06_field_covariance():
         for b, tb in enumerate(times):
             theo_ok = theo_ok and abs(cov.matrix[a, b] - min(ta, tb)) <= 3 * cov.stderr[a, b]
     reps = 10_000
-    sample = empirical_fields(
-        law, 256, lattice, reps, derive_key(ROOT, "c6env", 0),
-        derive_key(ROOT, "c6ctr", 0), center_size=32768,
-    )
+    sample = empirical_fields(law, 256, lattice, reps, derive_key(ROOT, "c6env", 0))
     emp = np.cov(sample.T)
     emp_ok = True
     for i in range(3):

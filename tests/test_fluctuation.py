@@ -12,6 +12,7 @@ from mfbsde.fluctuation import (
     FieldLattice,
     LimitSystemResult,
     _BLOCK_ORDER,
+    _field_labels,
     _field_values,
     _ks_row,
     _split_path_field,
@@ -42,9 +43,15 @@ def test_lattice_index_map_is_bijective():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 3, 2))
     y = rng.standard_normal((5, 3))
-    vals, blocks = _field_values(model, lat, x, y, nodes)
+    vals, labels = _field_values(model, lat, x, y, nodes)
     assert vals.shape == (5, 15) and vals.flags.c_contiguous
-    assert blocks == ("drift",) * 4 + ("diffusion",) * 8 + ("terminal",) + ("driver",) * 2
+    assert labels == _field_labels(model, lat)
+    assert labels == (
+        tuple(("drift", t, (j,)) for t in (16, 32) for j in range(2))
+        + tuple(("diffusion", t, (j, k)) for t in (16, 32) for j in range(2) for k in range(2))
+        + (("terminal", 64, ()),)
+        + tuple(("driver", t, ()) for t in (16, 32))
+    )
     expected = np.concatenate(
         [
             model.drift_env(x[:, :2]).reshape(5, 4),
@@ -55,6 +62,15 @@ def test_lattice_index_map_is_bijective():
         axis=1,
     )
     assert np.array_equal(vals, expected)
+
+
+def test_empty_lattice_rejected():
+    # an empty lattice has no entry to evaluate: the laws' kernels and fields
+    # would index its first node
+    with pytest.raises(ValueError, match="at least one time node"):
+        FieldLattice(GRID, ())
+    with pytest.raises(ValueError, match="at least one time node"):
+        FieldLattice(GRID, (), blocks=("drift", "terminal"))
 
 
 def test_theoretical_covariance_ou_is_min_kernel():
@@ -76,7 +92,7 @@ def test_theoretical_covariance_constant_diffusion_block_zero():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 1))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "diffusion"))
     cov = theoretical_covariance(law, lat, cloud_size=2000, key=derive_key(ROOT, "k", 1))
-    idx = [i for i, block in enumerate(cov.blocks) if block == "diffusion"]
+    idx = [i for i, label in enumerate(cov.labels) if label[0] == "diffusion"]
     assert len(idx) == 2
     assert np.all(cov.matrix[np.ix_(idx, idx)] == 0.0)
 
@@ -109,9 +125,7 @@ def test_driver_block_on_a_law_without_values_raises_in_partner_values():
     with pytest.raises(ValueError, match=match):
         theoretical_covariance(law, lat)
     with pytest.raises(ValueError, match=match):
-        empirical_fields(
-            law, 8, lat, 4, derive_key(ROOT, "emp", 21), derive_key(ROOT, "ctr", 21), center_size=64
-        )
+        empirical_fields(law, 8, lat, 4, derive_key(ROOT, "emp", 21))
 
 
 def test_field_sampler_reproduces_covariance():
@@ -155,9 +169,7 @@ def test_empirical_fields_zero_for_decoupled_model():
     model = catalog_model("constant", b0=0.3, s=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 7))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "terminal"))
-    sample = empirical_fields(
-        law, 32, lat, 200, derive_key(ROOT, "emp", 0), derive_key(ROOT, "ctr", 0), center_size=512,
-    )
+    sample = empirical_fields(law, 32, lat, 200, derive_key(ROOT, "emp", 0))
     assert np.all(sample == 0.0)
 
 
@@ -176,10 +188,7 @@ def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
     samples = []
     for batch in (1, 7, 256):
         monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
-        samples.append(empirical_fields(
-            law, 16, lat, 30, derive_key(ROOT, "emp", 20), derive_key(ROOT, "ctr", 20),
-            center_size=512,
-        ))
+        samples.append(empirical_fields(law, 16, lat, 30, derive_key(ROOT, "emp", 20)))
     # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
     assert samples[0].shape == (30, {"tanh_bounded": 10, "ou_mean_field": 3}[name])
     assert np.any(samples[0] != 0.0)
@@ -194,19 +203,30 @@ def test_empirical_field_mean_and_variance():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
-    sample = empirical_fields(
-        law, 64, lat, reps, derive_key(ROOT, "emp", 1), derive_key(ROOT, "ctr", 1),
-        center_size=16384,
-    )
+    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 1))
     vals = sample[:, 0]
-    # the shared centering estimate shifts all replications by a common
-    # sqrt(N / center_size)-scale offset; allow for it in the mean check
-    sd = vals.std(ddof=1)
-    mean_tol = 3 * (sd / math.sqrt(reps) + sd * math.sqrt(64 / 16384))
-    assert abs(vals.mean()) <= mean_tol
+    # centred at the law's exact mean, so no centre estimate offsets the draws
+    assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(reps)
     target = 0.5  # beta^2 s^2 t at t = 0.5
     se = target * math.sqrt(2.0 / reps)
     assert abs(vals.var(ddof=1) - target) <= 3 * se + 0.02 * target
+
+
+def test_empirical_fields_of_a_cloud_law_centre_at_its_cloud_mean():
+    # partners are resampled from the cloud, so the cloud mean is their exact
+    # mean: every live entry of all four blocks averages to 0 within 4 SE
+    grid = TimeGrid(1.0, 16)
+    model = catalog_model("tanh_bounded")
+    law = solve_limit_forward(model, grid, 512, derive_key(ROOT, "law", 22))
+    law = value_law(law, derive_key(ROOT, "vlaw", 22), size=512)
+    lat = FieldLattice(grid, (16, 4, 8), blocks=_BLOCK_ORDER)
+    reps = 4000
+    sample = empirical_fields(law, 16, lat, reps, derive_key(ROOT, "emp", 22))
+    sd = sample.std(axis=0, ddof=1)
+    live = sd > 0.0
+    # three nodes each of drift, diffusion and driver, and the terminal: all live
+    assert live.sum() == 3 + 3 + 1 + 3
+    assert np.all(np.abs(sample.mean(axis=0)[live]) <= 4 * sd[live] / math.sqrt(reps))
 
 
 def test_empirical_field_covariance_matches_theory():
@@ -215,10 +235,7 @@ def test_empirical_field_covariance_matches_theory():
     lat = _lattice(GRID, (0.25, 0.5, 1.0))
     cov = theoretical_covariance(law, lat, cloud_size=30000, key=derive_key(ROOT, "k", 6))
     reps = 4000
-    sample = empirical_fields(
-        law, 64, lat, reps, derive_key(ROOT, "emp", 2), derive_key(ROOT, "ctr", 2),
-        center_size=16384,
-    )
+    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 2))
     emp = np.cov(sample.T)
     for i in range(3):
         for j in range(3):
@@ -242,10 +259,10 @@ def test_field_scale_linearity():
     assert np.allclose(cov_scaled.matrix, 4.0 * cov_base.matrix, rtol=1e-12)
 
 
-def _path_field(model, grid, kernel, key):
+def _path_field(model, kernel, key):
     """One draw of the path kernel, split into its four field components."""
     raw = sample_field_on_lattice(kernel, key, count=1)
-    drift, diffusion, terminal, driver = _split_path_field(model, grid, raw)
+    drift, diffusion, terminal, driver = _split_path_field(model, kernel, raw)
     return drift[0], diffusion[0], terminal[0], driver[0]
 
 
@@ -261,7 +278,7 @@ def test_field_along_path_variance_matches_kernel():
     kernel = theoretical_covariance(law, lattice, 30000, derive_key(ROOT, "kern", 0))
     node = GRID.node_at(0.75)
     for r in range(reps):
-        vals[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "fs", r))[0][node, 0]
+        vals[r] = _path_field(model, kernel, derive_key(ROOT, "fs", r))[0][node, 0]
     target = 1.0 * 0.25 * 0.75  # beta^2 s^2 t
     se = target * math.sqrt(2.0 / reps)
     assert abs(vals.var(ddof=1) - target) <= 4 * se + 0.02 * target
@@ -276,8 +293,8 @@ def test_field_along_path_independent_draws():
     a = np.empty(n)
     b = np.empty(n)
     for r in range(n):
-        a[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "ia", r))[0][-1, 0]
-        b[r] = _path_field(model, GRID, kernel, derive_key(ROOT, "ib", r))[0][-1, 0]
+        a[r] = _path_field(model, kernel, derive_key(ROOT, "ia", r))[0][-1, 0]
+        b[r] = _path_field(model, kernel, derive_key(ROOT, "ib", r))[0][-1, 0]
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
 
@@ -290,7 +307,7 @@ def test_ou_kernel_needs_no_jitter_and_keeps_vanishing_fields_zero():
     lattice = _lattice(grid, grid.nodes, blocks=_BLOCK_ORDER)
     kernel = theoretical_covariance(law, lattice, 4096, derive_key(ROOT, "kern", 2))
     for r in range(20):
-        drift, diffusion, _, driver = _path_field(model, grid, kernel, derive_key(ROOT, "zf", r))
+        drift, diffusion, _, driver = _path_field(model, kernel, derive_key(ROOT, "zf", r))
         assert np.all(diffusion == 0.0)
         assert np.all(driver == 0.0)
         assert np.any(drift != 0.0)
@@ -433,11 +450,9 @@ def test_limit_system_xbar_matches_the_strided_reference(dim):
     members, degree = 6, 1
     inner = min_block_paths(2 * dim, degree)
     res = solve_limit_system(law, members, key, inner=inner, degree=degree, cloud_size=256)
-    # the member draws, rebuilt under the keys solve_limit_system uses
-    lattice = FieldLattice(grid, tuple(range(grid.steps + 1)), blocks=_BLOCK_ORDER)
-    kernel = theoretical_covariance(law, lattice, 256, key.child("kern", 0))
-    raw = sample_field_on_lattice(kernel, key.child("field", 0), count=members)
-    eta1, eta2, _, _ = _split_path_field(model, grid, raw)
+    # the member draws, rebuilt from the returned kernel under the members' key
+    raw = sample_field_on_lattice(res.kernel, key.child("field", 0), count=members)
+    eta1, eta2, _, _ = _split_path_field(model, res.kernel, raw)
     assert np.any(eta1 != 0.0) and np.any(eta2 != 0.0)
     dw = brownian_increments(
         [key.child("path", m) for m in range(members)], (inner, grid.steps, dim), grid.h
@@ -493,10 +508,7 @@ def test_empirical_field_normality_diagnostics():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 17))
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
-    sample = empirical_fields(
-        law, 256, lat, reps, derive_key(ROOT, "norm", 0),
-        derive_key(ROOT, "normc", 0), center_size=16384,
-    )
+    sample = empirical_fields(law, 256, lat, reps, derive_key(ROOT, "norm", 0))
     v = sample[:, 0]
     v = (v - v.mean()) / v.std(ddof=1)
     skew = float(np.mean(v**3))
@@ -585,6 +597,7 @@ limit = LimitSystemResult(
     xbar=rng.standard_normal((300, 9, 1)),
     ybar=rng.standard_normal((300, 9)),
     zbar=rng.standard_normal((300, 9, 1)),
+    kernel=None,
     provenance={},
 )
 gaps = (
@@ -608,7 +621,7 @@ def test_clt_compare_rejects_sides_of_different_sizes():
     rng = np.random.default_rng(2)
     limit = LimitSystemResult(
         grid=GRID, x=None, xbar=rng.standard_normal((400, 65, 1)), ybar=None, zbar=None,
-        provenance={},
+        kernel=None, provenance={},
     )
     gaps = (rng.standard_normal((300, 65, 1)), None, None)
     with pytest.raises(ValueError, match="differ in size: 300 and 400"):

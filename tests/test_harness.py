@@ -636,6 +636,82 @@ def test_clt_study_smoke(tmp_path):
     assert doc["kind"] == "clt"
 
 
+def _small_clt(model, lattice_times):
+    return parse_config(
+        json.dumps(
+            {
+                "model": model,
+                "grid": {"steps": 8},
+                "study": {
+                    "kind": "clt",
+                    "n": 16,
+                    "reps": 200,
+                    "inner_paths": 32,
+                    "env_cloud": 256,
+                    "field_reps": 300,
+                    "metrics": ["x"],
+                    "lattice_times": lattice_times,
+                    "seed": 41,
+                },
+            }
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "model, lattice_times",
+    [
+        ({"name": "ou_mean_field", "beta": 1.0, "s": 0.5, "x0": 1.0}, [1.0, 0.5]),
+        ({"name": "tanh_bounded", "dim": 2}, [1.0, 0.25]),
+    ],
+)
+def test_clt_covariance_table_reads_the_limit_kernel(monkeypatch, model, lattice_times):
+    # the verdict checks the kernel the limit members were drawn from: its
+    # drift entries at the lattice nodes, in the lattice's order
+    from mfbsde import harness
+
+    limits = []
+
+    def spy(*args, **kwargs):
+        limits.append(solve_limit_system(*args, **kwargs))
+        return limits[-1]
+
+    monkeypatch.setattr(harness, "solve_limit_system", spy)
+    cfg = _small_clt(model, lattice_times)
+    rows = run_clt_study(cfg).tables["covariance"]
+    kernel = limits[0].kernel
+    d = cfg.build_model().dim
+    # the path kernel's drift block leads, node-major, then over the coordinates
+    cols = [round(8 * t) * d + j for t in lattice_times for j in range(d)]
+    assert [(r["i"], r["j"]) for r in rows] == [(i, j) for i in range(len(cols)) for j in range(len(cols))]
+    emp = {(r["i"], r["j"]): r["empirical"] for r in rows}
+    m = cfg.study["field_reps"]
+    for r in rows:
+        i, j = r["i"], r["j"]
+        assert r["block"] == "drift"
+        assert r["value"] == kernel.matrix[cols[i], cols[j]]
+        # the empirical entry's stderr, as `_sample_covariance` computes it
+        emp_se = np.sqrt((emp[i, i] * emp[j, j] + emp[i, j] * emp[i, j]) / m)
+        assert r["stderr"] == np.sqrt(emp_se**2 + kernel.stderr[cols[i], cols[j]] ** 2)
+
+
+def test_clt_study_builds_one_field_kernel(monkeypatch):
+    # one kernel serves the limit members and the covariance verdict
+    from mfbsde import fluctuation, harness
+
+    calls = []
+    real = fluctuation.theoretical_covariance
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (fluctuation, harness):
+        monkeypatch.setattr(module, "theoretical_covariance", spy, raising=False)
+    run_clt_study(_small_clt({"name": "ou_mean_field"}, [0.5, 1.0]))
+    assert len(calls) == 1
+
+
 def test_clt_forward_fluctuations_centred_at_canonical_seed():
     # at this seed a law iteration once swapped the exact law for a sampled
     # cloud, whose sqrt(N)-scaled sampling error biased x@1 by about 20 SE
