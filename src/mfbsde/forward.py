@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec, env_average, env_shift
+from .model import COEFFICIENTS, ModelSpec, env_average, env_shift
 from .noise import StreamKey, TimeGrid, brownian_increments, key_streams
 
 __all__ = [
@@ -35,8 +35,10 @@ DIVERGENCE_CAP = 1e8
 # blocks, replications or members that any loop holds at once (through
 # `block_batches`, at call time); every route is invariant under it
 BLOCK_BATCH = 256
-# elements of Brownian draws that `LawFlow.sample_env` holds at a time
-_SUB_BATCH = 1 << 18
+# elements of partner draws (keys x partners x drawn nodes x d) that
+# `LawFlow.sample_env` and `LawFlow.pool_shifts` hold at a time: a 256 kB
+# sub-batch stays in cache and its reused heap pages are not faulted in again
+_SUB_BATCH = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -99,37 +101,75 @@ class LawFlow:
         cloud law returns the full draw's entries at those nodes, bit for bit.
         """
         keys = list(keys)
-        if not self.use_closed_form:
-            idx = np.empty((len(keys), count), dtype=np.int64)
-            for row, rng in zip(idx, key_streams(keys)):
-                row[:] = rng.integers(0, self.cloud.shape[0], size=count)
-            at = idx if nodes is None else (idx[..., None], np.asarray(nodes))
-            return self.cloud[at], self.cloud_y[at] if self.has_y else None
-        grid = self.grid
-        cf = self.model.closed_form
-        d = self.model.dim
+        if nodes is not None:
+            nodes = np.asarray(nodes, dtype=np.intp)
+        size = self.grid.steps + 1 if nodes is None else nodes.size
+        x = np.empty((len(keys), count, size, self.model.dim))
+        y = np.empty(x.shape[:-1]) if self.has_y else None
+        if x.size == 0:
+            return x, y
+        for lo, hi, px, py in self._pools(keys, count, nodes):
+            x[lo:hi] = px
+            if y is not None:
+                y[lo:hi] = py
+        return x, y
+
+    def pool_shifts(self, keys, count: int):
+        """Each key's pool of `count` partners reduced to its shifts:
+        ``(drift, diffusion, terminal, driver)``, each (len(keys),) plus the
+        layout of `shift`, bit for bit `env_shift` of `sample_env(keys,
+        count)`.  A coefficient without a partner part, and the driver of a
+        law without values, gives None.
+
+        The pools are drawn and reduced a sub-batch of keys at a time (see
+        `_SUB_BATCH`), so no key batch's whole pool is ever held.
+        """
+        if count < 1:
+            raise ValueError("a partner pool needs count >= 1")
+        keys = list(keys)
+        model = self.model
+        live = [w for w in COEFFICIENTS if not model.env_free(w) and (w != "driver" or self.has_y)]
+        shifts = dict.fromkeys(COEFFICIENTS)
+        for lo, hi, x, y in self._pools(keys, count):
+            for which in live:
+                part = env_shift(model, which, x[:, :, -1] if which == "terminal" else x, y)
+                if shifts[which] is None:
+                    shifts[which] = np.empty((len(keys),) + part.shape[1:])
+                shifts[which][lo:hi] = part
+        return tuple(shifts.values())
+
+    def _pools(self, keys: list, count: int, nodes=None):
+        """`sample_env`'s draws a sub-batch of keys at a time: yields
+        ``(lo, hi, x, y)`` for ``keys[lo:hi]``.  A closed-form law draws into
+        increment and path buffers allocated once per call, so read each
+        sub-batch before taking the next."""
+        grid, d = self.grid, self.model.dim
         if nodes is None:
-            t = grid.nodes
-            step = grid.h
-            draws = grid.steps
+            t, step, draws = grid.nodes, grid.h, grid.steps
         else:
             t = grid.nodes[nodes]
             at, back = np.unique(t, return_inverse=True)
-            step = np.diff(at, prepend=0.0)[:, None]
-            draws = at.size
-        x = np.empty((len(keys), count, t.size, d))
-        # keys go in sub-batches, so the temporaries stay small beside x
+            step, draws = np.diff(at, prepend=0.0)[:, None], at.size
         per = max(1, _SUB_BATCH // (count * draws * d))
+        rows = min(per, len(keys))
+        if self.use_closed_form:
+            dw = np.empty((rows, count, draws, d))
+            w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
+        else:
+            idx = np.empty((rows, count), dtype=np.int64)
         for lo in range(0, len(keys), per):
-            hi = min(lo + per, len(keys))
-            dw = brownian_increments(keys[lo:hi], (count, draws, d), step)
-            if nodes is None:
-                w = np.zeros((hi - lo, count, draws + 1, d))
-                np.cumsum(dw, axis=2, out=w[:, :, 1:])
+            sub = keys[lo : lo + per]
+            m = len(sub)
+            if self.use_closed_form:
+                brownian_increments(sub, (count, draws, d), step, out=dw[:m])
+                np.cumsum(dw[:m], axis=2, out=w[:m, :, 1:])
+                path = w[:m] if nodes is None else w[:m, :, 1:][:, :, back]
+                yield lo, lo + m, self.model.closed_form.path_map(t, path), None
             else:
-                w = np.cumsum(dw, axis=2)[:, :, back]
-            x[lo:hi] = cf.path_map(t, w)
-        return x, None
+                for row, rng in zip(idx, key_streams(sub)):
+                    row[:] = rng.integers(0, self.cloud.shape[0], size=count)
+                at = idx[:m] if nodes is None else (idx[:m, :, None], nodes)
+                yield lo, lo + m, self.cloud[at], self.cloud_y[at] if self.has_y else None
 
     # -- mean-field coefficient shifts ----------------------------------------
 
@@ -285,9 +325,10 @@ class BlockSim:
     """Coupled block bundle: per block one frozen environment draw, `inner`
     paths of the N-system and of the limit dynamics on shared increments.
 
-    The blocks' partner pools are reduced to their terminal and driver
-    shifts (see `env_shift`) and then dropped.  ``env_x`` and ``env_y`` are
-    always None; they stay for readers that total the bundle's arrays.
+    Each block's partner pool is reduced to its shift curves (see
+    `LawFlow.pool_shifts`) a sub-batch of blocks at a time and never held
+    whole.  ``env_x`` and ``env_y`` are always None; they stay for readers
+    that total the bundle's arrays.
     """
 
     grid: TimeGrid
@@ -298,20 +339,13 @@ class BlockSim:
     xlim: np.ndarray               # (B, P, n+1, d) limit dynamics, same dw
     terminal_curve: Optional[np.ndarray] = None   # (B,) terminal shift
     driver_curve: Optional[np.ndarray] = None     # (B, n+1) driver shift
-    env_x: Optional[np.ndarray] = None            # always None: pools are dropped
+    env_x: Optional[np.ndarray] = None            # always None: pools are never held
     env_y: Optional[np.ndarray] = None            # always None
 
 
 def block_batches(count: int) -> list[tuple[int, int]]:
     """(lo, hi) bounds of ``count`` items taken `BLOCK_BATCH` at a time."""
     return [(lo, min(lo + BLOCK_BATCH, count)) for lo in range(0, count, BLOCK_BATCH)]
-
-
-def _joined(parts: list):
-    """Per-batch arrays joined along the block axis; None if any batch has none."""
-    if not parts or any(p is None for p in parts):
-        return None
-    return np.concatenate(parts)
 
 
 def simulate_blocks(
@@ -328,41 +362,32 @@ def simulate_blocks(
     Block b draws one environment of N partner paths from ``law`` under
     ``env_key.child("env", block_offset + b)`` and one (inner, steps, d)
     increment array under ``w_key.child("path", block_offset + b)``.  All
-    inner paths of a block share the frozen environment; the limit paths use
+    inner paths of a block share the frozen environment, which enters only
+    through its shift curves (`LawFlow.pool_shifts`); the limit paths use
     the coefficient means of the same ``law`` on the same increments, so no
     second law's sampling error enters the gap between the two.  Model and
-    grid are the law's.  Blocks run `BLOCK_BATCH` at a time.
+    grid are the law's.  The Euler steps run `BLOCK_BATCH` blocks at a time.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     model, grid = law.model, law.grid
-    keys = [w_key.child("path", block_offset + b) for b in range(n_blocks)]
+    blocks = range(block_offset, block_offset + n_blocks)
+    # forward-only use of a y-free law leaves the driver shift unset; the
+    # backward solver raises if it actually needs it
+    drift, diffusion, terminal, driver = law.pool_shifts(
+        [env_key.child("env", b) for b in blocks], N
+    )
     # node-major buffers behind (B, P, nodes, d) views (see `BlockSim`)
     n, d = grid.steps, model.dim
     dw_all = np.moveaxis(np.empty((n, n_blocks, inner, d)), 0, 2)
-    brownian_increments(keys, (inner, n, d), grid.h, out=dw_all)
+    brownian_increments([w_key.child("path", b) for b in blocks], (inner, n, d), grid.h, out=dw_all)
     xn = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
     xlim = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
-    terminal_parts, driver_parts = [], []
     for lo, hi in block_batches(n_blocks):
-        blocks = range(block_offset + lo, block_offset + hi)
         dw = dw_all[lo:hi]
-        env_x, env_y = law.sample_env([env_key.child("env", b) for b in blocks], N)
-        pool_fns = _euler_coefficients(
-            model, env_shift(model, "drift", env_x), env_shift(model, "diffusion", env_x)
-        )
-        euler_paths(model.x0, grid, dw, *pool_fns, out=xn[lo:hi])
+        curves = [None if c is None else c[lo:hi] for c in (drift, diffusion)]
+        euler_paths(model.x0, grid, dw, *_euler_coefficients(model, *curves), out=xn[lo:hi])
         law.euler(dw, out=xlim[lo:hi])
-        terminal = env_shift(model, "terminal", env_x[:, :, -1])
-        # forward-only use of a y-free law leaves the driver shift unset; the
-        # backward solver raises if it actually needs it
-        driver = None if env_y is None else env_shift(model, "driver", env_x, env_y)
-        terminal_parts.append(terminal)
-        driver_parts.append(driver)
-
     return BlockSim(
-        grid=grid,
-        dw=dw_all,
-        xn=xn,
-        xlim=xlim,
-        terminal_curve=_joined(terminal_parts),
-        driver_curve=_joined(driver_parts),
+        grid=grid, dw=dw_all, xn=xn, xlim=xlim, terminal_curve=terminal, driver_curve=driver
     )

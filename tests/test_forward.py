@@ -133,6 +133,82 @@ def test_batched_sample_env_equals_single_key_draws_cloud(with_values, nodes):
     _assert_stacked_single_key_draws(law, keys, 33, nodes)
 
 
+def _tanh_value_law_dim2():
+    from mfbsde.fluctuation import value_law
+
+    model = catalog_model("tanh_bounded", x0=[1.0, -0.5], dim=2)
+    law = solve_limit_forward(model, GRID, 128, derive_key(ROOT, "law", 17))
+    return value_law(law, derive_key(ROOT, "vlaw", 1), size=96)
+
+
+@pytest.mark.parametrize("keys_per_batch", [1, 2, 5], ids=["one_key", "uneven", "all_keys"])
+@pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded_value_law_dim2"])
+def test_pool_shifts_equal_env_shift_over_sample_env(monkeypatch, keys_per_batch, name):
+    # five keys in sub-batches of 1, 2 (2 + 2 + 1) or 5 keys, bit for bit
+    count = 24
+    if name == "ou_mean_field":
+        law = solve_limit_forward(catalog_model(name, x0=1.0), GRID, 0, derive_key(ROOT, "law", 18))
+    else:
+        law = _tanh_value_law_dim2()
+    model = law.model
+    monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * count * GRID.steps * model.dim)
+    keys = [derive_key(ROOT, "pool", i) for i in range(5)]
+    env_x, env_y = law.sample_env(keys, count)
+    shifts = law.pool_shifts(keys, count)
+    for which, got in zip(COEFFICIENTS, shifts):
+        pool = env_x[:, :, -1] if which == "terminal" else env_x
+        want = env_shift(model, which, pool, env_y)
+        if want is None:
+            assert got is None, which
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), which
+    live = [w for w, s in zip(COEFFICIENTS, shifts) if s is not None]
+    expect = ["drift"] if name == "ou_mean_field" else list(COEFFICIENTS)
+    assert live == expect
+
+
+def test_partner_pools_of_no_partners_are_rejected_before_any_draw():
+    law = solve_limit_forward(catalog_model("ou_mean_field"), GRID, 0, derive_key(ROOT, "law", 19))
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        simulate_blocks(law, 0, 2, 1, W_KEY, ENV_KEY)
+    with pytest.raises(ValueError, match="count >= 1"):
+        law.pool_shifts([ENV_KEY], 0)
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "cloud"])
+def test_empty_partner_draws_are_empty_arrays(kind):
+    if kind == "closed_form":
+        law = solve_limit_forward(catalog_model("ou_mean_field"), GRID, 0, derive_key(ROOT, "law", 20))
+    else:
+        law = _tanh_value_law_dim2()
+    d = law.model.dim
+    keys = [derive_key(ROOT, "empty", i) for i in range(2)]
+    for count, nodes, shape in ((0, None, (2, 0, 65)), (4, [], (2, 4, 0)), (0, [3, 5], (2, 0, 2))):
+        x, y = law.sample_env(keys, count, nodes)
+        assert x.shape == shape + (d,)
+        assert (y is None) if kind == "closed_form" else (y.shape == shape)
+
+
+def test_block_peak_memory_does_not_grow_with_the_partner_count():
+    # pools are reduced a sub-batch at a time, so an eightfold N leaves the
+    # peak at the bundle and the shift curves (the N = 512 pool alone is 68 MB)
+    import tracemalloc
+
+    grid = TimeGrid(1.0, 64)
+    law = solve_limit_forward(catalog_model("ou_mean_field"), grid, 0, derive_key(ROOT, "law", 21))
+    run = lambda N: simulate_blocks(law, N, 256, 1, W_KEY, ENV_KEY)
+    run(64)  # warm-up: first-call allocations are not the pool's
+    peaks = []
+    for N in (64, 512):
+        tracemalloc.start()
+        try:
+            run(N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 @pytest.mark.parametrize(
     "name, params, dependent",
     [
