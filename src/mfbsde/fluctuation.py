@@ -10,10 +10,11 @@ statistical comparisons between the two.
 Every coefficient couples to its partner additively (see `ModelSpec`), so a
 field entry is b(X) - E b(X) for the coefficient's partner part b, whatever
 the own state, and one kernel factorization serves every member path.
-`_field_values` lays out every entry's summand from one
-`model.partner_values` call per block, for the kernel cloud and the
-empirical draws alike; every other reader of a column selects it by its
-`_field_labels` label.  The empirical fields centre at the law's own mean.
+`_field_values` lays out every entry's summand along the kernel cloud's
+paths from one `model.partner_values` call per block.  An empirical field
+is a pool mean of the same summand, read off `LawFlow.pool_shifts` at the
+lattice nodes and centred at the law's own mean (`LawFlow.shift`).  Every
+reader of a column selects it by its `_field_labels` label.
 """
 
 from __future__ import annotations
@@ -73,9 +74,13 @@ class FieldLattice:
                 raise ValueError(f"unknown block {b!r}")
         if not self.time_nodes:
             raise ValueError("a lattice needs at least one time node")
-        for t in self.time_nodes:
+        for k, t in enumerate(self.time_nodes):
+            if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+                raise ValueError(f"node {t!r} is not an integer grid index")
             if not 0 <= t <= self.grid.steps:
                 raise ValueError(f"node {t} outside the grid")
+            if t in self.time_nodes[:k]:
+                raise ValueError(f"node {t} repeats")
 
 
 def _field_labels(model: ModelSpec, lattice: FieldLattice) -> tuple:
@@ -91,18 +96,16 @@ def _field_labels(model: ModelSpec, lattice: FieldLattice) -> tuple:
     )
 
 
-def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
+def _field_values(model: ModelSpec, lattice: FieldLattice, x, y):
     """Summands of every lattice entry's field: the partner part at partner
     states (see `partner_values`), and the entries' labels.
 
-    ``x`` is (..., k, d) partner states and ``y`` (..., k) their values, or
-    None for a law without them (read by the driver block only), at the grid
-    nodes ``nodes`` in order.  Returns (..., L) values whose columns follow
-    `_field_labels`.  A block without a partner part gives exact zeros: its
-    field vanishes identically.
+    ``x`` is (..., n+1, d) partner paths and ``y`` (..., n+1) their values,
+    or None for a law without them (read by the driver block only).  Returns
+    (..., L) values whose columns follow `_field_labels`.  A block without a
+    partner part gives exact zeros: its field vanishes identically.
     """
     labels = _field_labels(model, lattice)
-    col = {node: k for k, node in enumerate(nodes)}
     lead = np.shape(x)[:-2]
     parts = []
     for block, group in itertools.groupby(labels, key=lambda label: label[0]):
@@ -111,7 +114,7 @@ def _field_values(model: ModelSpec, lattice: FieldLattice, x, y, nodes):
         if model.env_free(block):
             parts.append(np.zeros(lead + (width,)))
             continue
-        idx = [col[t] for t in dict.fromkeys(t for _, t, _ in group)]
+        idx = list(dict.fromkeys(t for _, t, _ in group))
         if idx == list(range(idx[0], idx[0] + len(idx))):
             idx = slice(idx[0], idx[0] + len(idx))  # a view of x, not a copy
         # without values the driver's partner part raises
@@ -221,8 +224,7 @@ def theoretical_covariance(
     m = x_cloud.shape[0]
     if m < KERNEL_MIN_CLOUD:
         raise ValueError(f"kernel cloud too small ({m} < {KERNEL_MIN_CLOUD})")
-    nodes = range(lattice.grid.steps + 1)
-    return _sample_covariance(*_field_values(law.model, lattice, x_cloud, law.cloud_y, nodes))
+    return _sample_covariance(*_field_values(law.model, lattice, x_cloud, law.cloud_y))
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +262,26 @@ def empirical_fields(
 ) -> np.ndarray:
     """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
-    Per replication: sqrt(N) times the environment average of each centered
-    coefficient over N partners drawn from ``law`` under
-    ``env_key.child("env", r)``.  The centre is the law's own mean of each
-    entry (`LawFlow.shift`): a closed form's exact mean, or a cloud law's
-    cloud mean, which is the exact mean of the law its partners are
-    resampled from.  Replications run `forward.BLOCK_BATCH` at a time.
+    Replication r's entry is sqrt(N) times its pool shift (`LawFlow.pool_shifts`
+    at the lattice nodes) over N partners drawn from ``law`` under
+    ``env_key.child("env", r)``, minus the law's own shift (`LawFlow.shift`):
+    a closed form's exact mean, or a cloud law's cloud mean, which is the
+    exact mean of the law its partners are resampled from.  Columns follow
+    `_field_labels`; a block without a partner part gives exact zeros.  An
+    N below 1 raises before any draw.
     """
-    model = law.model
-    labels = _field_labels(model, lattice)
-    # partner-free coefficients have identically vanishing summands
-    live = [label for label in labels if not model.env_free(label[0])]
-    if not live:
-        return np.zeros((reps, len(labels)))
-    # draw partners only at the live lattice nodes: every summand is pointwise in t
-    nodes = sorted({t for _, t, _ in live})
-    # the law's own mean of each entry; the terminal shift holds the final node alone
-    shift = {b: law.shift(b) for b in lattice.blocks}
-    center = np.array([
-        0.0 if shift[b] is None else shift[b][(0,) if b == "terminal" else (0, t) + axis]
-        for b, t, axis in labels
-    ])
-    values = np.empty((reps, len(labels)))
-    for lo, hi in block_batches(reps):
-        ex, ey = law.sample_env([env_key.child("env", r) for r in range(lo, hi)], N, nodes)
-        vals = _field_values(model, lattice, ex, ey, nodes)[0]
-        # column by column, so that each mean is a pairwise sum over partners
-        mean = np.stack([vals[..., j].mean(axis=1) for j in range(len(labels))], axis=-1)
-        values[lo:hi] = np.sqrt(N) * (mean - center)
+    labels = _field_labels(law.model, lattice)
+    # the centre first: a driver entry of a law without values raises here
+    center = {b: law.shift(b) for b in lattice.blocks}
+    # draw partners only at the live nodes: every summand is pointwise in t
+    nodes = sorted({t for b, t, _ in labels if center[b] is not None})
+    keys = [env_key.child("env", r) for r in range(reps)]
+    pools = dict(zip(_BLOCK_ORDER, law.pool_shifts(keys, N, nodes)))
+    values = np.zeros((reps, len(labels)))
+    for j, (b, t, axis) in enumerate(labels):
+        if pools[b] is not None:
+            mean = center[b][(0,) if b == "terminal" else (0, t) + axis]
+            values[:, j] = np.sqrt(N) * (pools[b][(slice(None), nodes.index(t)) + axis] - mean)
     return values
 
 

@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 DIVERGENCE_CAP = 1e8
-# blocks, replications or members that any loop holds at once (through
-# `block_batches`, at call time); every route is invariant under it
+# blocks or members that `coupled_gaps` and `solve_limit_system` hold at
+# once (through `block_batches`, at call time); no output depends on it
 BLOCK_BATCH = 256
 # elements of partner draws (keys x partners x drawn nodes x d) that
 # `LawFlow.sample_env` and `LawFlow.pool_shifts` hold at a time: a 256 kB
@@ -95,31 +95,33 @@ class LawFlow:
         ``x`` is (len(keys), count, n+1, d) and ``y`` (len(keys), count, n+1),
         or None when the law carries no values (every law but a value law).
         Each key's draws equal what that key alone would give.  With ``nodes``
-        (grid node indices) only those nodes are returned, in their order.  A
-        closed-form law then draws the Brownian path at those nodes alone,
-        which is exact in law because its path maps are pointwise in time; a
-        cloud law returns the full draw's entries at those nodes, bit for bit.
+        (grid node indices) only those nodes are returned, in their order, and
+        node-major in memory (see `_pools`).  A closed-form law then draws the
+        Brownian path at those nodes alone, which is exact in law because its
+        path maps are pointwise in time; a cloud law returns the full draw's
+        entries at those nodes, bit for bit.
         """
-        keys = list(keys)
-        if nodes is not None:
-            nodes = np.asarray(nodes, dtype=np.intp)
-        size = self.grid.steps + 1 if nodes is None else nodes.size
-        x = np.empty((len(keys), count, size, self.model.dim))
-        y = np.empty(x.shape[:-1]) if self.has_y else None
-        if x.size == 0:
-            return x, y
+        keys, d = list(keys), self.model.dim
+        if nodes is None:
+            x = np.empty((len(keys), count, self.grid.steps + 1, d))
+        else:
+            x = np.moveaxis(np.empty((len(nodes), len(keys), count, d)), 0, 2)
+        y = np.empty_like(x[..., 0]) if self.has_y else None
         for lo, hi, px, py in self._pools(keys, count, nodes):
             x[lo:hi] = px
             if y is not None:
                 y[lo:hi] = py
         return x, y
 
-    def pool_shifts(self, keys, count: int):
+    def pool_shifts(self, keys, count: int, nodes=None):
         """Each key's pool of `count` partners reduced to its shifts:
-        ``(drift, diffusion, terminal, driver)``, each (len(keys),) plus the
-        layout of `shift`, bit for bit `env_shift` of `sample_env(keys,
-        count)`.  A coefficient without a partner part, and the driver of a
-        law without values, gives None.
+        ``(drift, diffusion, terminal, driver)``, bit for bit `env_shift` of
+        `sample_env(keys, count, nodes)`.  Without ``nodes`` each is
+        (len(keys),) plus the layout of `shift`; with ``nodes`` every shift,
+        the terminal included, is a curve over those nodes, (len(keys),
+        len(nodes)) plus the coefficient's own axes.  A coefficient without a
+        partner part, and the driver of a law without values, gives None; a
+        law with no partner part draws nothing.
 
         The pools are drawn and reduced a sub-batch of keys at a time (see
         `_SUB_BATCH`), so no key batch's whole pool is ever held.
@@ -130,9 +132,10 @@ class LawFlow:
         model = self.model
         live = [w for w in COEFFICIENTS if not model.env_free(w) and (w != "driver" or self.has_y)]
         shifts = dict.fromkeys(COEFFICIENTS)
-        for lo, hi, x, y in self._pools(keys, count):
+        for lo, hi, x, y in self._pools(keys, count, nodes) if live else ():
             for which in live:
-                part = env_shift(model, which, x[:, :, -1] if which == "terminal" else x, y)
+                at_end = which == "terminal" and nodes is None
+                part = env_shift(model, which, x[:, :, -1] if at_end else x, y)
                 if shifts[which] is None:
                     shifts[which] = np.empty((len(keys),) + part.shape[1:])
                 shifts[which][lo:hi] = part
@@ -142,15 +145,20 @@ class LawFlow:
         """`sample_env`'s draws a sub-batch of keys at a time: yields
         ``(lo, hi, x, y)`` for ``keys[lo:hi]``.  A closed-form law draws into
         increment and path buffers allocated once per call, so read each
-        sub-batch before taking the next."""
+        sub-batch before taking the next.  Draws at ``nodes`` are node-major
+        in memory, as `sample_env` returns them, so `env_shift` sums a pool
+        in the same order on both routes."""
         grid, d = self.grid, self.model.dim
         if nodes is None:
             t, step, draws = grid.nodes, grid.h, grid.steps
         else:
+            nodes = np.asarray(nodes, dtype=np.intp)
             t = grid.nodes[nodes]
             at, back = np.unique(t, return_inverse=True)
             step, draws = np.diff(at, prepend=0.0)[:, None], at.size
-        per = max(1, _SUB_BATCH // (count * draws * d))
+        # ``first`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
+        node_major = lambda a, axis, first: np.moveaxis(np.moveaxis(a, axis, 0)[first], 0, 2)
+        per = max(1, _SUB_BATCH // max(1, count * draws * d))
         rows = min(per, len(keys))
         if self.use_closed_form:
             dw = np.empty((rows, count, draws, d))
@@ -163,13 +171,16 @@ class LawFlow:
             if self.use_closed_form:
                 brownian_increments(sub, (count, draws, d), step, out=dw[:m])
                 np.cumsum(dw[:m], axis=2, out=w[:m, :, 1:])
-                path = w[:m] if nodes is None else w[:m, :, 1:][:, :, back]
+                path = w[:m] if nodes is None else node_major(w[:m], 2, back + 1)
                 yield lo, lo + m, self.model.closed_form.path_map(t, path), None
             else:
                 for row, rng in zip(idx, key_streams(sub)):
                     row[:] = rng.integers(0, self.cloud.shape[0], size=count)
-                at = idx[:m] if nodes is None else (idx[:m, :, None], nodes)
-                yield lo, lo + m, self.cloud[at], self.cloud_y[at] if self.has_y else None
+                if nodes is None:
+                    pick = lambda a: a[idx[:m]]
+                else:
+                    pick = lambda a: node_major(a, 1, (nodes[:, None, None], idx[None, :m]))
+                yield lo, lo + m, pick(self.cloud), pick(self.cloud_y) if self.has_y else None
 
     # -- mean-field coefficient shifts ----------------------------------------
 
@@ -366,7 +377,8 @@ def simulate_blocks(
     through its shift curves (`LawFlow.pool_shifts`); the limit paths use
     the coefficient means of the same ``law`` on the same increments, so no
     second law's sampling error enters the gap between the two.  Model and
-    grid are the law's.  The Euler steps run `BLOCK_BATCH` blocks at a time.
+    grid are the law's.  Every block runs in one Euler sweep: a caller that
+    bounds memory passes one block batch (see `block_batches`).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -374,20 +386,13 @@ def simulate_blocks(
     blocks = range(block_offset, block_offset + n_blocks)
     # forward-only use of a y-free law leaves the driver shift unset; the
     # backward solver raises if it actually needs it
-    drift, diffusion, terminal, driver = law.pool_shifts(
-        [env_key.child("env", b) for b in blocks], N
-    )
+    drift, diffusion, terminal, driver = law.pool_shifts([env_key.child("env", b) for b in blocks], N)
     # node-major buffers behind (B, P, nodes, d) views (see `BlockSim`)
     n, d = grid.steps, model.dim
-    dw_all = np.moveaxis(np.empty((n, n_blocks, inner, d)), 0, 2)
-    brownian_increments([w_key.child("path", b) for b in blocks], (inner, n, d), grid.h, out=dw_all)
+    dw = np.moveaxis(np.empty((n, n_blocks, inner, d)), 0, 2)
+    brownian_increments([w_key.child("path", b) for b in blocks], (inner, n, d), grid.h, out=dw)
     xn = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
     xlim = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
-    for lo, hi in block_batches(n_blocks):
-        dw = dw_all[lo:hi]
-        curves = [None if c is None else c[lo:hi] for c in (drift, diffusion)]
-        euler_paths(model.x0, grid, dw, *_euler_coefficients(model, *curves), out=xn[lo:hi])
-        law.euler(dw, out=xlim[lo:hi])
-    return BlockSim(
-        grid=grid, dw=dw_all, xn=xn, xlim=xlim, terminal_curve=terminal, driver_curve=driver
-    )
+    euler_paths(model.x0, grid, dw, *_euler_coefficients(model, drift, diffusion), out=xn)
+    law.euler(dw, out=xlim)
+    return BlockSim(grid=grid, dw=dw, xn=xn, xlim=xlim, terminal_curve=terminal, driver_curve=driver)

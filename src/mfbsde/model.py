@@ -160,12 +160,9 @@ def catalog_model(name: str, **params) -> ModelSpec:
     horizon = float(params.pop("T", 1.0))
     if horizon <= 0:
         raise ValueError("T must be positive and finite")
-    builder = {
-        "constant": _build_constant,
-        "ou_mean_field": _build_ou,
-        "tanh_bounded": _build_tanh,
-        "mf_bsde_linear": _build_mf_linear,
-    }[name]
+    if name in ("ou_mean_field", "mf_bsde_linear"):
+        return _build_ou(dim, x0, horizon, params, name=name)
+    builder = {"constant": _build_constant, "tanh_bounded": _build_tanh}[name]
     return builder(dim, x0, horizon, params)
 
 
@@ -234,7 +231,14 @@ def _ou_like_closed_form(x0, beta, s, *, linear_terminal):
     return ClosedForm(mean=mean, path_map=path_map, env_means=env_means)
 
 
-def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
+def _build_ou(dim, x0, horizon, params, *, name):
+    """The OU family: ``ou_mean_field``, and ``mf_bsde_linear``, whose
+    terminal also reads its partners linearly."""
+    beta = float(params.pop("beta", 1.0))
+    s = float(params.pop("s", 1.0))
+    _reject_extra(name, params)
+    linear_terminal = name == "mf_bsde_linear"
+
     def terminal(x):
         return np.sum(np.asarray(x, float), axis=-1)
 
@@ -251,24 +255,6 @@ def _build_ou_family(dim, x0, horizon, beta, s, *, linear_terminal, name):
         drift_env=lambda e: beta * np.asarray(e, float),
         terminal_env=terminal if linear_terminal else None,
         closed_form=_ou_like_closed_form(x0, beta, s, linear_terminal=linear_terminal),
-    )
-
-
-def _build_ou(dim, x0, horizon, params):
-    beta = float(params.pop("beta", 1.0))
-    s = float(params.pop("s", 1.0))
-    _reject_extra("ou_mean_field", params)
-    return _build_ou_family(
-        dim, x0, horizon, beta, s, linear_terminal=False, name="ou_mean_field"
-    )
-
-
-def _build_mf_linear(dim, x0, horizon, params):
-    beta = float(params.pop("beta", 1.0))
-    s = float(params.pop("s", 1.0))
-    _reject_extra("mf_bsde_linear", params)
-    return _build_ou_family(
-        dim, x0, horizon, beta, s, linear_terminal=True, name="mf_bsde_linear"
     )
 
 

@@ -39,11 +39,10 @@ def test_lattice_index_map_is_bijective():
     # columns run block by block, node-major, then over the coefficient's axes
     model = catalog_model("tanh_bounded", dim=2)
     lat = FieldLattice(GRID, (16, 32), blocks=("drift", "diffusion", "terminal", "driver"))
-    nodes = (16, 32, 64)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 3, 2))
-    y = rng.standard_normal((5, 3))
-    vals, labels = _field_values(model, lat, x, y, nodes)
+    x = rng.standard_normal((5, GRID.steps + 1, 2))
+    y = rng.standard_normal((5, GRID.steps + 1))
+    vals, labels = _field_values(model, lat, x, y)
     assert vals.shape == (5, 15) and vals.flags.c_contiguous
     assert labels == _field_labels(model, lat)
     assert labels == (
@@ -52,12 +51,13 @@ def test_lattice_index_map_is_bijective():
         + (("terminal", 64, ()),)
         + tuple(("driver", t, ()) for t in (16, 32))
     )
+    nodes = [16, 32]
     expected = np.concatenate(
         [
-            model.drift_env(x[:, :2]).reshape(5, 4),
-            model.diffusion_env(x[:, :2]).reshape(5, 8),
-            model.terminal_env(x[:, 2])[:, None],
-            model.driver_env(x[:, :2], y[:, :2]),
+            model.drift_env(x[:, nodes]).reshape(5, 4),
+            model.diffusion_env(x[:, nodes]).reshape(5, 8),
+            model.terminal_env(x[:, 64])[:, None],
+            model.driver_env(x[:, nodes], y[:, nodes]),
         ],
         axis=1,
     )
@@ -71,6 +71,30 @@ def test_empty_lattice_rejected():
         FieldLattice(GRID, ())
     with pytest.raises(ValueError, match="at least one time node"):
         FieldLattice(GRID, (), blocks=("drift", "terminal"))
+
+
+@pytest.mark.parametrize(
+    "nodes, match",
+    [
+        ((16.7,), "node 16.7 is not an integer grid index"),
+        ((16, 16), "node 16 repeats"),
+        ((True,), "node True is not an integer grid index"),
+    ],
+    ids=["fractional", "repeated", "bool"],
+)
+def test_lattice_rejects_a_node_that_is_not_one_distinct_integer(nodes, match):
+    # each used to pass: a fractional node failed later with IndexError or
+    # KeyError, a repeated one in a reshape, and True silently meant node 1
+    with pytest.raises(ValueError, match=match):
+        FieldLattice(GRID, nodes)
+
+
+def test_lattice_accepts_numpy_integer_nodes():
+    lat = FieldLattice(GRID, tuple(np.array([32, 16])))
+    assert _field_labels(catalog_model("ou_mean_field"), lat) == (
+        ("drift", 32, (0,)),
+        ("drift", 16, (0,)),
+    )
 
 
 def test_theoretical_covariance_ou_is_min_kernel():
@@ -173,10 +197,26 @@ def test_empirical_fields_zero_for_decoupled_model():
     assert np.all(sample == 0.0)
 
 
+def test_empirical_fields_of_no_partners_raise_before_any_draw(monkeypatch):
+    # N = 0 used to give NaN fields and a "Mean of empty slice" warning
+    model = catalog_model("ou_mean_field", x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 23))
+
+    def no_draw(*args):
+        raise AssertionError("partners drawn")
+
+    monkeypatch.setattr(LawFlow, "_pools", no_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="count >= 1"):
+            empirical_fields(law, 0, _lattice(GRID, (0.5,)), 4, derive_key(ROOT, "emp", 23))
+
+
 @pytest.mark.parametrize("name", ["tanh_bounded", "ou_mean_field"])
 def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
     # every replication draws its own partners under its own key, so the
-    # batch only bounds memory; tanh_bounded reads all four blocks off a value law
+    # pool sub-batch only bounds memory; tanh_bounded reads all four blocks
+    # off a value law
     grid = TimeGrid(1.0, 16)
     model = catalog_model(name)
     law = solve_limit_forward(model, grid, 256, derive_key(ROOT, "law", 20))
@@ -186,8 +226,9 @@ def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
         blocks = ("drift", "diffusion", "terminal", "driver")
     lat = FieldLattice(grid, (4, 8, 16), blocks=blocks)
     samples = []
-    for batch in (1, 7, 256):
-        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+    for keys_per_batch in (1, 7, 30):
+        # 16 partners at three nodes (the terminal's final node is one of them)
+        monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * 16 * 3 * model.dim)
         samples.append(empirical_fields(law, 16, lat, 30, derive_key(ROOT, "emp", 20)))
     # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
     assert samples[0].shape == (30, {"tanh_bounded": 10, "ou_mean_field": 3}[name])

@@ -144,27 +144,33 @@ def _tanh_value_law_dim2():
 @pytest.mark.parametrize("keys_per_batch", [1, 2, 5], ids=["one_key", "uneven", "all_keys"])
 @pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded_value_law_dim2"])
 def test_pool_shifts_equal_env_shift_over_sample_env(monkeypatch, keys_per_batch, name):
-    # five keys in sub-batches of 1, 2 (2 + 2 + 1) or 5 keys, bit for bit
+    # five keys in sub-batches of 1, 2 (2 + 2 + 1) or 5 keys, bit for bit,
+    # along whole paths and at unsorted, repeated nodes that include the
+    # final one, where every shift, the terminal's too, is a curve
     count = 24
     if name == "ou_mean_field":
         law = solve_limit_forward(catalog_model(name, x0=1.0), GRID, 0, derive_key(ROOT, "law", 18))
     else:
         law = _tanh_value_law_dim2()
     model = law.model
-    monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * count * GRID.steps * model.dim)
     keys = [derive_key(ROOT, "pool", i) for i in range(5)]
-    env_x, env_y = law.sample_env(keys, count)
-    shifts = law.pool_shifts(keys, count)
-    for which, got in zip(COEFFICIENTS, shifts):
-        pool = env_x[:, :, -1] if which == "terminal" else env_x
-        want = env_shift(model, which, pool, env_y)
-        if want is None:
-            assert got is None, which
-        else:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), which
-    live = [w for w, s in zip(COEFFICIENTS, shifts) if s is not None]
-    expect = ["drift"] if name == "ou_mean_field" else list(COEFFICIENTS)
-    assert live == expect
+    for nodes in (None, [48, 0, 64, 16, 48]):
+        draws = GRID.steps if nodes is None else len(set(nodes))
+        monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * count * draws * model.dim)
+        env_x, env_y = law.sample_env(keys, count, nodes)
+        shifts = law.pool_shifts(keys, count, nodes)
+        for which, got in zip(COEFFICIENTS, shifts):
+            pool = env_x[:, :, -1] if which == "terminal" and nodes is None else env_x
+            want = env_shift(model, which, pool, env_y)
+            if want is None:
+                assert got is None, which
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (which, nodes)
+                if nodes is not None:
+                    assert got.shape[:2] == (5, len(nodes)), which
+        live = [w for w, s in zip(COEFFICIENTS, shifts) if s is not None]
+        expect = ["drift"] if name == "ou_mean_field" else list(COEFFICIENTS)
+        assert live == expect
 
 
 def test_partner_pools_of_no_partners_are_rejected_before_any_draw():
@@ -191,22 +197,30 @@ def test_empty_partner_draws_are_empty_arrays(kind):
 
 def test_block_peak_memory_does_not_grow_with_the_partner_count():
     # pools are reduced a sub-batch at a time, so an eightfold N leaves the
-    # peak at the bundle and the shift curves (the N = 512 pool alone is 68 MB)
+    # peak at the outputs: the bundle and shift curves of 256 blocks (whose
+    # N = 512 pool alone is 68 MB), or the fields of 512 replications
     import tracemalloc
+
+    from mfbsde.fluctuation import FieldLattice, empirical_fields
 
     grid = TimeGrid(1.0, 64)
     law = solve_limit_forward(catalog_model("ou_mean_field"), grid, 0, derive_key(ROOT, "law", 21))
-    run = lambda N: simulate_blocks(law, N, 256, 1, W_KEY, ENV_KEY)
-    run(64)  # warm-up: first-call allocations are not the pool's
-    peaks = []
-    for N in (64, 512):
-        tracemalloc.start()
-        try:
-            run(N)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    lattice = FieldLattice(grid, (16, 32, 64))
+    routes = {
+        "blocks": (lambda N: simulate_blocks(law, N, 256, 1, W_KEY, ENV_KEY), (64, 512)),
+        "empirical_fields": (lambda N: empirical_fields(law, N, lattice, 512, ENV_KEY), (128, 1024)),
+    }
+    for route, (run, sizes) in routes.items():
+        run(sizes[0])  # warm-up: first-call allocations are not the pool's
+        peaks = []
+        for N in sizes:
+            tracemalloc.start()
+            try:
+                run(N)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], (route, peaks)
 
 
 @pytest.mark.parametrize(
@@ -396,7 +410,7 @@ def test_divergence_guard_reports_step():
 @pytest.mark.parametrize("name", ["ou_mean_field", "tanh_bounded", "mf_bsde_linear"])
 def test_blocks_invariant_under_chunk_size(monkeypatch, name):
     # each block's environment, increments and partner shifts depend on its
-    # keys alone, so the block batch cannot change a single bit
+    # keys alone, so the pool sub-batch cannot change a single bit
     from mfbsde.fluctuation import value_law
 
     grid = TimeGrid(1.0, 16)
@@ -405,8 +419,9 @@ def test_blocks_invariant_under_chunk_size(monkeypatch, name):
     if not model.env_free("driver"):
         law = value_law(law, derive_key(ROOT, "vlaw", 0), size=256)
     sims = []
-    for batch in (1, 7, 256):
-        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+    for keys_per_batch in (1, 7, 20):
+        # 8 partners of 16 increments per block
+        monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * 8 * 16 * model.dim)
         sims.append(simulate_blocks(law, 8, 20, 4, W_KEY, ENV_KEY))
     assert (sims[0].driver_curve is not None) == (name == "tanh_bounded")
     for sim in sims[1:]:
@@ -418,7 +433,6 @@ def test_blocks_invariant_under_chunk_size(monkeypatch, name):
 def test_block_bundle_is_node_major_so_backward_moves_copy_nothing(monkeypatch):
     # the backward solves move the node axis to the front with
     # ascontiguousarray; on a block bundle that must return the same memory
-    monkeypatch.setattr(forward, "BLOCK_BATCH", 3)
     grid = TimeGrid(1.0, 8)
     model = catalog_model("tanh_bounded", x0=[1.0, -0.5], dim=2)
     law = solve_limit_forward(model, grid, 64, derive_key(ROOT, "law", 15))
