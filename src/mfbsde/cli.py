@@ -63,18 +63,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _load_config(args):
-    cfg = parse_config(_read_input(args.config, "config file"))
-    if args.seed is not None:
-        cfg.study["seed"] = int(args.seed)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
-
-
 def _cmd_convergence(args) -> int:
-    cfg = _load_config(args)
-    cfg.validate()
+    text = _read_input(args.config, "config file")
+    cfg = parse_config(text, "convergence", seed=args.seed, out=args.out)
     report = run_convergence_study(cfg)
     written = emit_report(report, cfg.out_dir)
     for v in report.verdicts:
@@ -89,16 +80,13 @@ def _cmd_clt(args) -> int:
         clash = [f for f in ("model", "lattice") if getattr(args, f) is not None]
         if clash:
             raise ConfigError([f"--{f} belongs to direct mode, not to --config" for f in clash])
-        cfg = _load_config(args)
+        text = _read_input(args.config, "config file")
     else:
         # direct mode: build a study document from the model block
         missing = [f for f in ("model", "n", "seed") if getattr(args, f) is None]
         if missing:
             raise ConfigError([f"direct mode needs --{f}" for f in missing])
-        doc = {
-            "model": _load_model_block(args.model),
-            "study": {"kind": "clt", "n": int(args.n), "seed": int(args.seed)},
-        }
+        doc = {"model": _load_model_block(args.model), "study": {"kind": "clt"}}
         if args.lattice is not None:
             lat = _read_json_file(args.lattice, "lattice file")
             if not isinstance(lat, dict):
@@ -108,14 +96,8 @@ def _cmd_clt(args) -> int:
                 raise ConfigError(unknown)
             if "times" in lat:
                 doc["study"]["lattice_times"] = lat["times"]
-        cfg = parse_config(json.dumps(doc))
-        if args.out is not None:
-            cfg.out_dir = args.out
-    if args.n is not None:
-        cfg.study["n"] = int(args.n)
-    if args.reps is not None:
-        cfg.study["reps"] = int(args.reps)
-    cfg.validate()
+        text = json.dumps(doc)
+    cfg = parse_config(text, "clt", seed=args.seed, n=args.n, reps=args.reps, out=args.out)
     report = run_clt_study(cfg)
     written = emit_report(report, cfg.out_dir)
     for v in report.verdicts:
@@ -220,6 +202,11 @@ def _backward_setup(args):
             bad_file = True
         if values is not None and len(nodes) != args.steps + 1:
             violations.append(f"--paths file has {len(nodes) - 1} steps, expected {args.steps}")
+        elif values is not None and args.steps >= 1:
+            grid = TimeGrid(model.horizon, args.steps)
+            # within `TimeGrid.node_at`'s tolerance of the node of its rank
+            if np.any(np.abs(np.asarray(nodes) - grid.nodes) > 1e-9):
+                violations.append(f"--paths file's t values are not the nodes of {grid}")
     if model is not None and args.degree >= 0:
         # paths per regression block: file rows, fresh limit paths or inner paths
         if values is not None:

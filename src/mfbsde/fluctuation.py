@@ -28,7 +28,7 @@ import numpy as np
 
 from .backward import min_block_paths, solve_linear_limit_bsde, solve_mfbsde
 from .forward import LawFlow, block_batches, euler_paths
-from .model import ModelSpec, partner_values
+from .model import ModelSpec, partner_values, random_probes
 from .noise import StreamKey, TimeGrid, brownian_increments, generator
 
 __all__ = [
@@ -180,6 +180,8 @@ def _sample_covariance(feats: np.ndarray, labels: tuple) -> CovarianceMatrix:
     with the stderr of each entry."""
     m = feats.shape[0]
     centered = feats - feats.mean(axis=0)
+    # a constant column has no spread, whatever its rounded mean reads
+    centered[:, np.all(feats == feats[0], axis=0)] = 0.0
     cov = centered.T @ centered / (m - 1)
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
@@ -215,7 +217,7 @@ def theoretical_covariance(
     whole cloud, whatever ``cloud_size`` says.  Only a driver that reads
     partner y needs a law carrying y values (see `partner_values`).
     """
-    if not law.use_closed_form:
+    if law.cloud is not None:
         x_cloud = law.cloud
     elif key is None:
         raise ValueError("closed-form laws need a key to draw the kernel cloud")
@@ -350,9 +352,8 @@ def solve_limit_system(
 
     # the linear driver needs the base (y, z) along inner paths only when the
     # driver's own-triple gradient is nonvanishing; probe it structurally
-    probe = generator(key.child("grad_probe", 0)).standard_normal((32, 2 * d + 1))
-    gprobe = model.grad_driver_own(probe[:, :d], probe[:, d], probe[:, d + 1 :])
-    need_base = bool(np.any(gprobe != 0.0))
+    probes = random_probes(model, 32, key.child("grad_probe", 0))
+    need_base = bool(np.any(model.grad_driver_own(*probes) != 0.0))
 
     x = np.empty((members, n1, d))
     xbar = np.empty((members, n1, d))

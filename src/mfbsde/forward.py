@@ -62,26 +62,26 @@ class LawFlow:
 
     grid: TimeGrid
     model: ModelSpec
-    cloud: Optional[np.ndarray] = None      # (M, n+1, d)
+    cloud: Optional[np.ndarray] = None      # (M, n+1, d); None for the closed form
     cloud_y: Optional[np.ndarray] = None    # (M, n+1)
-    use_closed_form: bool = False
     _curves: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.use_closed_form:
+        if self.cloud is None:
             if self.model.closed_form is None:
                 raise ValueError("model has no closed form")
-        else:
-            if self.cloud is None or self.cloud.shape[0] < 2:
-                raise ValueError("cloud law needs at least 2 sample paths")
+            if self.cloud_y is not None:
+                raise ValueError("cloud_y needs a cloud: a closed-form law carries no values")
+        elif self.cloud.shape[0] < 2:
+            raise ValueError("cloud law needs at least 2 sample paths")
 
     @property
     def kind(self) -> str:
-        return "closed_form" if self.use_closed_form else "cloud"
+        return "closed_form" if self.cloud is None else "cloud"
 
     @property
     def size(self) -> int:
-        return 0 if self.use_closed_form else self.cloud.shape[0]
+        return 0 if self.cloud is None else self.cloud.shape[0]
 
     @property
     def has_y(self) -> bool:
@@ -160,7 +160,7 @@ class LawFlow:
         node_major = lambda a, axis, first: np.moveaxis(np.moveaxis(a, axis, 0)[first], 0, 2)
         per = max(1, _SUB_BATCH // max(1, count * draws * d))
         rows = min(per, len(keys))
-        if self.use_closed_form:
+        if self.cloud is None:
             dw = np.empty((rows, count, draws, d))
             w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
         else:
@@ -168,7 +168,7 @@ class LawFlow:
         for lo in range(0, len(keys), per):
             sub = keys[lo : lo + per]
             m = len(sub)
-            if self.use_closed_form:
+            if self.cloud is None:
                 brownian_increments(sub, (count, draws, d), step, out=dw[:m])
                 np.cumsum(dw[:m], axis=2, out=w[:m, :, 1:])
                 path = w[:m] if nodes is None else node_major(w[:m], 2, back + 1)
@@ -199,7 +199,7 @@ class LawFlow:
         if model.env_free(which):
             return None
         if which not in self._curves:
-            if not self.use_closed_form:
+            if self.cloud is not None:
                 cloud_y = None if self.cloud_y is None else self.cloud_y[None]
                 curve = env_shift(model, which, self.cloud[None], cloud_y)
             elif which in model.closed_form.env_means:
@@ -278,7 +278,7 @@ def solve_limit_forward(
     over the whole cloud at every step.
     """
     if model.closed_form is not None:
-        return LawFlow(grid, model, use_closed_form=True)
+        return LawFlow(grid, model)
     if cloud_size < 2:
         raise ValueError("cloud_size must be >= 2")
     return LawFlow(grid, model, cloud=solve_classical_system(model, cloud_size, grid, root_key))

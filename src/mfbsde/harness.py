@@ -104,15 +104,18 @@ def model_from_block(block) -> ModelSpec:
         raise ConfigError([f"invalid model block: {exc}"]) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    model_block: dict
-    steps: int
-    study: dict
-    out_dir: str = "out"
+    """A study document that `parse_config` validated, flag overrides
+    included: the model block and the model and grid built from it, the
+    study keys with their defaults, and the output dir.  A run reads these
+    and builds nothing again."""
 
-    def build_model(self) -> ModelSpec:
-        return model_from_block(self.model_block)
+    model_block: dict
+    model: ModelSpec
+    grid: TimeGrid
+    study: dict
+    out_dir: str
 
     def root_key(self) -> StreamKey:
         return StreamKey(seed=int(self.study["seed"]))
@@ -120,26 +123,34 @@ class ExperimentConfig:
     def canonical(self) -> dict:
         return {
             "model": self.model_block,
-            "grid": {"steps": self.steps},
+            "grid": {"steps": self.grid.steps},
             "study": self.study,
             "output": {"dir": self.out_dir},
         }
-
-    def validate(self) -> None:
-        """Raise ConfigError for every `parse_config` rule the config breaks;
-        run again after overriding study keys or the output dir."""
-        parse_config(json.dumps(self.canonical()))
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(
+    text: str,
+    kind: Optional[str] = None,
+    *,
+    seed: Optional[int] = None,
+    n: Optional[int] = None,
+    reps: Optional[int] = None,
+    out: Optional[str] = None,
+) -> ExperimentConfig:
     """Parse and validate a JSON configuration document.
 
-    Strict mode: unknown keys are rejected and every violation found is
-    reported, not just the first.
+    ``kind`` is the study kind of the command that runs the document; a
+    document of another kind is a violation, and the study is then checked
+    as one of ``kind``.  ``seed``, ``n`` and ``reps`` override the study
+    keys of those names and ``out`` the output dir; each is merged into the
+    document before any rule is checked, and None leaves the document's
+    value.  Strict mode: unknown keys are rejected and every violation found
+    is reported, not just the first.
     """
     violations: list[str] = []
     try:
@@ -186,13 +197,16 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(f"unknown study key {key!r}")
         else:
             study[key] = value
+    study.update((k, v) for k, v in (("seed", seed), ("n", n), ("reps", reps)) if v is not None)
     if study["seed"] is None:
         violations.append("study.seed is required (no wall-clock seeding)")
     elif not _is_int(study["seed"]):
         violations.append(f"study.seed must be an integer, got {study['seed']!r}")
-    kind = study["kind"]
-    if kind not in ("convergence", "clt"):
-        violations.append(f"study.kind must be 'convergence' or 'clt', got {kind!r}")
+    if kind is not None and study["kind"] != kind:
+        violations.append(f"study.kind must be {kind!r} for the {kind} command, got {study['kind']!r}")
+    elif study["kind"] not in ("convergence", "clt"):
+        violations.append(f"study.kind must be 'convergence' or 'clt', got {study['kind']!r}")
+    kind = kind or study["kind"]
     if kind == "convergence":
         nv = study["n_values"]
         if not isinstance(nv, list) or len(nv) < 3:
@@ -211,16 +225,15 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in out_block:
         if key != "dir":
             violations.append(f"unknown output key {key!r}")
-    out_dir = out_block.get("dir", "out")
+    out_dir = out_block.get("dir", "out") if out is None else out
     if not (isinstance(out_dir, str) and out_dir):
         violations.append(f"output.dir must be a non-empty string, got {out_dir!r}")
 
-    violations += _study_violations(
-        study, None if model is None else TimeGrid(model.horizon, steps), model
-    )
+    grid = None if model is None else TimeGrid(model.horizon, steps)
+    violations += _study_violations(study, kind == "clt", grid, model)
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(model_block, steps, study, out_dir)
+    return ExperimentConfig(model_block, model, grid, study, out_dir)
 
 
 def _is_int(value) -> bool:
@@ -229,7 +242,7 @@ def _is_int(value) -> bool:
 
 
 def _study_violations(
-    study: dict, grid: Optional[TimeGrid], model: Optional[ModelSpec]
+    study: dict, clt: bool, grid: Optional[TimeGrid], model: Optional[ModelSpec]
 ) -> list[str]:
     """Violations a study would otherwise hit mid-run, or that would make it
     compute nothing: a size below 1, bad metrics or degree, probe or lattice
@@ -259,7 +272,6 @@ def _study_violations(
         )
         metrics = []
     backward = _measures_backward(metrics)
-    clt = study["kind"] == "clt"
     # a cloud law needs two paths; a clt study's field kernel needs more
     least_cloud = KERNEL_MIN_CLOUD if clt else 2
     if sizes.get("env_cloud", least_cloud) < least_cloud:
@@ -483,9 +495,7 @@ def study_law(
 
 def run_convergence_study(config: ExperimentConfig) -> StudyReport:
     """Error-versus-environment-size study with log-log slope fits."""
-    model = config.build_model()
-    grid = TimeGrid(model.horizon, config.steps)
-    study = config.study
+    model, grid, study = config.model, config.grid, config.study
     root = config.root_key()
     metrics = list(study["metrics"])
     backward = _measures_backward(metrics)
@@ -561,9 +571,7 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
 
 def run_clt_study(config: ExperimentConfig) -> StudyReport:
     """Distributional comparison of scaled fluctuations against the limit system."""
-    model = config.build_model()
-    grid = TimeGrid(model.horizon, config.steps)
-    study = config.study
+    model, grid, study = config.model, config.grid, config.study
     root = config.root_key()
     N = int(study["n"])
     env_cloud = int(study["env_cloud"])

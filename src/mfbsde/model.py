@@ -32,7 +32,6 @@ __all__ = [
     "ModelSpec",
     "ClosedForm",
     "GradientReport",
-    "Probe",
     "catalog_model",
     "check_gradients",
     "env_average",
@@ -372,22 +371,12 @@ def env_average(model: ModelSpec, which: str, x, shift, y=None, z=None):
 # gradient validation
 
 
-@dataclass(frozen=True)
-class Probe:
-    x: Array
-    y: float
-    z: Array
-
-
-def random_probes(model: ModelSpec, count: int, key: StreamKey) -> list[Probe]:
-    """Unit-scale probe points for validation checks."""
-    rng = generator(key)
+def random_probes(model: ModelSpec, count: int, key: StreamKey) -> tuple[Array, Array, Array]:
+    """Unit-scale probe points for validation checks: x (count, d), y (count,)
+    and z (count, d), from one standard normal draw."""
     d = model.dim
-    probes = []
-    for _ in range(count):
-        vals = rng.standard_normal(2 * d + 1)
-        probes.append(Probe(x=vals[:d], y=float(vals[d]), z=vals[d + 1 :]))
-    return probes
+    vals = generator(key).standard_normal((count, 2 * d + 1))
+    return vals[:, :d], vals[:, d], vals[:, d + 1 :]
 
 
 @dataclass
@@ -408,48 +397,40 @@ _FD_STEP = 1e-5
 _FD_TOL = 1e-5
 
 
-def _central_diff(fn, args, arg_index, coord, step=_FD_STEP):
-    plus = [np.array(a, dtype=float, copy=True) for a in args]
-    minus = [np.array(a, dtype=float, copy=True) for a in args]
-    plus[arg_index].flat[coord] += step
-    minus[arg_index].flat[coord] -= step
-    return (np.asarray(fn(*plus), float) - np.asarray(fn(*minus), float)) / (2 * step)
+def _central_diff(fn, x, j, step=_FD_STEP):
+    """Central difference of ``fn`` along coordinate ``j`` of ``x`` at every probe."""
+    plus, minus = np.array(x, dtype=float), np.array(x, dtype=float)
+    plus[..., j] += step
+    minus[..., j] -= step
+    return (np.asarray(fn(plus), float) - np.asarray(fn(minus), float)) / (2 * step)
 
 
 def _rel_err(fd, an):
     return float(np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))))
 
 
-def check_gradients(
-    model: ModelSpec, probes: list[Probe], tolerance: float = _FD_TOL
-) -> GradientReport:
-    """Max relative error of each own-state gradient vs central differences."""
+def check_gradients(model: ModelSpec, probes, tolerance: float = _FD_TOL) -> GradientReport:
+    """Max relative error of each own-state gradient vs central differences
+    at `random_probes`' points, all probes at once."""
+    x, y, z = probes
     d = model.dim
-    errs = dict.fromkeys(("drift_x", "diffusion_x", "terminal_x", "driver_own"), 0.0)
-    for p in probes:
-        for v in (model.drift(p.x), model.diffusion(p.x), model.terminal(p.x)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite coefficient value at probe {p}")
-        # the gradient's trailing axis is the own coordinate j
-        for which, fn, grad_fn in (
-            ("drift_x", model.drift, model.grad_drift_x),
-            ("diffusion_x", model.diffusion, model.grad_diffusion_x),
-            ("terminal_x", model.terminal, model.grad_terminal_x),
-        ):
-            an = np.asarray(grad_fn(p.x), float)
-            for j in range(d):
-                fd = _central_diff(fn, (p.x,), 0, j)
-                errs[which] = max(errs[which], _rel_err(fd, an[..., j]))
-        args = (p.x, p.y, p.z)
+    for v in (model.drift(x), model.diffusion(x), model.terminal(x)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite coefficient value at a probe")
 
-        def driver(x, y, z):
-            return model.driver(x, float(y), z)
+    def triple(fn):
+        # the driver's own (x, y, z) as one (..., 2d+1) argument
+        return lambda v: fn(v[..., :d], v[..., d], v[..., d + 1 :])
 
-        own = np.asarray(model.grad_driver_own(*args), float).reshape(2 * d + 1)
-        fd_own = np.array(
-            [float(_central_diff(driver, args, 0, j)) for j in range(d)]
-            + [float(_central_diff(driver, args, 1, 0))]
-            + [float(_central_diff(driver, args, 2, j)) for j in range(d)]
-        )
-        errs["driver_own"] = max(errs["driver_own"], _rel_err(fd_own, own))
+    errs = {}
+    # the gradient's trailing axis is the coordinate j of its argument
+    for which, fn, grad_fn, at in (
+        ("drift_x", model.drift, model.grad_drift_x, x),
+        ("diffusion_x", model.diffusion, model.grad_diffusion_x, x),
+        ("terminal_x", model.terminal, model.grad_terminal_x, x),
+        ("driver_own", triple(model.driver), triple(model.grad_driver_own),
+         np.concatenate([x, y[:, None], z], axis=-1)),
+    ):
+        an = np.asarray(grad_fn(at), float)
+        errs[which] = max(_rel_err(_central_diff(fn, at, j), an[..., j]) for j in range(at.shape[-1]))
     return GradientReport(max_rel_error=errs, tolerance=tolerance)

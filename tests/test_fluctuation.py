@@ -121,6 +121,19 @@ def test_theoretical_covariance_constant_diffusion_block_zero():
     assert np.all(cov.matrix[np.ix_(idx, idx)] == 0.0)
 
 
+@pytest.mark.parametrize("x0", [0.3, 0.7])
+def test_field_at_the_initial_node_has_exactly_zero_covariance(x0):
+    # every path starts at x0, so the t = 0 entry is constant; its mean once
+    # rounded away from x0 and left a variance of ~1e-32 that the empirical
+    # side, exactly 0, could not match
+    model = catalog_model("ou_mean_field", beta=1.0, s=0.5, x0=x0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 4))
+    lat = _lattice(GRID, (0.0, 0.5))
+    cov = theoretical_covariance(law, lat, cloud_size=512, key=derive_key(ROOT, "k", 4))
+    assert np.all(cov.matrix[0] == 0.0) and np.all(cov.matrix[:, 0] == 0.0)
+    assert cov.matrix[1, 1] > 0.0
+
+
 def test_covariance_is_symmetric_psd():
     model = catalog_model("tanh_bounded")
     law = solve_limit_forward(model, GRID, 2048, derive_key(ROOT, "law", 2))

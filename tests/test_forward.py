@@ -38,6 +38,17 @@ def test_limit_forward_brownian_variance():
     assert abs(v - 1.0) <= 3 * math.sqrt(2.0 / 4096)
 
 
+def test_a_law_is_closed_form_exactly_when_it_has_no_cloud():
+    model = catalog_model("ou_mean_field")
+    law = LawFlow(GRID, model)
+    assert (law.kind, law.size, law.has_y) == ("closed_form", 0, False)
+    # values without a cloud used to give has_y on a law with no cloud
+    with pytest.raises(ValueError, match="cloud_y needs a cloud"):
+        LawFlow(GRID, model, cloud_y=np.zeros((4, GRID.steps + 1)))
+    with pytest.raises(ValueError, match="model has no closed form"):
+        LawFlow(GRID, catalog_model("tanh_bounded"))
+
+
 def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
     model = catalog_model("tanh_bounded")
     cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 0))
@@ -82,7 +93,7 @@ def _one_key_env(law, key, count, nodes=None):
     """One key's partner draw, written out from ``generator(key)``."""
     rng = generator(key)
     cols = slice(None) if nodes is None else np.asarray(nodes)
-    if not law.use_closed_form:
+    if law.kind == "cloud":
         idx = rng.integers(0, law.cloud.shape[0], size=count)
         y = None if law.cloud_y is None else law.cloud_y[idx][:, cols]
         return law.cloud[idx][:, cols], y

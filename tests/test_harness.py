@@ -52,7 +52,7 @@ REMOVED_STUDY_KEYS = {
 
 def test_minimal_config_gets_documented_defaults(tmp_path, capsys):
     cfg = parse_config(json.dumps(MINIMAL))
-    assert cfg.steps == 64
+    assert cfg.grid.steps == 64
     assert cfg.study["degree"] == 2
     assert cfg.study["env_cloud"] == 4096
     assert cfg.study["metrics"] == ["x", "y", "z"]
@@ -680,7 +680,7 @@ def test_clt_covariance_table_reads_the_limit_kernel(monkeypatch, model, lattice
     cfg = _small_clt(model, lattice_times)
     rows = run_clt_study(cfg).tables["covariance"]
     kernel = limits[0].kernel
-    d = cfg.build_model().dim
+    d = cfg.model.dim
     # the path kernel's drift block leads, node-major, then over the coordinates
     cols = [round(8 * t) * d + j for t in lattice_times for j in range(d)]
     assert [(r["i"], r["j"]) for r in rows] == [(i, j) for i in range(len(cols)) for j in range(len(cols))]
@@ -710,6 +710,32 @@ def test_clt_study_builds_one_field_kernel(monkeypatch):
         monkeypatch.setattr(module, "theoretical_covariance", spy, raising=False)
     run_clt_study(_small_clt({"name": "ou_mean_field"}, [0.5, 1.0]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"name": "ou_mean_field", "beta": 1.0, "s": 0.5, "x0": 0.3},
+        {"name": "ou_mean_field", "beta": 1.0, "s": 0.5, "x0": 0.7},
+        {"name": "tanh_bounded", "x0": 0.3},
+    ],
+    ids=["ou-0.3", "ou-0.7", "tanh-0.3"],
+)
+def test_field_covariance_passes_with_a_lattice_node_at_time_zero(model):
+    # the kernel's t = 0 entry read ~1e-32 against an SE of ~1e-33 while the
+    # empirical entry read 0, and the field_covariance verdict failed
+    doc = {
+        "model": model,
+        "grid": {"steps": 16},
+        "study": {
+            "kind": "clt", "n": 64, "reps": 200, "field_reps": 500, "env_cloud": 512,
+            "metrics": ["x"], "lattice_times": [0.0, 0.5, 1.0], "seed": 3,
+        },
+    }
+    report = run_clt_study(parse_config(json.dumps(doc)))
+    cov = report.tables["covariance"]
+    assert cov[0]["value"] == cov[0]["empirical"] == 0.0
+    assert {v["criterion"]: v["passed"] for v in report.verdicts}["field_covariance"]
 
 
 def test_clt_forward_fluctuations_centred_at_canonical_seed():
@@ -985,6 +1011,28 @@ def test_cli_backward_limit_paths_file_matches_the_fresh_run(name, tmp_path):
     assert np.max(np.abs(fresh - from_file)) <= 1e-12
 
 
+def test_paths_file_on_another_grid_is_an_invalid_configuration(tmp_path, capsys):
+    # a T = 1 file passed with a T = 2 model and as many steps used to run
+    # and relabel the t column: 0.125 came back as 0.25
+    from mfbsde.cli import main
+
+    (tmp_path / "short.json").write_text(json.dumps({"name": "ou_mean_field", "T": 1.0}))
+    (tmp_path / "long.json").write_text(json.dumps({"name": "ou_mean_field", "T": 2.0}))
+    paths, out_csv = tmp_path / "paths.csv", tmp_path / "y.csv"
+    forward = ["forward", "--model", str(tmp_path / "short.json"), "--n", "4", "--steps", "8"]
+    assert main(forward + ["--reps", "40", "--seed", "3", "--env-cloud", "64", "--out", str(paths)]) == 0
+    argv = ["backward", "--model", str(tmp_path / "long.json"), "--n", "limit", "--steps", "8"]
+    capsys.readouterr()
+    assert main(argv + ["--paths", str(paths), "--seed", "3", "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "invalid configuration:", "  - --paths file's t values are not the nodes of TimeGrid(T=2.0, n=8)"
+    ]
+    assert not out_csv.exists()
+    # on its own grid the file runs
+    argv[2] = str(tmp_path / "short.json")
+    assert main(argv + ["--paths", str(paths), "--seed", "3", "--out", str(out_csv)]) == 0
+
+
 BAD_MODEL_FILES = [
     ('{"name": "tanh_bounded", "rho": 1.5}', "need |rho| < 1 to keep the diffusion positive"),
     ('{"beta": 1.0}', "model.name is required"),
@@ -1252,3 +1300,86 @@ def test_clt_environment_size_override_checked_before_compute(tmp_path, capsys):
         "invalid configuration:", "  - study.n must be a positive integer for clt studies"
     ]
     assert not (tmp_path / "out").exists()
+
+
+WRONG_KIND_CASES = [
+    # each used to pass validation and end in a TypeError mid-run
+    pytest.param(
+        "clt", MINIMAL,
+        [
+            "study.kind must be 'clt' for the clt command, got 'convergence'",
+            "study.n must be a positive integer for clt studies",
+        ],
+        id="convergence-doc-to-clt",
+    ),
+    pytest.param(
+        "convergence", _clt_doc(reps=0),
+        [
+            "study.kind must be 'convergence' for the convergence command, got 'clt'",
+            "study.n_values needs at least 3 entries for slope fits",
+            "study.reps must be a positive integer",
+        ],
+        id="clt-doc-to-convergence",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, doc, violations", WRONG_KIND_CASES)
+def test_a_document_of_the_other_study_kind_is_an_invalid_configuration(
+    command, doc, violations, tmp_path, capsys
+):
+    from mfbsde.cli import main
+
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["invalid configuration:", *(f"  - {v}" for v in violations)]
+    assert captured.err == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--config", "conv.json"],
+        ["clt", "--config", "clt.json"],
+        ["clt", "--model", "model.json", "--n", "16", "--seed", "5", "--reps", "200"],
+    ],
+    ids=["convergence", "clt-config", "clt-direct"],
+)
+def test_a_study_command_builds_its_model_once(argv, tmp_path, monkeypatch):
+    # the parse builds the model and grid the run reads; nothing rebuilds them
+    from mfbsde import cli, harness
+
+    calls = []
+    build = harness.model_from_block
+
+    def spy(block):
+        calls.append(block)
+        return build(block)
+
+    monkeypatch.setattr(harness, "model_from_block", spy)
+    monkeypatch.setattr(cli, "model_from_block", spy)
+    monkeypatch.chdir(tmp_path)
+    small = {"inner_paths": 32, "env_cloud": 256, "field_reps": 300}
+    conv = {**MINIMAL, "grid": {"steps": 8}}
+    conv["study"] = {**MINIMAL["study"], "metrics": ["x"], "reps": 16}
+    (tmp_path / "conv.json").write_text(json.dumps(conv))
+    (tmp_path / "clt.json").write_text(json.dumps(_clt_doc(**small, metrics=["x"], reps=200, n=16)))
+    (tmp_path / "model.json").write_text(json.dumps(_clt_doc()["model"]))
+    assert cli.main(argv + ["--out", "out"]) in (0, 2)
+    assert (tmp_path / "out" / "report.json").exists()
+    assert len(calls) == 1
+
+
+def test_a_parsed_config_is_frozen_and_carries_its_model_and_grid():
+    cfg = parse_config(json.dumps(MINIMAL), "convergence", seed=11, out="elsewhere")
+    assert (cfg.study["seed"], cfg.out_dir) == (11, "elsewhere")
+    assert cfg.model.name == "ou_mean_field" and cfg.grid == TimeGrid(1.0, 64)
+    assert cfg.canonical()["grid"] == {"steps": 64}
+    for name, value in (("out_dir", "x"), ("study", {}), ("model", None), ("grid", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
