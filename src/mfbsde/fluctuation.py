@@ -333,7 +333,8 @@ def solve_limit_system(
     E'[g(X') xbar'] and E'[g(X') ybar'] is zero, since the field is centred
     and independent of the partner's own noise, and the first-order
     components are linear in it.  Members therefore do not interact, and
-    they run `forward.BLOCK_BATCH` at a time.  Member paths, base solve and
+    they run as many at a time as `forward.BLOCK_PATHS` paths hold, each
+    counting 2 * inner: it carries x and xbar.  Member paths, base solve and
     the field kernel (`theoretical_covariance` along the whole grid, all four
     blocks, returned as ``kernel``) all read ``law``, which carries y values
     when the driver reads partner y, and take their model and grid from it.
@@ -390,7 +391,7 @@ def solve_limit_system(
         return sol.provenance["fixpoint_not_contracted"]
 
     fix_flag = False
-    for lo, hi in block_batches(members):
+    for lo, hi in block_batches(members, 2 * inner):
         fix_flag = run_batch(lo, hi) or fix_flag
     return LimitSystemResult(
         grid, x, xbar, ybar, zbar, kernel,

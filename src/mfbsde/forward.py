@@ -7,11 +7,13 @@ from the N-system's own law, which differs from the limit law by O(1/N); that
 moves squared errors by O(1/N^2) and sqrt(N)-scaled fluctuations by
 O(1/sqrt(N)), below every reported statistic.)  Every output path is coupled
 to a limit path driven by the same Brownian stream, so differences isolate
-the environment-size effect.
+the environment-size effect.  Closed-form pools are drawn on every core.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,13 +34,22 @@ __all__ = [
 ]
 
 DIVERGENCE_CAP = 1e8
-# blocks or members that `coupled_gaps` and `solve_limit_system` hold at
-# once (through `block_batches`, at call time); no output depends on it
-BLOCK_BATCH = 256
+# paths that `coupled_gaps` and `solve_limit_system` hold at once (through
+# `block_batches`, at call time), 256 blocks of 128; no output depends on it
+BLOCK_PATHS = 256 * 128
 # elements of partner draws (keys x partners x drawn nodes x d) that
 # `LawFlow.sample_env` and `LawFlow.pool_shifts` hold at a time: a 256 kB
 # sub-batch stays in cache and its reused heap pages are not faulted in again
 _SUB_BATCH = 1 << 15
+# threads that draw closed-form partner pools (`LawFlow.pool_shifts`; read at call time)
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _executor():
+    """The pool threads, built on first use: importing the package starts none."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(WORKERS)
 
 
 # ---------------------------------------------------------------------------
@@ -121,33 +132,53 @@ class LawFlow:
         the terminal included, is a curve over those nodes, (len(keys),
         len(nodes)) plus the coefficient's own axes.  A coefficient without a
         partner part, and the driver of a law without values, gives None; a
-        law with no partner part draws nothing.
+        law with no partner part draws nothing.  No keys give (0, ...) shifts.
 
         The pools are drawn and reduced a sub-batch of keys at a time (see
-        `_SUB_BATCH`), so no key batch's whole pool is ever held.
+        `_SUB_BATCH`), so no key batch's whole pool is ever held.  A closed-form
+        law's full-path pools run on `WORKERS` threads, in runs of whole sub-batches.
         """
         if count < 1:
             raise ValueError("a partner pool needs count >= 1")
-        keys = list(keys)
         model = self.model
         live = [w for w in COEFFICIENTS if not model.env_free(w) and (w != "driver" or self.has_y)]
-        shifts = dict.fromkeys(COEFFICIENTS)
-        for lo, hi, x, y in self._pools(keys, count, nodes) if live else ():
-            for which in live:
-                at_end = which == "terminal" and nodes is None
-                part = env_shift(model, which, x[:, :, -1] if at_end else x, y)
-                if shifts[which] is None:
-                    shifts[which] = np.empty((len(keys),) + part.shape[1:])
-                shifts[which][lo:hi] = part
-        return tuple(shifts.values())
+        keys = list(keys) if live else []  # a law with no partner part draws nothing
+
+        def reduce(x, y):
+            ends = {"terminal": x[:, :, -1]} if nodes is None else {}
+            return {w: env_shift(model, w, ends.get(w, x), y) for w in live}
+
+        empty = reduce(*self.sample_env([], count, nodes))  # the shapes, without a draw
+        shifts = {w: np.empty((len(keys),) + part.shape[1:]) for w, part in empty.items()}
+
+        def fill(lo, hi):
+            for a, b, x, y in self._pools(keys[lo:hi], count, nodes):
+                for w, part in reduce(x, y).items():
+                    shifts[w][lo + a : lo + b] = part
+
+        per = self._keys_per_sub_batch(count, self.grid.steps)
+        batches = -(-len(keys) // per)
+        runs = max(1, min(WORKERS, batches)) if self.cloud is None and nodes is None else 1
+        cuts = [min(len(keys), per * (batches * r // runs)) for r in range(runs + 1)]
+        if runs == 1:  # starts no thread
+            fill(*cuts)
+        else:
+            futures = [_executor().submit(fill, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            for error in filter(None, [future.exception() for future in futures]):  # all end first
+                raise error
+        return tuple(shifts.get(w) for w in COEFFICIENTS)
+
+    def _keys_per_sub_batch(self, count: int, draws: int) -> int:
+        """Keys whose pools of `count` partners at `draws` nodes fill a sub-batch."""
+        return max(1, _SUB_BATCH // max(1, count * draws * self.model.dim))
 
     def _pools(self, keys: list, count: int, nodes=None):
         """`sample_env`'s draws a sub-batch of keys at a time: yields
         ``(lo, hi, x, y)`` for ``keys[lo:hi]``.  A closed-form law draws into
-        increment and path buffers allocated once per call, so read each
-        sub-batch before taking the next.  Draws at ``nodes`` are node-major
-        in memory, as `sample_env` returns them, so `env_shift` sums a pool
-        in the same order on both routes."""
+        increment and path buffers allocated once per call (so concurrent
+        calls share none); read each sub-batch before taking the next.  Draws
+        at ``nodes`` are node-major in memory, as `sample_env` returns them,
+        so `env_shift` sums a pool in the same order on both routes."""
         grid, d = self.grid, self.model.dim
         if nodes is None:
             t, step, draws = grid.nodes, grid.h, grid.steps
@@ -158,7 +189,7 @@ class LawFlow:
             step, draws = np.diff(at, prepend=0.0)[:, None], at.size
         # ``first`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
         node_major = lambda a, axis, first: np.moveaxis(np.moveaxis(a, axis, 0)[first], 0, 2)
-        per = max(1, _SUB_BATCH // max(1, count * draws * d))
+        per = self._keys_per_sub_batch(count, draws)
         rows = min(per, len(keys))
         if self.cloud is None:
             dw = np.empty((rows, count, draws, d))
@@ -354,9 +385,11 @@ class BlockSim:
     env_y: Optional[np.ndarray] = None            # always None
 
 
-def block_batches(count: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of ``count`` items taken `BLOCK_BATCH` at a time."""
-    return [(lo, min(lo + BLOCK_BATCH, count)) for lo in range(0, count, BLOCK_BATCH)]
+def block_batches(count: int, paths: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of ``count`` items of ``paths`` paths each, taken as
+    many at a time as `BLOCK_PATHS` paths hold (at least one)."""
+    batch = max(1, BLOCK_PATHS // paths)
+    return [(lo, min(lo + batch, count)) for lo in range(0, count, batch)]
 
 
 def simulate_blocks(

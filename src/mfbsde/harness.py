@@ -423,8 +423,8 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     to both sides.  Model and grid are the law's.  Returns the x gaps
     (B, n+1, d) and, when ``degree`` is given, the y (B, n+1) and z
     (B, n+1, d) gaps of the backward solves at that regression degree (else
-    None).  Blocks run `forward.BLOCK_BATCH` at a time and no batch's arrays
-    outlive it; the gaps do not depend on it.
+    None).  Blocks run as many at a time as `forward.BLOCK_PATHS` paths hold,
+    and no batch's arrays outlive it; the gaps do not depend on the batch.
     """
     n1, d = law.grid.steps + 1, law.model.dim
     x = np.empty((blocks, n1, d))
@@ -432,7 +432,7 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     if degree is not None:
         y = np.empty((blocks, n1))
         z = np.empty((blocks, n1, d))
-    for lo, hi in block_batches(blocks):
+    for lo, hi in block_batches(blocks, inner):
         sim = simulate_blocks(law, N, hi - lo, inner, w_key, env_key, block_offset=lo)
         x[lo:hi] = sim.xn[:, 0] - sim.xlim[:, 0]
         if degree is not None:

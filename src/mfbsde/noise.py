@@ -2,8 +2,9 @@
 
 Every random draw in the package is addressed by a :class:`StreamKey`: a root
 seed plus a path of (role, index) pairs.  Distinct key paths map to distinct
-Philox counter keys, so streams are independent, order-free and safe to
-generate concurrently; the same key always reproduces the same draws.
+Philox counter keys, so streams are independent, order-free and drawn
+concurrently where that pays (`forward.LawFlow.pool_shifts`); a key always
+gives the same draws.
 """
 
 from __future__ import annotations

@@ -407,7 +407,7 @@ def test_limit_system_invariant_under_chunk_size(monkeypatch, name):
     law = value_law(law, key.child("vlaw", 0), size=1024)
     runs = []
     for batch in (1, 7, 512):
-        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        monkeypatch.setattr(forward, "BLOCK_PATHS", batch * 2 * 64)  # 64 inner paths on x and xbar
         runs.append(solve_limit_system(law, members=100, key=key, cloud_size=1024))
     for f in ("x", "xbar", "ybar", "zbar"):
         for res in runs[1:]:

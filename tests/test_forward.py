@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +187,113 @@ def test_pool_shifts_equal_env_shift_over_sample_env(monkeypatch, keys_per_batch
         assert live == expect
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["ou_mean_field", "mf_bsde_linear"])
+def test_pool_shifts_split_across_workers_match_one_pool(monkeypatch, name, dim):
+    # seven keys in sub-batches of 1, 2 or 3 keys, split into runs of whole
+    # sub-batches (2 + 2 + 3 keys, say) on 1, 2 or 3 threads: every shift,
+    # both live ones on mf_bsde_linear, is env_shift of the stacked pool,
+    # also when a short switch interval interleaves the threads' writes
+    import threading
+
+    count = 6
+    model = catalog_model(name, x0=[1.0, -0.5][:dim], dim=dim)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 22))
+    keys = [derive_key(ROOT, "wpool", i) for i in range(7)]
+    env_x, _ = law.sample_env(keys, count)
+    want = {w: env_shift(model, w, env_x[:, :, -1] if w == "terminal" else env_x) for w in COEFFICIENTS}
+    assert [w for w in COEFFICIENTS if want[w] is not None] == (
+        ["drift", "terminal"] if name == "mf_bsde_linear" else ["drift"]
+    )
+    pools = LawFlow._pools
+    for per in (1, 2, 3):
+        monkeypatch.setattr(forward, "_SUB_BATCH", per * count * GRID.steps * dim)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forward, "WORKERS", workers)
+            runs = []
+
+            def counted(self, keys, *args):
+                runs.append((len(keys), threading.get_ident()))
+                return pools(self, keys, *args)
+
+            monkeypatch.setattr(LawFlow, "_pools", counted)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                shifts = dict(zip(COEFFICIENTS, law.pool_shifts(keys, count)))
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.setattr(LawFlow, "_pools", pools)
+            for w in COEFFICIENTS:
+                if want[w] is None:
+                    assert shifts[w] is None, w
+                else:
+                    assert shifts[w].shape == want[w].shape, w
+                    assert shifts[w].tobytes() == want[w].tobytes(), (w, per, workers)
+            # the first call draws the empty pool that sizes the shifts
+            sizes = [k for k, _ in runs[1:]]
+            assert sum(sizes) == len(keys) and len(sizes) == min(workers, -(-len(keys) // per))
+            assert all(k % per == 0 for k in sizes[:-1]), sizes
+            on_main = [t == threading.main_thread().ident for _, t in runs[1:]]
+            assert all(on_main) == (len(sizes) == 1), (per, workers)
+
+
+def test_one_pool_run_starts_no_thread(monkeypatch):
+    # one worker, or a single sub-batch of keys, draws on the calling thread
+    import threading
+
+    law = solve_limit_forward(catalog_model("ou_mean_field"), GRID, 0, derive_key(ROOT, "law", 23))
+    keys = [derive_key(ROOT, "inline", i) for i in range(40)]
+    monkeypatch.setattr(forward, "_executor", lambda: pytest.fail("a single run reached the thread pool"))
+    threads = threading.active_count()
+    for workers, sub_batch in ((1, 8 * 64), (4, forward._SUB_BATCH)):
+        monkeypatch.setattr(forward, "WORKERS", workers)
+        monkeypatch.setattr(forward, "_SUB_BATCH", sub_batch)
+        assert law.pool_shifts(keys, 8)[0].shape == (40, 65, 1)
+    assert threading.active_count() == threads
+
+
+def test_importing_the_cli_starts_no_thread():
+    # the thread pool is built on the first split pool draw, never at import
+    code = (
+        "import sys, threading\n"
+        "import mfbsde.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
+    # the first run's path map diverges: the call raises it once every run
+    # has ended, and the next call on the same threads gives the right shifts
+    import dataclasses
+    import itertools
+
+    monkeypatch.setattr(forward, "WORKERS", 2)
+    model = catalog_model("ou_mean_field", x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 24))
+    calls = itertools.count()
+
+    def diverging(t, w):
+        if next(calls) == 0:
+            raise RuntimeError("path map diverged")
+        return model.closed_form.path_map(t, w)
+
+    closed_form = dataclasses.replace(model.closed_form, path_map=diverging)
+    bad = LawFlow(GRID, dataclasses.replace(model, closed_form=closed_form))
+    keys = [derive_key(ROOT, "fail", i) for i in range(64)]
+    with pytest.raises(RuntimeError, match="path map diverged"):
+        bad.pool_shifts(keys, 16)
+    assert next(calls) == 2  # the other run drew its one sub-batch
+    want = env_shift(model, "drift", law.sample_env(keys, 16)[0])
+    assert law.pool_shifts(keys, 16)[0].tobytes() == want.tobytes()
+
+
 def test_partner_pools_of_no_partners_are_rejected_before_any_draw():
     law = solve_limit_forward(catalog_model("ou_mean_field"), GRID, 0, derive_key(ROOT, "law", 19))
     with pytest.raises(ValueError, match="N must be >= 1"):
@@ -204,6 +314,11 @@ def test_empty_partner_draws_are_empty_arrays(kind):
         x, y = law.sample_env(keys, count, nodes)
         assert x.shape == shape + (d,)
         assert (y is None) if kind == "closed_form" else (y.shape == shape)
+    # no keys give empty shifts, never the None of a partner-free coefficient
+    for nodes, steps in ((None, 65), ([3, 5], 2)):
+        drift, _, _, driver = law.pool_shifts([], 4, nodes)
+        assert drift.shape == (0, steps, d)
+        assert (driver is None) if kind == "closed_form" else (driver.shape == (0, steps))
 
 
 def test_block_peak_memory_does_not_grow_with_the_partner_count():

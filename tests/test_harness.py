@@ -827,7 +827,7 @@ def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
     w_key, env_key = root.child("w", 0), root.child("e", 0)
     runs = []
     for batch in (1, 7, 256):
-        monkeypatch.setattr(forward, "BLOCK_BATCH", batch)
+        monkeypatch.setattr(forward, "BLOCK_PATHS", batch * 32)
         runs.append(coupled_gaps(law, 8, 20, 32, w_key, env_key, degree=2))
     assert [g.shape for g in runs[0]] == [(20, 17, 1), (20, 17), (20, 17, 1)]
     assert np.any(runs[0][1] != 0.0)
@@ -840,7 +840,8 @@ def test_coupled_gaps_invariant_under_chunk_size(monkeypatch, name):
 def test_peak_memory_does_not_grow_with_the_batch_count(monkeypatch, route):
     # a loop holds one block batch at a time, so three batches peak where one
     # does; only the (count, n+1, ...) results grow, by a few kB here
-    monkeypatch.setattr(forward, "BLOCK_BATCH", 32)
+    # 32 blocks of 128 paths, or 32 members of 64 inner paths on x and xbar
+    monkeypatch.setattr(forward, "BLOCK_PATHS", 32 * 128)
     grid = TimeGrid(1.0, 32)
     root = StreamKey(seed=9305)
     law = study_law(catalog_model("ou_mean_field"), grid, 1024, 2, root, backward=True)
@@ -879,6 +880,33 @@ def test_coupled_gaps_x_does_not_depend_on_the_inner_paths(name):
     x32, y32, _ = coupled_gaps(law, 8, 20, 32, w_key, env_key, degree=2)
     assert np.any(x1 != 0.0) and np.any(y32 != 0.0)
     assert np.array_equal(x1, x32)
+
+
+def test_one_path_coupled_gaps_do_not_depend_on_the_block_paths(monkeypatch):
+    # a one-path point holds up to BLOCK_PATHS blocks per batch: one batch
+    # by default, 300 batches of one block, or 43 of seven
+    grid = TimeGrid(1.0, 16)
+    root = StreamKey(seed=9306)
+    law = study_law(catalog_model("ou_mean_field", x0=1.0), grid, 256, 2, root, backward=False)
+    w_key, env_key = root.child("w", 0), root.child("e", 0)
+    assert forward.block_batches(300, 1) == [(0, 300)]
+    want, _, _ = coupled_gaps(law, 8, 300, 1, w_key, env_key)
+    assert np.any(want != 0.0)
+    for paths in (1, 7):
+        monkeypatch.setattr(forward, "BLOCK_PATHS", paths)
+        x, _, _ = coupled_gaps(law, 8, 300, 1, w_key, env_key)
+        assert x.tobytes() == want.tobytes(), paths
+
+
+def test_convergence_study_does_not_depend_on_the_pool_workers(monkeypatch):
+    # 300 one-path blocks at N = 16 fill three partner sub-batches, which
+    # split across the threads; the reported tables do not move by a bit
+    cfg = parse_config(json.dumps(_mini_convergence_config().canonical()), reps=300)
+    tables = []
+    for workers in (forward.WORKERS, 1, 3):
+        monkeypatch.setattr(forward, "WORKERS", workers)
+        tables.append(json.dumps(run_convergence_study(cfg).tables))
+    assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
 def test_clt_study_reads_x_y_and_z_from_one_run():
@@ -924,6 +952,19 @@ def test_cli_validate_and_forward(tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "rep,t,coord,value"
     assert len(lines) == 1 + 5 * 9  # reps * (steps + 1) rows
+
+
+def test_cli_forward_with_no_replications_writes_a_header(tmp_path):
+    # no keys give empty partner shifts, not the None of a partner-free
+    # coefficient, so the drift still finds its (empty) shift
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "ou_mean_field"}))
+    out_csv = tmp_path / "paths.csv"
+    argv = ["forward", "--model", str(model_path), "--n", "8", "--reps", "0", "--seed", "1"]
+    assert main(argv + ["--out", str(out_csv)]) == 0
+    assert out_csv.read_text().strip().splitlines() == ["rep,t,coord,value"]
 
 
 def test_cli_backward_limit_mode(tmp_path):
