@@ -5,7 +5,10 @@ the next-node value on polynomials of the conditioning state, a
 martingale-increment regression for the z component (centered by the fitted
 conditional mean, which leaves the conditional expectation unchanged but
 removes the dominant variance term), and a fixed-point loop for the implicit
-driver step, iterated to tolerance.
+driver step, iterated to tolerance.  A driver that, as the solve evaluates
+it, reads neither its own y nor its own z (see `_driver_reads_own_yz`) takes
+one explicit step instead: the fixed point's second sweep would repeat its
+first bit for bit.
 
 Conditioning on the state alone is only valid once the mean-field inputs are
 frozen.  The N-environment solver therefore works on blocks: every block
@@ -17,13 +20,18 @@ increments to the front once, keeps y and z as (n+1, B, P, ...) work arrays,
 so each node's features, fits and driver steps read and write contiguous
 (B, P, ...) slices, and returns the public (B * P, n+1, ...) arrays as views
 of those work arrays (merging B and P needs no copy).  A block bundle from
-`simulate_blocks` already lies node-major, so the move copies nothing there;
-the value law's cloud paths, the limit system's states and a plain BSDE's
-paths are block-major and are copied once.
+`simulate_blocks` and the linear limit's states already lie node-major, so
+the move copies nothing there; the value law's cloud paths and a plain
+BSDE's paths are block-major and are copied once.  A solve given a coupled
+run's work set (see `_work_array`) takes its y and z from the set, so the
+run's batches and both of their solves reuse one pair of arrays, and a
+solution's values live only until the run's next solve; a solve without one
+owns its arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Callable, Optional
@@ -31,8 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .forward import BlockSim, LawFlow
-from .model import ModelSpec, env_average, env_shift
-from .noise import TimeGrid
+from .model import ModelSpec, env_average, env_shift, random_probes
+from .noise import StreamKey, TimeGrid
 
 __all__ = [
     "BsdeSolution",
@@ -51,6 +59,8 @@ _FIXPOINT_TOL = 1e-10
 _FIXPOINT_CAP = 50
 # relative spread below which a regression variable counts as constant
 _SPREAD_ROUNDOFF = 16 * np.finfo(float).eps
+# stream of the probe points of `_driver_reads_own_yz`
+_PROBE_KEY = StreamKey(seed=0).child("driver_probe", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -86,33 +96,47 @@ def _features(states: np.ndarray, degree: int) -> np.ndarray:
     within round-off of the mean counts as zero: a constant the mean does not
     reproduce exactly (0.7, say) has a std of about 1e-16, and scaling by it
     would turn the column into a copy of the intercept.
+
+    The states are centered once, and the std reduces them as `np.std` does,
+    so it is ``states.std(axis=1)`` bit for bit; each monomial is written
+    straight into its column of the result.
     """
+    B, P, m = states.shape
     mean = states.mean(axis=1, keepdims=True)
-    std = states.std(axis=1, keepdims=True)
+    centered = states - mean
+    std = np.sqrt(np.add.reduce(np.square(centered), axis=1, keepdims=True) / P)
     live = std > _SPREAD_ROUNDOFF * np.abs(mean)
-    scaled = np.where(live, (states - mean) / np.where(live, std, 1.0), 0.0)
-    exps = _exponent_tuples(states.shape[-1], degree)
-    cols = []
-    for e in exps:
-        col = np.ones(states.shape[:-1])
-        for v, p in enumerate(e):
-            if p:
-                col = col * scaled[..., v] ** p
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+    if live.all():
+        scaled = np.divide(centered, std, out=centered)
+    else:
+        scaled = np.where(live, centered / np.where(live, std, 1.0), 0.0)
+    exps = _exponent_tuples(m, degree)
+    feats = np.empty((B, P, len(exps)))
+    for k, e in enumerate(exps):
+        col = feats[..., k]
+        powers = [scaled[..., v] if p == 1 else scaled[..., v] ** p for v, p in enumerate(e) if p]
+        col[...] = powers[0] if powers else 1.0
+        for power in powers[1:]:
+            np.multiply(col, power, out=col)
+    return feats
 
 
-def _gram(feats: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
+def _ridge_penalty(P: int, K: int, ridge: float = 1e-10) -> np.ndarray:
+    """`_gram`'s ridge term for blocks of P paths and K features, (K, K)."""
+    penalty = ridge * P * np.eye(K)
+    penalty[0, 0] = 0.0  # first feature is the intercept by construction
+    return penalty
+
+
+def _gram(feats: np.ndarray, ridge: float = 1e-10, penalty: Optional[np.ndarray] = None) -> np.ndarray:
     """Ridged Gram matrix per block, (B, K, K), shared by every target.
 
     The tiny ridge keeps dropped (zero) columns harmless; the intercept is
-    never penalized, so constant targets are reproduced exactly.
+    never penalized, so constant targets are reproduced exactly.  A solve
+    builds its `_ridge_penalty` once and passes it as ``penalty``.
     """
-    B, P, K = feats.shape
     gram = np.matmul(feats.transpose(0, 2, 1), feats)
-    penalty = ridge * P * np.eye(K)
-    penalty[0, 0] = 0.0  # first feature is the intercept by construction
-    gram += penalty
+    gram += _ridge_penalty(*feats.shape[1:], ridge) if penalty is None else penalty
     return gram
 
 
@@ -169,6 +193,24 @@ class BsdeSolution:
 # induction core
 
 
+def _work_array(work: Optional[dict], name: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float array of ``shape``: a new one without ``work``,
+    else a view of the front of the buffer ``work[name]``, allocated on first
+    use and replaced when a larger shape asks for more.
+
+    A work set is a plain dict that one run owns (see `harness.coupled_gaps`):
+    its solves take their y and z from it, so they reuse pages already
+    faulted in, and each solve overwrites what the one before it took.
+    """
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def _backward_induction(
     grid: TimeGrid,
     cond_states: np.ndarray,   # (B, P, n+1, m) regression conditioning states
@@ -177,12 +219,14 @@ def _backward_induction(
     driver_fn: Callable,       # driver_fn(i, y, z) -> (B, P)
     degree: int,
     solver: str,               # the result's provenance["solver"] label
+    explicit: bool = False,    # one driver step per node (see `_driver_reads_own_yz`)
+    work: Optional[dict] = None,  # a coupled run's work set (see `_work_array`)
 ) -> BsdeSolution:
-    B, P, n1, _ = cond_states.shape
+    B, P, n1, m = cond_states.shape
     n = grid.steps
     h = grid.h
     d = dw.shape[-1]
-    need = min_block_paths(cond_states.shape[-1], degree)
+    need = min_block_paths(m, degree)
     if P < need:
         raise ValueError(f"need at least 10 * basis size = {need} paths per block, got {P}")
     # node-major work arrays (see the module docstring): a no-op on a block
@@ -190,19 +234,24 @@ def _backward_induction(
     # back costs peak memory
     states = np.ascontiguousarray(np.moveaxis(cond_states, 2, 0))   # (n+1, B, P, m)
     dw = np.ascontiguousarray(np.moveaxis(dw, 2, 0))                # (n, B, P, d)
-    y = np.empty((n1, B, P))
-    z = np.empty((n1, B, P, d))
+    y = _work_array(work, "y", (n1, B, P))
+    z = _work_array(work, "z", (n1, B, P, d))
     y[n] = terminal
     resid_rms = np.empty((n, B))
+    penalty = _ridge_penalty(P, len(_exponent_tuples(m, degree)))
     contraction_flag = False
-    sweeps_run = 0
+    sweeps_run = 1
     for i in range(n - 1, -1, -1):
         feats = _features(states[i], degree)
-        gram = _gram(feats)
+        gram = _gram(feats, penalty=penalty)
         cond = _batched_fit(feats, gram, y[i + 1, :, :, None])[..., 0]
         centered = y[i + 1] - cond
         resid_rms[i] = np.sqrt(np.mean(centered**2, axis=1))
         z[i] = _batched_fit(feats, gram, centered[..., None] * dw[i] / h)
+        if explicit:
+            # the fixed point's first sweep, which its second would repeat
+            np.add(cond, h * driver_fn(i, cond, z[i]), out=y[i])
+            continue
         # each block stops at its own tolerance, so a block's values do not
         # depend on which blocks share its batch
         cur = cond
@@ -240,6 +289,18 @@ def _backward_induction(
 # mean-field limit and N-environment solvers
 
 
+def _driver_reads_own_yz(model: ModelSpec) -> bool:
+    """Whether the driver's own part reads its y or z: a nonzero y or z
+    component of its own-part gradient at `random_probes`' points.
+
+    A solve whose driver reads neither takes one explicit step per node (see
+    `_backward_induction`).  So does the linear limit's driver, whose y and z
+    coefficients are these components.
+    """
+    probes = random_probes(model, 32, _PROBE_KEY)
+    return bool(np.any(model.grad_driver_own(*probes)[..., model.dim :] != 0.0))
+
+
 def _block_solve(
     model: ModelSpec,
     grid: TimeGrid,
@@ -250,13 +311,16 @@ def _block_solve(
     degree: int,
     solver: str,
     self_average: bool = False,
+    work: Optional[dict] = None,
 ) -> BsdeSolution:
     """Backward solve on blocks whose partner means are the own part plus a
     shift (see `env_average`).
 
     With ``self_average`` the driver instead averages over the block's own
     (state, y) columns, refreshed on every fixed-point sweep: this defines
-    the value law's fixed point (see `fluctuation.value_law`).
+    the value law's fixed point (see `fluctuation.value_law`).  A driver
+    without a partner part averages nothing, so it reads its y and z only
+    through its own part, with or without ``self_average``.
     """
     terminal = env_average(model, "terminal", x[:, :, -1, :], terminal_shift)
 
@@ -268,11 +332,12 @@ def _block_solve(
             shift = None if driver_shift is None else driver_shift[:, i]
         return env_average(model, "driver", xi, shift, y, z)
 
-    return _backward_induction(grid, x, dw, terminal, driver, degree, solver)
+    explicit = (model.env_free("driver") or not self_average) and not _driver_reads_own_yz(model)
+    return _backward_induction(grid, x, dw, terminal, driver, degree, solver, explicit, work)
 
 
 def solve_mfbsde(
-    law: LawFlow, x_paths: np.ndarray, dw: np.ndarray, degree: int = 2
+    law: LawFlow, x_paths: np.ndarray, dw: np.ndarray, degree: int = 2, work: Optional[dict] = None
 ) -> BsdeSolution:
     """Backward solution of the mean-field limit equation on given paths.
 
@@ -283,6 +348,7 @@ def solve_mfbsde(
     driver then averages over each block's own (state, y) values, which is
     how `value_law` finds the law's values in the first place.  Model and
     grid are the law's.  Regression conditions on the state at each node.
+    With a ``work`` set (see `_work_array`) y and z are the set's.
     """
     self_average = not law.has_y
     return _block_solve(
@@ -292,19 +358,24 @@ def solve_mfbsde(
         degree,
         "mf_limit",
         self_average=self_average,
+        work=work,
     )
 
 
-def solve_bsde_n(model: ModelSpec, N: int, sim: BlockSim, degree: int = 2) -> BsdeSolution:
+def solve_bsde_n(
+    model: ModelSpec, N: int, sim: BlockSim, degree: int = 2, work: Optional[dict] = None
+) -> BsdeSolution:
     """Backward solution of the N-environment system on simulated blocks.
 
     Terminal and driver replace mean-field expectations by averages over the
     block's frozen N partner paths, which ``sim`` carries as shift curves
     on its grid; regressions stay within blocks, where the value is a
-    function of the state conditionally on the environment.
+    function of the state conditionally on the environment.  With a
+    ``work`` set (see `_work_array`) y and z are the set's.
     """
     sol = _block_solve(
-        model, sim.grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree, "bsde_n"
+        model, sim.grid, sim.xn, sim.dw, sim.terminal_curve, sim.driver_curve, degree, "bsde_n",
+        work=work,
     )
     sol.provenance["environment_size"] = N
     return sol
@@ -353,8 +424,15 @@ def solve_linear_limit_bsde(
         )
         return out if eta4 is None else eta4[:, i][:, None] + out
 
-    states = np.concatenate([x, xbar], axis=-1)
-    return _backward_induction(grid, states, dw, terminal, driver, degree, "linear_limit")
+    # (state, first-order state) node-major, as the induction reads them, so
+    # they are held once
+    states = np.empty((n1, B, P, 2 * d))
+    states[..., :d] = np.moveaxis(x, 2, 0)
+    states[..., d:] = np.moveaxis(xbar, 2, 0)
+    return _backward_induction(
+        grid, np.moveaxis(states, 0, 2), dw, terminal, driver, degree, "linear_limit",
+        explicit=not _driver_reads_own_yz(model),
+    )
 
 
 # ---------------------------------------------------------------------------

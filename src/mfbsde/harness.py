@@ -424,7 +424,10 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     (B, n+1, d) and, when ``degree`` is given, the y (B, n+1) and z
     (B, n+1, d) gaps of the backward solves at that regression degree (else
     None).  Blocks run as many at a time as `forward.BLOCK_PATHS` paths hold,
-    and no batch's arrays outlive it; the gaps do not depend on the batch.
+    no batch's block bundle outlives it, and the gaps do not depend on the
+    batch.  The run's backward solves, two per batch, share one work set
+    (see `backward._work_array`): one pair of y and z arrays, allocated by
+    the first solve and freed when the run returns.
     """
     n1, d = law.grid.steps + 1, law.model.dim
     x = np.empty((blocks, n1, d))
@@ -432,12 +435,14 @@ def coupled_gaps(law, N, blocks, inner, w_key, env_key, degree=None):
     if degree is not None:
         y = np.empty((blocks, n1))
         z = np.empty((blocks, n1, d))
+    work = {}
     for lo, hi in block_batches(blocks, inner):
         sim = simulate_blocks(law, N, hi - lo, inner, w_key, env_key, block_offset=lo)
         x[lo:hi] = sim.xn[:, 0] - sim.xlim[:, 0]
         if degree is not None:
-            yn, zn = solve_bsde_n(law.model, N, sim, degree=degree).designated()
-            yl, zl = solve_mfbsde(law, sim.xlim, sim.dw, degree=degree).designated()
+            # each solution is read before the next solve takes its y and z
+            yn, zn = solve_bsde_n(law.model, N, sim, degree=degree, work=work).designated()
+            yl, zl = solve_mfbsde(law, sim.xlim, sim.dw, degree=degree, work=work).designated()
             y[lo:hi] = yn - yl
             z[lo:hi] = zn - zl
         del sim  # the next batch's simulation must not run beside this batch's arrays

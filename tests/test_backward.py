@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mfbsde import backward
 from mfbsde.backward import (
     _FIXPOINT_CAP,
     _FIXPOINT_TOL,
+    _SPREAD_ROUNDOFF,
     _backward_induction,
     _batched_fit,
+    _exponent_tuples,
     _features,
     _gram,
     check_comparison,
@@ -16,8 +19,10 @@ from mfbsde.backward import (
     solve_mfbsde,
     solve_plain_bsde,
 )
+from mfbsde.fluctuation import solve_limit_system
 from mfbsde.forward import simulate_blocks, solve_limit_forward
-from mfbsde.model import catalog_model
+from mfbsde.harness import study_law
+from mfbsde.model import CATALOG_NAMES, catalog_model
 from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key, generator
 
 ROOT = StreamKey(seed=8101)
@@ -135,6 +140,75 @@ def test_round_off_spread_gives_zero_feature_columns():
     feats = _features(states, 2)
     assert np.all(feats[..., 0] == 1.0)
     assert np.all(feats[..., 1:] == 0.0)
+
+
+def _reference_features(states, degree):
+    """The feature map written with `np.std`, `np.where` and `np.stack`."""
+    mean = states.mean(axis=1, keepdims=True)
+    std = states.std(axis=1, keepdims=True)
+    live = std > _SPREAD_ROUNDOFF * np.abs(mean)
+    scaled = np.where(live, (states - mean) / np.where(live, std, 1.0), 0.0)
+    cols = []
+    for e in _exponent_tuples(states.shape[-1], degree):
+        col = np.ones(states.shape[:-1])
+        for v, p in enumerate(e):
+            if p:
+                col = col * scaled[..., v] ** p
+        cols.append(col)
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_features_match_the_std_where_stack_form_bit_for_bit(m, degree):
+    # every column live (the in-place scaling), then one block with an
+    # exactly constant column and one with a constant 0.7 column, whose std
+    # is round-off (the masked scaling)
+    rng = generator(derive_key(ROOT, "features", 10 * m + degree))
+    live = 1.5 + 3.0 * rng.standard_normal((5, 64, m))
+    dead = live.copy()
+    dead[1, :, 0] = 2.0
+    dead[3, :, m - 1] = 0.7
+    assert np.all(dead[1].std(axis=0)[0] == 0.0) and dead[3].std(axis=0)[m - 1] > 0.0
+    for states in (live, dead):
+        given = states.copy()
+        got = _features(states, degree)
+        assert np.array_equal(states, given)
+        assert got.shape == (5, 64, len(_exponent_tuples(m, degree)))
+        assert got.tobytes() == _reference_features(states, degree).tobytes()
+    if degree:
+        assert np.all(got[1, :, m] == 0.0) and np.all(got[3, :, 1] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_explicit_driver_step_matches_the_fixed_point_bit_for_bit(monkeypatch, name, dim):
+    # no catalog driver reads its own (y, z), so every solve of a coupled
+    # pair and of the linear limit takes one driver step per node; forcing
+    # the fixed point back must give the same bytes
+    model = catalog_model(name, dim=dim, x0=0.5)
+    assert not backward._driver_reads_own_yz(model)
+    grid = TimeGrid(1.0, 8)
+    key = derive_key(ROOT, f"explicit_{name}", dim)
+    law = study_law(model, grid, 256, 2, key, backward=True)
+
+    def run():
+        sim = simulate_blocks(law, 8, 6, 64, key.child("w", 0), key.child("e", 0))
+        sols = [solve_bsde_n(model, 8, sim), solve_mfbsde(law, sim.xlim, sim.dw)]
+        limit = solve_limit_system(law, 4, key.child("ls", 0), inner=32, cloud_size=256)
+        return sols, limit
+
+    lean_sols, lean_limit = run()
+    monkeypatch.setattr(backward, "_driver_reads_own_yz", lambda model: True)
+    fixed_sols, fixed_limit = run()
+    for lean, fixed in zip(lean_sols, fixed_sols):
+        assert lean.provenance["fixpoint_sweeps"] == 1
+        for part in ("y_values", "z_values"):
+            assert getattr(lean, part).tobytes() == getattr(fixed, part).tobytes()
+        assert lean.artifacts["residual_rms"].tobytes() == fixed.artifacts["residual_rms"].tobytes()
+    assert np.any(lean_sols[0].y_values != 0.0)
+    for part in ("x", "xbar", "ybar", "zbar"):
+        assert getattr(lean_limit, part).tobytes() == getattr(fixed_limit, part).tobytes()
 
 
 def test_value_law_fixed_point_reaches_its_tolerance():

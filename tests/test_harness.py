@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfbsde import forward
+from mfbsde import backward, forward, harness
+from mfbsde.backward import solve_bsde_n, solve_mfbsde
 from mfbsde.fluctuation import solve_limit_system
 from mfbsde.harness import (
     ConfigError,
@@ -812,6 +813,69 @@ def test_own_y_tanh_declares_its_driver_gradients():
     model = _own_y_tanh()
     report = check_gradients(model, random_probes(model, 50, StreamKey(seed=9302)))
     assert report.passed, report.max_rel_error
+
+
+def test_own_y_driver_keeps_the_fixed_point():
+    # a driver that reads its own y steps implicitly, on both sides of a
+    # coupled pair
+    model = _own_y_tanh()
+    assert backward._driver_reads_own_yz(model)
+    grid = TimeGrid(1.0, 8)
+    root = StreamKey(seed=9307)
+    law = study_law(model, grid, 256, 2, root, backward=True)
+    sim = forward.simulate_blocks(law, 8, 4, 32, root.child("w", 0), root.child("e", 0))
+    assert solve_bsde_n(model, 8, sim).provenance["fixpoint_sweeps"] > 1
+    assert solve_mfbsde(law, sim.xlim, sim.dw).provenance["fixpoint_sweeps"] > 1
+
+
+def _recorded(monkeypatch, name, calls):
+    """Replace ``harness.<name>`` by a wrapper that appends each call's
+    keyword arguments and result to ``calls``."""
+    fn = getattr(harness, name)
+
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(harness, name, wrapped)
+
+
+def test_backward_solves_of_a_coupled_run_share_one_work_set(monkeypatch):
+    # 8 + 8 + 4 blocks: all six solves write one pair of y and z arrays,
+    # while each batch's bundle is its own
+    monkeypatch.setattr(forward, "BLOCK_PATHS", 8 * 32)
+    grid = TimeGrid(1.0, 8)
+    root = StreamKey(seed=9308)
+    law = study_law(catalog_model("tanh_bounded", x0=1.0), grid, 256, 2, root, backward=True)
+    sims, sols = [], []
+    _recorded(monkeypatch, "simulate_blocks", sims)
+    for name in ("solve_bsde_n", "solve_mfbsde"):
+        _recorded(monkeypatch, name, sols)
+    coupled_gaps(law, 8, 20, 32, root.child("w", 0), root.child("e", 0), degree=2)
+    assert [kwargs["block_offset"] for kwargs, _ in sims] == [0, 8, 16]
+    assert len(sols) == 6
+    work = sols[0][0]["work"]
+    assert work is not None and all(kwargs["work"] is work for kwargs, _ in sols)
+    first = sols[0][1]
+    for _, sol in sols[1:]:
+        assert np.shares_memory(sol.y_values, first.y_values)
+        assert np.shares_memory(sol.z_values, first.z_values)
+    assert not np.shares_memory(sims[0][1].xn, sims[1][1].xn)
+
+
+def test_solves_outside_a_coupled_run_own_their_arrays():
+    # without a work set every solve allocates its own y and z, so no two
+    # solutions, and no solution and its bundle, share memory
+    grid = TimeGrid(1.0, 8)
+    root = StreamKey(seed=9308)
+    law = study_law(catalog_model("tanh_bounded", x0=1.0), grid, 256, 2, root, backward=True)
+    sim = forward.simulate_blocks(law, 8, 8, 32, root.child("w", 0), root.child("e", 0))
+    sols = [solve_bsde_n(law.model, 8, sim), solve_mfbsde(law, sim.xlim, sim.dw), solve_bsde_n(law.model, 8, sim)]
+    assert sols[0].y_values.tobytes() == sols[2].y_values.tobytes()
+    arrays = [sim.dw, sim.xn, sim.xlim] + [a for sol in sols for a in (sol.y_values, sol.z_values)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :]), i
 
 
 @pytest.mark.parametrize("name", ["tanh_bounded", "mf_bsde_linear", "own_y_tanh"])
