@@ -19,14 +19,14 @@ The core is node-major: it moves the node axis of the conditioning states and
 increments to the front once, keeps y and z as (n+1, B, P, ...) work arrays,
 so each node's features, fits and driver steps read and write contiguous
 (B, P, ...) slices, and returns the public (B * P, n+1, ...) arrays as views
-of those work arrays (merging B and P needs no copy).  A block bundle from
-`simulate_blocks` and the linear limit's states already lie node-major, so
-the move copies nothing there; the value law's cloud paths and a plain
-BSDE's paths are block-major and are copied once.  A solve given a coupled
-run's work set (see `_work_array`) takes its y and z from the set, so the
-run's batches and both of their solves reuse one pair of arrays, and a
-solution's values live only until the run's next solve; a solve without one
-owns its arrays.
+of those work arrays (merging B and P needs no copy).  Own paths from
+`LawFlow.paths` (block bundles, the value law's cloud, the limit system's
+batches) and the linear limit's states already lie node-major, so the move
+copies nothing there; only a plain BSDE's paths are copied once.  A solve
+given a coupled run's work set (see `_work_array`) takes its y and z from
+the set, so the run's batches and both of their solves reuse one pair of
+arrays, and a solution's values live only until the run's next solve; a
+solve without one owns its arrays.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def min_block_paths(n_vars: int, degree: int) -> int:
-    """Fewest paths per regression block: ten times the basis size."""
-    return 10 * len(_exponent_tuples(n_vars, degree))
+    """Fewest paths per regression block: ten times the basis size (counted, not listed)."""
+    return 10 * math.comb(n_vars + degree, degree)
 
 
 def _features(states: np.ndarray, degree: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .harness import (
     run_convergence_study,
     study_law,
 )
-from .noise import StreamKey, TimeGrid, brownian_increments
+from .noise import StreamKey, TimeGrid
 
 
 def _read_input(path: str, what: str) -> str:
@@ -169,7 +169,7 @@ def _read_paths_csv(path: str, dim: int):
 
 def _invert_euler_increments(law, values):
     """Recover Brownian increments from limit-dynamics paths on the law's
-    grid (needs a nonsingular diffusion mean)."""
+    grid; a singular diffusion mean is a ConfigError naming its first node."""
     grid = law.grid
     R, n1, d = values.shape
     drift, diffusion = law.euler_coefficients()
@@ -177,7 +177,11 @@ def _invert_euler_increments(law, values):
     for i in range(grid.steps):
         x = values[None, :, i, :]
         resid = values[None, :, i + 1, :] - x - drift(x, i) * grid.h
-        dw[:, i, :] = np.linalg.solve(diffusion(x, i), resid[..., None])[0, ..., 0]
+        try:
+            dw[:, i, :] = np.linalg.solve(diffusion(x, i), resid[..., None])[0, ..., 0]
+        except np.linalg.LinAlgError:
+            t = grid.nodes[i]
+            raise ConfigError([f"--paths: the diffusion mean is singular at node {i} (t={t:.6g})"]) from None
     return dw
 
 
@@ -241,9 +245,7 @@ def _cmd_backward(args) -> int:
             dw = _invert_euler_increments(law, values)[None]
         else:
             # one block of limit paths on the stream the N-mode's block 0 uses
-            w_key = root.child("w", 0).child("path", 0)
-            dw = brownian_increments([w_key], (args.reps, grid.steps, model.dim), grid.h)
-            x_paths = law.euler(dw)
+            dw, x_paths = law.paths(root.child("w", 0), range(1), args.reps)
         sol = solve_mfbsde(law, x_paths, dw, degree=args.degree)
         y, z = sol.y_values, sol.z_values
     else:

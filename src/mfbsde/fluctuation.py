@@ -29,7 +29,7 @@ import numpy as np
 from .backward import min_block_paths, solve_linear_limit_bsde, solve_mfbsde
 from .forward import LawFlow, block_batches, euler_paths
 from .model import ModelSpec, partner_values, random_probes
-from .noise import StreamKey, TimeGrid, brownian_increments, generator
+from .noise import StreamKey, TimeGrid, generator
 
 __all__ = [
     "FieldLattice",
@@ -194,12 +194,9 @@ def value_law(law: LawFlow, key: StreamKey, size: int = 4096, degree: int = 2) -
     fresh cloud of ``size`` limit paths of ``law``, one block driven by the
     stream ``key.child("vw", 0).child("path", 0)``, gets a backward solve
     attached, its driver averaged over the cloud's own values."""
-    grid = law.grid
-    w_key = key.child("vw", 0).child("path", 0)
-    dw = brownian_increments([w_key], (size, grid.steps, law.model.dim), grid.h)
-    x = law.euler(dw)
+    dw, x = law.paths(key.child("vw", 0), range(1), size)
     sol = solve_mfbsde(law, x, dw, degree=degree)
-    return LawFlow(grid, law.model, cloud=x[0], cloud_y=sol.y_values)
+    return LawFlow(law.grid, law.model, cloud=x[0], cloud_y=sol.y_values)
 
 
 def theoretical_covariance(
@@ -222,7 +219,7 @@ def theoretical_covariance(
     elif key is None:
         raise ValueError("closed-form laws need a key to draw the kernel cloud")
     else:
-        x_cloud = law.sample_env([key], cloud_size)[0][0]
+        x_cloud = law.draw(key, cloud_size)
     m = x_cloud.shape[0]
     if m < KERNEL_MIN_CLOUD:
         raise ValueError(f"kernel cloud too small ({m} < {KERNEL_MIN_CLOUD})")
@@ -341,9 +338,7 @@ def solve_limit_system(
     """
     model, grid = law.model, law.grid
     d = model.dim
-    n = grid.steps
-    n1 = n + 1
-    h = grid.h
+    n1 = grid.steps + 1
     # the backward solve conditions on (state, first-order state)
     inner = max(inner, min_block_paths(2 * d, degree))
     lattice = FieldLattice(grid, tuple(range(n1)), blocks=_BLOCK_ORDER)
@@ -363,8 +358,7 @@ def solve_limit_system(
 
     def run_batch(lo, hi):
         # a function, so no array of this batch outlives it into the next
-        dw = brownian_increments([key.child("path", m) for m in range(lo, hi)], (inner, n, d), h)
-        x_in = law.euler(dw)
+        dw, x_in = law.paths(key, range(lo, hi), inner)
         # the first-order component starts at 0 and steps through the field
         coefficients = _xbar_coefficients(model, x_in, eta1[lo:hi, None], eta2[lo:hi, None])
         xbar_in = euler_paths(np.zeros(d), grid, dw, *coefficients)

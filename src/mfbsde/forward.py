@@ -38,8 +38,8 @@ DIVERGENCE_CAP = 1e8
 # `block_batches`, at call time), 256 blocks of 128; no output depends on it
 BLOCK_PATHS = 256 * 128
 # elements of partner draws (keys x partners x drawn nodes x d) that
-# `LawFlow.sample_env` and `LawFlow.pool_shifts` hold at a time: a 256 kB
-# sub-batch stays in cache and its reused heap pages are not faulted in again
+# `LawFlow._pools` holds at a time: a 256 kB sub-batch stays in cache and its
+# reused heap pages are not faulted in again
 _SUB_BATCH = 1 << 15
 # threads that draw closed-form partner pools (`LawFlow.pool_shifts`; read at call time)
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -85,6 +85,9 @@ class LawFlow:
                 raise ValueError("cloud_y needs a cloud: a closed-form law carries no values")
         elif self.cloud.shape[0] < 2:
             raise ValueError("cloud law needs at least 2 sample paths")
+        else:
+            # C order: the law's reductions over its cloud round by memory layout
+            self.cloud = np.ascontiguousarray(self.cloud)
 
     @property
     def kind(self) -> str:
@@ -100,34 +103,27 @@ class LawFlow:
 
     # -- samples ------------------------------------------------------------
 
-    def sample_env(self, keys, count: int, nodes=None):
-        """Draw `count` i.i.d. partner paths per key; returns (x, y).
+    def paths(self, w_key: StreamKey, blocks, inner: int) -> tuple[np.ndarray, np.ndarray]:
+        """Own blocks of `inner` limit paths: ``(dw, x)``, (B, inner, n, d)
+        increments, block b's under ``w_key.child("path", b)``, and (B, inner,
+        n+1, d) paths stepped by `euler`.  Both are views of node-major
+        buffers, so the backward solves' node-major moves copy nothing."""
+        blocks = list(blocks)
+        n, d = self.grid.steps, self.model.dim
+        dw = np.moveaxis(np.empty((n, len(blocks), inner, d)), 0, 2)
+        brownian_increments([w_key.child("path", b) for b in blocks], (inner, n, d), self.grid.h, out=dw)
+        return dw, self.euler(dw, out=np.moveaxis(np.empty((n + 1, len(blocks), inner, d)), 0, 2))
 
-        ``x`` is (len(keys), count, n+1, d) and ``y`` (len(keys), count, n+1),
-        or None when the law carries no values (every law but a value law).
-        Each key's draws equal what that key alone would give.  With ``nodes``
-        (grid node indices) only those nodes are returned, in their order, and
-        node-major in memory (see `_pools`).  A closed-form law then draws the
-        Brownian path at those nodes alone, which is exact in law because its
-        path maps are pointwise in time; a cloud law returns the full draw's
-        entries at those nodes, bit for bit.
-        """
-        keys, d = list(keys), self.model.dim
-        if nodes is None:
-            x = np.empty((len(keys), count, self.grid.steps + 1, d))
-        else:
-            x = np.moveaxis(np.empty((len(nodes), len(keys), count, d)), 0, 2)
-        y = np.empty_like(x[..., 0]) if self.has_y else None
-        for lo, hi, px, py in self._pools(keys, count, nodes):
-            x[lo:hi] = px
-            if y is not None:
-                y[lo:hi] = py
-        return x, y
+    def draw(self, key: StreamKey, count: int) -> np.ndarray:
+        """One key's `count` whole partner paths, (count, n+1, d): the pool
+        that `pool_shifts` reduces for that key."""
+        ((_, _, x, _),) = self._pools([key], count)
+        return x[0]
 
     def pool_shifts(self, keys, count: int, nodes=None):
         """Each key's pool of `count` partners reduced to its shifts:
-        ``(drift, diffusion, terminal, driver)``, bit for bit `env_shift` of
-        `sample_env(keys, count, nodes)`.  Without ``nodes`` each is
+        ``(drift, diffusion, terminal, driver)``, `env_shift` of each pool
+        that `_pools` draws.  Without ``nodes`` each is
         (len(keys),) plus the layout of `shift`; with ``nodes`` every shift,
         the terminal included, is a curve over those nodes, (len(keys),
         len(nodes)) plus the coefficient's own axes.  A coefficient without a
@@ -148,7 +144,9 @@ class LawFlow:
             ends = {"terminal": x[:, :, -1]} if nodes is None else {}
             return {w: env_shift(model, w, ends.get(w, x), y) for w in live}
 
-        empty = reduce(*self.sample_env([], count, nodes))  # the shapes, without a draw
+        # the shapes, from a pool of no keys
+        none = np.empty((0, count, self.grid.steps + 1 if nodes is None else len(nodes), model.dim))
+        empty = reduce(none, none[..., 0] if self.has_y else None)
         shifts = {w: np.empty((len(keys),) + part.shape[1:]) for w, part in empty.items()}
 
         def fill(lo, hi):
@@ -173,12 +171,16 @@ class LawFlow:
         return max(1, _SUB_BATCH // max(1, count * draws * self.model.dim))
 
     def _pools(self, keys: list, count: int, nodes=None):
-        """`sample_env`'s draws a sub-batch of keys at a time: yields
-        ``(lo, hi, x, y)`` for ``keys[lo:hi]``.  A closed-form law draws into
-        increment and path buffers allocated once per call (so concurrent
-        calls share none); read each sub-batch before taking the next.  Draws
-        at ``nodes`` are node-major in memory, as `sample_env` returns them,
-        so `env_shift` sums a pool in the same order on both routes."""
+        """`count` i.i.d. partner paths per key, a sub-batch of keys at a time:
+        yields ``(lo, hi, x, y)`` for ``keys[lo:hi]``, x (keys, count, nodes,
+        d) and y (keys, count, nodes), None for a law without values.  Each
+        key's draws are what that key alone would give.  A closed-form law
+        draws into buffers allocated once per call (so concurrent calls share
+        none): read each sub-batch before taking the next.  With ``nodes``
+        only those grid nodes are drawn, in their order, from the Brownian
+        path at those nodes alone (exact: path maps are pointwise in time) or
+        the cloud's entries.  They lie node-major, since `env_shift`'s mean
+        rounds by memory layout: the empirical fields' bits rest on it."""
         grid, d = self.grid, self.model.dim
         if nodes is None:
             t, step, draws = grid.nodes, grid.h, grid.steps
@@ -365,7 +367,8 @@ def solve_sde_n(
 @dataclass
 class BlockSim:
     """Coupled block bundle: per block one frozen environment draw, `inner`
-    paths of the N-system and of the limit dynamics on shared increments.
+    paths of the N-system and of the limit dynamics on shared increments
+    (``dw`` and ``xlim`` are `LawFlow.paths`' draw).
 
     Each block's partner pool is reduced to its shift curves (see
     `LawFlow.pool_shifts`) a sub-batch of blocks at a time and never held
@@ -374,8 +377,7 @@ class BlockSim:
     """
 
     grid: TimeGrid
-    # views of node-major (n, B, P, d) and (n+1, B, P, d) buffers, so the
-    # backward solves' node-major moves (see `backward`) copy nothing
+    # views of node-major (n, B, P, d) and (n+1, B, P, d) buffers (see `LawFlow.paths`)
     dw: np.ndarray                 # (B, P, n, d)
     xn: np.ndarray                 # (B, P, n+1, d)
     xlim: np.ndarray               # (B, P, n+1, d) limit dynamics, same dw
@@ -420,12 +422,8 @@ def simulate_blocks(
     # forward-only use of a y-free law leaves the driver shift unset; the
     # backward solver raises if it actually needs it
     drift, diffusion, terminal, driver = law.pool_shifts([env_key.child("env", b) for b in blocks], N)
-    # node-major buffers behind (B, P, nodes, d) views (see `BlockSim`)
-    n, d = grid.steps, model.dim
-    dw = np.moveaxis(np.empty((n, n_blocks, inner, d)), 0, 2)
-    brownian_increments([w_key.child("path", b) for b in blocks], (inner, n, d), grid.h, out=dw)
-    xn = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
-    xlim = np.moveaxis(np.empty((n + 1, n_blocks, inner, d)), 0, 2)
+    dw, xlim = law.paths(w_key, blocks, inner)
+    # the N-system on the same increments, into a node-major buffer too (see `BlockSim`)
+    xn = np.moveaxis(np.empty((grid.steps + 1, n_blocks, inner, model.dim)), 0, 2)
     euler_paths(model.x0, grid, dw, *_euler_coefficients(model, drift, diffusion), out=xn)
-    law.euler(dw, out=xlim)
     return BlockSim(grid=grid, dw=dw, xn=xn, xlim=xlim, terminal_curve=terminal, driver_curve=driver)

@@ -14,6 +14,7 @@ from mfbsde.backward import (
     _features,
     _gram,
     check_comparison,
+    min_block_paths,
     solve_bsde_n,
     solve_linear_limit_bsde,
     solve_mfbsde,
@@ -180,6 +181,14 @@ def test_features_match_the_std_where_stack_form_bit_for_bit(m, degree):
         assert np.all(got[1, :, m] == 0.0) and np.all(got[3, :, 1] == 0.0)
 
 
+def test_min_block_paths_counts_the_exponent_tuples():
+    # the basis is counted, not listed: ten paths per monomial of total
+    # degree at most `degree`
+    for m in range(1, 5):
+        for degree in range(7):
+            assert min_block_paths(m, degree) == 10 * len(_exponent_tuples(m, degree)), (m, degree)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_explicit_driver_step_matches_the_fixed_point_bit_for_bit(monkeypatch, name, dim):
@@ -292,7 +301,7 @@ def test_terminal_values_are_exact_per_replication():
     # terminal node reproduces the averaged terminal functional exactly
     # block b's partners are the draw addressed by env_key.child("env", b)
     env_key = derive_key(ROOT, "terme", 0)
-    env_term = law.sample_env([env_key.child("env", b) for b in range(4)], 8)[0][:, :, -1]
+    env_term = np.stack([law.draw(env_key.child("env", b), 8) for b in range(4)])[:, :, -1]
     expected = sim.xn[:, :, -1, 0] + env_term[:, :, 0].mean(axis=1)[:, None]
     got = sol.y_values.reshape(4, 64, -1)[:, :, -1]
     assert np.allclose(got, expected, atol=1e-12)

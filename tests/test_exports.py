@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,21 @@ def test_a_law_carries_its_model_and_grid():
         "simulate_blocks", "solve_sde_n", "solve_mfbsde", "value_law", "theoretical_covariance",
         "empirical_fields", "solve_limit_system", "coupled_gaps",
     }
+
+
+def test_brownian_increments_is_called_in_forward_alone():
+    # every Brownian draw has one route per kind of path: own paths
+    # (`LawFlow.paths`), partner paths (`LawFlow._pools`) and particle clouds
+    # (`solve_classical_system`); a call anywhere else is a new route
+    callers = set()
+    for path in sorted(Path(mfbsde.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "brownian_increments":
+                continue
+            while node in parents and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                node = parents[node]
+            callers.add((path.stem, getattr(node, "name", "<module>")))
+    assert callers == {("forward", "paths"), ("forward", "_pools"), ("forward", "solve_classical_system")}

@@ -25,7 +25,7 @@ from mfbsde.fluctuation import (
 )
 from mfbsde.forward import LawFlow, simulate_blocks, solve_limit_forward
 from mfbsde.model import catalog_model
-from mfbsde.noise import StreamKey, TimeGrid, derive_key
+from mfbsde.noise import StreamKey, TimeGrid, brownian_increments, derive_key
 
 ROOT = StreamKey(seed=9200)
 GRID = TimeGrid(1.0, 64)
@@ -306,7 +306,7 @@ def test_field_scale_linearity():
     base = catalog_model("ou_mean_field", beta=1.0, s=1.0, x0=1.0)
     scaled = catalog_model("ou_mean_field", beta=2.0, s=1.0, x0=1.0)
     law = solve_limit_forward(base, GRID, 0, derive_key(ROOT, "law", 10))
-    cloud = law.sample_env([derive_key(ROOT, "k", 7)], 2048)[0][0]
+    cloud = law.draw(derive_key(ROOT, "k", 7), 2048)
     lat = _lattice(GRID, (0.5, 1.0))
     cov_base = theoretical_covariance(LawFlow(GRID, base, cloud=cloud), lat)
     cov_scaled = theoretical_covariance(LawFlow(GRID, scaled, cloud=cloud), lat)
@@ -494,7 +494,6 @@ def test_limit_system_xbar_matches_the_strided_reference(dim):
     # gradients it must equal the in-place node loop bit for bit
     from mfbsde.backward import min_block_paths
     from mfbsde.model import check_gradients, random_probes
-    from mfbsde.noise import brownian_increments
 
     model = _own_gradient_model(dim)
     assert check_gradients(model, random_probes(model, 20, derive_key(ROOT, "og", dim))).passed
@@ -583,6 +582,56 @@ def test_value_law_cloud_is_the_block_route_limit_cloud():
         law, 1, n_blocks=1, inner=256, w_key=key.child("vw", 0), env_key=key.child("ve", 0),
     )
     assert np.array_equal(vlaw.cloud, sim.xlim[0])
+
+
+def _block_major_paths(law, w_key, blocks, inner):
+    """`LawFlow.paths` in block-major form: one (B, inner, n, d) draw, then
+    `LawFlow.euler` into a new array."""
+    grid, d = law.grid, law.model.dim
+    dw = brownian_increments([w_key.child("path", b) for b in blocks], (inner, grid.steps, d), grid.h)
+    return dw, law.euler(dw)
+
+
+def _value_law_and_limit_system(dim):
+    model = catalog_model("tanh_bounded", x0=[1.0, -0.5][:dim], dim=dim)
+    grid = TimeGrid(1.0, 8)
+    law = solve_limit_forward(model, grid, 128, derive_key(ROOT, "law", 40 + dim))
+    key = derive_key(ROOT, "node_major", dim)
+    vlaw = value_law(law, key.child("vlaw", 0), size=256)
+    return vlaw, solve_limit_system(vlaw, members=6, key=key, cloud_size=256)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_node_major_own_paths_give_the_block_major_bytes(monkeypatch, dim):
+    # value_law and solve_limit_system read LawFlow.paths' node-major draw;
+    # on the block-major draw they give the same bytes
+    runs = [_value_law_and_limit_system(dim)]
+    monkeypatch.setattr(LawFlow, "paths", _block_major_paths)
+    runs.append(_value_law_and_limit_system(dim))
+    (vlaw, res), (want_vlaw, want_res) = runs
+    for attr in ("cloud", "cloud_y"):
+        assert getattr(vlaw, attr).tobytes() == getattr(want_vlaw, attr).tobytes(), attr
+    for attr in ("x", "xbar", "ybar", "zbar"):
+        assert getattr(res, attr).tobytes() == getattr(want_res, attr).tobytes(), attr
+
+
+def test_own_paths_reach_the_backward_induction_node_major(monkeypatch):
+    # the value law's and every limit batch's states and increments move to
+    # the induction's node-major order without a copy
+    from mfbsde import backward
+
+    induction = backward._backward_induction
+    moves = []
+
+    def spy(grid, cond_states, dw, terminal, driver_fn, degree, solver, *args, **kwargs):
+        for a in (cond_states, dw):
+            moves.append((solver, np.shares_memory(np.ascontiguousarray(np.moveaxis(a, 2, 0)), a)))
+        return induction(grid, cond_states, dw, terminal, driver_fn, degree, solver, *args, **kwargs)
+
+    monkeypatch.setattr(backward, "_backward_induction", spy)
+    _value_law_and_limit_system(2)
+    assert {solver for solver, _ in moves} == {"mf_limit", "linear_limit"}
+    assert all(no_copy for _, no_copy in moves), moves
 
 
 def test_clt_compare_report_structure():

@@ -36,7 +36,7 @@ def test_limit_forward_brownian_variance():
     model = catalog_model("constant", b0=0.0, s=1.0, x0=0.0)
     law = solve_limit_forward(model, GRID, 4096, derive_key(ROOT, "law", 0))
     assert law.kind == "closed_form"
-    x = law.sample_env([derive_key(ROOT, "sample", 0)], 4096)[0][0]
+    x = law.draw(derive_key(ROOT, "sample", 0), 4096)
     v = x[:, -1, 0].var()
     assert abs(v - 1.0) <= 3 * math.sqrt(2.0 / 4096)
 
@@ -53,15 +53,19 @@ def test_a_law_is_closed_form_exactly_when_it_has_no_cloud():
 
 
 def test_sample_env_at_nodes_slices_a_cloud_law_bit_for_bit():
+    # a cloud law's pool at nodes is its full draw's entries at those nodes:
+    # its shifts are env_shift of the whole-path gather's slice, bit for bit
     model = catalog_model("tanh_bounded")
     cloud = solve_classical_system(model, 64, GRID, derive_key(ROOT, "cl", 0))
     law = LawFlow(GRID, model, cloud=cloud, cloud_y=cloud[..., 0] ** 2)
     nodes = [0, 16, 40, 64]
     key = derive_key(ROOT, "sub", 0)
-    x, y = law.sample_env([key], 500, nodes)
-    x_full, y_full = law.sample_env([key], 500)
-    assert x.shape == (1, 500, 4, 1) and y.shape == (1, 500, 4)
-    assert np.array_equal(x, x_full[:, :, nodes]) and np.array_equal(y, y_full[:, :, nodes])
+    x_full, y_full = _gather(law, [key], 500)
+    assert np.array_equal(x_full[0], law.draw(key, 500))
+    want = _shifts_of(model, _node_major(x_full[:, :, nodes]), _node_major(y_full[:, :, nodes]), nodes)
+    got = law.pool_shifts([key], 500, nodes)
+    _assert_same_shifts(got, want)
+    assert [s.shape[:2] for s in got] == [(1, 4)] * 4
 
 
 @pytest.mark.parametrize("x0", [[1.0], [1.0, -0.5]], ids=["ou_mean_field", "ou_mean_field_dim2"])
@@ -73,13 +77,15 @@ def test_sample_env_at_nodes_matches_the_closed_form_law(x0):
     model = catalog_model("ou_mean_field", beta=beta, s=s, x0=x0, dim=d)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 14))
     nodes = [48, 0, 16, 64]  # unsorted on purpose
-    x, y = law.sample_env([derive_key(ROOT, "sub", 1)], count, nodes)
-    assert x.shape == (1, count, 4, d) and y is None
-    x = x[0]
+    # one partner per key: its drift shift is beta times the partner's state
+    keys = [derive_key(ROOT, "sub", k) for k in range(count)]
+    drift, _, _, driver = law.pool_shifts(keys, 1, nodes)
+    assert drift.shape == (count, 4, d) and driver is None
+    x = drift / beta
     t = GRID.nodes[nodes]
     mean = model.closed_form.mean(t)
     var = s**2 * t
-    assert np.all(x[:, 1] == x0)
+    assert np.all(drift[:, 1] == beta * np.asarray(x0))
     for k in (0, 2, 3):
         se_mean = math.sqrt(var[k] / count)
         se_var = var[k] * math.sqrt(2.0 / (count - 1))
@@ -113,14 +119,43 @@ def _one_key_env(law, key, count, nodes=None):
     return cf.path_map(t, w), None
 
 
-def _assert_stacked_single_key_draws(law, keys, count, nodes=None):
-    x, y = law.sample_env(keys, count, nodes)
+def _node_major(a):
+    """(keys, partners, nodes, ...) draws laid out node-major, as
+    `LawFlow._pools` lays a draw at nodes: `env_shift` rounds by layout."""
+    return None if a is None else np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 2, 0)), 0, 2)
+
+
+def _gather(law, keys, count, nodes=None):
+    """The keys' `_one_key_env` draws, stacked; node-major at ``nodes``."""
     singles = [_one_key_env(law, k, count, nodes) for k in keys]
-    assert np.array_equal(x, np.stack([sx for sx, _ in singles]))
-    if singles[0][1] is None:
-        assert y is None
-    else:
-        assert np.array_equal(y, np.stack([sy for _, sy in singles]))
+    x = np.stack([sx for sx, _ in singles])
+    y = None if singles[0][1] is None else np.stack([sy for _, sy in singles])
+    return (x, y) if nodes is None else (_node_major(x), _node_major(y))
+
+
+def _shifts_of(model, x, y, nodes=None):
+    """`env_shift` of every coefficient over pools (x, y), as `pool_shifts`
+    reduces them: along whole paths the terminal reads the final node, and
+    pools without values give no driver shift."""
+    ends = {"terminal": x[:, :, -1]} if nodes is None else {}
+    return [
+        None if w == "driver" and y is None else env_shift(model, w, ends.get(w, x), y)
+        for w in COEFFICIENTS
+    ]
+
+
+def _assert_same_shifts(got, want):
+    for which, g, w in zip(COEFFICIENTS, got, want):
+        if w is None:
+            assert g is None, which
+        else:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), which
+
+
+def _assert_stacked_single_key_draws(law, keys, count, nodes=None):
+    # the pools `pool_shifts` reduces are the keys' single-key draws
+    want = _shifts_of(law.model, *_gather(law, keys, count, nodes), nodes)
+    _assert_same_shifts(law.pool_shifts(keys, count, nodes), want)
 
 
 @pytest.mark.parametrize("keys_per_batch", [1, 3, 5])
@@ -171,7 +206,7 @@ def test_pool_shifts_equal_env_shift_over_sample_env(monkeypatch, keys_per_batch
     for nodes in (None, [48, 0, 64, 16, 48]):
         draws = GRID.steps if nodes is None else len(set(nodes))
         monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * count * draws * model.dim)
-        env_x, env_y = law.sample_env(keys, count, nodes)
+        env_x, env_y = _gather(law, keys, count, nodes)
         shifts = law.pool_shifts(keys, count, nodes)
         for which, got in zip(COEFFICIENTS, shifts):
             pool = env_x[:, :, -1] if which == "terminal" and nodes is None else env_x
@@ -200,7 +235,7 @@ def test_pool_shifts_split_across_workers_match_one_pool(monkeypatch, name, dim)
     model = catalog_model(name, x0=[1.0, -0.5][:dim], dim=dim)
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 22))
     keys = [derive_key(ROOT, "wpool", i) for i in range(7)]
-    env_x, _ = law.sample_env(keys, count)
+    env_x, _ = _gather(law, keys, count)
     want = {w: env_shift(model, w, env_x[:, :, -1] if w == "terminal" else env_x) for w in COEFFICIENTS}
     assert [w for w in COEFFICIENTS if want[w] is not None] == (
         ["drift", "terminal"] if name == "mf_bsde_linear" else ["drift"]
@@ -230,11 +265,12 @@ def test_pool_shifts_split_across_workers_match_one_pool(monkeypatch, name, dim)
                 else:
                     assert shifts[w].shape == want[w].shape, w
                     assert shifts[w].tobytes() == want[w].tobytes(), (w, per, workers)
-            # the first call draws the empty pool that sizes the shifts
-            sizes = [k for k, _ in runs[1:]]
+            # a pool of no keys sizes the shifts: every call draws keys
+            sizes = [k for k, _ in runs]
+            assert 0 not in sizes
             assert sum(sizes) == len(keys) and len(sizes) == min(workers, -(-len(keys) // per))
             assert all(k % per == 0 for k in sizes[:-1]), sizes
-            on_main = [t == threading.main_thread().ident for _, t in runs[1:]]
+            on_main = [t == threading.main_thread().ident for _, t in runs]
             assert all(on_main) == (len(sizes) == 1), (per, workers)
 
 
@@ -290,7 +326,7 @@ def test_an_error_in_a_pool_worker_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="path map diverged"):
         bad.pool_shifts(keys, 16)
     assert next(calls) == 2  # the other run drew its one sub-batch
-    want = env_shift(model, "drift", law.sample_env(keys, 16)[0])
+    want = env_shift(model, "drift", _gather(law, keys, 16)[0])
     assert law.pool_shifts(keys, 16)[0].tobytes() == want.tobytes()
 
 
@@ -310,9 +346,10 @@ def test_empty_partner_draws_are_empty_arrays(kind):
         law = _tanh_value_law_dim2()
     d = law.model.dim
     keys = [derive_key(ROOT, "empty", i) for i in range(2)]
+    assert law.draw(keys[0], 0).shape == (0, 65, d)
     for count, nodes, shape in ((0, None, (2, 0, 65)), (4, [], (2, 4, 0)), (0, [3, 5], (2, 0, 2))):
-        x, y = law.sample_env(keys, count, nodes)
-        assert x.shape == shape + (d,)
+        ((lo, hi, x, y),) = law._pools(keys, count, nodes)
+        assert (lo, hi) == (0, 2) and x.shape == shape + (d,)
         assert (y is None) if kind == "closed_form" else (y.shape == shape)
     # no keys give empty shifts, never the None of a partner-free coefficient
     for nodes, steps in ((None, 65), ([3, 5], 2)):
@@ -378,6 +415,19 @@ def test_closed_form_shift_reproduces_the_oracle_means(name, params, dependent):
     for which in COEFFICIENTS:
         if model.env_free(which):
             assert law.shift(which) is None
+
+
+def test_a_cloud_law_holds_its_cloud_in_c_order():
+    # a cloud law's reductions round by memory layout: a cloud given as a
+    # node-major view is held as a C-ordered copy, a C-ordered one as is
+    model = catalog_model("tanh_bounded", x0=[1.0, -0.5], dim=2)
+    cloud = solve_classical_system(model, 16, GRID, derive_key(ROOT, "cl", 3))
+    assert LawFlow(GRID, model, cloud=cloud).cloud is cloud
+    view = np.moveaxis(np.ascontiguousarray(np.moveaxis(cloud, 1, 0)), 0, 1)
+    assert not view.flags.c_contiguous
+    law = LawFlow(GRID, model, cloud=view)
+    assert law.cloud.flags.c_contiguous and np.array_equal(law.cloud, cloud)
+    assert law.shift("drift").tobytes() == LawFlow(GRID, model, cloud=cloud).shift("drift").tobytes()
 
 
 def test_cloud_law_shift_is_env_shift_over_the_cloud():

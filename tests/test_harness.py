@@ -1116,6 +1116,76 @@ def test_cli_backward_limit_paths_file_matches_the_fresh_run(name, tmp_path):
     assert np.max(np.abs(fresh - from_file)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "block", [{"name": "tanh_bounded"}, {"name": "ou_mean_field", "x0": [1.0, -0.5], "dim": 2}],
+    ids=["tanh_bounded", "ou_mean_field_dim2"],
+)
+def test_cli_backward_limit_csv_is_the_block_major_draws(block, tmp_path, monkeypatch):
+    # fresh --n limit paths come from LawFlow.paths' node-major draw; the
+    # block-major draw, then law.euler, writes the same bytes
+    import mfbsde.cli as cli
+
+    def block_major(law, w_key, blocks, inner):
+        grid, d = law.grid, law.model.dim
+        dw = brownian_increments([w_key.child("path", b) for b in blocks], (inner, grid.steps, d), grid.h)
+        return dw, law.euler(dw)
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(block))
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--steps", "8"]
+    argv += ["--reps", "64", "--seed", "29", "--env-cloud", "256", "--out"]
+    assert cli.main(argv + [str(tmp_path / "node_major.csv")]) == 0
+    monkeypatch.setattr(forward.LawFlow, "paths", block_major)
+    assert cli.main(argv + [str(tmp_path / "block_major.csv")]) == 0
+    assert (tmp_path / "node_major.csv").read_bytes() == (tmp_path / "block_major.csv").read_bytes()
+
+
+def test_paths_file_with_a_singular_diffusion_mean_is_an_invalid_configuration(tmp_path, capsys):
+    # at s = 0 the paths do not determine their increments; the inversion
+    # used to end in a numpy LinAlgError traceback
+    from mfbsde.cli import main
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"name": "ou_mean_field", "s": 0.0}))
+    paths, out_csv = tmp_path / "paths.csv", tmp_path / "y.csv"
+    forward_argv = ["forward", "--model", str(model_path), "--n", "4", "--steps", "8"]
+    assert main(forward_argv + ["--reps", "40", "--seed", "5", "--env-cloud", "64", "--out", str(paths)]) == 0
+    capsys.readouterr()
+    argv = ["backward", "--model", str(model_path), "--n", "limit", "--steps", "8"]
+    assert main(argv + ["--paths", str(paths), "--seed", "5", "--out", str(out_csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "invalid configuration:", "  - --paths: the diffusion mean is singular at node 0 (t=0)"
+    ]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out_csv.exists()
+
+
+def test_validate_counts_a_large_basis_without_listing_it(tmp_path, capsys):
+    # min_block_paths listed every exponent tuple to count them: at degree
+    # 1600 in dim 2 that held 1.3M tuples before the violation printed
+    from mfbsde.cli import main
+
+    doc = {
+        "model": {"name": "tanh_bounded", "x0": [1.0, -0.5], "dim": 2},
+        "study": {"kind": "convergence", "n_values": [8, 16], "seed": 7, "degree": 1600},
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--config", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = 10 * math.comb(1602, 1600)
+    assert f"  - study.inner_paths must be at least 10 * basis size = {need} for y or z metrics, got 128" in (
+        capsys.readouterr().out.splitlines()
+    )
+    assert peak < 5e6, peak
+
+
 def test_paths_file_on_another_grid_is_an_invalid_configuration(tmp_path, capsys):
     # a T = 1 file passed with a T = 2 model and as many steps used to run
     # and relabel the t column: 0.125 came back as 0.25
