@@ -257,8 +257,8 @@ def _split_path_field(model: ModelSpec, kernel: CovarianceMatrix, raw: np.ndarra
 
 
 def empirical_fields(
-    law: LawFlow, N: int, lattice: FieldLattice, reps: int, env_key: StreamKey
-) -> np.ndarray:
+    law: LawFlow, N: int, lattice: FieldLattice, reps: int, env_key: StreamKey, wait: bool = True
+):
     """Replicated empirical fluctuation fields on the lattice, (reps, L).
 
     Replication r's entry is sqrt(N) times its pool shift (`LawFlow.pool_shifts`
@@ -268,6 +268,11 @@ def empirical_fields(
     exact mean of the law its partners are resampled from.  Columns follow
     `_field_labels`; a block without a partner part gives exact zeros.  An
     N below 1 raises before any draw.
+
+    With ``wait=False`` the pools are issued to a pool thread
+    (``pool_shifts(..., wait=False)``) and a zero-argument function is
+    returned that waits for them and gives the fields: a caller runs other
+    work meanwhile and must call it, also when that work raises.
     """
     labels = _field_labels(law.model, lattice)
     # the centre first: a driver entry of a law without values raises here
@@ -275,13 +280,18 @@ def empirical_fields(
     # draw partners only at the live nodes: every summand is pointwise in t
     nodes = sorted({t for b, t, _ in labels if center[b] is not None})
     keys = [env_key.child("env", r) for r in range(reps)]
-    pools = dict(zip(_BLOCK_ORDER, law.pool_shifts(keys, N, nodes)))
-    values = np.zeros((reps, len(labels)))
-    for j, (b, t, axis) in enumerate(labels):
-        if pools[b] is not None:
-            mean = center[b][(0,) if b == "terminal" else (0, t) + axis]
-            values[:, j] = np.sqrt(N) * (pools[b][(slice(None), nodes.index(t)) + axis] - mean)
-    return values
+    issued = law.pool_shifts(keys, N, nodes, wait=wait)
+
+    def assemble():
+        pools = dict(zip(_BLOCK_ORDER, issued if wait else issued()))
+        values = np.zeros((reps, len(labels)))
+        for j, (b, t, axis) in enumerate(labels):
+            if pools[b] is not None:
+                mean = center[b][(0,) if b == "terminal" else (0, t) + axis]
+                values[:, j] = np.sqrt(N) * (pools[b][(slice(None), nodes.index(t)) + axis] - mean)
+        return values
+
+    return assemble() if wait else assemble
 
 
 # ---------------------------------------------------------------------------

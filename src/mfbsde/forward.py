@@ -7,7 +7,11 @@ from the N-system's own law, which differs from the limit law by O(1/N); that
 moves squared errors by O(1/N^2) and sqrt(N)-scaled fluctuations by
 O(1/sqrt(N)), below every reported statistic.)  Every output path is coupled
 to a limit path driven by the same Brownian stream, so differences isolate
-the environment-size effect.  Closed-form pools are drawn on every core.
+the environment-size effect.  Closed-form pools are drawn on every core,
+and a pool draw can be issued to the pool threads and collected later
+(`LawFlow.pool_shifts` with ``wait=False``): a clt study draws its empirical
+fields that way beside its coupled run.  `_executor` is the package's one
+thread pool.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ BLOCK_PATHS = 256 * 128
 # `LawFlow._pools` holds at a time: a 256 kB sub-batch stays in cache and its
 # reused heap pages are not faulted in again
 _SUB_BATCH = 1 << 15
-# threads that draw closed-form partner pools (`LawFlow.pool_shifts`; read at call time)
+# threads that draw partner pools (`LawFlow.pool_shifts`; read at call time)
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -120,7 +124,7 @@ class LawFlow:
         ((_, _, x, _),) = self._pools([key], count)
         return x[0]
 
-    def pool_shifts(self, keys, count: int, nodes=None):
+    def pool_shifts(self, keys, count: int, nodes=None, wait: bool = True):
         """Each key's pool of `count` partners reduced to its shifts:
         ``(drift, diffusion, terminal, driver)``, `env_shift` of each pool
         that `_pools` draws.  Without ``nodes`` each is
@@ -132,7 +136,13 @@ class LawFlow:
 
         The pools are drawn and reduced a sub-batch of keys at a time (see
         `_SUB_BATCH`), so no key batch's whole pool is ever held.  A closed-form
-        law's full-path pools run on `WORKERS` threads, in runs of whole sub-batches.
+        law's full-path pools run on `WORKERS` threads, in runs of whole
+        sub-batches; node-restricted pools and a cloud law's are one run.
+        With ``wait=False`` the runs go to the pool threads, even a single
+        one, and a zero-argument function is returned: it waits for every
+        run, raises the first error and gives the tuple.  No run waits on
+        another, so any number of pool threads finishes them.  At one
+        `WORKERS` every run is drawn inline and no thread starts.
         """
         if count < 1:
             raise ValueError("a partner pool needs count >= 1")
@@ -158,13 +168,18 @@ class LawFlow:
         batches = -(-len(keys) // per)
         runs = max(1, min(WORKERS, batches)) if self.cloud is None and nodes is None else 1
         cuts = [min(len(keys), per * (batches * r // runs)) for r in range(runs + 1)]
-        if runs == 1:  # starts no thread
+        futures = []
+        if runs == 1 and (wait or WORKERS == 1):  # starts no thread
             fill(*cuts)
         else:
             futures = [_executor().submit(fill, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+        def collect():
             for error in filter(None, [future.exception() for future in futures]):  # all end first
                 raise error
-        return tuple(shifts.get(w) for w in COEFFICIENTS)
+            return tuple(shifts.get(w) for w in COEFFICIENTS)
+
+        return collect() if wait else collect
 
     def _keys_per_sub_batch(self, count: int, draws: int) -> int:
         """Keys whose pools of `count` partners at `draws` nodes fill a sub-batch."""
@@ -180,32 +195,49 @@ class LawFlow:
         only those grid nodes are drawn, in their order, from the Brownian
         path at those nodes alone (exact: path maps are pointwise in time) or
         the cloud's entries.  They lie node-major, since `env_shift`'s mean
-        rounds by memory layout: the empirical fields' bits rest on it."""
+        rounds by memory layout: the empirical fields' bits rest on it.  A
+        closed-form law builds the Brownian path at nodes one node slab at a
+        time, straight into that layout: each slab is the previous one plus
+        the slab's normals times the root of its time step."""
         grid, d = self.grid, self.model.dim
         if nodes is None:
-            t, step, draws = grid.nodes, grid.h, grid.steps
+            t, draws = grid.nodes, grid.steps
         else:
             nodes = np.asarray(nodes, dtype=np.intp)
             t = grid.nodes[nodes]
-            at, back = np.unique(t, return_inverse=True)
-            step, draws = np.diff(at, prepend=0.0)[:, None], at.size
-        # ``first`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
-        node_major = lambda a, axis, first: np.moveaxis(np.moveaxis(a, axis, 0)[first], 0, 2)
+            at, first, back = np.unique(t, return_index=True, return_inverse=True)
+            root, draws = np.sqrt(np.diff(at, prepend=0.0)), at.size
+            # (node, slab) pairs of a repeated node and the first node holding its slab
+            repeats = [(k, first[j]) for k, j in enumerate(back) if k != first[j]]
+        # ``index`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
+        node_major = lambda a, axis, index: np.moveaxis(np.moveaxis(a, axis, 0)[index], 0, 2)
         per = self._keys_per_sub_batch(count, draws)
         rows = min(per, len(keys))
         if self.cloud is None:
             dw = np.empty((rows, count, draws, d))
-            w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
+            if nodes is None:
+                w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
+            else:
+                flat = np.empty(len(nodes) * rows * count * d)
         else:
             idx = np.empty((rows, count), dtype=np.int64)
         for lo in range(0, len(keys), per):
             sub = keys[lo : lo + per]
             m = len(sub)
-            if self.cloud is None:
-                brownian_increments(sub, (count, draws, d), step, out=dw[:m])
+            if self.cloud is None and nodes is None:
+                brownian_increments(sub, (count, draws, d), grid.h, out=dw[:m])
                 np.cumsum(dw[:m], axis=2, out=w[:m, :, 1:])
-                path = w[:m] if nodes is None else node_major(w[:m], 2, back + 1)
-                yield lo, lo + m, self.model.closed_form.path_map(t, path), None
+                yield lo, lo + m, self.model.closed_form.path_map(t, w[:m]), None
+            elif self.cloud is None:
+                brownian_increments(sub, (count, draws, d), 1.0, out=dw[:m])  # standard normals
+                w = flat[: len(nodes) * m * count * d].reshape(len(nodes), m, count, d)
+                for j in range(draws):
+                    slab = np.multiply(dw[:m, :, j], root[j], out=w[first[j]])
+                    if j:
+                        slab += w[first[j - 1]]
+                for k, f in repeats:
+                    w[k] = w[f]
+                yield lo, lo + m, self.model.closed_form.path_map(t, np.moveaxis(w, 0, 2)), None
             else:
                 for row, rng in zip(idx, key_streams(sub)):
                     row[:] = rng.integers(0, self.cloud.shape[0], size=count)

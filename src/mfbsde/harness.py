@@ -575,7 +575,13 @@ def run_convergence_study(config: ExperimentConfig) -> StudyReport:
 
 
 def run_clt_study(config: ExperimentConfig) -> StudyReport:
-    """Distributional comparison of scaled fluctuations against the limit system."""
+    """Distributional comparison of scaled fluctuations against the limit system.
+
+    The empirical fields' pools are issued first and drawn on a pool thread
+    (`empirical_fields` with ``wait=False``) beside the coupled run, the
+    limit system and the comparison, which run on the calling thread; the
+    fields are collected before the covariance table.  No output depends on
+    the thread count."""
     model, grid, study = config.model, config.grid, config.study
     root = config.root_key()
     N = int(study["n"])
@@ -584,28 +590,35 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     law = study_law(model, grid, env_cloud, int(study["degree"]), root, backward=True)
     decoupled = model.env_free("drift") and model.env_free("diffusion")
 
-    # scaled fluctuation samples of one coupled run, None for a metric not measured
-    gaps = _point_gaps(law, N, study, root.child("fw", 0), root.child("fe", 0))
-    x_fluct, y_fluct, z_fluct = (
-        np.sqrt(N) * g if m in study["metrics"] else None for m, g in zip(_METRICS, gaps)
-    )
-
-    limit = solve_limit_system(
-        law,
-        members=int(study["reps"]),
-        key=root.child("limit", 0),
-        inner=max(64, int(study["inner_paths"]) // 2),
-        degree=int(study["degree"]),
-        cloud_size=env_cloud,
-    )
-    comparison = clt_compare(
-        N, grid, (x_fluct, y_fluct, z_fluct), limit, study["probe_times"], study["y_probe_times"]
-    )
-
-    # field covariance on the configured lattice: the empirical fields against
-    # the entries of the kernel the limit members were drawn from
+    # the empirical fields on the configured lattice draw on a pool thread
+    # while this thread runs the coupled run and the limit system
     lattice = FieldLattice(grid, tuple(grid.node_at(t) for t in study["lattice_times"]))
-    emp = empirical_fields(law, N, lattice, int(study["field_reps"]), root.child("field_env", 0))
+    fields = empirical_fields(
+        law, N, lattice, int(study["field_reps"]), root.child("field_env", 0), wait=False
+    )
+    try:
+        # scaled fluctuation samples of one coupled run, None for a metric not measured
+        gaps = _point_gaps(law, N, study, root.child("fw", 0), root.child("fe", 0))
+        x_fluct, y_fluct, z_fluct = (
+            np.sqrt(N) * g if m in study["metrics"] else None for m, g in zip(_METRICS, gaps)
+        )
+
+        limit = solve_limit_system(
+            law,
+            members=int(study["reps"]),
+            key=root.child("limit", 0),
+            inner=max(64, int(study["inner_paths"]) // 2),
+            degree=int(study["degree"]),
+            cloud_size=env_cloud,
+        )
+        comparison = clt_compare(
+            N, grid, (x_fluct, y_fluct, z_fluct), limit, study["probe_times"], study["y_probe_times"]
+        )
+    finally:
+        emp = fields()  # no draw outlives the study, whatever raised above
+
+    # field covariance: the empirical fields against the entries of the
+    # kernel the limit members were drawn from
     emp_cov = _sample_covariance(emp, _field_labels(model, lattice))
     cov = limit.kernel.at(emp_cov.labels)
     cov_rows = []

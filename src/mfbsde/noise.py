@@ -10,6 +10,7 @@ gives the same draws.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -46,21 +47,16 @@ def derive_key(parent: StreamKey, role: str, index: int) -> StreamKey:
     return parent.child(role, index)
 
 
-def _philox_words(key: StreamKey) -> np.ndarray:
-    h = hashlib.sha256()
-    h.update(str(key.seed).encode())
-    for role, idx in key.path:
-        h.update(b"/")
-        h.update(role.encode())
-        h.update(b":")
-        h.update(str(idx).encode())
-    # Philox keys are 128-bit; take the first 16 digest bytes.
-    return np.frombuffer(h.digest()[:16], dtype=np.uint64).copy()
+def _philox_words(key: StreamKey) -> tuple[int, int]:
+    """The key's 128-bit Philox key: the first 16 bytes of the sha256 of
+    ``str(key)`` (the seed, then "/role:index" per path part), read as two
+    64-bit words in native byte order."""
+    return struct.unpack("=2Q", hashlib.sha256(str(key).encode()).digest()[:16])
 
 
 def generator(key: StreamKey) -> np.random.Generator:
     """Fresh counter-based generator for this key."""
-    return np.random.Generator(np.random.Philox(key=_philox_words(key)))
+    return np.random.Generator(np.random.Philox(key=np.array(_philox_words(key), dtype=np.uint64)))
 
 
 def key_streams(keys: Iterable[StreamKey]) -> Iterator[np.random.Generator]:
@@ -68,12 +64,15 @@ def key_streams(keys: Iterable[StreamKey]) -> Iterator[np.random.Generator]:
 
     One Philox is re-keyed in place through its public state setter, which
     also resets the counter and the 64- and 32-bit output buffers; this costs
-    a fraction of constructing a generator per key.  The same Generator object
-    is yielded for every key: draw from it before advancing the iteration, as
-    a reference kept past that point reads the next key's stream.
+    a fraction of constructing a generator per key.  The state is plain ints,
+    which the setter reads faster than numpy arrays.  The same Generator
+    object is yielded for every key: draw from it before advancing the
+    iteration, as a reference kept past that point reads the next key's stream.
     """
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     fresh = bitgen.state  # zero counter, empty buffers
+    fresh["state"] = {"counter": [0] * 4, "key": (0, 0)}
+    fresh["buffer"] = [0] * 4
     rng = np.random.Generator(bitgen)
     for key in keys:
         fresh["state"]["key"] = _philox_words(key)
@@ -89,7 +88,8 @@ def brownian_increments(
 
     Key k's slice is ``sqrt(step) * generator(k).standard_normal(shape)`` bit
     for bit, so each key's draws are what that key alone would give.
-    ``step`` broadcasts against ``shape``: it may be one step per node.
+    ``step`` broadcasts against ``shape``: it may be one step per node.  A
+    unit step gives the standard normals with no scaling pass (x * 1.0 is x).
     """
     keys = list(keys)
     dw = np.empty((len(keys),) + tuple(shape)) if out is None else out
@@ -98,7 +98,8 @@ def brownian_increments(
             rng.standard_normal(out=row)
         else:
             row[...] = rng.standard_normal(shape)
-    dw *= np.sqrt(step)
+    if not (np.ndim(step) == 0 and step == 1.0):
+        dw *= np.sqrt(step)
     return dw
 
 

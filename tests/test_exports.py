@@ -59,3 +59,19 @@ def test_brownian_increments_is_called_in_forward_alone():
                 node = parents[node]
             callers.add((path.stem, getattr(node, "name", "<module>")))
     assert callers == {("forward", "paths"), ("forward", "_pools"), ("forward", "solve_classical_system")}
+
+
+def test_the_thread_pool_is_reached_in_forward_alone():
+    # threads start in one place: `forward._executor`, which
+    # `LawFlow.pool_shifts` submits its runs to; any other module that names
+    # it is a second home for threads
+    users = set()
+    for path in sorted(Path(mfbsde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a name, an attribute, a definition, an import or a getattr string
+            names = [getattr(node, k, None) for k in ("id", "attr", "name", "asname")]
+            if isinstance(node, ast.Constant):
+                names.append(node.value)
+            if "_executor" in names:
+                users.add(path.stem)
+    assert users == {"forward"}

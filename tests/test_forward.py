@@ -289,6 +289,113 @@ def test_one_pool_run_starts_no_thread(monkeypatch):
     assert threading.active_count() == threads
 
 
+def _per_node_pool_route(law, keys, count, nodes):
+    """Partner paths at ``nodes`` built the first way `_pools` built them:
+    scaled increments, a cumulative sum along the nodes, then a gather of the
+    requested nodes into a node-major copy."""
+    grid, d = law.grid, law.model.dim
+    t = grid.nodes[np.asarray(nodes)]
+    at, back = np.unique(t, return_inverse=True)
+    dw = brownian_increments(keys, (count, at.size, d), np.diff(at, prepend=0.0)[:, None])
+    w = np.zeros((len(keys), count, at.size + 1, d))
+    np.cumsum(dw, axis=2, out=w[:, :, 1:])
+    return law.model.closed_form.path_map(t, np.moveaxis(np.moveaxis(w, 2, 0)[back + 1], 0, 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_node_pools_are_the_per_node_route_bit_for_bit(monkeypatch, dim):
+    # slab-by-slab scaling and accumulation into the node-major buffer gives
+    # every element the same operations in the same order: unsorted,
+    # repeated nodes with node 0, in sub-batches of 3 keys (3 + 3 + 1)
+    nodes, count = [48, 0, 64, 16, 48], 10
+    model = catalog_model("ou_mean_field", x0=[1.0, -0.5][:dim], dim=dim)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 25))
+    keys = [derive_key(ROOT, "lean", i) for i in range(7)]
+    monkeypatch.setattr(forward, "_SUB_BATCH", 3 * count * len(set(nodes)) * dim)
+    want = _per_node_pool_route(law, keys, count, nodes)
+    bounds = []
+    for lo, hi, x, y in law._pools(keys, count, nodes):
+        bounds.append((lo, hi))
+        assert y is None and x.shape == (hi - lo, count, len(nodes), dim)
+        assert np.moveaxis(x, 2, 0).flags.c_contiguous  # node-major, as before
+        assert x.tobytes() == np.ascontiguousarray(want[lo:hi]).tobytes(), (lo, hi)
+    assert bounds == [(0, 3), (3, 6), (6, 7)]
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "cloud"])
+@pytest.mark.parametrize("nodes", [None, [48, 0, 16, 48]])
+def test_pool_shifts_issued_without_waiting_are_the_waited_ones(monkeypatch, kind, nodes):
+    # issued pools give the waited call's bytes at any thread count; every
+    # run goes to the pool threads, one at one WORKERS draws inline
+    import threading
+
+    if kind == "closed_form":
+        law = solve_limit_forward(catalog_model("mf_bsde_linear", x0=1.0), GRID, 0, derive_key(ROOT, "law", 26))
+    else:
+        law = _tanh_value_law_dim2()
+    keys = [derive_key(ROOT, "issued", i) for i in range(9)]
+    draws = GRID.steps if nodes is None else len(set(nodes))
+    monkeypatch.setattr(forward, "_SUB_BATCH", 2 * 6 * draws * law.model.dim)
+    want = law.pool_shifts(keys, 6, nodes)
+    pools = LawFlow._pools
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forward, "WORKERS", workers)
+        threads = []
+
+        def counted(self, keys, *args):
+            threads.append(threading.get_ident())
+            return pools(self, keys, *args)
+
+        monkeypatch.setattr(LawFlow, "_pools", counted)
+        collect = law.pool_shifts(keys, 6, nodes, wait=False)
+        assert callable(collect)
+        _assert_same_shifts(collect(), want)
+        monkeypatch.setattr(LawFlow, "_pools", pools)
+        split = kind == "closed_form" and nodes is None
+        assert len(threads) == (min(workers, 5) if split else 1), (workers, threads)
+        on_main = {t == threading.main_thread().ident for t in threads}
+        assert on_main == {workers == 1}, workers
+
+
+def test_issued_pools_at_one_worker_start_no_thread(monkeypatch):
+    import threading
+
+    law = solve_limit_forward(catalog_model("ou_mean_field"), GRID, 0, derive_key(ROOT, "law", 27))
+    keys = [derive_key(ROOT, "inline1", i) for i in range(40)]
+    monkeypatch.setattr(forward, "WORKERS", 1)
+    monkeypatch.setattr(forward, "_executor", lambda: pytest.fail("one worker reached the thread pool"))
+    threads = threading.active_count()
+    for nodes in (None, [8, 16]):
+        assert law.pool_shifts(keys, 8, nodes, wait=False)()[0].shape[:2] == (40, 65 if nodes is None else 2)
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_an_issued_pool_reaches_the_collector(monkeypatch):
+    # issuing returns at once; collecting waits for the run and raises its
+    # error, and the pool threads serve the next call
+    import dataclasses
+    import threading
+
+    monkeypatch.setattr(forward, "WORKERS", 2)
+    model = catalog_model("ou_mean_field", x0=1.0)
+    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 28))
+    release = threading.Event()
+
+    def diverging(t, w):
+        release.wait(timeout=60)
+        raise RuntimeError("path map diverged")
+
+    closed_form = dataclasses.replace(model.closed_form, path_map=diverging)
+    bad = LawFlow(GRID, dataclasses.replace(model, closed_form=closed_form))
+    keys = [derive_key(ROOT, "ifail", i) for i in range(4)]
+    collect = bad.pool_shifts(keys, 16, [8, 16], wait=False)
+    release.set()
+    with pytest.raises(RuntimeError, match="path map diverged"):
+        collect()
+    want = law.pool_shifts(keys, 16, [8, 16])
+    _assert_same_shifts(law.pool_shifts(keys, 16, [8, 16], wait=False)(), want)
+
+
 def test_importing_the_cli_starts_no_thread():
     # the thread pool is built on the first split pool draw, never at import
     code = (

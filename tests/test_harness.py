@@ -973,6 +973,124 @@ def test_convergence_study_does_not_depend_on_the_pool_workers(monkeypatch):
     assert tables[1] == tables[0] and tables[2] == tables[0]
 
 
+def _pool_clt():
+    # 200 blocks of 64 partners on 8 steps fill four sub-batches, which split
+    # across the pool threads beside the one run of the field pools
+    doc = _clt_doc(reps=200, inner_paths=32, field_reps=300, env_cloud=256, lattice_times=[0.5, 1.0])
+    doc["grid"]["steps"] = 8
+    return parse_config(json.dumps(doc))
+
+
+def _study_bytes(report, out):
+    emit_report(report, out)
+    doc = json.loads((out / "report.json").read_text())
+    doc.pop("timestamp")
+    return json.dumps(doc), [p.read_bytes() for p in sorted(out.glob("*.csv"))]
+
+
+def test_clt_study_does_not_depend_on_the_pool_workers(monkeypatch, tmp_path):
+    # the field pools draw on a pool thread beside the coupled run; every
+    # written byte is the same at one, two and three workers, and one worker
+    # starts no thread
+    import threading
+
+    cfg = _pool_clt()
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forward, "WORKERS", workers)
+        with monkeypatch.context() as m:
+            if workers == 1:
+                m.setattr(forward, "_executor", lambda: pytest.fail("one worker reached the thread pool"))
+            threads = threading.active_count()
+            report = run_clt_study(cfg)
+            if workers == 1:
+                assert threading.active_count() == threads
+        outputs.append(_study_bytes(report, tmp_path / str(workers)))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_clt_study_completes_on_fewer_pool_threads_than_workers(monkeypatch, tmp_path):
+    # no pool run waits on another, so one thread serves three workers' runs
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg = _pool_clt()
+    want = _study_bytes(run_clt_study(cfg), tmp_path / "default")
+    pool = ThreadPoolExecutor(1)
+    try:
+        monkeypatch.setattr(forward, "WORKERS", 3)
+        monkeypatch.setattr(forward, "_executor", lambda: pool)
+        assert _study_bytes(run_clt_study(cfg), tmp_path / "one") == want
+    finally:
+        pool.shutdown()
+
+
+def _field_pools_only(monkeypatch, action):
+    """Run ``action(self)`` before every node-restricted partner draw: in a
+    clt study, the field pools' draw and no other."""
+    pools = forward.LawFlow._pools
+
+    def hooked(self, keys, count, nodes=None):
+        if nodes is not None:
+            action(self)
+        return pools(self, keys, count, nodes)
+
+    monkeypatch.setattr(forward.LawFlow, "_pools", hooked)
+
+
+def test_an_error_in_the_background_field_draw_reaches_the_caller(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(forward, "WORKERS", 2)
+    drawn_on = []
+
+    def fail(law):
+        drawn_on.append(threading.get_ident())
+        raise RuntimeError("field draw failed")
+
+    _field_pools_only(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="field draw failed"):
+        run_clt_study(_pool_clt())
+    assert len(drawn_on) == 1 and drawn_on[0] != threading.main_thread().ident
+
+
+def test_an_error_in_the_coupled_run_leaves_no_field_task_running(monkeypatch):
+    # the coupled run fails while the field pools are still drawing: the
+    # study waits for them before the error reaches the caller
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(2)
+    futures = []
+    submit = pool.submit
+    started = threading.Event()
+
+    def tracked(*args):
+        futures.append(submit(*args))
+        return futures[-1]
+
+    def slow(law):
+        started.set()
+        time.sleep(0.3)
+
+    def failing_run(*args, **kwargs):
+        started.wait(timeout=60)
+        raise RuntimeError("coupled run failed")
+
+    try:
+        monkeypatch.setattr(pool, "submit", tracked)
+        monkeypatch.setattr(forward, "WORKERS", 2)
+        monkeypatch.setattr(forward, "_executor", lambda: pool)
+        monkeypatch.setattr(harness, "coupled_gaps", failing_run)
+        _field_pools_only(monkeypatch, slow)
+        with pytest.raises(RuntimeError, match="coupled run failed"):
+            run_clt_study(_pool_clt())
+        assert len(futures) == 1
+        assert all(f.done() for f in futures)
+    finally:
+        pool.shutdown()
+
+
 def test_clt_study_reads_x_y_and_z_from_one_run():
     # on ou_mean_field the gap X^N - X is a function of the frozen
     # environment alone, so Y^N_t - Y_t = X^N_T - X_T on every path: the y

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mfbsde.noise import (
     generator,
     key_streams,
 )
+from mfbsde.noise import _philox_words
 
 ROOT = StreamKey(seed=20260808)
 
@@ -138,6 +141,51 @@ def test_key_streams_reset_a_half_used_32_bit_buffer():
         fresh = generator(key)
         assert np.array_equal(rng.integers(0, 1000, size=5), fresh.integers(0, 1000, size=5))
         assert np.array_equal(rng.integers(0, 1000, size=2), fresh.integers(0, 1000, size=2))
+
+
+def _per_part_words(key):
+    """Philox key words hashed one path part at a time, as the streams were
+    first keyed: the words every stream of the package rests on."""
+    h = hashlib.sha256()
+    h.update(str(key.seed).encode())
+    for role, idx in key.path:
+        h.update(b"/")
+        h.update(role.encode())
+        h.update(b":")
+        h.update(str(idx).encode())
+    return np.frombuffer(h.digest()[:16], dtype=np.uint64).copy()
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**31, -(2**63), 10**30])
+def test_philox_words_are_the_per_part_hash(seed):
+    # one hash of the key's text reads the bytes of the per-part updates,
+    # for negative and large seeds and for deep paths
+    key = StreamKey(seed)
+    for depth, (role, idx) in enumerate([("n", 256), ("fwd", 0), ("path", -1), ("env", 10**12), ("x", 3)]):
+        got = np.array(_philox_words(key), dtype=np.uint64)
+        assert got.tobytes() == _per_part_words(key).tobytes(), (seed, depth)
+        key = key.child(role, idx)
+
+
+def test_key_streams_after_an_odd_uint32_count_match_fresh_generators():
+    # every key leaves a 32-bit half-word buffered; the next key's draws are
+    # still its own fresh generator's
+    keys = [derive_key(ROOT, "u32", i) for i in range(5)]
+    for i, (key, rng) in enumerate(zip(keys, key_streams(keys))):
+        fresh = generator(key)
+        assert rng.bit_generator.state["has_uint32"] == 0, i
+        assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3))
+        got = rng.integers(0, 2**32, size=2 * i + 1, dtype=np.uint32)
+        assert np.array_equal(got, fresh.integers(0, 2**32, size=2 * i + 1, dtype=np.uint32))
+        assert rng.bit_generator.state["has_uint32"] == 1, i
+
+
+def test_unit_step_increments_are_the_generators_normals():
+    # a unit step skips the scaling pass: the draws are the normals themselves
+    keys = [derive_key(ROOT, "unit", i) for i in range(3)]
+    dw = brownian_increments(keys, (4, 2), 1.0)
+    for key, row in zip(keys, dw):
+        assert row.tobytes() == generator(key).standard_normal((4, 2)).tobytes()
 
 
 def test_key_streams_yield_one_generator_rekeyed_per_key():
