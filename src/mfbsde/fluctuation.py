@@ -256,10 +256,9 @@ def _split_path_field(model: ModelSpec, kernel: CovarianceMatrix, raw: np.ndarra
 # empirical fields
 
 
-def empirical_fields(
-    law: LawFlow, N: int, lattice: FieldLattice, reps: int, env_key: StreamKey, wait: bool = True
-):
-    """Replicated empirical fluctuation fields on the lattice, (reps, L).
+def empirical_fields(law: LawFlow, N: int, lattice: FieldLattice, reps: int, env_key: StreamKey):
+    """Issue the replicated empirical fluctuation fields on the lattice and
+    return a zero-argument function that gives them, (reps, L).
 
     Replication r's entry is sqrt(N) times its pool shift (`LawFlow.pool_shifts`
     at the lattice nodes) over N partners drawn from ``law`` under
@@ -269,10 +268,9 @@ def empirical_fields(
     `_field_labels`; a block without a partner part gives exact zeros.  An
     N below 1 raises before any draw.
 
-    With ``wait=False`` the pools are issued to a pool thread
-    (``pool_shifts(..., wait=False)``) and a zero-argument function is
-    returned that waits for them and gives the fields: a caller runs other
-    work meanwhile and must call it, also when that work raises.
+    The pools are issued to a pool thread (``pool_shifts(..., wait=False)``):
+    a caller runs other work meanwhile and must call the returned function,
+    also when that work raises, so that no draw outlives it.
     """
     labels = _field_labels(law.model, lattice)
     # the centre first: a driver entry of a law without values raises here
@@ -280,10 +278,10 @@ def empirical_fields(
     # draw partners only at the live nodes: every summand is pointwise in t
     nodes = sorted({t for b, t, _ in labels if center[b] is not None})
     keys = [env_key.child("env", r) for r in range(reps)]
-    issued = law.pool_shifts(keys, N, nodes, wait=wait)
+    collect = law.pool_shifts(keys, N, nodes, wait=False)
 
     def assemble():
-        pools = dict(zip(_BLOCK_ORDER, issued if wait else issued()))
+        pools = dict(zip(_BLOCK_ORDER, collect()))
         values = np.zeros((reps, len(labels)))
         for j, (b, t, axis) in enumerate(labels):
             if pools[b] is not None:
@@ -291,7 +289,7 @@ def empirical_fields(
                 values[:, j] = np.sqrt(N) * (pools[b][(slice(None), nodes.index(t)) + axis] - mean)
         return values
 
-    return assemble() if wait else assemble
+    return assemble
 
 
 # ---------------------------------------------------------------------------

@@ -195,49 +195,32 @@ class LawFlow:
         only those grid nodes are drawn, in their order, from the Brownian
         path at those nodes alone (exact: path maps are pointwise in time) or
         the cloud's entries.  They lie node-major, since `env_shift`'s mean
-        rounds by memory layout: the empirical fields' bits rest on it.  A
-        closed-form law builds the Brownian path at nodes one node slab at a
-        time, straight into that layout: each slab is the previous one plus
-        the slab's normals times the root of its time step."""
+        rounds by memory layout: the empirical fields' bits rest on it."""
         grid, d = self.grid, self.model.dim
         if nodes is None:
-            t, draws = grid.nodes, grid.steps
+            t, step, draws = grid.nodes, grid.h, grid.steps
         else:
             nodes = np.asarray(nodes, dtype=np.intp)
             t = grid.nodes[nodes]
-            at, first, back = np.unique(t, return_index=True, return_inverse=True)
-            root, draws = np.sqrt(np.diff(at, prepend=0.0)), at.size
-            # (node, slab) pairs of a repeated node and the first node holding its slab
-            repeats = [(k, first[j]) for k, j in enumerate(back) if k != first[j]]
-        # ``index`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
-        node_major = lambda a, axis, index: np.moveaxis(np.moveaxis(a, axis, 0)[index], 0, 2)
+            at, back = np.unique(t, return_inverse=True)
+            step, draws = np.diff(at, prepend=0.0)[:, None], at.size
+        # ``first`` on a's node axis, moved to the front: a (nodes, keys, partners, ...) copy
+        node_major = lambda a, axis, first: np.moveaxis(np.moveaxis(a, axis, 0)[first], 0, 2)
         per = self._keys_per_sub_batch(count, draws)
         rows = min(per, len(keys))
         if self.cloud is None:
             dw = np.empty((rows, count, draws, d))
-            if nodes is None:
-                w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
-            else:
-                flat = np.empty(len(nodes) * rows * count * d)
+            w = np.zeros((rows, count, draws + 1, d))  # node 0 of every path stays 0
         else:
             idx = np.empty((rows, count), dtype=np.int64)
         for lo in range(0, len(keys), per):
             sub = keys[lo : lo + per]
             m = len(sub)
-            if self.cloud is None and nodes is None:
-                brownian_increments(sub, (count, draws, d), grid.h, out=dw[:m])
+            if self.cloud is None:
+                brownian_increments(sub, (count, draws, d), step, out=dw[:m])
                 np.cumsum(dw[:m], axis=2, out=w[:m, :, 1:])
-                yield lo, lo + m, self.model.closed_form.path_map(t, w[:m]), None
-            elif self.cloud is None:
-                brownian_increments(sub, (count, draws, d), 1.0, out=dw[:m])  # standard normals
-                w = flat[: len(nodes) * m * count * d].reshape(len(nodes), m, count, d)
-                for j in range(draws):
-                    slab = np.multiply(dw[:m, :, j], root[j], out=w[first[j]])
-                    if j:
-                        slab += w[first[j - 1]]
-                for k, f in repeats:
-                    w[k] = w[f]
-                yield lo, lo + m, self.model.closed_form.path_map(t, np.moveaxis(w, 0, 2)), None
+                path = w[:m] if nodes is None else node_major(w[:m], 2, back + 1)
+                yield lo, lo + m, self.model.closed_form.path_map(t, path), None
             else:
                 for row, rng in zip(idx, key_streams(sub)):
                     row[:] = rng.integers(0, self.cloud.shape[0], size=count)

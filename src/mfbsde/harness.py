@@ -10,6 +10,7 @@ forms validate the limit solvers separately (see the test suite).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -578,10 +579,11 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     """Distributional comparison of scaled fluctuations against the limit system.
 
     The empirical fields' pools are issued first and drawn on a pool thread
-    (`empirical_fields` with ``wait=False``) beside the coupled run, the
-    limit system and the comparison, which run on the calling thread; the
-    fields are collected before the covariance table.  No output depends on
-    the thread count."""
+    (`empirical_fields`) beside the coupled run, the limit system and the
+    comparison, which run on the calling thread; the fields are collected
+    before the covariance table.  If that work raises, the draw is waited
+    for and its own error dropped, so the caller sees the first failure.  No
+    output depends on the thread count."""
     model, grid, study = config.model, config.grid, config.study
     root = config.root_key()
     N = int(study["n"])
@@ -593,9 +595,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
     # the empirical fields on the configured lattice draw on a pool thread
     # while this thread runs the coupled run and the limit system
     lattice = FieldLattice(grid, tuple(grid.node_at(t) for t in study["lattice_times"]))
-    fields = empirical_fields(
-        law, N, lattice, int(study["field_reps"]), root.child("field_env", 0), wait=False
-    )
+    fields = empirical_fields(law, N, lattice, int(study["field_reps"]), root.child("field_env", 0))
     try:
         # scaled fluctuation samples of one coupled run, None for a metric not measured
         gaps = _point_gaps(law, N, study, root.child("fw", 0), root.child("fe", 0))
@@ -614,8 +614,11 @@ def run_clt_study(config: ExperimentConfig) -> StudyReport:
         comparison = clt_compare(
             N, grid, (x_fluct, y_fluct, z_fluct), limit, study["probe_times"], study["y_probe_times"]
         )
-    finally:
-        emp = fields()  # no draw outlives the study, whatever raised above
+    except BaseException:
+        with contextlib.suppress(Exception):
+            fields()  # no draw outlives the study
+        raise
+    emp = fields()
 
     # field covariance: the empirical fields against the entries of the
     # kernel the limit members were drawn from

@@ -88,8 +88,7 @@ def brownian_increments(
 
     Key k's slice is ``sqrt(step) * generator(k).standard_normal(shape)`` bit
     for bit, so each key's draws are what that key alone would give.
-    ``step`` broadcasts against ``shape``: it may be one step per node.  A
-    unit step gives the standard normals with no scaling pass (x * 1.0 is x).
+    ``step`` broadcasts against ``shape``: it may be one step per node.
     """
     keys = list(keys)
     dw = np.empty((len(keys),) + tuple(shape)) if out is None else out
@@ -98,8 +97,7 @@ def brownian_increments(
             rng.standard_normal(out=row)
         else:
             row[...] = rng.standard_normal(shape)
-    if not (np.ndim(step) == 0 and step == 1.0):
-        dw *= np.sqrt(step)
+    dw *= np.sqrt(step)
     return dw
 
 

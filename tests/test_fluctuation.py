@@ -206,7 +206,7 @@ def test_empirical_fields_zero_for_decoupled_model():
     model = catalog_model("constant", b0=0.3, s=1.0)
     law = solve_limit_forward(model, GRID, 2, derive_key(ROOT, "law", 7))
     lat = _lattice(GRID, (0.5, 1.0), blocks=("drift", "terminal"))
-    sample = empirical_fields(law, 32, lat, 200, derive_key(ROOT, "emp", 0))
+    sample = empirical_fields(law, 32, lat, 200, derive_key(ROOT, "emp", 0))()
     assert np.all(sample == 0.0)
 
 
@@ -242,7 +242,7 @@ def test_empirical_fields_invariant_under_chunk_size(monkeypatch, name):
     for keys_per_batch in (1, 7, 30):
         # 16 partners at three nodes (the terminal's final node is one of them)
         monkeypatch.setattr(forward, "_SUB_BATCH", keys_per_batch * 16 * 3 * model.dim)
-        samples.append(empirical_fields(law, 16, lat, 30, derive_key(ROOT, "emp", 20)))
+        samples.append(empirical_fields(law, 16, lat, 30, derive_key(ROOT, "emp", 20))())
     # tanh_bounded: three nodes each of drift, diffusion and driver, one terminal
     assert samples[0].shape == (30, {"tanh_bounded": 10, "ou_mean_field": 3}[name])
     assert np.any(samples[0] != 0.0)
@@ -257,7 +257,7 @@ def test_empirical_field_mean_and_variance():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 8))
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
-    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 1))
+    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 1))()
     vals = sample[:, 0]
     # centred at the law's exact mean, so no centre estimate offsets the draws
     assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(reps)
@@ -275,7 +275,7 @@ def test_empirical_fields_of_a_cloud_law_centre_at_its_cloud_mean():
     law = value_law(law, derive_key(ROOT, "vlaw", 22), size=512)
     lat = FieldLattice(grid, (16, 4, 8), blocks=_BLOCK_ORDER)
     reps = 4000
-    sample = empirical_fields(law, 16, lat, reps, derive_key(ROOT, "emp", 22))
+    sample = empirical_fields(law, 16, lat, reps, derive_key(ROOT, "emp", 22))()
     sd = sample.std(axis=0, ddof=1)
     live = sd > 0.0
     # three nodes each of drift, diffusion and driver, and the terminal: all live
@@ -289,7 +289,7 @@ def test_empirical_field_covariance_matches_theory():
     lat = _lattice(GRID, (0.25, 0.5, 1.0))
     cov = theoretical_covariance(law, lat, cloud_size=30000, key=derive_key(ROOT, "k", 6))
     reps = 4000
-    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 2))
+    sample = empirical_fields(law, 64, lat, reps, derive_key(ROOT, "emp", 2))()
     emp = np.cov(sample.T)
     for i in range(3):
         for j in range(3):
@@ -561,7 +561,7 @@ def test_empirical_field_normality_diagnostics():
     law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 17))
     lat = _lattice(GRID, (0.5,))
     reps = 10_000
-    sample = empirical_fields(law, 256, lat, reps, derive_key(ROOT, "norm", 0))
+    sample = empirical_fields(law, 256, lat, reps, derive_key(ROOT, "norm", 0))()
     v = sample[:, 0]
     v = (v - v.mean()) / v.std(ddof=1)
     skew = float(np.mean(v**3))

@@ -289,39 +289,6 @@ def test_one_pool_run_starts_no_thread(monkeypatch):
     assert threading.active_count() == threads
 
 
-def _per_node_pool_route(law, keys, count, nodes):
-    """Partner paths at ``nodes`` built the first way `_pools` built them:
-    scaled increments, a cumulative sum along the nodes, then a gather of the
-    requested nodes into a node-major copy."""
-    grid, d = law.grid, law.model.dim
-    t = grid.nodes[np.asarray(nodes)]
-    at, back = np.unique(t, return_inverse=True)
-    dw = brownian_increments(keys, (count, at.size, d), np.diff(at, prepend=0.0)[:, None])
-    w = np.zeros((len(keys), count, at.size + 1, d))
-    np.cumsum(dw, axis=2, out=w[:, :, 1:])
-    return law.model.closed_form.path_map(t, np.moveaxis(np.moveaxis(w, 2, 0)[back + 1], 0, 2))
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_node_pools_are_the_per_node_route_bit_for_bit(monkeypatch, dim):
-    # slab-by-slab scaling and accumulation into the node-major buffer gives
-    # every element the same operations in the same order: unsorted,
-    # repeated nodes with node 0, in sub-batches of 3 keys (3 + 3 + 1)
-    nodes, count = [48, 0, 64, 16, 48], 10
-    model = catalog_model("ou_mean_field", x0=[1.0, -0.5][:dim], dim=dim)
-    law = solve_limit_forward(model, GRID, 0, derive_key(ROOT, "law", 25))
-    keys = [derive_key(ROOT, "lean", i) for i in range(7)]
-    monkeypatch.setattr(forward, "_SUB_BATCH", 3 * count * len(set(nodes)) * dim)
-    want = _per_node_pool_route(law, keys, count, nodes)
-    bounds = []
-    for lo, hi, x, y in law._pools(keys, count, nodes):
-        bounds.append((lo, hi))
-        assert y is None and x.shape == (hi - lo, count, len(nodes), dim)
-        assert np.moveaxis(x, 2, 0).flags.c_contiguous  # node-major, as before
-        assert x.tobytes() == np.ascontiguousarray(want[lo:hi]).tobytes(), (lo, hi)
-    assert bounds == [(0, 3), (3, 6), (6, 7)]
-
-
 @pytest.mark.parametrize("kind", ["closed_form", "cloud"])
 @pytest.mark.parametrize("nodes", [None, [48, 0, 16, 48]])
 def test_pool_shifts_issued_without_waiting_are_the_waited_ones(monkeypatch, kind, nodes):
@@ -478,7 +445,7 @@ def test_block_peak_memory_does_not_grow_with_the_partner_count():
     lattice = FieldLattice(grid, (16, 32, 64))
     routes = {
         "blocks": (lambda N: simulate_blocks(law, N, 256, 1, W_KEY, ENV_KEY), (64, 512)),
-        "empirical_fields": (lambda N: empirical_fields(law, N, lattice, 512, ENV_KEY), (128, 1024)),
+        "empirical_fields": (lambda N: empirical_fields(law, N, lattice, 512, ENV_KEY)(), (128, 1024)),
     }
     for route, (run, sizes) in routes.items():
         run(sizes[0])  # warm-up: first-call allocations are not the pool's

@@ -1091,6 +1091,30 @@ def test_an_error_in_the_coupled_run_leaves_no_field_task_running(monkeypatch):
         pool.shutdown()
 
 
+def test_a_coupled_run_error_outranks_a_field_draw_error(monkeypatch):
+    # both fail: the caller sees the coupled run's error, the first one,
+    # and the study still waited for the field draw
+    import threading
+
+    monkeypatch.setattr(forward, "WORKERS", 2)
+    drawn = threading.Event()
+
+    def fail(law):
+        drawn.set()
+        raise RuntimeError("field draw failed")
+
+    def failing_run(*args, **kwargs):
+        drawn.wait(timeout=60)
+        raise RuntimeError("coupled run failed")
+
+    _field_pools_only(monkeypatch, fail)
+    monkeypatch.setattr(harness, "coupled_gaps", failing_run)
+    with pytest.raises(RuntimeError, match="coupled run failed") as caught:
+        run_clt_study(_pool_clt())
+    assert drawn.is_set()
+    assert caught.value.__context__ is None
+
+
 def test_clt_study_reads_x_y_and_z_from_one_run():
     # on ou_mean_field the gap X^N - X is a function of the frozen
     # environment alone, so Y^N_t - Y_t = X^N_T - X_T on every path: the y

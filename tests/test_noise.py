@@ -180,14 +180,6 @@ def test_key_streams_after_an_odd_uint32_count_match_fresh_generators():
         assert rng.bit_generator.state["has_uint32"] == 1, i
 
 
-def test_unit_step_increments_are_the_generators_normals():
-    # a unit step skips the scaling pass: the draws are the normals themselves
-    keys = [derive_key(ROOT, "unit", i) for i in range(3)]
-    dw = brownian_increments(keys, (4, 2), 1.0)
-    for key, row in zip(keys, dw):
-        assert row.tobytes() == generator(key).standard_normal((4, 2)).tobytes()
-
-
 def test_key_streams_yield_one_generator_rekeyed_per_key():
     # the documented contract: one Generator object serves every key, so a
     # reference kept past the next key reads that key's stream
